@@ -18,6 +18,7 @@ from .sysconfig import (
     IsaError,
     SystemConfig,
     enumerate_instruction_groups,
+    manhattan,
     parse_api,
     parse_config,
     parse_isa,
@@ -37,8 +38,7 @@ from .refsim import (
     OracleParams,
     Program,
     default_oracle_params,
-    imem_spatial,
-    manhattan_dist,
+    fetch_position_energy,
     run_program,
 )
 from .benchgen import (

@@ -30,6 +30,8 @@ from .sysconfig import (
     IsaError,
     SystemConfig,
     enumerate_instruction_groups,
+    format_coord,
+    manhattan,
 )
 
 PROLOGUE_LEN = 8
@@ -179,18 +181,18 @@ def gen_comm_benchmarks(api: ApiDescription, config: SystemConfig,
 
     The default descriptor sweeps 4..1024 bytes in 4-byte increments,
     giving 256 data points.  Sender and receiver sit on CPU 0 of their
-    clusters; the prologue synchronizes the channel into a defined state.
+    clusters; when src == dst the sweep takes the cluster crossbar from
+    CPU 0 to CPU 1.  The prologue synchronizes the channel into a defined
+    state.
     """
-    if src == dst:
-        raise ProgramError(
-            "source and destination clusters must differ; "
-            "use gen_local_comm_benchmarks for the cluster-local bus route")
+    if src == dst and config.cpus_per_cluster < 2:
+        raise ProgramError("cluster-local transfers need at least two CPUs")
     src_cpu = config.cpu_id(src, 0)
-    dst_cpu = config.cpu_id(dst, 0)
+    dst_cpu = config.cpu_id(dst, 1 if src == dst else 0)
     if sizes is None:
         sizes = api.operation(op_name).sizes()
     benchmarks = []
-    hops = abs(src[0] - dst[0]) + abs(src[1] - dst[1])
+    hops = manhattan(src, dst)
     for size in sizes:
         sender: list = [SyncOp() for _ in range(PROLOGUE_LEN)]
         sender.extend(SendOp(dst_cpu=dst_cpu, size_bytes=size) for _ in range(reps))
@@ -201,36 +203,7 @@ def gen_comm_benchmarks(api: ApiDescription, config: SystemConfig,
             name=f"comm/h{hops}/{size}",
             program=program,
             swept=_swept(kind="packet-size", size=size, hops=hops,
-                         src=f"{src[0]},{src[1]}", dst=f"{dst[0]},{dst[1]}"),
-            reps=reps))
-    return benchmarks
-
-
-def gen_local_comm_benchmarks(api: ApiDescription, config: SystemConfig,
-                              cluster: Coord = (0, 0),
-                              sizes: list[int] | None = None,
-                              reps: int = COMM_REPS,
-                              op_name: str = "send") -> list[Microbenchmark]:
-    """Packet-size sweep between two CPUs of one cluster (crossbar route)."""
-    if config.cpus_per_cluster < 2:
-        raise ProgramError("cluster-local transfers need at least two CPUs")
-    src_cpu = config.cpu_id(cluster, 0)
-    dst_cpu = config.cpu_id(cluster, 1)
-    if sizes is None:
-        sizes = api.operation(op_name).sizes()
-    benchmarks = []
-    for size in sizes:
-        sender: list = [SyncOp() for _ in range(PROLOGUE_LEN)]
-        sender.extend(SendOp(dst_cpu=dst_cpu, size_bytes=size) for _ in range(reps))
-        receiver: list = [RecvOp(src_cpu=src_cpu, size_bytes=size)
-                          for _ in range(reps)]
-        program = Program.from_dict({src_cpu: sender, dst_cpu: receiver})
-        benchmarks.append(Microbenchmark(
-            name=f"comm/h0/{size}",
-            program=program,
-            swept=_swept(kind="packet-size", size=size, hops=0,
-                         src=f"{cluster[0]},{cluster[1]}",
-                         dst=f"{cluster[0]},{cluster[1]}"),
+                         src=format_coord(src), dst=format_coord(dst)),
             reps=reps))
     return benchmarks
 
@@ -269,19 +242,6 @@ def instruction_campaign(isa: list[InstructionDef], config: SystemConfig,
     """Full instruction campaign plus the calibration benchmarks."""
     benchmarks = [make_idle_benchmark(config), make_baseline(isa, config)]
     benchmarks.extend(gen_instruction_benchmarks(isa, config, patterns, reps))
-    return benchmarks
-
-
-def comm_campaign(api: ApiDescription, config: SystemConfig,
-                  pairs: list[tuple[Coord, Coord]],
-                  isa: list[InstructionDef],
-                  sizes: list[int] | None = None,
-                  reps: int = COMM_REPS) -> list[Microbenchmark]:
-    """Packet sweeps over cluster pairs plus sync/idle calibration."""
-    benchmarks = [make_idle_benchmark(config), make_sync_benchmark(isa, config)]
-    for src, dst in pairs:
-        benchmarks.extend(gen_comm_benchmarks(api, config, src, dst,
-                                              sizes=sizes, reps=reps))
     return benchmarks
 
 

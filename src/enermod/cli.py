@@ -73,6 +73,7 @@ from .sysconfig import (
     load_api,
     load_config,
     load_isa,
+    n_flits,
     parse_coord,
 )
 
@@ -324,7 +325,7 @@ def cmd_sweep_noc(args) -> int:
     dst_cpu = config.cpu_id(dst, 0) if src != dst else config.cpu_id(dst, 1)
     sizes = list(range(args.min, args.max + 1, args.step))
 
-    from .refsim import SendOp, n_flits, packet_energy
+    from .refsim import SendOp, packet_energy
 
     lines = ["size_bytes,flits,total_pj,dynamic_packet_pj,sync_pj,ni_pj,"
              "router_pj,unclassified_pj,bus_pj,static_pj"]

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .modelfit import EnergyModel
-from .sysconfig import SystemConfig, manhattan
+from .sysconfig import SystemConfig, manhattan, n_flits
 
 G_MAX = 64  # granularity multiplier bound
 
@@ -207,7 +207,7 @@ def evaluate_partition(graph: DataflowGraph, partition: Partition,
                     continue
                 hops = manhattan(config.cpu_cluster(s_cpu), config.cpu_cluster(d_cpu))
                 energy += _packet_cost(model, config, hops, size) / g
-                flits = math.ceil(size / config.flit_payload_bytes)
+                flits = n_flits(size, config.flit_payload_bytes)
                 cycles[s_cpu] = cycles.get(s_cpu, 0.0) + (1 + flits) / g
                 cycles[d_cpu] = cycles.get(d_cpu, 0.0) + 1 / g
 

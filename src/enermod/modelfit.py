@@ -9,10 +9,9 @@ replace whole key families with fitted functions of a key attribute
 from __future__ import annotations
 
 import json
-import math
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .statetrace import (
     noc_hop_function,
     parse_key,
 )
-from .sysconfig import manhattan, parse_coord
+from .sysconfig import manhattan, n_flits, parse_coord
 
 REDUCER_LINEAR = "LINEAR"
 REDUCER_STAIRCASE = "STAIRCASE"
@@ -65,7 +64,7 @@ class Reducer:
     def evaluate_size(self, x: float) -> float:
         if self.kind == REDUCER_LINEAR:
             return self.a + self.b * x
-        return self.a + self.b * math.ceil(x / self.flit_payload_bytes)
+        return self.a + self.b * n_flits(x, self.flit_payload_bytes)
 
     def evaluate_key(self, key: str) -> float:
         rec = parse_key(key)
@@ -229,13 +228,13 @@ def fit_staircase(points: list[tuple[float, float]], flit_payload_bytes: int,
     if len(points) < 2:
         raise FitError("need at least two points")
     fit_points = window if window is not None else points
-    steps = np.array([math.ceil(p[0] / flit_payload_bytes) for p in fit_points],
+    steps = np.array([n_flits(p[0], flit_payload_bytes) for p in fit_points],
                      dtype=float)
     ys = np.array([p[1] for p in fit_points], dtype=float)
     if len(set(steps.tolist())) < 2:
         raise FitError("underdetermined: single flit count in fit window")
     a, b, rank = _ols_2col(steps, ys)
-    all_steps = np.array([math.ceil(p[0] / flit_payload_bytes) for p in points],
+    all_steps = np.array([n_flits(p[0], flit_payload_bytes) for p in points],
                          dtype=float)
     all_y = np.array([p[1] for p in points], dtype=float)
     report = _report(a + b * all_steps, all_y, rank, 2, {})
@@ -306,13 +305,6 @@ def fit_packet_reducers(model: EnergyModel, kind: str = REDUCER_STAIRCASE,
                        constants=constants, reducers=reducers,
                        static_pj_per_cycle=model.static_pj_per_cycle,
                        provenance=provenance)
-
-
-def add_reducer(model: EnergyModel, reducer: Reducer) -> EnergyModel:
-    constants = {k: v for k, v in model.constants.items()
-                 if not reducer.covers(k)}
-    return replace(model, constants=constants,
-                   reducers=list(model.reducers) + [reducer])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .benchgen import (
     Microbenchmark,
     gen_comm_benchmarks,
-    gen_local_comm_benchmarks,
     instruction_campaign,
     make_baseline,
     make_idle_benchmark,
@@ -117,10 +116,9 @@ def comm_benchmarks_per_hop(api: ApiDescription, config: SystemConfig, isa,
     benchmarks: list[Microbenchmark] = [make_idle_benchmark(config),
                                         make_baseline(isa, config),
                                         make_sync_benchmark(isa, config)]
-    if config.cpus_per_cluster >= 2:
-        benchmarks.extend(gen_local_comm_benchmarks(api, config, (0, 0),
-                                                    sizes=sizes, reps=reps))
-    for hops in range(1, max_hops(config) + 1):
+    # hop count 0 is the crossbar route, which needs two CPUs per cluster
+    first_hops = 0 if config.cpus_per_cluster >= 2 else 1
+    for hops in range(first_hops, max_hops(config) + 1):
         dst = cluster_at_distance(config, hops)
         if dst is not None:
             benchmarks.extend(gen_comm_benchmarks(api, config, (0, 0), dst,

@@ -21,7 +21,6 @@ Fixed conventions (the fit absorbs them, but they must not drift):
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .statetrace import (
@@ -43,6 +42,7 @@ from .sysconfig import (
     SystemConfig,
     format_coord,
     manhattan,
+    n_flits,
 )
 
 DATA_PATTERNS = ("zeros", "ones", "alt")
@@ -68,7 +68,9 @@ class OracleParams:
     """Synthetic per-event energies (pJ) and static powers (pW).
 
     core_energy is keyed (iclass, data pattern); dmem_access_energy by the
-    accessed pattern.  Static power is per component instance.
+    accessed pattern.  Static power is per component instance.  Both tables
+    are also kept as lookup dicts outside the dataclass fields, so they stay
+    out of eq, repr and the JSON form.
     """
 
     core_energy: tuple[tuple[tuple[str, str], float], ...]
@@ -115,12 +117,14 @@ class OracleParams:
             if core[("NOP", pattern)] >= core[("SIMD", pattern)]:
                 raise ParamError(
                     f"NOP core energy must stay below SIMD for pattern {pattern!r}")
+        object.__setattr__(self, "_core", core)
+        object.__setattr__(self, "_dmem", dmem)
 
     def core(self, iclass: str, pattern: str) -> float:
-        return dict(self.core_energy)[(iclass, pattern)]
+        return self._core[(iclass, pattern)]
 
     def dmem(self, pattern: str) -> float:
-        return dict(self.dmem_access_energy)[pattern]
+        return self._dmem[pattern]
 
     def imem_base(self, compressed: bool) -> float:
         return self.imem_base_compressed if compressed else self.imem_base_uncompressed
@@ -290,10 +294,6 @@ class Program:
         return dict(self.ops)
 
 
-def n_flits(size_bytes: int, flit_payload_bytes: int) -> int:
-    return math.ceil(size_bytes / flit_payload_bytes)
-
-
 def validate_program(config: SystemConfig, program: Program) -> None:
     """Reject invalid addresses, coordinates, patterns and sizes up front."""
     if program.min_cycles < 0:
@@ -386,15 +386,10 @@ class _Accumulator:
 # Geometry helpers
 # ---------------------------------------------------------------------------
 
-def manhattan_dist(a: Coord, b: Coord) -> int:
-    """Hop count between two clusters on the 2D mesh: |dx| + |dy|."""
-    return manhattan(a, b)
-
-
 def xy_route(src: Coord, dst: Coord) -> list[Coord]:
     """Routers traversed under XY routing, endpoints included.
 
-    Length is always manhattan_dist(src, dst) + 1.
+    Length is always manhattan(src, dst) + 1.
     """
     path = [src]
     x, y = src
@@ -409,41 +404,39 @@ def xy_route(src: Coord, dst: Coord) -> list[Coord]:
     return path
 
 
-def imem_spatial(params: OracleParams, config: SystemConfig, address: int) -> float:
-    """Position-dependent fetch energy: coeff x popcount of the bank-local
-    word index, a deterministic proxy for address-decoder-tree switching."""
-    if not 0 <= address < config.imem_words:
-        raise ProgramError(f"imem word address {address} out of range")
-    return params.imem_spatial_coeff * _popcount(address % config.bank_words)
-
-
-def _popcount(value: int) -> int:
-    return bin(value).count("1")
-
-
 def fetch_position_energy(params: OracleParams, config: SystemConfig,
                           address: int, compressed: bool) -> float:
-    """Position term of one fetch; uncompressed bundles decode a row of
-    vliw_slots words, shrinking the row index space by that factor."""
+    """Position term of one fetch: coeff x popcount of the bank-local row
+    index, a deterministic proxy for address-decoder-tree switching.
+    Uncompressed bundles decode a row of vliw_slots words, shrinking the
+    row index space by that factor."""
     if compressed:
         row = address
         rows_per_bank = config.bank_words
     else:
         row = address // config.vliw_slots
         rows_per_bank = max(1, config.bank_words // config.vliw_slots)
-    return params.imem_spatial_coeff * _popcount(row % rows_per_bank)
+    return params.imem_spatial_coeff * bin(row % rows_per_bank).count("1")
+
+
+def bundle_energy_parts(params: OracleParams, config: SystemConfig,
+                        op: BundleOp) -> tuple[float, float, float]:
+    """Dynamic energy of one bundle issue as its (core, imem, dmem) ledger
+    parts; dmem is 0.0 for a bundle without a memory access."""
+    core = 0.0
+    for ins in op.group.slots:
+        core += params.empty_slot_energy if ins is None else params.core(ins.iclass, op.pattern)
+    imem = params.imem_base(op.group.compressed) + fetch_position_energy(
+        params, config, op.addr, op.group.compressed)
+    dmem = 0.0
+    if op.group.accesses_dmem:
+        dmem = params.dmem(op.dmem_pattern or op.pattern)
+    return core, imem, dmem
 
 
 def bundle_energy(params: OracleParams, config: SystemConfig, op: BundleOp) -> float:
     """Closed-form dynamic energy of one bundle issue (core + imem + dmem)."""
-    core = 0.0
-    for ins in op.group.slots:
-        core += params.empty_slot_energy if ins is None else params.core(ins.iclass, op.pattern)
-    imem = params.imem_base(op.group.compressed)
-    imem += fetch_position_energy(params, config, op.addr, op.group.compressed)
-    dmem = 0.0
-    if op.group.accesses_dmem:
-        dmem = params.dmem(op.dmem_pattern or op.pattern)
+    core, imem, dmem = bundle_energy_parts(params, config, op)
     return core + imem + dmem
 
 
@@ -457,7 +450,7 @@ def packet_energy(params: OracleParams, config: SystemConfig,
     flits = n_flits(size_bytes, config.flit_payload_bytes)
     if src == dst:
         return params.sync_energy + flits * params.bus_beat_energy
-    hops = manhattan_dist(src, dst)
+    hops = manhattan(src, dst)
     per_flit = (params.ni_in_flit_energy + params.ni_out_flit_energy
                 + (hops + 1) * (params.router_flit_energy + params.link_flit_energy))
     return params.sync_energy + params.packet_header_energy + flits * per_flit
@@ -490,19 +483,13 @@ def run_program(config: SystemConfig, params: OracleParams,
                     t, comp, EVENT_BUNDLE,
                     group=op.group.label, pattern=op.pattern, addr=op.addr,
                     fmt="c" if op.group.compressed else "u"))
-                core = 0.0
-                for ins in op.group.slots:
-                    core += (params.empty_slot_energy if ins is None
-                             else params.core(ins.iclass, op.pattern))
+                core, imem, dmem = bundle_energy_parts(params, config, op)
                 acc.add(t, "core", core)
-                imem = params.imem_base(op.group.compressed)
-                imem += fetch_position_energy(params, config, op.addr,
-                                              op.group.compressed)
                 acc.add(t, "imem", imem)
                 if op.group.accesses_dmem:
-                    pattern = op.dmem_pattern or op.pattern
-                    events.append(make_event(t, comp, EVENT_DMEM, pattern=pattern))
-                    acc.add(t, "dmem", params.dmem(pattern))
+                    events.append(make_event(t, comp, EVENT_DMEM,
+                                             pattern=op.dmem_pattern or op.pattern))
+                    acc.add(t, "dmem", dmem)
                 t += 1
             elif isinstance(op, SendOp):
                 t = _emit_packet(config, params, events, acc, cpu, cluster, op, t)

@@ -389,16 +389,6 @@ def rekey_vector(vector: StateCountVector, fn: ModelFunction) -> StateCountVecto
     return StateCountVector(counts=counts, duration=vector.duration)
 
 
-def derive_binary_usage(active_idle: StateCountVector) -> StateCountVector:
-    """Recover the binary-usage vector: used iff the active count is > 0."""
-    counts: dict[str, int] = {}
-    for key, count in active_idle.counts.items():
-        rec = parse_key(key)
-        if rec.get("tag") == "active" and count > 0:
-            counts[f"{rec['component']}/used"] = 1
-    return StateCountVector(counts=counts, duration=active_idle.duration)
-
-
 # ---------------------------------------------------------------------------
 # Shipped model functions
 # ---------------------------------------------------------------------------
@@ -510,18 +500,6 @@ def active_idle_to_binary_function() -> ModelFunction:
         ),
         name="ai-to-binary",
     )
-
-
-def key_identity_function(level: AbstractionLevel = AbstractionLevel.FINE_GRAINED) -> ModelFunction:
-    """Key-domain identity; compose(identity, f) behaves exactly like f."""
-    return ModelFunction(level=level, domain="key",
-                         rules=(rule({}, "{key}"),), name="key-identity")
-
-
-def discard_all_function(level: AbstractionLevel = AbstractionLevel.BINARY_USAGE,
-                         domain: str = "key") -> ModelFunction:
-    return ModelFunction(level=level, domain=domain,
-                         rules=(rule({}, DISCARD),), name="discard-all")
 
 
 def transition_function(attr: str = "group",

@@ -10,6 +10,7 @@ enumeration that defines the per-cycle issue state space of a VLIW CPU.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, fields
 from itertools import product
@@ -34,6 +35,11 @@ class IsaError(ValueError):
 def manhattan(a: Coord, b: Coord) -> int:
     """Manhattan distance between two cluster coordinates."""
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
+
+
+def n_flits(size_bytes: float, flit_payload_bytes: int) -> int:
+    """Flits needed to carry size_bytes of payload: ceil(size / payload)."""
+    return math.ceil(size_bytes / flit_payload_bytes)
 
 
 def format_coord(c: Coord) -> str:

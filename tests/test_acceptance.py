@@ -49,7 +49,6 @@ from enermod.refsim import (
     Program,
     SendOp,
     fetch_position_energy,
-    n_flits,
     run_program,
 )
 from enermod.statetrace import (
@@ -60,7 +59,12 @@ from enermod.statetrace import (
     noc_pair_function,
     transition_function,
 )
-from enermod.sysconfig import enumerate_instruction_groups, manhattan, parse_config
+from enermod.sysconfig import (
+    enumerate_instruction_groups,
+    manhattan,
+    n_flits,
+    parse_config,
+)
 from enermod.workloads import synthetic_applications
 
 

@@ -1,6 +1,8 @@
 """Benchmark generation: counts, isolation, determinism."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enermod.benchgen import (
     DEFAULT_REPS,
@@ -8,7 +10,6 @@ from enermod.benchgen import (
     center_window,
     gen_comm_benchmarks,
     gen_instruction_benchmarks,
-    gen_local_comm_benchmarks,
     gen_position_benchmarks,
     gen_transition_benchmarks,
     instruction_campaign,
@@ -19,11 +20,13 @@ from enermod.benchgen import (
     parse_manifest_csv,
     structural_diff,
 )
-from enermod.refsim import BundleOp, ProgramError, run_program
+from enermod.refsim import BundleOp, ProgramError, packet_energy, run_program
 from enermod.sysconfig import (
     InstructionDef,
     enumerate_instruction_groups,
     group_by_label,
+    manhattan,
+    parse_config,
 )
 
 
@@ -145,20 +148,43 @@ def test_center_window_16(api, config):
     assert sizes == list(range(484, 545, 4))
 
 
-def test_same_cluster_rejected(api, config):
-    with pytest.raises(ProgramError, match="clusters must differ"):
-        gen_comm_benchmarks(api, config, (0, 0), (0, 0))
-
-
 def test_off_mesh_rejected(api, config):
     with pytest.raises(Exception):
         gen_comm_benchmarks(api, config, (0, 0), (5, 5))
 
 
-def test_local_comm_uses_two_cpus(api, config):
-    benches = gen_local_comm_benchmarks(api, config, sizes=[16])
-    cpus = sorted(benches[0].program.ops_dict())
-    assert cpus == [config.cpu_id((0, 0), 0), config.cpu_id((0, 0), 1)]
+MESHES = {"default": "", "mesh3": '{"mesh_cols": 3, "mesh_rows": 3}'}
+
+
+@pytest.mark.parametrize("mesh", sorted(MESHES))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_comm_sweep_energy_is_prologue_plus_packets(api, params, mesh, data):
+    # every ordered cluster pair, the crossbar route (src == dst) included:
+    # the oracle's dynamic energy is the prologue's syncs plus reps packets
+    config = parse_config(MESHES[mesh])
+    static_rate = params.static_pj_per_cycle(config)
+    clusters = config.all_clusters()
+    for src in clusters:
+        for dst in clusters:
+            size = data.draw(st.integers(1, 1024), label="size")
+            reps = data.draw(st.integers(1, 3), label="reps")
+            [bench] = gen_comm_benchmarks(api, config, src, dst,
+                                          sizes=[size], reps=reps)
+            assert bench.name == f"comm/h{manhattan(src, dst)}/{size}"
+            dst_cpu = config.cpu_id(dst, 1 if src == dst else 0)
+            assert sorted(bench.program.ops_dict()) == sorted(
+                [config.cpu_id(src, 0), dst_cpu])
+            trace, ledger = run_program(config, params, bench.program)
+            dynamic = ledger.total_pj - static_rate * trace.duration
+            expected = (PROLOGUE_LEN * params.sync_energy
+                        + reps * packet_energy(params, config, src, dst, size))
+            assert dynamic == pytest.approx(expected, rel=1e-12)
+
+
+def test_crossbar_sweep_needs_two_cpus(api, tiny_config):
+    with pytest.raises(ProgramError, match="two CPUs"):
+        gen_comm_benchmarks(api, tiny_config, (0, 0), (0, 0))
 
 
 # ---------------------------------------------------------------------------

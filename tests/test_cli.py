@@ -44,6 +44,32 @@ def test_gen_bench_comm_writes_256_programs(tmp_path):
     assert (bench_dir / "manifest.csv").exists()
 
 
+def test_gen_bench_comm_same_cluster_sweeps_the_crossbar(tmp_path):
+    rc = main(["gen-bench", "--kind", "comm", "--src", "0,0", "--dst", "0,0",
+               "--min", "8", "--max", "32", "--step", "8",
+               "--api", data_path("api.json")]
+              + _defaults(tmp_path, params=False))
+    assert rc == EXIT_OK
+    bench_dir = tmp_path / "benchmarks"
+    manifest = (bench_dir / "manifest.csv").read_text()
+    assert [line.split(",", 1)[0] for line in manifest.splitlines()[1:]] == [
+        "comm/h0/8", "comm/h0/16", "comm/h0/24", "comm/h0/32"]
+    doc = json.loads((bench_dir / "comm__h0__8.json").read_text())
+    assert sorted(doc["cpus"]) == ["0", "1"]
+
+
+def test_gen_bench_comm_same_cluster_one_cpu_exits_4(tmp_path, capsys):
+    one_cpu = tmp_path / "one_cpu.json"
+    one_cpu.write_text('{"cpus_per_cluster": 1}')
+    rc = main(["gen-bench", "--kind", "comm", "--src", "0,0", "--dst", "0,0",
+               "--min", "8", "--max", "32", "--step", "8",
+               "--api", data_path("api.json"), "--config", str(one_cpu),
+               "--isa", data_path("isa.json"), "--out", str(tmp_path)])
+    assert rc == EXIT_INVARIANT
+    assert "two CPUs" in capsys.readouterr().err
+    assert not (tmp_path / "benchmarks" / "manifest.csv").exists()
+
+
 def test_oracle_missing_params_exits_3_no_artifacts(tmp_path):
     rc = main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "16",
                "--step", "8", "--api", data_path("api.json")]

@@ -18,13 +18,14 @@ from enermod.pipeline import (
     run_campaign,
 )
 from enermod.benchgen import instruction_campaign
-from enermod.refsim import Program, SendOp, n_flits, run_program
+from enermod.refsim import Program, SendOp, run_program
 from enermod.statetrace import (
     StateCountVector,
     Trace,
     instruction_model_function,
     noc_hop_function,
 )
+from enermod.sysconfig import n_flits
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from enermod.modelfit import (
     REDUCER_LINEAR,
     REDUCER_STAIRCASE,
     Reducer,
-    add_reducer,
     fit_constants,
     fit_linear,
     fit_packet_reducers,
@@ -302,9 +302,9 @@ def test_reducer_requires_variable():
 def test_model_json_round_trip(tmp_path, config):
     model, _ = fit_constants([(_vec({"A": 2}, 4), 9.0)],
                              instruction_model_function())
-    model = add_reducer(model, Reducer(kind=REDUCER_STAIRCASE,
-                                       family="noc/hops:1", a=6.0, b=8.6,
-                                       flit_payload_bytes=8))
+    model = replace(model, reducers=[Reducer(kind=REDUCER_STAIRCASE,
+                                             family="noc/hops:1", a=6.0, b=8.6,
+                                             flit_payload_bytes=8)])
     path = tmp_path / "model.json"
     save_model(model, str(path), clock_hz=config.clock_hz)
     loaded = load_model(str(path))

@@ -1,6 +1,7 @@
 """Reference oracle: accounting formulas, determinism, conservation."""
 
 import math
+import pickle
 
 import pytest
 
@@ -13,12 +14,10 @@ from enermod.refsim import (
     SendOp,
     SyncOp,
     bundle_energy,
+    bundle_energy_parts,
     default_oracle_params,
     fetch_position_energy,
-    imem_spatial,
     ledger_from_csv,
-    manhattan_dist,
-    n_flits,
     packet_energy,
     params_from_json,
     params_to_json,
@@ -28,7 +27,12 @@ from enermod.refsim import (
     validate_program,
     xy_route,
 )
-from enermod.sysconfig import InstructionGroup, enumerate_instruction_groups
+from enermod.sysconfig import (
+    InstructionGroup,
+    enumerate_instruction_groups,
+    manhattan,
+    n_flits,
+)
 
 
 def _group(isa, label):
@@ -46,6 +50,19 @@ def _popcount(x):
 
 def test_params_round_trip(params):
     assert params_from_json(params_to_json(params)) == params
+
+
+def test_params_lookup_tables_stay_out_of_eq_repr_and_json(params):
+    doc = params_to_json(params)
+    assert "_core" not in repr(params) and "_dmem" not in repr(params)
+    assert not any(key.startswith("_") for key in doc)
+    copy = pickle.loads(pickle.dumps(params))
+    assert copy == params and hash(copy) == hash(params)
+    assert copy.core("SIMD", "ones") == doc["core.SIMD.ones"]
+    assert copy.dmem("alt") == doc["dmem.alt"]
+    doc["dmem.alt"] += 1.0
+    changed = params_from_json(doc)
+    assert changed != params and changed.dmem("alt") == params.dmem("alt") + 1.0
 
 
 def test_params_reject_nop_above_simd(params):
@@ -82,7 +99,7 @@ def test_single_nop_bundle_accounting(tiny_config, isa, params):
     assert len(bundles) == 1
     expected = (2 * params.core("NOP", "zeros")
                 + params.imem_base(False)
-                + imem_spatial(params, tiny_config, 0)
+                + fetch_position_energy(params, tiny_config, 0, False)
                 + params.static_pj_per_cycle(tiny_config) * 1)
     assert ledger.total_pj == pytest.approx(expected, rel=1e-12)
     b = ledger.breakdown_dict()
@@ -109,6 +126,10 @@ def test_bundle_energy_closed_form(tiny_config, isa, params):
         dynamic = ledger.total_pj - params.static_pj_per_cycle(tiny_config)
         assert dynamic == pytest.approx(bundle_energy(params, tiny_config, op),
                                         rel=1e-12)
+        # the simulator books exactly the closed form's three ledger parts
+        b = ledger.breakdown_dict()
+        assert ((b["core"], b["imem"], b["dmem"])
+                == bundle_energy_parts(params, tiny_config, op))
 
 
 def test_ordering_simd_above_nop(tiny_config, isa, params):
@@ -135,17 +156,20 @@ def test_compressed_fetch_cheaper(tiny_config, isa, params):
 # imem position term
 # ---------------------------------------------------------------------------
 
-def test_imem_spatial_examples(tiny_config, params):
-    assert imem_spatial(params, tiny_config, 0) == 0.0
-    assert imem_spatial(params, tiny_config, 7) == pytest.approx(
+def test_imem_spatial_examples(tiny_config, isa, params):
+    assert fetch_position_energy(params, tiny_config, 0, True) == 0.0
+    assert fetch_position_energy(params, tiny_config, 7, True) == pytest.approx(
         3 * params.imem_spatial_coeff)
+    op = BundleOp(group=_group(isa, "nop+EMPTY"), addr=tiny_config.imem_words,
+                  pattern="zeros")
     with pytest.raises(ProgramError):
-        imem_spatial(params, tiny_config, tiny_config.imem_words)
+        run_program(tiny_config, params, Program.from_dict({0: [op]}))
 
 
 def test_imem_spatial_spread_over_first_800(tiny_config, params):
     # exhaustive sweep oracle: spread equals coeff x max popcount in range
-    energies = [imem_spatial(params, tiny_config, a) for a in range(800)]
+    energies = [fetch_position_energy(params, tiny_config, a, True)
+                for a in range(800)]
     max_pop = max(_popcount(a % tiny_config.bank_words) for a in range(800))
     assert max(energies) - min(energies) == pytest.approx(
         params.imem_spatial_coeff * max_pop)
@@ -166,8 +190,8 @@ def test_single_slot_range_at_least_two_slot(tiny_config, isa, params):
 # ---------------------------------------------------------------------------
 
 def test_manhattan_examples():
-    assert manhattan_dist((0, 0), (0, 0)) == 0
-    assert manhattan_dist((0, 0), (2, 1)) == 3
+    assert manhattan((0, 0), (0, 0)) == 0
+    assert manhattan((0, 0), (2, 1)) == 3
 
 
 def test_route_length_matches_manhattan(mesh3_config):
@@ -175,10 +199,10 @@ def test_route_length_matches_manhattan(mesh3_config):
     for src in clusters:
         for dst in clusters:
             route = xy_route(src, dst)
-            assert len(route) == manhattan_dist(src, dst) + 1
+            assert len(route) == manhattan(src, dst) + 1
             assert route[0] == src and route[-1] == dst
             for a, b in zip(route, route[1:]):
-                assert manhattan_dist(a, b) == 1
+                assert manhattan(a, b) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +261,7 @@ def test_path_additivity_all_pairs(mesh3_config, params):
                 continue
             trace, ledger = _send_total(mesh3_config, params, src, dst, size)
             dynamic = ledger.total_pj - static_rate * trace.duration
-            hops = manhattan_dist(src, dst)
+            hops = manhattan(src, dst)
             expected = (params.sync_energy + params.packet_header_energy
                         + flits * (params.ni_in_flit_energy
                                    + params.ni_out_flit_energy

@@ -15,13 +15,10 @@ from enermod.statetrace import (
     active_idle_to_binary_function,
     binary_usage_function,
     compose,
-    derive_binary_usage,
-    discard_all_function,
     function_from_json,
     function_to_json,
     identity_function,
     instruction_model_function,
-    key_identity_function,
     make_event,
     noc_hop_function,
     parse_key,
@@ -146,7 +143,9 @@ def _random_trace(seed):
 def test_compose_with_key_identity_is_f():
     t = _random_trace(1)
     f = instruction_model_function()
-    composed = compose(key_identity_function(), f)
+    key_identity = ModelFunction(level=AbstractionLevel.FINE_GRAINED, domain="key",
+                                 rules=(rule({}, "{key}"),), name="key-identity")
+    composed = compose(key_identity, f)
     assert abstract_trace(t, composed).counts == abstract_trace(t, f).counts
 
 
@@ -168,7 +167,9 @@ def test_two_stage_composition_equals_direct(seed):
 
 def test_compose_with_discard_all_empties():
     t = _random_trace(2)
-    composed = compose(discard_all_function(), instruction_model_function())
+    discard_all = ModelFunction(level=AbstractionLevel.BINARY_USAGE, domain="key",
+                                rules=(rule({}, DISCARD),), name="discard-all")
+    composed = compose(discard_all, instruction_model_function())
     assert abstract_trace(t, composed).counts == {}
 
 
@@ -186,10 +187,11 @@ def test_binary_recoverable_and_totals_match():
     fine = abstract_trace(t, identity_function())
     ai = abstract_trace(t, active_idle_function(per_instance=True))
     binary = abstract_trace(t, binary_usage_function(per_instance=True))
-    # used <=> active count > 0
-    assert derive_binary_usage(ai).counts == {
-        k.replace("/active", "/used"): 1
-        for k, c in ai.counts.items() if k.endswith("/active") and c > 0}
+    # a component's used count merges its active and idle counts
+    assert binary.counts == {
+        f"{comp}/used": sum(c for k, c in ai.counts.items()
+                            if k.startswith(comp + "/"))
+        for comp in {e.component for e in t.events}}
     # per-component active+idle totals equal summed fine-grained counts
     # (identity keys are kind/component/attrs...)
     for comp in {e.component for e in t.events}:
