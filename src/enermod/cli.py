@@ -17,6 +17,7 @@ import sys
 
 from . import data_path
 from .benchgen import (
+    Microbenchmark,
     benchmark_filename,
     center_window,
     gen_comm_benchmarks,
@@ -44,7 +45,7 @@ from .modelfit import (
 )
 from .pipeline import (
     build_simplified_model,
-    run_campaign,
+    iter_campaign,
     validate_applications,
 )
 from .refsim import (
@@ -58,6 +59,7 @@ from .refsim import (
     program_from_json,
     program_to_json,
     run_program,
+    validate_program,
 )
 from .statetrace import (
     ModelFunctionError,
@@ -187,30 +189,28 @@ def cmd_oracle(args) -> int:
     manifest = _require(os.path.join(bench_dir, "manifest.csv"))
     with open(manifest, "r", encoding="utf-8") as fh:
         rows = parse_manifest_csv(fh.read())
-    programs = []
+    benches = []
     for name, filename in rows:
         with open(_require(os.path.join(bench_dir, filename)), "r",
                   encoding="utf-8") as fh:
-            programs.append((name, program_from_json(json.load(fh), isa)))
-
-    from .benchgen import Microbenchmark
-
-    benches = [Microbenchmark(name=n, program=p, swept=(), reps=0)
-               for n, p in programs]
-    runs = run_campaign(benches, config, params, workers=args.workers)
+            program = program_from_json(json.load(fh), isa)
+        validate_program(config, program)
+        benches.append(Microbenchmark(name=name, program=program, swept=(), reps=0))
 
     trace_dir = _subdir(out, "traces")
     ledger_dir = _subdir(out, "ledgers")
-    summary = ["name,total_pj,duration_cycles"]
-    for run in sorted(runs, key=lambda r: r.benchmark.name):
+    results = []
+    for run in iter_campaign(benches, config, params, workers=args.workers):
         stem = benchmark_filename(run.benchmark.name).rsplit(".", 1)[0]
         _write(os.path.join(trace_dir, stem + ".tsv"),
                "\n".join(run.trace.to_lines()) + "\n")
         _write(os.path.join(ledger_dir, stem + ".csv"), run.ledger.to_csv())
-        summary.append(f"{run.benchmark.name},{run.ledger.total_pj!r},"
-                       f"{run.trace.duration}")
+        results.append((run.benchmark.name, run.ledger.total_pj, run.trace.duration))
+    results.sort(key=lambda r: r[0])
+    summary = ["name,total_pj,duration_cycles"]
+    summary.extend(f"{name},{total!r},{duration}" for name, total, duration in results)
     _write(os.path.join(ledger_dir, "results.csv"), "\n".join(summary) + "\n")
-    print(f"ran {len(runs)} benchmarks; traces in {trace_dir}")
+    print(f"ran {len(results)} benchmarks; traces in {trace_dir}")
     return EXIT_OK
 
 
@@ -395,7 +395,7 @@ def cmd_explore(args) -> int:
 
 def cmd_report(args) -> int:
     out = _outdir(args)
-    summary: dict = {"outdir": out, "reports": {}}
+    summary: dict = {"reports": {}}
     report_dir = os.path.join(out, "reports")
     if os.path.isdir(report_dir):
         for name in sorted(os.listdir(report_dir)):

@@ -136,7 +136,6 @@ def _report(predicted: np.ndarray, measured: np.ndarray, rank: int,
 
 def fit_constants(observations: list[tuple[StateCountVector, float]],
                   function: ModelFunction,
-                  level: AbstractionLevel | None = None,
                   fit_static: bool = True) -> tuple[EnergyModel, FitReport]:
     """Least-squares fit of per-key constants (and a static pJ/cycle term).
 
@@ -173,7 +172,7 @@ def fit_constants(observations: list[tuple[StateCountVector, float]],
     means = per_group_pattern_means(constants)
     if means:
         provenance["group_means"] = means
-    model = EnergyModel(level=level or function.level, function=function,
+    model = EnergyModel(level=function.level, function=function,
                         constants=constants, reducers=[],
                         static_pj_per_cycle=static, provenance=provenance)
     return model, report

@@ -7,7 +7,9 @@ aggregation is order-stable, making results identical for any worker count.
 
 from __future__ import annotations
 
-import multiprocessing
+from collections import deque
+from collections.abc import Iterator
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .benchgen import (
@@ -26,7 +28,7 @@ from .modelfit import (
     fit_constants,
     fit_packet_reducers,
 )
-from .refsim import EnergyLedger, OracleParams, Program, run_program
+from .refsim import EnergyLedger, OracleParams, run_program
 from .statetrace import (
     ModelFunction,
     StateCountVector,
@@ -47,37 +49,34 @@ class CampaignRun:
     ledger: EnergyLedger
 
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(config: SystemConfig, params: OracleParams) -> None:
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["params"] = params
-
-
-def _worker_run(item: tuple[int, Program]) -> tuple[int, Trace, EnergyLedger]:
-    index, program = item
-    trace, ledger = run_program(_WORKER_STATE["config"], _WORKER_STATE["params"], program)
-    return index, trace, ledger
+def iter_campaign(benchmarks: list[Microbenchmark], config: SystemConfig,
+                  params: OracleParams, workers: int = 1) -> Iterator[CampaignRun]:
+    """Run every benchmark and yield its run in input order, whatever the
+    worker count.  A worker process that dies raises BrokenProcessPool,
+    unless it dies part-way through sending a result: the executor then
+    waits for the rest of that message."""
+    if workers <= 1 or len(benchmarks) < 2:
+        for bench in benchmarks:
+            yield CampaignRun(bench, *run_program(config, params, bench.program))
+        return
+    with ProcessPoolExecutor(workers) as pool:
+        # Two runs per worker in flight: no worker waits for work, and
+        # finished runs cannot pile up behind a slower consumer.
+        pending: deque = deque()
+        for bench in benchmarks:
+            pending.append((bench, pool.submit(run_program, config, params,
+                                               bench.program)))
+            if len(pending) == 2 * workers:
+                oldest, future = pending.popleft()
+                yield CampaignRun(oldest, *future.result())
+        for bench, future in pending:
+            yield CampaignRun(bench, *future.result())
 
 
 def run_campaign(benchmarks: list[Microbenchmark], config: SystemConfig,
                  params: OracleParams, workers: int = 1) -> list[CampaignRun]:
-    """Run every benchmark; result order follows the input list regardless
-    of worker count."""
-    if workers <= 1 or len(benchmarks) < 2:
-        results = []
-        for bench in benchmarks:
-            trace, ledger = run_program(config, params, bench.program)
-            results.append(CampaignRun(benchmark=bench, trace=trace, ledger=ledger))
-        return results
-    items = [(i, b.program) for i, b in enumerate(benchmarks)]
-    with multiprocessing.Pool(workers, initializer=_worker_init,
-                              initargs=(config, params)) as pool:
-        done = pool.map(_worker_run, items)
-    done.sort(key=lambda r: r[0])
-    return [CampaignRun(benchmark=benchmarks[i], trace=t, ledger=l)
-            for i, t, l in done]
+    """Every run of iter_campaign, in input order."""
+    return list(iter_campaign(benchmarks, config, params, workers))
 
 
 def observations(runs: list[CampaignRun],
@@ -155,8 +154,9 @@ def build_simplified_model(config: SystemConfig, isa, api: ApiDescription,
                            workers: int = 1
                            ) -> tuple[EnergyModel, dict[str, FitReport]]:
     """The shipped default model: per-(group, pattern) instruction constants
-    and per-pattern dmem constants (no instruction-position term), a sync
-    constant, staircase packet reducers per hop count, and a static term.
+    that include the bundle's data-memory access (no instruction-position
+    term), a sync constant, staircase packet reducers per hop count, and a
+    static term.
     """
     instr_runs = run_campaign(instruction_campaign(isa, config, reps=reps),
                               config, params, workers)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from .statetrace import (
     EVENT_BUNDLE,
-    EVENT_DMEM,
     EVENT_FLIT,
     EVENT_IDLE,
     EVENT_NI,
@@ -246,14 +245,13 @@ def load_oracle_params(path: str) -> OracleParams:
 class BundleOp:
     """Issue one VLIW bundle from an instruction-memory address.
 
-    pattern is the ambient register/memory data pattern; an optional
-    dmem_pattern overrides the pattern of the bundle's memory access.
+    pattern is the data pattern of the bundle's registers and of its
+    data-memory access, if it has one.
     """
 
     group: InstructionGroup
     addr: int
     pattern: str
-    dmem_pattern: str | None = None
 
 
 @dataclass(frozen=True)
@@ -314,8 +312,6 @@ def validate_program(config: SystemConfig, program: Program) -> None:
                         f"{'compressed' if span == 1 else 'uncompressed'} bundle")
                 if op.pattern not in DATA_PATTERNS:
                     raise ProgramError(f"unknown data pattern {op.pattern!r}")
-                if op.dmem_pattern is not None and op.dmem_pattern not in DATA_PATTERNS:
-                    raise ProgramError(f"unknown data pattern {op.dmem_pattern!r}")
             elif isinstance(op, (SendOp, RecvOp)):
                 peer = op.dst_cpu if isinstance(op, SendOp) else op.src_cpu
                 if not 0 <= peer < config.n_cpus:
@@ -428,9 +424,7 @@ def bundle_energy_parts(params: OracleParams, config: SystemConfig,
         core += params.empty_slot_energy if ins is None else params.core(ins.iclass, op.pattern)
     imem = params.imem_base(op.group.compressed) + fetch_position_energy(
         params, config, op.addr, op.group.compressed)
-    dmem = 0.0
-    if op.group.accesses_dmem:
-        dmem = params.dmem(op.dmem_pattern or op.pattern)
+    dmem = params.dmem(op.pattern) if op.group.accesses_dmem else 0.0
     return core, imem, dmem
 
 
@@ -467,7 +461,8 @@ def run_program(config: SystemConfig, params: OracleParams,
     One bundle per cycle per CPU; a send occupies the sender for one sync
     cycle plus one injection cycle per flit; a recv occupies one cycle and
     costs nothing (channel synchronization is charged once, at the sender).
-    Idle CPU cycles are materialized as explicit idle events.
+    A bundle's data-memory access is booked as dmem but has no event of its
+    own.  Idle CPU cycles are materialized as explicit idle events.
     """
     validate_program(config, program)
     events: list[StateEvent] = []
@@ -486,10 +481,7 @@ def run_program(config: SystemConfig, params: OracleParams,
                 core, imem, dmem = bundle_energy_parts(params, config, op)
                 acc.add(t, "core", core)
                 acc.add(t, "imem", imem)
-                if op.group.accesses_dmem:
-                    events.append(make_event(t, comp, EVENT_DMEM,
-                                             pattern=op.dmem_pattern or op.pattern))
-                    acc.add(t, "dmem", dmem)
+                acc.add(t, "dmem", dmem)
                 t += 1
             elif isinstance(op, SendOp):
                 t = _emit_packet(config, params, events, acc, cpu, cluster, op, t)
@@ -580,8 +572,6 @@ def program_to_json(program: Program) -> dict:
             if isinstance(op, BundleOp):
                 entry: dict = {"bundle": {"slots": op.group.mnemonics(),
                                           "addr": op.addr, "pattern": op.pattern}}
-                if op.dmem_pattern is not None:
-                    entry["bundle"]["dmem_pattern"] = op.dmem_pattern
             elif isinstance(op, SendOp):
                 entry = {"send": {"dst": op.dst_cpu, "size": op.size_bytes}}
             elif isinstance(op, RecvOp):
@@ -594,8 +584,6 @@ def program_to_json(program: Program) -> dict:
 
 
 def program_from_json(doc: dict, isa: list) -> Program:
-    from .sysconfig import InstructionGroup  # local alias for clarity
-
     by_name = {i.mnemonic: i for i in isa}
     ops: dict[int, list[ProgramOp]] = {}
     for cpu_str, entries in doc.get("cpus", {}).items():
@@ -603,6 +591,9 @@ def program_from_json(doc: dict, isa: list) -> Program:
         for entry in entries:
             if "bundle" in entry:
                 b = entry["bundle"]
+                unknown = sorted(set(b) - {"slots", "addr", "pattern"})
+                if unknown:
+                    raise ProgramError(f"unknown bundle field(s) {', '.join(unknown)}")
                 slots = []
                 for name in b["slots"]:
                     if name is None:
@@ -612,8 +603,7 @@ def program_from_json(doc: dict, isa: list) -> Program:
                     else:
                         raise ProgramError(f"unknown mnemonic {name!r}")
                 lst.append(BundleOp(group=InstructionGroup(slots=tuple(slots)),
-                                    addr=b["addr"], pattern=b["pattern"],
-                                    dmem_pattern=b.get("dmem_pattern")))
+                                    addr=b["addr"], pattern=b["pattern"]))
             elif "send" in entry:
                 lst.append(SendOp(dst_cpu=entry["send"]["dst"],
                                   size_bytes=entry["send"]["size"]))

@@ -19,11 +19,10 @@ from .sysconfig import manhattan, parse_coord
 EVENT_BUNDLE = "bundle-issue"
 EVENT_FLIT = "flit-hop"
 EVENT_NI = "ni-transfer"
-EVENT_DMEM = "dmem-access"
 EVENT_SYNC = "sync"
 EVENT_IDLE = "idle"
 
-EVENT_KINDS = (EVENT_BUNDLE, EVENT_FLIT, EVENT_NI, EVENT_DMEM, EVENT_SYNC, EVENT_IDLE)
+EVENT_KINDS = (EVENT_BUNDLE, EVENT_FLIT, EVENT_NI, EVENT_SYNC, EVENT_IDLE)
 
 DISCARD = "discard"
 
@@ -402,72 +401,53 @@ def identity_function() -> ModelFunction:
     )
 
 
-def instruction_model_function() -> ModelFunction:
-    """Fine-grained modeling keys: per (group, pattern) bundles, per-pattern
-    dmem accesses, a single sync key and hop/size communication keys.
-
-    The instruction-memory position is deliberately not part of the key;
-    component ids are dropped so constants transfer across CPUs.
-    """
+def _fine_function(name: str, ni_key: str) -> ModelFunction:
+    """The one fine-grained rule list; only the NI transfer's key differs."""
     return ModelFunction(
         level=AbstractionLevel.FINE_GRAINED,
         rules=(
             rule({"kind": EVENT_BUNDLE}, "group:{group}/pat:{pattern}"),
-            rule({"kind": EVENT_DMEM}, "dmem/pat:{pattern}"),
             rule({"kind": EVENT_SYNC}, "sync"),
-            rule({"kind": EVENT_NI}, "noc/hops:{hops}/size:{size}"),
+            rule({"kind": EVENT_NI}, ni_key),
             rule({"kind": EVENT_FLIT}, DISCARD),
             rule({"kind": EVENT_IDLE}, DISCARD),
         ),
-        name="instruction-fine",
+        name=name,
     )
+
+
+def instruction_model_function() -> ModelFunction:
+    """Fine-grained modeling keys: per (group, pattern) bundles, a single
+    sync key and hop/size communication keys.
+
+    A bundle's key carries its whole issue energy, data-memory access
+    included.  The instruction-memory position is deliberately not part of
+    the key; component ids are dropped so constants transfer across CPUs.
+    """
+    return _fine_function("instruction-fine", "noc/hops:{hops}/size:{size}")
 
 
 def noc_pair_function() -> ModelFunction:
     """Fine NoC keys over all (source, destination, size) permutations."""
-    return ModelFunction(
-        level=AbstractionLevel.FINE_GRAINED,
-        rules=(
-            rule({"kind": EVENT_NI}, "noc/src:{src}/dst:{dst}/size:{size}"),
-            rule({"kind": EVENT_BUNDLE}, "group:{group}/pat:{pattern}"),
-            rule({"kind": EVENT_DMEM}, "dmem/pat:{pattern}"),
-            rule({"kind": EVENT_SYNC}, "sync"),
-            rule({"kind": EVENT_FLIT}, DISCARD),
-            rule({"kind": EVENT_IDLE}, DISCARD),
-        ),
-        name="noc-pair",
-    )
+    return _fine_function("noc-pair", "noc/src:{src}/dst:{dst}/size:{size}")
 
 
 def noc_hop_function() -> ModelFunction:
     """Reduced NoC keys: endpoint coordinates collapsed to the hop count."""
-    return ModelFunction(
-        level=AbstractionLevel.FINE_GRAINED,
-        rules=(
-            rule({"kind": EVENT_NI}, "noc/hops:{hops}/size:{size}"),
-            rule({"kind": EVENT_BUNDLE}, "group:{group}/pat:{pattern}"),
-            rule({"kind": EVENT_DMEM}, "dmem/pat:{pattern}"),
-            rule({"kind": EVENT_SYNC}, "sync"),
-            rule({"kind": EVENT_FLIT}, DISCARD),
-            rule({"kind": EVENT_IDLE}, DISCARD),
-        ),
-        name="noc-hop",
-    )
+    return _fine_function("noc-hop", "noc/hops:{hops}/size:{size}")
 
 
 def active_idle_function(per_instance: bool = False) -> ModelFunction:
     """Per-component active/idle keys.
 
-    A dmem access shares its cycle with the issuing bundle and is discarded
-    so active counts stay in cycle units.  Shared components without idle
-    events (routers, NIs, the bus) contribute active keys only.
+    Shared components without idle events (routers, NIs, the bus)
+    contribute active keys only.
     """
     comp = "{component}" if per_instance else "{comp_class}"
     return ModelFunction(
         level=AbstractionLevel.ACTIVE_IDLE,
         rules=(
             rule({"kind": EVENT_IDLE}, comp + "/idle"),
-            rule({"kind": EVENT_DMEM}, DISCARD),
             rule({}, comp + "/active"),
         ),
         name="active-idle" + ("-inst" if per_instance else ""),
@@ -481,10 +461,7 @@ def binary_usage_function(per_instance: bool = False) -> ModelFunction:
     comp = "{component}" if per_instance else "{comp_class}"
     return ModelFunction(
         level=AbstractionLevel.BINARY_USAGE,
-        rules=(
-            rule({"kind": EVENT_DMEM}, DISCARD),
-            rule({}, comp + "/used"),
-        ),
+        rules=(rule({}, comp + "/used"),),
         name="binary-usage" + ("-inst" if per_instance else ""),
     )
 

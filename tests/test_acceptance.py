@@ -16,6 +16,7 @@ import pytest
 
 from enermod import data_path
 from enermod.benchgen import (
+    BODY_ADDR,
     gen_comm_benchmarks,
     gen_transition_benchmarks,
     instruction_campaign,
@@ -46,8 +47,11 @@ from enermod.pipeline import (
     run_campaign,
 )
 from enermod.refsim import (
+    DATA_PATTERNS,
+    BundleOp,
     Program,
     SendOp,
+    bundle_energy,
     fetch_position_energy,
     run_program,
 )
@@ -151,6 +155,24 @@ def test_criterion_2_held_out_validation(simplified_model, app_runs):
     _report("2 held-out-validation",
             mean <= 0.05 and worst <= 0.10,
             f"mean {mean * 100:.2f}% (<=5%), max {worst * 100:.2f}% (<=10%)")
+
+
+def test_shipped_instruction_fit_is_identifiable(fine_model, config, isa, params):
+    """The campaign determines every key of the fine fit, and each group
+    constant is the oracle's bundle energy, data-memory access included."""
+    model, report = fine_model
+    assert report.rank == report.n_unknowns
+    assert report.negative_keys == []
+    expected = {}
+    for group in enumerate_instruction_groups(isa, config.vliw_slots):
+        for pattern in DATA_PATTERNS:
+            op = BundleOp(group=group, addr=BODY_ADDR, pattern=pattern)
+            expected[f"group:{group.label}/pat:{pattern}"] = bundle_energy(
+                params, config, op)
+    fitted = {k: v for k, v in model.constants.items() if k.startswith("group:")}
+    assert sorted(fitted) == sorted(expected)
+    for key, value in expected.items():
+        assert fitted[key] == pytest.approx(value, rel=1e-6), key
 
 
 def test_criterion_3_staircase_dominance(config, params):

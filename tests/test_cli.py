@@ -84,6 +84,22 @@ def test_oracle_missing_params_exits_3_no_artifacts(tmp_path):
     assert not (tmp_path / "ledgers").exists()
 
 
+def test_oracle_unknown_bundle_field_exits_4(tmp_path, capsys):
+    """A bundle field the simulator would not honour is refused, not dropped."""
+    rc = main(["gen-bench", "--kind", "imem", "--group", "ldw+add",
+               "--lo", "0", "--hi", "1", "--reps", "2",
+               "--api", data_path("api.json")] + _defaults(tmp_path, params=False))
+    assert rc == EXIT_OK
+    program = sorted((tmp_path / "benchmarks").glob("*.json"))[-1]
+    doc = json.loads(program.read_text())
+    doc["cpus"]["0"][0]["bundle"]["dmem_pattern"] = "ones"
+    program.write_text(json.dumps(doc))
+    rc = main(["oracle"] + _defaults(tmp_path))
+    assert rc == EXIT_INVARIANT
+    assert "dmem_pattern" in capsys.readouterr().err
+    assert not (tmp_path / "traces").exists()
+
+
 def test_bad_config_exits_4(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"imem_bytes": 1000}')
@@ -193,12 +209,18 @@ def test_explore_runs(tmp_path):
 
 
 def test_report_aggregates(tmp_path):
-    rc = main(["sweep-imem", "--lo", "0", "--hi", "3"] + _defaults(tmp_path))
-    assert rc == EXIT_OK
-    rc = main(["report", "--out", str(tmp_path)])
-    assert rc == EXIT_OK
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["outdir"] == str(tmp_path)
+    """The summary depends on the outdir's contents, not on its path."""
+    summaries = []
+    for out in (tmp_path / "a", tmp_path / "elsewhere" / "b"):
+        rc = main(["sweep-imem", "--lo", "0", "--hi", "3"] + _defaults(out))
+        assert rc == EXIT_OK
+        (out / "reports" / "extra.json").write_text('{"n": 1}')
+        rc = main(["report", "--out", str(out)])
+        assert rc == EXIT_OK
+        summaries.append((out / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+    summary = json.loads(summaries[0])
+    assert summary["reports"] == {"extra.json": {"n": 1}}
 
 
 def test_outdir_env_default(tmp_path, monkeypatch):

@@ -107,13 +107,15 @@ def test_single_nop_bundle_accounting(tiny_config, isa, params):
     assert b["dmem"] == 0.0
 
 
-def test_dmem_access_emitted_for_load(tiny_config, isa, params):
+@pytest.mark.parametrize("pattern", ["zeros", "ones", "alt"])
+def test_load_books_dmem_without_an_event_of_its_own(tiny_config, isa, params,
+                                                      pattern):
     group = _group(isa, "ldw+add")
     program = Program.from_dict(
-        {0: [BundleOp(group=group, addr=0, pattern="alt")]})
+        {0: [BundleOp(group=group, addr=0, pattern=pattern)]}, min_cycles=3)
     trace, ledger = run_program(tiny_config, params, program)
-    assert sum(1 for e in trace.events if e.kind == "dmem-access") == 1
-    assert ledger.breakdown_dict()["dmem"] == pytest.approx(params.dmem("alt"))
+    assert ledger.breakdown_dict()["dmem"] == params.dmem(pattern)
+    assert [e.kind for e in trace.events] == ["bundle-issue", "idle", "idle"]
 
 
 def test_bundle_energy_closed_form(tiny_config, isa, params):
