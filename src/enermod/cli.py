@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from . import data_path
 from .benchgen import (
@@ -160,7 +161,7 @@ def cmd_gen_bench(args) -> int:
         group = group_by_label(isa, config.vliw_slots, args.group)
         benchmarks = gen_position_benchmarks(config, group, args.lo, args.hi,
                                              reps=args.reps)
-    elif args.kind == "comm":
+    else:
         sizes = None
         if args.min is not None:
             step = args.step or 4
@@ -171,8 +172,6 @@ def cmd_gen_bench(args) -> int:
                                          sizes=sizes, reps=args.reps)
         if args.center_window:
             benchmarks = center_window(benchmarks, args.center_window)
-    else:
-        raise CliError(EXIT_USAGE, f"unknown benchmark kind {args.kind!r}")
     for bench in benchmarks:
         _write_json(os.path.join(bench_dir, benchmark_filename(bench.name)),
                     program_to_json(bench.program))
@@ -267,10 +266,8 @@ def cmd_reduce(args) -> int:
     elif args.kind == "staircase":
         model = fit_packet_reducers(model, REDUCER_STAIRCASE,
                                     config.flit_payload_bytes)
-    elif args.kind == "linear":
-        model = fit_packet_reducers(model, REDUCER_LINEAR)
     else:
-        raise CliError(EXIT_USAGE, f"unknown reduction {args.kind!r}")
+        model = fit_packet_reducers(model, REDUCER_LINEAR)
     save_model(model, args.output, clock_hz=config.clock_hz)
     print(f"reduced model written to {args.output}")
     return EXIT_OK
@@ -424,8 +421,6 @@ def _add_common(parser: argparse.ArgumentParser, api: bool = False,
         parser.add_argument("--params", default=data_path("oracle_params.json"))
     parser.add_argument("--out", default=None,
                         help="output directory (default $ENERMOD_OUTDIR)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,6 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="run a benchmark campaign on the oracle")
     _add_common(p)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("fit", help="fit model constants from a campaign")
@@ -484,6 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, api=True)
     p.add_argument("--model", default=None,
                    help="model file (default: fit the simplified model)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("sweep-noc", help="packet-size sweep CSV")
@@ -530,6 +528,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error:{exc.code}:{exc}", file=sys.stderr)
         return exc.code
+    except BrokenProcessPool as exc:
+        print(f"error:{EXIT_INTERNAL}:{exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except FileNotFoundError as exc:
         print(f"error:{EXIT_MISSING_FILE}:missing file: {exc.filename}", file=sys.stderr)
         return EXIT_MISSING_FILE

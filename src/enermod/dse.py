@@ -38,9 +38,6 @@ class Actor:
     state_bytes: int = 0
     stateless: bool = True
 
-    def work_dict(self) -> dict[str, int]:
-        return dict(self.work)
-
     @property
     def work_cycles(self) -> int:
         return sum(c for _, c in self.work)

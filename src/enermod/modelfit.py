@@ -250,7 +250,13 @@ def reduce_noc_model(full: EnergyModel, tolerance: float = 1e-9) -> EnergyModel:
     Pairs sharing a hop count must agree within tolerance (they do on the
     congestion-free oracle); disagreeing families are averaged with a
     warning.  Model size shrinks from O(pairs * sizes) to O(hops * sizes).
+    The model's function must emit noc/src:<s>/dst:<d>/size:<n> keys, since
+    the reduced model estimates with noc-hop keys in its place.
     """
+    if not any(r.emit.startswith("noc/src:") for r in full.function.rules):
+        raise FitError(
+            f"model function {full.function.name!r} emits no "
+            "noc/src:<s>/dst:<d>/size:<n> keys; a hop reduction needs a noc-pair fit")
     groups: dict[str, list[float]] = {}
     constants: dict[str, float] = {}
     for key, value in full.constants.items():

@@ -333,7 +333,6 @@ class EnergyLedger:
 
     total_pj: float
     breakdown: tuple[tuple[str, float], ...]
-    entries: tuple[tuple[int, str, float], ...]
 
     def breakdown_dict(self) -> dict[str, float]:
         return dict(self.breakdown)
@@ -368,14 +367,11 @@ class _Accumulator:
             self.entries.append((cycle, component, pj))
 
     def ledger(self) -> EnergyLedger:
-        entries = sorted(self.entries)
         breakdown = {name: 0.0 for name in LEDGER_COMPONENTS}
-        for _cycle, component, pj in entries:
+        for _cycle, component, pj in sorted(self.entries):
             breakdown[component] += pj
-        total = sum(breakdown.values())
-        return EnergyLedger(total_pj=total,
-                            breakdown=tuple(breakdown.items()),
-                            entries=tuple(entries))
+        return EnergyLedger(total_pj=sum(breakdown.values()),
+                            breakdown=tuple(breakdown.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +506,7 @@ def run_program(config: SystemConfig, params: OracleParams,
         occupied = covered.get(comp, set())
         for cycle in range(duration):
             if cycle not in occupied:
-                events.append(make_event(cycle, comp, EVENT_IDLE))
+                events.append(StateEvent(cycle, comp, EVENT_IDLE))
 
     if duration > 0:
         static = params.static_pw_total(config) * duration / config.clock_hz

@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from typing import NamedTuple
 
 from .sysconfig import manhattan, parse_coord
 
@@ -49,17 +50,16 @@ class AbstractionLevel(IntEnum):
 # Events and traces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StateEvent:
-    """One state transition: a component did something at a cycle."""
+class StateEvent(NamedTuple):
+    """One state transition: a component did something at a cycle.
+
+    The field order is the canonical trace order: events sort as tuples.
+    """
 
     cycle: int
     component: str
     kind: str
     attrs: tuple[tuple[str, object], ...] = ()
-
-    def attr_dict(self) -> dict[str, object]:
-        return dict(self.attrs)
 
     def payload(self) -> str:
         return " ".join(f"{k}={v}" for k, v in sorted(self.attrs))
@@ -68,26 +68,24 @@ class StateEvent:
 def make_event(cycle: int, component: str, kind: str, **attrs: object) -> StateEvent:
     if kind not in EVENT_KINDS:
         raise TraceError(f"unknown event kind {kind!r}")
-    return StateEvent(cycle=cycle, component=component, kind=kind,
-                      attrs=tuple(sorted(attrs.items())))
+    return StateEvent(cycle, component, kind, tuple(sorted(attrs.items())))
 
 
 @dataclass(frozen=True)
 class Trace:
-    """An immutable event sequence in canonical (cycle, component) order."""
+    """An immutable event sequence in canonical order (see sort_events)."""
 
     events: tuple[StateEvent, ...]
 
     @property
     def duration(self) -> int:
-        if not self.events:
-            return 0
-        return max(e.cycle for e in self.events) + 1
+        """Last cycle + 1: in canonical order the last event is the latest."""
+        return self.events[-1].cycle + 1 if self.events else 0
 
     def concat(self, other: "Trace") -> "Trace":
         """Append another trace, shifting its cycles past this trace's end."""
         offset = self.duration
-        shifted = tuple(replace(e, cycle=e.cycle + offset) for e in other.events)
+        shifted = tuple(e._replace(cycle=e.cycle + offset) for e in other.events)
         return Trace(events=self.events + shifted)
 
     def to_lines(self) -> list[str]:
@@ -95,7 +93,8 @@ class Trace:
 
 
 def sort_events(events: list[StateEvent]) -> tuple[StateEvent, ...]:
-    return tuple(sorted(events, key=lambda e: (e.cycle, e.component, e.kind, e.attrs)))
+    """Canonical (cycle, component, kind, attrs) order."""
+    return tuple(sorted(events))
 
 
 def trace_from_lines(lines) -> Trace:
@@ -289,9 +288,8 @@ def compose(f: ModelFunction, g: ModelFunction) -> ModelFunction:
     if f.domain != "key":
         raise ModelFunctionError(
             "domain mismatch: outer function of a composition must be key-domain")
-    inner = g.then if g.then is None else compose(f, g.then)
-    chained = f if g.then is None else inner
-    return replace(g, then=chained, level=f.level,
+    then = f if g.then is None else compose(f, g.then)
+    return replace(g, then=then, level=f.level,
                    name=f"{f.name or 'f'}*{g.name or 'g'}")
 
 
@@ -503,7 +501,6 @@ _BUILTINS = {
     "noc-hop": noc_hop_function,
     "active-idle": active_idle_function,
     "binary-usage": binary_usage_function,
-    "ai-to-binary": active_idle_to_binary_function,
 }
 
 

@@ -398,13 +398,6 @@ class ApiDescription:
         raise IsaError(f"API has no operation {name!r}")
 
 
-def validate_api(api: ApiDescription, config: SystemConfig) -> None:
-    for op in api.operations:
-        if op.size_min < config.word_bytes:
-            raise IsaError(
-                f"{op.name}: size min {op.size_min} below word size {config.word_bytes}")
-
-
 def parse_api(text: str) -> ApiDescription:
     try:
         doc = json.loads(text)
@@ -422,13 +415,6 @@ def parse_api(text: str) -> ApiDescription:
             size_step=params["step"],
         ))
     return ApiDescription(operations=tuple(ops))
-
-
-def serialize_api(api: ApiDescription) -> str:
-    doc = [{"name": op.name,
-            "params": {"min": op.size_min, "max": op.size_max, "step": op.size_step}}
-           for op in api.operations]
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def load_api(path: str) -> ApiDescription:

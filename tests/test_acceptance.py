@@ -32,7 +32,7 @@ from enermod.dse import (
     anneal_restarts,
     evaluate_partition,
 )
-from enermod.estimator import estimate, validate
+from enermod.estimator import estimate
 from enermod.modelfit import (
     REDUCER_STAIRCASE,
     fit_linear,
@@ -65,7 +65,6 @@ from enermod.statetrace import (
 )
 from enermod.sysconfig import (
     enumerate_instruction_groups,
-    manhattan,
     n_flits,
     parse_config,
 )

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enermod.benchgen import (
-    DEFAULT_REPS,
     PROLOGUE_LEN,
     center_window,
     gen_comm_benchmarks,

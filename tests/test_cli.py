@@ -3,14 +3,19 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from enermod import data_path
 from enermod.cli import (
+    EXIT_DATA,
+    EXIT_INTERNAL,
     EXIT_INVARIANT,
     EXIT_MISSING_FILE,
     EXIT_OK,
+    EXIT_USAGE,
     main,
 )
 
@@ -114,6 +119,59 @@ def test_unknown_flag_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["oracle", "--frobnicate"])
     assert err.value.code == 2
+
+
+def test_option_nothing_reads_exits_2(tmp_path):
+    with pytest.raises(SystemExit) as err:
+        main(["fit", "--seed", "1"] + _defaults(tmp_path))
+    assert err.value.code == EXIT_USAGE
+
+
+_ORACLE_LOSING_A_WORKER = """
+import os
+import sys
+
+from enermod import cli, pipeline
+
+
+def dies(config, params, program):
+    os._exit(3)
+
+
+pipeline.run_program = dies
+sys.exit(cli.main(["oracle", "--workers", "2", "--out", sys.argv[1]]))
+"""
+
+
+def test_oracle_losing_a_worker_exits_1_without_a_traceback(tmp_path):
+    assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "32",
+                 "--step", "8", "--api", data_path("api.json")]
+                + _defaults(tmp_path, params=False)) == EXIT_OK
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _ORACLE_LOSING_A_WORKER,
+                           str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_INTERNAL, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error:{EXIT_INTERNAL}:")
+
+
+def test_hop_reduction_of_a_model_without_pair_keys_exits_5(tmp_path, capsys):
+    base = _defaults(tmp_path)
+    assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "24",
+                 "--step", "8", "--api", data_path("api.json")]
+                + _defaults(tmp_path, params=False)) == EXIT_OK
+    assert main(["oracle"] + base) == EXIT_OK
+    assert main(["fit", "--function", "active-idle", "--name", "ai"] + base) == EXIT_OK
+    reduced = tmp_path / "models" / "ai_hops.json"
+    rc = main(["reduce", "--model", str(tmp_path / "models" / "ai.json"),
+               "--kind", "hops", "--output", str(reduced)])
+    assert rc == EXIT_DATA
+    assert "noc-pair" in capsys.readouterr().err
+    assert not reduced.exists()
 
 
 def _pipeline(out, workers=1):

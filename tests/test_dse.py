@@ -21,8 +21,6 @@ from enermod.dse import (
     mutate,
     partition_to_json,
 )
-from enermod.modelfit import REDUCER_STAIRCASE, Reducer, EnergyModel
-from enermod.statetrace import AbstractionLevel, instruction_model_function
 
 
 @pytest.fixture(scope="module")

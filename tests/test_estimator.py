@@ -7,8 +7,6 @@ import pytest
 from enermod.estimator import estimate, validate
 from enermod.modelfit import (
     REDUCER_STAIRCASE,
-    Reducer,
-    fit_constants,
     fit_packet_reducers,
 )
 from enermod.pipeline import (
@@ -20,7 +18,6 @@ from enermod.pipeline import (
 from enermod.benchgen import instruction_campaign
 from enermod.refsim import Program, SendOp, run_program
 from enermod.statetrace import (
-    StateCountVector,
     Trace,
     instruction_model_function,
     noc_hop_function,

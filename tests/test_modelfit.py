@@ -1,10 +1,8 @@
 """Constant fitting, packet-size regressions, and NoC reduction."""
 
-import math
 import warnings
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from enermod.modelfit import (
@@ -17,7 +15,6 @@ from enermod.modelfit import (
     fit_packet_reducers,
     fit_staircase,
     load_model,
-    model_from_json,
     model_to_json,
     per_group_pattern_means,
     reduce_noc_model,

@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enermod.statetrace import (
     AbstractionLevel,
     DISCARD,
+    EVENT_KINDS,
     ModelFunction,
     ModelFunctionError,
     Trace,
@@ -33,6 +36,26 @@ from enermod.sysconfig import manhattan
 
 def _trace(events):
     return Trace(events=sort_events(list(events)))
+
+
+# Oracle vocabulary: each attribute name has one value type, as in the
+# simulator's events.  Strings hold no whitespace, no "=" and no integer form,
+# so every value survives the trace line format.
+_INT_ATTRS = ("addr", "flits", "hop", "size")
+_STR_ATTRS = ("dst", "fmt", "group", "pattern", "src")
+_words = st.text("abcxyz,+-_0123456789", min_size=1, max_size=6).filter(
+    lambda v: not v.lstrip("-").isdigit())
+_attrs = st.fixed_dictionaries({}, optional={
+    **{name: st.integers(-5, 1024) for name in _INT_ATTRS},
+    **{name: _words for name in _STR_ATTRS}})
+_events = st.builds(
+    lambda cycle, component, kind, attrs: make_event(cycle, component, kind, **attrs),
+    st.integers(0, 40),
+    st.builds("{}{}".format, st.sampled_from(["cpu", "router", "ni", "bus"]),
+              st.integers(0, 15)),
+    st.sampled_from(EVENT_KINDS),
+    _attrs)
+_traces = st.lists(_events, max_size=30).map(_trace)
 
 
 def _bundle(cycle, cpu=0, group="add+add", pattern="zeros", addr=0):
@@ -264,3 +287,44 @@ def test_bare_rule_list_loads_as_event_function():
     assert fn.level == AbstractionLevel.FINE_GRAINED
     t = _trace([_bundle(0), make_event(1, "cpu0", "idle")])
     assert abstract_trace(t, fn).counts == {"group:add+add": 1}
+
+
+# ---------------------------------------------------------------------------
+# properties over random oracle-vocabulary traces
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(t=_traces)
+def test_trace_lines_round_trip_any_trace(t):
+    assert trace_from_lines(t.to_lines()) == t
+    # a file in any line order loads into canonical order
+    assert trace_from_lines(t.to_lines()[::-1]) == t
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=st.lists(_events, max_size=30))
+def test_sort_events_is_the_explicit_canonical_order(events):
+    canonical = tuple(
+        sorted(events, key=lambda e: (e.cycle, e.component, e.kind, e.attrs)))
+    assert sort_events(events) == canonical
+    # events compare as their (cycle, component, kind, attrs) fields
+    assert tuple(sorted(events)) == canonical
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=_traces)
+def test_duration_is_last_cycle_plus_one(t):
+    assert t.duration == max((e.cycle + 1 for e in t.events), default=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=_traces, second=_traces)
+def test_abstract_counts_add_under_concat(first, second):
+    whole = first.concat(second)
+    assert whole.events == sort_events(whole.events)
+    for fn in (identity_function(), active_idle_function(per_instance=True),
+               binary_usage_function()):
+        got = abstract_trace(whole, fn)
+        parts = abstract_trace(first, fn).add(abstract_trace(second, fn))
+        assert got.counts == parts.counts
+        assert got.duration == parts.duration
