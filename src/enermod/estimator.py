@@ -2,7 +2,7 @@
 
 Estimation applies a model's granularity transform to a trace and combines
 the resulting counts with the fitted constants and reducers; it is a single
-O(events) pass with no per-event simulation.
+pass over the events and idle spans with no per-event simulation.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .modelfit import EnergyModel
 from .refsim import OracleParams, run_program
-from .statetrace import Trace, component_class, iter_event_keys
+from .statetrace import Trace, component_class, weighted_keys
 from .sysconfig import SystemConfig
 
 MIN_TRUTH_PJ = 1.0  # benchmarks below this are numerical noise; excluded
@@ -22,7 +22,8 @@ class EnergyEstimate:
     """Model-predicted energy with per-component and per-key attribution.
 
     coverage is the fraction of mapped (non-discarded) events whose key had
-    a constant or reducer; uncovered events contribute nothing.
+    a constant or reducer, an idle span counting one event per cycle;
+    uncovered events contribute nothing.
     """
 
     total_pj: float
@@ -60,26 +61,28 @@ def estimate(trace: Trace, model: EnergyModel) -> EnergyEstimate:
     """Evaluate a model over a trace.
 
     E = sum_k count_k * c_k + reducer terms + duration * static.  Events
-    whose key has no constant are reported, not fatal.
+    whose key has no constant are reported, not fatal.  An idle span adds
+    c_k * length once; counts and coverage count cycles.
     """
     breakdown: dict[str, float] = {}
     contributions: dict[str, tuple[int, float]] = {}
     missing: dict[str, None] = {}
     mapped = 0
     covered = 0
-    for event, key in iter_event_keys(trace, model.function):
+    for component, key, cycles in weighted_keys(trace, model.function):
         if key is None:
             continue
-        mapped += 1
+        mapped += cycles
         pj = model.energy_of_key(key)
         if pj is None:
             missing[key] = None
             continue
-        covered += 1
-        bucket = component_class(event.component)
+        covered += cycles
+        pj *= cycles
+        bucket = component_class(component)
         breakdown[bucket] = breakdown.get(bucket, 0.0) + pj
         count, total = contributions.get(key, (0, 0.0))
-        contributions[key] = (count + 1, total + pj)
+        contributions[key] = (count + cycles, total + pj)
     static = model.static_pj_per_cycle * trace.duration
     if static:
         breakdown["static"] = breakdown.get("static", 0.0) + static

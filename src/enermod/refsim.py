@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from .statetrace import (
     EVENT_BUNDLE,
     EVENT_FLIT,
-    EVENT_IDLE,
     EVENT_NI,
     EVENT_SYNC,
+    IdleSpan,
     StateEvent,
     Trace,
     make_event,
@@ -296,6 +296,9 @@ def validate_program(config: SystemConfig, program: Program) -> None:
     """Reject invalid addresses, coordinates, patterns and sizes up front."""
     if program.min_cycles < 0:
         raise ProgramError("min_cycles must be >= 0")
+    cpus = [cpu for cpu, _ops in program.ops]
+    if len(set(cpus)) != len(cpus):
+        raise ProgramError("a cpu id is listed twice")
     for cpu, ops in program.ops:
         if not 0 <= cpu < config.n_cpus:
             raise ProgramError(f"cpu id {cpu} out of range (n_cpus={config.n_cpus})")
@@ -458,15 +461,19 @@ def run_program(config: SystemConfig, params: OracleParams,
     cycle plus one injection cycle per flit; a recv occupies one cycle and
     costs nothing (channel synchronization is charged once, at the sender).
     A bundle's data-memory access is booked as dmem but has no event of its
-    own.  Idle CPU cycles are materialized as explicit idle events.
+    own.  A CPU cycle without an event is idle (the cycles a blocked sender
+    spends feeding the NI count as idle too); the trace holds idle time as
+    per-CPU spans.
     """
     validate_program(config, program)
     events: list[StateEvent] = []
+    busy: dict[str, list[int]] = {}
     acc = _Accumulator()
 
     for cpu, ops in program.ops:
         cluster = config.cpu_cluster(cpu)
         comp = f"cpu{cpu}"
+        cycles = busy[comp] = []
         t = 0
         for op in ops:
             if isinstance(op, BundleOp):
@@ -478,8 +485,10 @@ def run_program(config: SystemConfig, params: OracleParams,
                 acc.add(t, "core", core)
                 acc.add(t, "imem", imem)
                 acc.add(t, "dmem", dmem)
+                cycles.append(t)
                 t += 1
             elif isinstance(op, SendOp):
+                cycles.append(t)
                 t = _emit_packet(config, params, events, acc, cpu, cluster, op, t)
             elif isinstance(op, RecvOp):
                 # Receive completion is free; the cycle shows up as idle.
@@ -487,6 +496,7 @@ def run_program(config: SystemConfig, params: OracleParams,
             elif isinstance(op, SyncOp):
                 events.append(make_event(t, comp, EVENT_SYNC))
                 acc.add(t, "sync", params.sync_energy)
+                cycles.append(t)
                 t += 1
 
     duration = program.min_cycles
@@ -495,24 +505,20 @@ def run_program(config: SystemConfig, params: OracleParams,
     for entry in acc.entries:
         duration = max(duration, entry[0] + 1)
 
-    # Materialize idle events: a CPU cycle without any event is idle (the
-    # cycles a blocked sender spends feeding the NI count as idle too).
-    covered: dict[str, set[int]] = {}
-    for event in events:
-        if event.component.startswith("cpu"):
-            covered.setdefault(event.component, set()).add(event.cycle)
-    for cpu in range(config.n_cpus):
-        comp = f"cpu{cpu}"
-        occupied = covered.get(comp, set())
-        for cycle in range(duration):
-            if cycle not in occupied:
-                events.append(StateEvent(cycle, comp, EVENT_IDLE))
+    # Idle spans are the gaps between a CPU's busy cycles, which ascend.
+    idle: list[IdleSpan] = []
+    for comp in sorted(f"cpu{cpu}" for cpu in range(config.n_cpus)):
+        start = 0
+        for cycle in busy.get(comp, []) + [duration]:
+            if cycle > start:
+                idle.append(IdleSpan(comp, start, cycle - start))
+            start = cycle + 1
 
     if duration > 0:
         static = params.static_pw_total(config) * duration / config.clock_hz
         acc.add(duration - 1, "static", static)
 
-    return Trace(events=sort_events(events)), acc.ledger()
+    return Trace(events=sort_events(events), idle=tuple(idle)), acc.ledger()
 
 
 def _emit_packet(config: SystemConfig, params: OracleParams,

@@ -1,10 +1,11 @@
 """System-state events and the model functions that change their granularity.
 
 A trace is a sequence of state-transition events at the simulator's native
-granularity.  A model function maps each event (or each already-produced
-model-state key) to the coarser state space a model's constants live in;
-aggregating the mapped keys yields the count vector that multiplies those
-constants.
+granularity; idle time is held as per-component spans, and only trace files
+spell it as one idle event per cycle.  A model function maps each event (or
+each already-produced model-state key) to the coarser state space a model's
+constants live in; aggregating the mapped keys yields the count vector that
+multiplies those constants.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .sysconfig import manhattan, parse_coord
@@ -61,9 +63,6 @@ class StateEvent(NamedTuple):
     kind: str
     attrs: tuple[tuple[str, object], ...] = ()
 
-    def payload(self) -> str:
-        return " ".join(f"{k}={v}" for k, v in sorted(self.attrs))
-
 
 def make_event(cycle: int, component: str, kind: str, **attrs: object) -> StateEvent:
     if kind not in EVENT_KINDS:
@@ -71,25 +70,107 @@ def make_event(cycle: int, component: str, kind: str, **attrs: object) -> StateE
     return StateEvent(cycle, component, kind, tuple(sorted(attrs.items())))
 
 
+class IdleSpan(NamedTuple):
+    """A component idle for length consecutive cycles from start."""
+
+    component: str
+    start: int
+    length: int
+
+
 @dataclass(frozen=True)
 class Trace:
-    """An immutable event sequence in canonical order (see sort_events)."""
+    """An immutable trace: the non-idle events in canonical order (see
+    sort_events) and the idle time as maximal per-component spans sorted
+    by (component, start).
+
+    Build traces from flat event lists with Trace.from_events, which folds
+    bare idle events into spans, so every trace has one canonical form.
+    """
 
     events: tuple[StateEvent, ...]
+    idle: tuple[IdleSpan, ...] = ()
+
+    def __post_init__(self) -> None:
+        if any(e.kind == EVENT_IDLE for e in self.events):
+            raise TraceError("idle time belongs in spans; use Trace.from_events")
+
+    @classmethod
+    def from_events(cls, events) -> "Trace":
+        """Fold bare idle events into spans and sort the rest.
+
+        An idle event with attributes, or a second idle event of one
+        component at one cycle, cannot be a span and is refused.
+        """
+        busy: list[StateEvent] = []
+        idle: dict[str, list[int]] = {}
+        for e in events:
+            if e.kind != EVENT_IDLE:
+                busy.append(e)
+            elif e.attrs:
+                raise TraceError(
+                    f"idle event of {e.component} at cycle {e.cycle} has attributes")
+            else:
+                idle.setdefault(e.component, []).append(e.cycle)
+        return cls(events=sort_events(busy), idle=_fold_idle(idle))
 
     @property
     def duration(self) -> int:
-        """Last cycle + 1: in canonical order the last event is the latest."""
-        return self.events[-1].cycle + 1 if self.events else 0
+        """Last covered cycle + 1: in canonical order the last event is the
+        latest event, and spans end at start + length."""
+        last = self.events[-1].cycle + 1 if self.events else 0
+        return max([last, *(s.start + s.length for s in self.idle)])
 
     def concat(self, other: "Trace") -> "Trace":
         """Append another trace, shifting its cycles past this trace's end."""
         offset = self.duration
         shifted = tuple(e._replace(cycle=e.cycle + offset) for e in other.events)
-        return Trace(events=self.events + shifted)
+        ends = {s.component: i for i, s in enumerate(self.idle)
+                if s.start + s.length == offset}
+        spans = list(self.idle)
+        for s in other.idle:
+            if s.start == 0 and s.component in ends:
+                i = ends[s.component]
+                spans[i] = spans[i]._replace(length=spans[i].length + s.length)
+            else:
+                spans.append(s._replace(start=s.start + offset))
+        return Trace(events=self.events + shifted, idle=tuple(sorted(spans)))
+
+    def per_cycle_events(self) -> list[StateEvent]:
+        """Every event in canonical order, each idle span expanded to one
+        bare idle event per cycle: the trace as the file format spells it."""
+        return [StateEvent._make(row) for row in self._per_cycle_rows()]
 
     def to_lines(self) -> list[str]:
-        return [f"{e.cycle}\t{e.component}\t{e.kind}\t{e.payload()}" for e in self.events]
+        return [f"{cycle}\t{component}\t{kind}\t"
+                f"{' '.join(f'{k}={v}' for k, v in sorted(attrs)) if attrs else ''}"
+                for cycle, component, kind, attrs in self._per_cycle_rows()]
+
+    def _per_cycle_rows(self) -> list[tuple]:
+        """per_cycle_events with each idle cycle a plain tuple built in C,
+        which is cheaper to make and to sort than a StateEvent."""
+        idle = (zip(range(start, start + length), repeat(component),
+                    repeat(EVENT_IDLE), repeat(()))
+                for component, start, length in self.idle)
+        return sorted(chain(self.events, *idle))
+
+
+def _fold_idle(idle: dict[str, list[int]]) -> tuple[IdleSpan, ...]:
+    """Maximal spans, sorted by (component, start), of each component's
+    idle cycles; a cycle listed twice is refused."""
+    spans: list[IdleSpan] = []
+    for component in sorted(idle):
+        cycles = sorted(idle[component])
+        start = prev = cycles[0]
+        for cycle in cycles[1:]:
+            if cycle == prev:
+                raise TraceError(f"two idle events of {component} at cycle {cycle}")
+            if cycle != prev + 1:
+                spans.append(IdleSpan(component, start, prev + 1 - start))
+                start = cycle
+            prev = cycle
+        spans.append(IdleSpan(component, start, prev + 1 - start))
+    return tuple(spans)
 
 
 def sort_events(events: list[StateEvent]) -> tuple[StateEvent, ...]:
@@ -98,7 +179,10 @@ def sort_events(events: list[StateEvent]) -> tuple[StateEvent, ...]:
 
 
 def trace_from_lines(lines) -> Trace:
+    """Parse a trace file; bare idle lines fold into spans as in
+    Trace.from_events."""
     events = []
+    idle: dict[str, list[int]] = {}
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line:
@@ -107,13 +191,18 @@ def trace_from_lines(lines) -> Trace:
         if len(parts) != 4:
             raise TraceError(f"line {lineno}: expected 4 tab-separated fields")
         cycle, component, kind, payload = parts
+        if kind == EVENT_IDLE:
+            if payload:
+                raise TraceError(f"line {lineno}: idle event has attributes")
+            idle.setdefault(component, []).append(int(cycle))
+            continue
         attrs: dict[str, object] = {}
         if payload:
             for item in payload.split(" "):
                 k, v = item.split("=", 1)
                 attrs[k] = int(v) if _INT_RE.match(v) else v
         events.append(make_event(int(cycle), component, kind, **attrs))
-    return Trace(events=sort_events(events))
+    return Trace(events=sort_events(events), idle=_fold_idle(idle))
 
 
 def component_class(component: str) -> str:
@@ -260,7 +349,7 @@ class ModelFunction:
             raise ModelFunctionError("key-domain function applied to an event")
         if self.pair_attr is not None and event.kind in self.pair_kinds:
             raise ModelFunctionError(
-                "pairwise functions require stream context; use iter_event_keys")
+                "pairwise functions require stream context; use weighted_keys")
         rec = event_record(event)
         return self._chain(self._emit(rec, f"event kind {event.kind!r}"))
 
@@ -293,42 +382,50 @@ def compose(f: ModelFunction, g: ModelFunction) -> ModelFunction:
                    name=f"{f.name or 'f'}*{g.name or 'g'}")
 
 
-def iter_event_keys(trace: Trace, fn: ModelFunction):
-    """Yield (event, key-or-None) under fn, handling pairwise functions.
+def weighted_keys(trace: Trace, fn: ModelFunction):
+    """Yield (component, key-or-None, cycles) under fn: one triple per
+    non-idle event (cycles 1), then one per idle span (its length).
 
     The mapping depends only on (component, kind, attrs), so repeated
-    events hit a memo instead of re-running the rules.  Pairwise state is
-    tracked per component in (cycle-sorted) stream order.
+    events and every span hit a memo instead of re-running the rules.
+    Pairwise functions walk the per-cycle events instead, tracking state
+    per component in (cycle-sorted) stream order.
     """
     if fn.domain != "event":
         raise ModelFunctionError("traces can only be abstracted by event-domain functions")
-    if fn.pair_attr is None:
-        memo: dict[tuple, str | None] = {}
-        for event in trace.events:
-            ident = (event.component, event.kind, event.attrs)
-            if ident in memo:
-                yield event, memo[ident]
-            else:
-                key = fn.key_for_event(event)
-                memo[ident] = key
-                yield event, key
+    if fn.pair_attr is not None:
+        yield from _pairwise_keys(trace, fn)
         return
+    memo: dict[tuple, str | None] = {}
+    for event in trace.events:
+        ident = (event.component, event.kind, event.attrs)
+        if ident not in memo:
+            memo[ident] = fn.key_for_event(event)
+        yield event.component, memo[ident], 1
+    for component, start, length in trace.idle:
+        ident = (component, EVENT_IDLE, ())
+        if ident not in memo:
+            memo[ident] = fn.key_for_event(StateEvent(start, component, EVENT_IDLE))
+        yield component, memo[ident], length
+
+
+def _pairwise_keys(trace: Trace, fn: ModelFunction):
     last: dict[str, object] = {}
-    ordered = sorted(trace.events, key=lambda e: (e.component, e.cycle, e.kind, e.attrs))
+    ordered = sorted(trace.per_cycle_events(),
+                     key=lambda e: (e.component, e.cycle, e.kind, e.attrs))
     for event in ordered:
+        rec = event_record(event)
         if event.kind in fn.pair_kinds:
-            rec = event_record(event)
             if fn.pair_attr not in rec:
                 raise ModelFunctionError(
                     f"pairwise attribute {fn.pair_attr!r} absent from {event.kind} event")
             cur = rec[fn.pair_attr]
             prev = last.get(event.component, cur)
             last[event.component] = cur
-            key = fn.pair_template.format_map({"prev": prev, "cur": cur})
-            yield event, fn._chain(key)
+            key = fn._chain(fn.pair_template.format_map({"prev": prev, "cur": cur}))
         else:
-            rec = event_record(event)
-            yield event, fn._chain(fn._emit(rec, f"event kind {event.kind!r}"))
+            key = fn._chain(fn._emit(rec, f"event kind {event.kind!r}"))
+        yield event.component, key, 1
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +464,12 @@ def abstract_trace(trace: Trace, fn: ModelFunction) -> StateCountVector:
     """Aggregate a trace into per-key counts under a model function.
 
     Linear by construction: counts of a concatenation are the per-key sums.
-    Duration is last cycle + 1.
+    An idle span counts one per cycle.  Duration is last covered cycle + 1.
     """
     counts: dict[str, int] = {}
-    for _event, key in iter_event_keys(trace, fn):
+    for _component, key, cycles in weighted_keys(trace, fn):
         if key is not None:
-            counts[key] = counts.get(key, 0) + 1
+            counts[key] = counts.get(key, 0) + cycles
     return StateCountVector(counts=counts, duration=trace.duration)
 
 

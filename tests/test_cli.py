@@ -216,6 +216,28 @@ def test_fit_then_estimate_trace(tmp_path):
     assert doc["total_pj"] > 0
 
 
+def test_estimate_of_idle_time_that_cannot_be_a_span_exits_5(tmp_path, capsys):
+    base = _defaults(tmp_path)
+    assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "8",
+                 "--step", "8", "--api", data_path("api.json")]
+                + _defaults(tmp_path, params=False)) == EXIT_OK
+    assert main(["oracle"] + base) == EXIT_OK
+    assert main(["fit", "--function", "noc-hop", "--name", "noc"] + base) == EXIT_OK
+    (trace,) = os.listdir(tmp_path / "traces")
+    lines = (tmp_path / "traces" / trace).read_text().splitlines()
+    idle = next(line for line in lines if "\tidle\t" in line)
+    for bad in (idle + "why=stall", idle):  # attributes; a second idle event
+        path = tmp_path / "bad.tsv"
+        path.write_text("\n".join(lines + [bad]) + "\n")
+        capsys.readouterr()
+        rc = main(["estimate", "--model", str(tmp_path / "models" / "noc.json"),
+                   "--trace", str(path)])
+        assert rc == EXIT_DATA
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error:{EXIT_DATA}:")
+
+
 def test_sweep_imem_csv(tmp_path):
     rc = main(["sweep-imem", "--lo", "0", "--hi", "15"] + _defaults(tmp_path))
     assert rc == EXIT_OK

@@ -19,9 +19,12 @@ from enermod.benchgen import instruction_campaign
 from enermod.refsim import Program, SendOp, run_program
 from enermod.statetrace import (
     Trace,
+    builtin_function,
+    component_class,
     instruction_model_function,
     noc_hop_function,
 )
+from enermod.workloads import synthetic_applications
 from enermod.sysconfig import n_flits
 
 
@@ -83,6 +86,41 @@ def test_estimate_additive_over_concat(config, isa, params, fine_model):
     e12 = estimate(t12, fine_model)
     # durations add under concat, so totals add exactly
     assert e12.total_pj == pytest.approx(e1.total_pj + e2.total_pj, rel=1e-9)
+
+
+def _per_cycle_estimate(trace, model):
+    """The estimate as one addition per event of the per-cycle trace, in
+    canonical order."""
+    breakdown = {}
+    for event in trace.per_cycle_events():
+        key = model.function.key_for_event(event)
+        pj = None if key is None else model.energy_of_key(key)
+        if pj is not None:
+            bucket = component_class(event.component)
+            breakdown[bucket] = breakdown.get(bucket, 0.0) + pj
+    static = model.static_pj_per_cycle * trace.duration
+    if static:
+        breakdown["static"] = breakdown.get("static", 0.0) + static
+    return sum(breakdown.values())
+
+
+@pytest.mark.parametrize("name", ["instruction-fine", "noc-pair", "noc-hop",
+                                  "identity", "active-idle", "binary-usage"])
+def test_estimate_equals_the_per_cycle_sum(config, isa, api, params, name):
+    runs = run_campaign(comm_benchmarks_per_hop(api, config, isa, sizes=[8, 64]),
+                        config, params)
+    model, _ = fit_campaign(runs, builtin_function(name))
+    traces = [run.trace for run in runs]
+    traces += [run_program(config, params, program)[0]
+               for _name, program in synthetic_applications(config, isa)]
+    for trace in traces:
+        got = estimate(trace, model).total_pj
+        if name in ("identity", "active-idle", "binary-usage"):
+            # a span adds pj * length where the per-cycle sum adds pj length times
+            assert got == pytest.approx(_per_cycle_estimate(trace, model), rel=1e-12, abs=0)
+        else:
+            # idle is discarded, so the additions and their order are unchanged
+            assert got == _per_cycle_estimate(trace, model)
 
 
 def test_staircase_model_closed_form(config, isa, api, params):

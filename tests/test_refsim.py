@@ -1,9 +1,11 @@
 """Reference oracle: accounting formulas, determinism, conservation."""
 
+import hashlib
 import pickle
 
 import pytest
 
+from enermod.benchgen import gen_comm_benchmarks
 from enermod.refsim import (
     BundleOp,
     ParamError,
@@ -111,7 +113,7 @@ def test_load_books_dmem_without_an_event_of_its_own(tiny_config, isa, params,
         {0: [BundleOp(group=group, addr=0, pattern=pattern)]}, min_cycles=3)
     trace, ledger = run_program(tiny_config, params, program)
     assert ledger.breakdown_dict()["dmem"] == params.dmem(pattern)
-    assert [e.kind for e in trace.events] == ["bundle-issue", "idle", "idle"]
+    assert [e.kind for e in trace.per_cycle_events()] == ["bundle-issue", "idle", "idle"]
 
 
 def test_bundle_energy_closed_form(tiny_config, isa, params):
@@ -313,23 +315,55 @@ def test_conservation(config, isa, params):
     assert all(v >= 0 for _, v in ledger.breakdown)
 
 
-def test_idle_events_materialized(config, isa, params):
-    program = _mixed_program(config, isa)
-    trace, _ = run_program(config, params, program)
-    idle_cpus = {e.component for e in trace.events if e.kind == "idle"}
-    assert f"cpu{config.n_cpus - 1}" in idle_cpus
-    # every cycle of every cpu is either busy or idle
-    for cpu in range(config.n_cpus):
+def _assert_every_cpu_cycle_once(trace, n_cpus):
+    for cpu in range(n_cpus):
         comp = f"cpu{cpu}"
         cycles = [e.cycle for e in trace.events if e.component == comp]
-        assert len(set(cycles)) == trace.duration
+        cycles += [cycle for span in trace.idle if span.component == comp
+                   for cycle in range(span.start, span.start + span.length)]
+        assert sorted(cycles) == list(range(trace.duration)), comp
+
+
+def test_every_cpu_cycle_is_an_event_or_in_one_idle_span(config, isa, params):
+    program = _mixed_program(config, isa)
+    trace, _ = run_program(config, params, program)
+    assert f"cpu{config.n_cpus - 1}" in {span.component for span in trace.idle}
+    _assert_every_cpu_cycle_once(trace, config.n_cpus)
+
+
+def test_a_cpu_listed_twice_is_rejected(config, isa, params):
+    bundle = BundleOp(group=_group(isa, "nop+nop"), addr=0, pattern="zeros")
+    with pytest.raises(ProgramError, match="listed twice"):
+        run_program(config, params, Program(ops=((0, (bundle,)), (0, (bundle,)))))
+
+
+# SHA-256 of the trace files of three programs, computed when every idle
+# cycle was an event in memory too: holding idle time as spans must not
+# change a byte of the file format.
+_TRACE_SHA256 = {
+    "mixed": "cdc526546097ad5f42b61ecddd78fc30ec7cb6ed284595d24d156ca36a8995d8",
+    "crossbar": "81464439c47547e062b2207b836cab7f3b66ab162d94d17e4719c002a1cfe80d",
+    "2hop": "324d21c5b3eb230e323f802ce0454e2d10dc27aeb76d68b6682496d760560183",
+}
+
+
+def test_trace_files_are_pinned(config, isa, api, params):
+    programs = {
+        "mixed": _mixed_program(config, isa),
+        "crossbar": gen_comm_benchmarks(api, config, (0, 0), (0, 0), sizes=[100])[0].program,
+        "2hop": gen_comm_benchmarks(api, config, (0, 0), (1, 1), sizes=[100])[0].program,
+    }
+    for name, program in programs.items():
+        trace, _ = run_program(config, params, program)
+        text = "\n".join(trace.to_lines())
+        assert hashlib.sha256(text.encode()).hexdigest() == _TRACE_SHA256[name], name
 
 
 def test_min_cycles_pads_with_idle(tiny_config, params):
     program = Program.from_dict({}, min_cycles=32)
     trace, ledger = run_program(tiny_config, params, program)
     assert trace.duration == 32
-    assert all(e.kind == "idle" for e in trace.events)
+    assert all(e.kind == "idle" for e in trace.per_cycle_events())
     assert ledger.total_pj == pytest.approx(
         params.static_pj_per_cycle(tiny_config) * 32)
 

@@ -6,13 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enermod.refsim import (
+    DATA_PATTERNS,
+    BundleOp,
+    Program,
+    RecvOp,
+    SendOp,
+    SyncOp,
+    run_program,
+)
 from enermod.statetrace import (
     AbstractionLevel,
     DISCARD,
+    EVENT_IDLE,
     EVENT_KINDS,
     ModelFunction,
     ModelFunctionError,
+    IdleSpan,
+    StateEvent,
     Trace,
+    TraceError,
     abstract_trace,
     active_idle_function,
     active_idle_to_binary_function,
@@ -31,11 +44,11 @@ from enermod.statetrace import (
     trace_from_lines,
     transition_function,
 )
-from enermod.sysconfig import manhattan
+from enermod.sysconfig import enumerate_instruction_groups, manhattan
 
 
 def _trace(events):
-    return Trace(events=sort_events(list(events)))
+    return Trace.from_events(events)
 
 
 # Oracle vocabulary: each attribute name has one value type, as in the
@@ -48,14 +61,32 @@ _words = st.text("abcxyz,+-_0123456789", min_size=1, max_size=6).filter(
 _attrs = st.fixed_dictionaries({}, optional={
     **{name: st.integers(-5, 1024) for name in _INT_ATTRS},
     **{name: _words for name in _STR_ATTRS}})
+# Idle events are bare, as the simulator writes them.
 _events = st.builds(
-    lambda cycle, component, kind, attrs: make_event(cycle, component, kind, **attrs),
+    lambda cycle, component, kind, attrs: make_event(
+        cycle, component, kind, **({} if kind == EVENT_IDLE else attrs)),
     st.integers(0, 40),
     st.builds("{}{}".format, st.sampled_from(["cpu", "router", "ni", "bus"]),
               st.integers(0, 15)),
     st.sampled_from(EVENT_KINDS),
     _attrs)
-_traces = st.lists(_events, max_size=30).map(_trace)
+
+
+def _one_idle_per_cycle(events):
+    """Drop repeated idle events of one component and cycle: a span
+    covers each cycle once."""
+    kept, idle = [], set()
+    for e in events:
+        if e.kind == EVENT_IDLE:
+            if (e.cycle, e.component) in idle:
+                continue
+            idle.add((e.cycle, e.component))
+        kept.append(e)
+    return kept
+
+
+_event_lists = st.lists(_events, max_size=30).map(_one_idle_per_cycle)
+_traces = _event_lists.map(_trace)
 
 
 def _bundle(cycle, cpu=0, group="add+add", pattern="zeros", addr=0):
@@ -214,10 +245,10 @@ def test_binary_recoverable_and_totals_match():
     assert binary.counts == {
         f"{comp}/used": sum(c for k, c in ai.counts.items()
                             if k.startswith(comp + "/"))
-        for comp in {e.component for e in t.events}}
+        for comp in {e.component for e in t.per_cycle_events()}}
     # per-component active+idle totals equal summed fine-grained counts
     # (identity keys are kind/component/attrs...)
-    for comp in {e.component for e in t.events}:
+    for comp in {e.component for e in t.per_cycle_events()}:
         ai_total = sum(c for k, c in ai.counts.items() if k.startswith(comp + "/"))
         fine_total = sum(c for k, c in fine.counts.items()
                          if k.split("/")[1] == comp)
@@ -314,7 +345,7 @@ def test_sort_events_is_the_explicit_canonical_order(events):
 @settings(max_examples=60, deadline=None)
 @given(t=_traces)
 def test_duration_is_last_cycle_plus_one(t):
-    assert t.duration == max((e.cycle + 1 for e in t.events), default=0)
+    assert t.duration == max((e.cycle + 1 for e in t.per_cycle_events()), default=0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -322,9 +353,113 @@ def test_duration_is_last_cycle_plus_one(t):
 def test_abstract_counts_add_under_concat(first, second):
     whole = first.concat(second)
     assert whole.events == sort_events(whole.events)
+    _assert_canonical_spans(whole)
+    shifted = [e._replace(cycle=e.cycle + first.duration)
+               for e in second.per_cycle_events()]
+    assert whole.per_cycle_events() == sorted([*first.per_cycle_events(), *shifted])
     for fn in (identity_function(), active_idle_function(per_instance=True),
                binary_usage_function()):
         got = abstract_trace(whole, fn)
         parts = abstract_trace(first, fn).add(abstract_trace(second, fn))
         assert got.counts == parts.counts
         assert got.duration == parts.duration
+
+
+def _expand(trace):
+    """Per-cycle reference: the explicit events plus one idle event per
+    cycle of every span, in no particular order."""
+    events = list(trace.events)
+    for span in trace.idle:
+        for cycle in range(span.start, span.start + span.length):
+            events.append(StateEvent(cycle, span.component, EVENT_IDLE))
+    return events
+
+
+def _reference_lines(events):
+    ordered = sorted(events, key=lambda e: (e.cycle, e.component, e.kind, e.attrs))
+    return [f"{e.cycle}\t{e.component}\t{e.kind}\t"
+            + " ".join(f"{k}={v}" for k, v in sorted(e.attrs)) for e in ordered]
+
+
+def _per_cycle_counts(events, fn):
+    counts = {}
+    for e in events:
+        key = fn.key_for_event(e)
+        if key is not None:
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _assert_canonical_spans(t):
+    assert list(t.idle) == sorted(t.idle)
+    assert all(span.length > 0 for span in t.idle)
+    for a, b in zip(t.idle, t.idle[1:]):
+        if a.component == b.component:
+            # maximal: a gap of at least one cycle between two spans
+            assert a.start + a.length < b.start
+
+
+_TOTAL_FUNCTIONS = (identity_function(), active_idle_function(),
+                    active_idle_function(per_instance=True), binary_usage_function())
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=_event_lists)
+def test_trace_spells_its_events_cycle_by_cycle(events):
+    t = _trace(events)
+    _assert_canonical_spans(t)
+    assert t.to_lines() == _reference_lines(events)
+    assert t.per_cycle_events() == sorted(events)
+    for fn in _TOTAL_FUNCTIONS:
+        assert abstract_trace(t, fn).counts == _per_cycle_counts(events, fn)
+
+
+def test_idle_time_that_cannot_be_a_span_is_refused():
+    with pytest.raises(TraceError, match="attributes"):
+        Trace.from_events([make_event(0, "cpu0", "idle", why="stall")])
+    with pytest.raises(TraceError, match="attributes"):
+        trace_from_lines(["0\tcpu0\tidle\twhy=stall"])
+    with pytest.raises(TraceError, match="two idle"):
+        trace_from_lines(["0\tcpu0\tidle\t", "1\tcpu0\tidle\t", "0\tcpu0\tidle\t"])
+    with pytest.raises(TraceError, match="spans"):
+        Trace(events=(make_event(0, "cpu0", "idle"),))
+
+
+def test_adjacent_idle_spans_merge_under_concat():
+    first = _trace([_bundle(0), make_event(1, "cpu0", "idle"), make_event(1, "cpu1", "idle")])
+    second = _trace([make_event(0, "cpu0", "idle"), _bundle(0, cpu=1)])
+    assert first.concat(second).idle == (IdleSpan("cpu0", 1, 2), IdleSpan("cpu1", 1, 1))
+
+
+# ---------------------------------------------------------------------------
+# properties over random oracle programs
+# ---------------------------------------------------------------------------
+
+def _programs(config, isa):
+    cpus = st.integers(0, config.n_cpus - 1)
+    sizes = st.integers(1, 40)
+    ops = st.one_of(
+        st.builds(BundleOp, st.sampled_from(enumerate_instruction_groups(isa, config.vliw_slots)),
+                  st.integers(0, 64), st.sampled_from(DATA_PATTERNS)),
+        st.builds(SendOp, cpus, sizes),
+        st.builds(RecvOp, cpus, sizes),
+        st.just(SyncOp()))
+    return st.builds(Program.from_dict,
+                     st.dictionaries(cpus, st.lists(ops, max_size=10), max_size=4),
+                     st.integers(0, 40))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_oracle_traces_spell_their_per_cycle_expansion(config, isa, params, data):
+    trace, _ = run_program(config, params, data.draw(_programs(config, isa)))
+    _assert_canonical_spans(trace)
+    expanded = _expand(trace)
+    for cpu in range(config.n_cpus):
+        cycles = sorted(e.cycle for e in expanded if e.component == f"cpu{cpu}")
+        assert cycles == list(range(trace.duration))
+    assert trace.to_lines() == _reference_lines(expanded)
+    assert trace_from_lines(trace.to_lines()) == trace
+    assert trace_from_lines(trace.to_lines()[::-1]) == trace
+    for fn in (*_TOTAL_FUNCTIONS, instruction_model_function()):
+        assert abstract_trace(trace, fn).counts == _per_cycle_counts(expanded, fn)
