@@ -13,6 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import product
 
 ICLASSES = ("NOP", "ALU", "SIMD", "MULDIV", "LOAD", "STORE", "BRANCH")
@@ -226,8 +227,8 @@ class InstructionGroup:
     Each slot holds an InstructionDef or EMPTY (None).  The all-EMPTY group
     is the idle bundle.  A group with exactly one occupied slot is encoded
     in the compressed instruction format.  The derived compressed, label
-    and accesses_dmem attributes are computed once, outside the dataclass
-    fields, so they stay out of eq, repr and hash.
+    and accesses_dmem attributes are computed once, on first use, and kept
+    outside the dataclass fields, so they stay out of eq, repr and hash.
     """
 
     slots: tuple[InstructionDef | None, ...]
@@ -236,11 +237,18 @@ class InstructionGroup:
         for i, ins in enumerate(self.slots):
             if ins is not None and i not in ins.allowed_slots:
                 raise IsaError(f"{ins.mnemonic} not allowed on slot {i}")
-        used = [s for s in self.slots if s is not None]
-        object.__setattr__(self, "compressed", len(used) == 1)
-        object.__setattr__(self, "label", "+".join(
-            [EMPTY_LABEL if s is None else s.mnemonic for s in self.slots]))
-        object.__setattr__(self, "accesses_dmem", any([s.accesses_dmem for s in used]))
+
+    @cached_property
+    def compressed(self) -> bool:
+        return sum(1 for s in self.slots if s is not None) == 1
+
+    @cached_property
+    def label(self) -> str:
+        return "+".join(s.mnemonic if s is not None else EMPTY_LABEL for s in self.slots)
+
+    @cached_property
+    def accesses_dmem(self) -> bool:
+        return any(s is not None and s.accesses_dmem for s in self.slots)
 
     @property
     def is_idle(self) -> bool:

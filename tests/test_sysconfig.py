@@ -1,6 +1,7 @@
 """Configuration parsing, ISA validation, and instruction-group enumeration."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -129,6 +130,18 @@ def test_group_compression_flag():
     assert not InstructionGroup(slots=(a, a)).compressed
     assert not InstructionGroup(slots=(None, None)).compressed
     assert InstructionGroup(slots=(None, None)).is_idle
+
+
+def test_group_derived_attributes_are_cached_outside_eq_repr_and_hash():
+    ld = _ins("ld", iclass="LOAD", reads_dmem=True)
+    used = InstructionGroup(slots=(ld, None))
+    fresh = InstructionGroup(slots=(ld, None))
+    assert (used.compressed, used.label, used.accesses_dmem) == (True, "ld+EMPTY", True)
+    assert {"compressed", "label", "accesses_dmem"} <= set(vars(used))
+    assert set(vars(fresh)) == {"slots"}
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    copy = pickle.loads(pickle.dumps(used))
+    assert copy == used and copy.label == "ld+EMPTY"
 
 
 def test_enumerate_single_nop():
