@@ -37,7 +37,6 @@ from .refsim import (
     EnergyLedger,
     OracleParams,
     Program,
-    default_oracle_params,
     fetch_position_energy,
     run_program,
 )

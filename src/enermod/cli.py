@@ -166,9 +166,7 @@ def cmd_gen_bench(args) -> int:
         if args.min is not None:
             step = args.step or 4
             sizes = list(range(args.min, args.max + 1, step))
-        benchmarks = gen_comm_benchmarks(api, config,
-                                         parse_coord(args.src),
-                                         parse_coord(args.dst),
+        benchmarks = gen_comm_benchmarks(api, config, args.src, args.dst,
                                          sizes=sizes, reps=args.reps)
         if args.center_window:
             benchmarks = center_window(benchmarks, args.center_window)
@@ -316,10 +314,8 @@ def cmd_sweep_noc(args) -> int:
     config = load_config(_require(args.config))
     params = _load_params(args)
     out = _outdir(args)
-    src = parse_coord(args.src)
-    dst = parse_coord(args.dst)
-    src_cpu = config.cpu_id(src, 0)
-    dst_cpu = config.cpu_id(dst, 0) if src != dst else config.cpu_id(dst, 1)
+    src_cpu = config.cpu_id(args.src, 0)
+    dst_cpu = config.cpu_id(args.dst, 0 if args.src != args.dst else 1)
     sizes = list(range(args.min, args.max + 1, args.step))
 
     from .refsim import SendOp, packet_energy
@@ -331,7 +327,7 @@ def cmd_sweep_noc(args) -> int:
             {src_cpu: [SendOp(dst_cpu=dst_cpu, size_bytes=size)]})
         _trace, ledger = run_program(config, params, program)
         b = ledger.breakdown_dict()
-        dynamic = packet_energy(params, config, src, dst, size)
+        dynamic = packet_energy(params, config, args.src, args.dst, size)
         lines.append(
             f"{size},{n_flits(size, config.flit_payload_bytes)},"
             f"{ledger.total_pj!r},{dynamic!r},{b['sync']!r},{b['ni']!r},"
@@ -440,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min", type=int, default=None, help="comm size minimum")
     p.add_argument("--max", type=int, default=1024)
     p.add_argument("--step", type=int, default=4)
-    p.add_argument("--src", default="0,0")
-    p.add_argument("--dst", default="1,1")
+    p.add_argument("--src", type=parse_coord, default="0,0")
+    p.add_argument("--dst", type=parse_coord, default="1,1")
     p.add_argument("--center-window", type=int, default=0,
                    help="keep only the N sweep points around the center")
     p.set_defaults(func=cmd_gen_bench)
@@ -486,8 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-noc", help="packet-size sweep CSV")
     _add_common(p)
-    p.add_argument("--src", default="0,0")
-    p.add_argument("--dst", default="1,1")
+    p.add_argument("--src", type=parse_coord, default="0,0")
+    p.add_argument("--dst", type=parse_coord, default="1,1")
     p.add_argument("--min", type=int, default=4)
     p.add_argument("--max", type=int, default=1024)
     p.add_argument("--step", type=int, default=4)

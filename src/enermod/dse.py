@@ -67,12 +67,6 @@ class DataflowGraph:
                 raise GraphError("channel payload must be >= 1 byte")
         _check_acyclic(self)
 
-    def actor(self, actor_id: str) -> Actor:
-        for a in self.actors:
-            if a.id == actor_id:
-                return a
-        raise GraphError(f"unknown actor {actor_id!r}")
-
 
 def _check_acyclic(graph: "DataflowGraph") -> None:
     out: dict[str, list[str]] = {a.id: [] for a in graph.actors}
@@ -150,8 +144,7 @@ class PartitionScore:
         return w_energy * self.energy_pj + w_throughput * self.throughput_cycles
 
 
-def _packet_cost(model: EnergyModel, config: SystemConfig,
-                 hops: int, size_bytes: int) -> float:
+def _packet_cost(model: EnergyModel, hops: int, size_bytes: int) -> float:
     """Channel-synchronized packet cost from the model: the sync constant
     plus the hop family's reducer (hop 0 is the cluster-local bus route)."""
     sync = model.constants.get("sync", 0.0)
@@ -203,7 +196,7 @@ def evaluate_partition(graph: DataflowGraph, partition: Partition,
                 if s_cpu == d_cpu:
                     continue
                 hops = manhattan(config.cpu_cluster(s_cpu), config.cpu_cluster(d_cpu))
-                energy += _packet_cost(model, config, hops, size) / g
+                energy += _packet_cost(model, hops, size) / g
                 flits = n_flits(size, config.flit_payload_bytes)
                 cycles[s_cpu] = cycles.get(s_cpu, 0.0) + (1 + flits) / g
                 cycles[d_cpu] = cycles.get(d_cpu, 0.0) + 1 / g

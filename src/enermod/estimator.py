@@ -95,16 +95,15 @@ def estimate(trace: Trace, model: EnergyModel) -> EnergyEstimate:
 
 def validate(model: EnergyModel, benchmarks, config: SystemConfig,
              params: OracleParams, min_truth_pj: float = MIN_TRUTH_PJ) -> ErrorReport:
-    """Run each benchmark through the oracle and the model; report the
-    per-benchmark relative error |estimate - truth| / truth.
+    """Run each (name, program) pair through the oracle and the model;
+    report the per-benchmark relative error |estimate - truth| / truth.
 
     Benchmarks whose ground truth falls below min_truth_pj are excluded
     and flagged rather than dividing by noise.
     """
     rows: list[tuple[str, float, float, float]] = []
     excluded: list[str] = []
-    for bench in benchmarks:
-        name, program = _name_and_program(bench)
+    for name, program in benchmarks:
         trace, ledger = run_program(config, params, program)
         truth = ledger.total_pj
         if truth < min_truth_pj:
@@ -117,10 +116,3 @@ def validate(model: EnergyModel, benchmarks, config: SystemConfig,
     max_rel = max(rels) if rels else 0.0
     return ErrorReport(rows=rows, mean_rel_error=mean_rel,
                        max_rel_error=max_rel, excluded=excluded)
-
-
-def _name_and_program(bench):
-    if hasattr(bench, "program"):
-        return bench.name, bench.program
-    name, program = bench
-    return name, program

@@ -62,6 +62,26 @@ class ProgramError(ValueError):
 # Oracle parameters
 # ---------------------------------------------------------------------------
 
+# Scalar parameter names in the JSON document -> OracleParams fields; the
+# core.<iclass>.<pattern> and dmem.<pattern> tables come on top.
+_SCALAR_PARAMS = {
+    "empty_slot": "empty_slot_energy",
+    "imem_base.compressed": "imem_base_compressed",
+    "imem_base.uncompressed": "imem_base_uncompressed",
+    "imem_spatial_coeff": "imem_spatial_coeff",
+    "bus_beat": "bus_beat_energy",
+    "router_flit": "router_flit_energy",
+    "link_flit": "link_flit_energy",
+    "ni_in_flit": "ni_in_flit_energy",
+    "ni_out_flit": "ni_out_flit_energy",
+    "packet_header": "packet_header_energy",
+    "sync": "sync_energy",
+    "static.cpu": "static_cpu_pw",
+    "static.router": "static_router_pw",
+    "static.ni": "static_ni_pw",
+}
+
+
 @dataclass(frozen=True)
 class OracleParams:
     """Synthetic per-event energies (pJ) and static powers (pW).
@@ -69,7 +89,8 @@ class OracleParams:
     core_energy is keyed (iclass, data pattern); dmem_access_energy by the
     accessed pattern.  Static power is per component instance.  Both tables
     are also kept as lookup dicts outside the dataclass fields, so they stay
-    out of eq, repr and the JSON form.
+    out of eq and repr.  The shipped values are data/oracle_params.json,
+    read with load_oracle_params.
     """
 
     core_energy: tuple[tuple[tuple[str, str], float], ...]
@@ -93,12 +114,7 @@ class OracleParams:
         object.__setattr__(self, "core_energy", tuple(sorted(self.core_energy)))
         object.__setattr__(self, "dmem_access_energy",
                            tuple(sorted(self.dmem_access_energy)))
-        for name in ("empty_slot_energy", "imem_base_compressed",
-                     "imem_base_uncompressed", "imem_spatial_coeff",
-                     "bus_beat_energy", "router_flit_energy", "link_flit_energy",
-                     "ni_in_flit_energy", "ni_out_flit_energy",
-                     "packet_header_energy", "sync_energy", "static_cpu_pw",
-                     "static_router_pw", "static_ni_pw"):
+        for name in _SCALAR_PARAMS.values():
             if getattr(self, name) < 0:
                 raise ParamError(f"{name} must be >= 0")
         core = dict(self.core_energy)
@@ -137,82 +153,10 @@ class OracleParams:
         return self.static_pw_total(config) / config.clock_hz
 
 
-def default_oracle_params() -> OracleParams:
-    """Shipped defaults, loosely anchored to a small embedded VLIW node:
-    a NOP bundle sits near idle, SIMD roughly 9x a NOP, the data-pattern
-    spread of the data memory stays small against the core spread, and the
-    position term is a small fraction of any bundle's energy."""
-    base = {"NOP": 1.0, "ALU": 5.0, "SIMD": 9.0, "MULDIV": 7.5,
-            "LOAD": 6.0, "STORE": 6.5, "BRANCH": 4.0}
-    pattern_scale = {"zeros": 1.0, "ones": 1.12, "alt": 1.06}
-    core = tuple(((iclass, pattern), round(base[iclass] * scale, 6))
-                 for iclass in ICLASSES
-                 for pattern, scale in pattern_scale.items())
-    return OracleParams(
-        core_energy=core,
-        empty_slot_energy=0.4,
-        imem_base_compressed=2.6,
-        imem_base_uncompressed=4.0,
-        imem_spatial_coeff=0.1,
-        dmem_access_energy=(("zeros", 3.0), ("ones", 3.4), ("alt", 3.2)),
-        bus_beat_energy=1.2,
-        router_flit_energy=2.0,
-        link_flit_energy=0.8,
-        ni_in_flit_energy=1.5,
-        ni_out_flit_energy=1.5,
-        packet_header_energy=6.0,
-        sync_energy=25.0,
-        static_cpu_pw=1.4e8,
-        static_router_pw=0.7e8,
-        static_ni_pw=0.35e8,
-    )
-
-
-def params_to_json(params: OracleParams) -> dict[str, float]:
-    doc: dict[str, float] = {}
-    for (iclass, pattern), value in params.core_energy:
-        doc[f"core.{iclass}.{pattern}"] = value
-    for pattern, value in params.dmem_access_energy:
-        doc[f"dmem.{pattern}"] = value
-    doc.update({
-        "empty_slot": params.empty_slot_energy,
-        "imem_base.compressed": params.imem_base_compressed,
-        "imem_base.uncompressed": params.imem_base_uncompressed,
-        "imem_spatial_coeff": params.imem_spatial_coeff,
-        "bus_beat": params.bus_beat_energy,
-        "router_flit": params.router_flit_energy,
-        "link_flit": params.link_flit_energy,
-        "ni_in_flit": params.ni_in_flit_energy,
-        "ni_out_flit": params.ni_out_flit_energy,
-        "packet_header": params.packet_header_energy,
-        "sync": params.sync_energy,
-        "static.cpu": params.static_cpu_pw,
-        "static.router": params.static_router_pw,
-        "static.ni": params.static_ni_pw,
-    })
-    return doc
-
-
 def params_from_json(doc: dict[str, float]) -> OracleParams:
     core = []
     dmem = []
     scalars: dict[str, float] = {}
-    names = {
-        "empty_slot": "empty_slot_energy",
-        "imem_base.compressed": "imem_base_compressed",
-        "imem_base.uncompressed": "imem_base_uncompressed",
-        "imem_spatial_coeff": "imem_spatial_coeff",
-        "bus_beat": "bus_beat_energy",
-        "router_flit": "router_flit_energy",
-        "link_flit": "link_flit_energy",
-        "ni_in_flit": "ni_in_flit_energy",
-        "ni_out_flit": "ni_out_flit_energy",
-        "packet_header": "packet_header_energy",
-        "sync": "sync_energy",
-        "static.cpu": "static_cpu_pw",
-        "static.router": "static_router_pw",
-        "static.ni": "static_ni_pw",
-    }
     for key, value in doc.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ParamError(f"parameter {key!r} must be a number")
@@ -221,11 +165,11 @@ def params_from_json(doc: dict[str, float]) -> OracleParams:
             core.append(((iclass, pattern), float(value)))
         elif key.startswith("dmem."):
             dmem.append((key.split(".", 1)[1], float(value)))
-        elif key in names:
-            scalars[names[key]] = float(value)
+        elif key in _SCALAR_PARAMS:
+            scalars[_SCALAR_PARAMS[key]] = float(value)
         else:
             raise ParamError(f"unknown parameter {key!r}")
-    missing = sorted(set(names.values()) - set(scalars))
+    missing = sorted(set(_SCALAR_PARAMS.values()) - set(scalars))
     if missing:
         raise ParamError(f"missing parameter(s): {', '.join(missing)}")
     return OracleParams(core_energy=tuple(sorted(core)),
@@ -288,9 +232,6 @@ class Program:
             min_cycles=min_cycles,
         )
 
-    def ops_dict(self) -> dict[int, tuple[ProgramOp, ...]]:
-        return dict(self.ops)
-
 
 def validate_program(config: SystemConfig, program: Program) -> None:
     """Reject invalid addresses, coordinates, patterns and sizes up front."""
@@ -339,9 +280,6 @@ class EnergyLedger:
 
     def breakdown_dict(self) -> dict[str, float]:
         return dict(self.breakdown)
-
-    def component(self, name: str) -> float:
-        return dict(self.breakdown)[name]
 
     def to_csv(self) -> str:
         lines = ["component,energy_pj"]

@@ -190,18 +190,24 @@ def trace_from_lines(lines) -> Trace:
         parts = line.split("\t")
         if len(parts) != 4:
             raise TraceError(f"line {lineno}: expected 4 tab-separated fields")
-        cycle, component, kind, payload = parts
+        text, component, kind, payload = parts
+        try:
+            cycle = int(text)
+        except ValueError:
+            raise TraceError(f"line {lineno}: cycle {text!r} is not an integer") from None
         if kind == EVENT_IDLE:
             if payload:
                 raise TraceError(f"line {lineno}: idle event has attributes")
-            idle.setdefault(component, []).append(int(cycle))
+            idle.setdefault(component, []).append(cycle)
             continue
         attrs: dict[str, object] = {}
         if payload:
             for item in payload.split(" "):
-                k, v = item.split("=", 1)
+                k, sep, v = item.partition("=")
+                if not sep:
+                    raise TraceError(f"line {lineno}: attribute {item!r} is not name=value")
                 attrs[k] = int(v) if _INT_RE.match(v) else v
-        events.append(make_event(int(cycle), component, kind, **attrs))
+        events.append(make_event(cycle, component, kind, **attrs))
     return Trace(events=sort_events(events), idle=_fold_idle(idle))
 
 
@@ -312,7 +318,8 @@ class ModelFunction:
     rewrite already-produced keys and can be composed onto any function.
     A pairwise function keys consecutive values of one attribute per
     component (transition models); the first event of a component counts
-    as a self-transition.
+    as a self-transition.  Idle cannot be a paired kind: an idle event has
+    no attribute to pair.
     """
 
     level: AbstractionLevel
@@ -327,6 +334,8 @@ class ModelFunction:
     def __post_init__(self) -> None:
         if self.domain not in ("event", "key"):
             raise ModelFunctionError(f"unknown domain {self.domain!r}")
+        if EVENT_IDLE in self.pair_kinds:
+            raise ModelFunctionError("idle cannot be a paired kind: it has no attributes")
 
     # -- application ---------------------------------------------------------
 
@@ -347,7 +356,7 @@ class ModelFunction:
         """Map one event to its model-state key, or None when discarded."""
         if self.domain != "event":
             raise ModelFunctionError("key-domain function applied to an event")
-        if self.pair_attr is not None and event.kind in self.pair_kinds:
+        if event.kind in self.pair_kinds:
             raise ModelFunctionError(
                 "pairwise functions require stream context; use weighted_keys")
         rec = event_record(event)
@@ -386,36 +395,22 @@ def weighted_keys(trace: Trace, fn: ModelFunction):
     """Yield (component, key-or-None, cycles) under fn: one triple per
     non-idle event (cycles 1), then one per idle span (its length).
 
-    The mapping depends only on (component, kind, attrs), so repeated
-    events and every span hit a memo instead of re-running the rules.
-    Pairwise functions walk the per-cycle events instead, tracking state
-    per component in (cycle-sorted) stream order.
+    An unpaired event's key depends only on (component, kind, attrs), so
+    repeated events and every span hit a memo instead of re-running the
+    rules.  A paired event's key depends on its component's previous
+    paired value, so it is never memoized; canonical order restricted to
+    one component is that component's stream order.
     """
     if fn.domain != "event":
         raise ModelFunctionError("traces can only be abstracted by event-domain functions")
-    if fn.pair_attr is not None:
-        yield from _pairwise_keys(trace, fn)
-        return
     memo: dict[tuple, str | None] = {}
+    last: dict[str, object] = {}
     for event in trace.events:
         ident = (event.component, event.kind, event.attrs)
-        if ident not in memo:
-            memo[ident] = fn.key_for_event(event)
-        yield event.component, memo[ident], 1
-    for component, start, length in trace.idle:
-        ident = (component, EVENT_IDLE, ())
-        if ident not in memo:
-            memo[ident] = fn.key_for_event(StateEvent(start, component, EVENT_IDLE))
-        yield component, memo[ident], length
-
-
-def _pairwise_keys(trace: Trace, fn: ModelFunction):
-    last: dict[str, object] = {}
-    ordered = sorted(trace.per_cycle_events(),
-                     key=lambda e: (e.component, e.cycle, e.kind, e.attrs))
-    for event in ordered:
-        rec = event_record(event)
-        if event.kind in fn.pair_kinds:
+        if ident in memo:
+            key = memo[ident]
+        elif event.kind in fn.pair_kinds:
+            rec = event_record(event)
             if fn.pair_attr not in rec:
                 raise ModelFunctionError(
                     f"pairwise attribute {fn.pair_attr!r} absent from {event.kind} event")
@@ -424,8 +419,13 @@ def _pairwise_keys(trace: Trace, fn: ModelFunction):
             last[event.component] = cur
             key = fn._chain(fn.pair_template.format_map({"prev": prev, "cur": cur}))
         else:
-            key = fn._chain(fn._emit(rec, f"event kind {event.kind!r}"))
+            key = memo[ident] = fn.key_for_event(event)
         yield event.component, key, 1
+    for component, start, length in trace.idle:
+        ident = (component, EVENT_IDLE, ())
+        if ident not in memo:
+            memo[ident] = fn.key_for_event(StateEvent(start, component, EVENT_IDLE))
+        yield component, memo[ident], length
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +445,6 @@ class StateCountVector:
                 raise TraceError(f"negative count for key {key!r}")
         if self.duration < 0:
             raise TraceError("negative duration")
-
-    @property
-    def total_events(self) -> int:
-        return sum(self.counts.values())
 
     def get(self, key: str) -> int:
         return self.counts.get(key, 0)
@@ -558,19 +554,6 @@ def binary_usage_function(per_instance: bool = False) -> ModelFunction:
         level=AbstractionLevel.BINARY_USAGE,
         rules=(rule({}, comp + "/used"),),
         name="binary-usage" + ("-inst" if per_instance else ""),
-    )
-
-
-def active_idle_to_binary_function() -> ModelFunction:
-    """Key-domain coarsening from active/idle keys to binary-usage keys."""
-    return ModelFunction(
-        level=AbstractionLevel.BINARY_USAGE,
-        domain="key",
-        rules=(
-            rule({"tag": "idle"}, "{component}/used"),
-            rule({"tag": "active"}, "{component}/used"),
-        ),
-        name="ai-to-binary",
     )
 
 

@@ -117,10 +117,6 @@ class SystemConfig:
     def imem_words(self) -> int:
         return self.imem_bytes // self.word_bytes
 
-    @property
-    def imem_banks(self) -> int:
-        return self.imem_words // self.bank_words
-
     def cluster_index(self, coord: Coord) -> int:
         x, y = coord
         if not (0 <= x < self.mesh_cols and 0 <= y < self.mesh_rows):
@@ -142,9 +138,6 @@ class SystemConfig:
         if not 0 <= cpu_id < self.n_cpus:
             raise ConfigError(f"cpu id {cpu_id} out of range")
         return self.cluster_xy(cpu_id // self.cpus_per_cluster)
-
-    def cpu_local_index(self, cpu_id: int) -> int:
-        return cpu_id % self.cpus_per_cluster
 
     def all_clusters(self) -> list[Coord]:
         return [self.cluster_xy(i) for i in range(self.n_clusters)]
@@ -249,10 +242,6 @@ class InstructionGroup:
     @cached_property
     def accesses_dmem(self) -> bool:
         return any(s is not None and s.accesses_dmem for s in self.slots)
-
-    @property
-    def is_idle(self) -> bool:
-        return all(s is None for s in self.slots)
 
     def mnemonics(self) -> list[str | None]:
         return [s.mnemonic if s is not None else None for s in self.slots]

@@ -1,7 +1,7 @@
 import pytest
 
 from enermod import data_path
-from enermod.refsim import default_oracle_params
+from enermod.refsim import load_oracle_params
 from enermod.sysconfig import load_api, load_isa, parse_config
 
 
@@ -33,4 +33,4 @@ def api():
 
 @pytest.fixture(scope="session")
 def params():
-    return default_oracle_params()
+    return load_oracle_params(data_path("oracle_params.json"))

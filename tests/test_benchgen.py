@@ -56,7 +56,7 @@ def test_shipped_isa_count_matches_enumerator(isa, config):
 def test_bodies_have_prologue_and_reps(isa, config):
     benches = gen_instruction_benchmarks(isa, config, reps=16)
     for bench in benches[:5]:
-        ops = bench.program.ops_dict()[0]
+        ops = dict(bench.program.ops)[0]
         assert len(ops) == PROLOGUE_LEN + 16
         body = ops[PROLOGUE_LEN:]
         assert all(isinstance(op, BundleOp) for op in body)
@@ -172,7 +172,7 @@ def test_comm_sweep_energy_is_prologue_plus_packets(api, params, mesh, data):
                                           sizes=[size], reps=reps)
             assert bench.name == f"comm/h{manhattan(src, dst)}/{size}"
             dst_cpu = config.cpu_id(dst, 1 if src == dst else 0)
-            assert sorted(bench.program.ops_dict()) == sorted(
+            assert sorted(dict(bench.program.ops)) == sorted(
                 [config.cpu_id(src, 0), dst_cpu])
             trace, ledger = run_program(config, params, bench.program)
             dynamic = ledger.total_pj - static_rate * trace.duration
@@ -200,19 +200,19 @@ def test_campaign_includes_calibration(isa, config):
 
 def test_baseline_is_prologue_only(isa, config):
     base = make_baseline(isa, config)
-    ops = base.program.ops_dict()[0]
+    ops = dict(base.program.ops)[0]
     assert len(ops) == PROLOGUE_LEN
 
 
 def test_idle_benchmark_has_no_ops(config):
     idle = make_idle_benchmark(config)
-    assert idle.program.ops_dict() == {}
+    assert dict(idle.program.ops) == {}
     assert idle.program.min_cycles > 0
 
 
 def test_sync_benchmark_reps(isa, config):
     bench = make_sync_benchmark(isa, config, reps=32)
-    ops = bench.program.ops_dict()[0]
+    ops = dict(bench.program.ops)[0]
     assert len(ops) == PROLOGUE_LEN + 32
 
 
@@ -223,7 +223,7 @@ def test_transition_benchmarks_cover_all_pairs(isa, config):
     assert len(benches) == 16
     # warmup brings the component into the pair's source state
     for bench in benches:
-        ops = bench.program.ops_dict()[0]
+        ops = dict(bench.program.ops)[0]
         src = bench.swept_dict()["src"]
         assert all(op.group.label == src for op in ops[:PROLOGUE_LEN])
         assert len(ops) == PROLOGUE_LEN + 2 * 8

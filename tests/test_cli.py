@@ -216,26 +216,72 @@ def test_fit_then_estimate_trace(tmp_path):
     assert doc["total_pj"] > 0
 
 
+def _estimate_exits_5(out, capsys, lines):
+    """Estimate a trace file of the given lines with the one-packet noc
+    model; it must fail with exactly one error:5: line."""
+    path = out / "bad.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["estimate", "--model", str(out / "models" / "noc.json"),
+               "--trace", str(path)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error:{EXIT_DATA}:")
+    assert "Traceback" not in err
+
+
+def _one_packet_trace(out):
+    """Fit the noc-hop model of a one-packet campaign; return its trace lines."""
+    base = _defaults(out)
+    assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "8",
+                 "--step", "8", "--api", data_path("api.json")]
+                + _defaults(out, params=False)) == EXIT_OK
+    assert main(["oracle"] + base) == EXIT_OK
+    assert main(["fit", "--function", "noc-hop", "--name", "noc"] + base) == EXIT_OK
+    (trace,) = os.listdir(out / "traces")
+    return (out / "traces" / trace).read_text().splitlines()
+
+
 def test_estimate_of_idle_time_that_cannot_be_a_span_exits_5(tmp_path, capsys):
-    base = _defaults(tmp_path)
+    lines = _one_packet_trace(tmp_path)
+    idle = next(line for line in lines if "\tidle\t" in line)
+    for bad in (idle + "why=stall", idle):  # attributes; a second idle event
+        _estimate_exits_5(tmp_path, capsys, lines + [bad])
+
+
+def test_estimate_of_a_malformed_trace_line_exits_5(tmp_path, capsys):
+    lines = _one_packet_trace(tmp_path)
+    for bad in ("x\tcpu0\tsync\t", "0\tcpu0\tsync\tfoo"):  # cycle; payload item
+        _estimate_exits_5(tmp_path, capsys, [bad])
+        _estimate_exits_5(tmp_path, capsys, lines + [bad])
+
+
+@pytest.mark.parametrize("command,option", [
+    ("gen-bench", "--src"), ("gen-bench", "--dst"),
+    ("sweep-noc", "--src"), ("sweep-noc", "--dst")])
+def test_malformed_coordinate_is_a_usage_error(tmp_path, capsys, command, option):
+    kind = ["--kind", "comm"] if command == "gen-bench" else []
+    with pytest.raises(SystemExit) as err:
+        main([command, *kind, option, "abc"] + _defaults(tmp_path, params=False))
+    assert err.value.code == EXIT_USAGE
+    assert f"argument {option}" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_fit_with_idle_as_a_paired_kind_exits_5(tmp_path, capsys):
     assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "8",
                  "--step", "8", "--api", data_path("api.json")]
                 + _defaults(tmp_path, params=False)) == EXIT_OK
-    assert main(["oracle"] + base) == EXIT_OK
-    assert main(["fit", "--function", "noc-hop", "--name", "noc"] + base) == EXIT_OK
-    (trace,) = os.listdir(tmp_path / "traces")
-    lines = (tmp_path / "traces" / trace).read_text().splitlines()
-    idle = next(line for line in lines if "\tidle\t" in line)
-    for bad in (idle + "why=stall", idle):  # attributes; a second idle event
-        path = tmp_path / "bad.tsv"
-        path.write_text("\n".join(lines + [bad]) + "\n")
-        capsys.readouterr()
-        rc = main(["estimate", "--model", str(tmp_path / "models" / "noc.json"),
-                   "--trace", str(path)])
-        assert rc == EXIT_DATA
-        errors = [line for line in capsys.readouterr().err.splitlines()
-                  if line.startswith("error:")]
-        assert len(errors) == 1 and errors[0].startswith(f"error:{EXIT_DATA}:")
+    rules = tmp_path / "pair_idle.json"
+    rules.write_text(json.dumps({
+        "level": "FINE_GRAINED", "rules": [{"match": {}, "emit": "discard"}],
+        "pair": {"attr": "group", "template": "trans:{prev}>{cur}",
+                 "kinds": ["idle"]}}))
+    capsys.readouterr()
+    rc = main(["fit", "--function-file", str(rules)] + _defaults(tmp_path))
+    assert rc == EXIT_DATA
+    assert "idle cannot be a paired kind" in capsys.readouterr().err
 
 
 def test_sweep_imem_csv(tmp_path):

@@ -285,9 +285,9 @@ def test_graph_json(config):
         {"id": "b", "work": {"group:nop+nop/pat:zeros": 2}}],
         "channels": [{"src": "a", "dst": "b", "bytes": 32}]}
     graph = graph_from_json(doc)
-    assert graph.actor("a").state_bytes == 8
-    assert not graph.actor("a").stateless
-    assert graph.actor("b").stateless
+    a, b = graph.actors
+    assert (a.id, a.state_bytes, a.stateless) == ("a", 8, False)
+    assert (b.id, b.stateless) == ("b", True)
     assert graph.channels[0].bytes_per_iter == 32
 
 

@@ -146,7 +146,8 @@ def test_staircase_model_closed_form(config, isa, api, params):
 
 
 def test_validation_training_recall(config, isa, params, instr_runs, fine_model):
-    report = validate(fine_model, [r.benchmark for r in instr_runs[:40]],
+    report = validate(fine_model, [(r.benchmark.name, r.benchmark.program)
+                                  for r in instr_runs[:40]],
                       config, params)
     assert report.mean_rel_error <= 1e-6
     assert report.mean_rel_error <= report.max_rel_error
@@ -157,7 +158,8 @@ def test_low_energy_benchmarks_excluded(config, isa, params, fine_model):
 
     idle = make_idle_benchmark(config, cycles=1)
     # one cycle of static power (3.8 pJ) falls below a 10 pJ floor
-    report = validate(fine_model, [idle], config, params, min_truth_pj=10.0)
+    report = validate(fine_model, [(idle.name, idle.program)], config, params,
+                      min_truth_pj=10.0)
     assert report.excluded == ["cal/idle"]
     assert report.rows == []
 

@@ -1,4 +1,5 @@
-"""Source hygiene: no module-level import goes unused."""
+"""Source hygiene: no module-level import goes unused, and no library code
+serves only the tests."""
 
 import ast
 import glob
@@ -31,3 +32,77 @@ def test_no_unused_module_level_imports():
               if os.path.basename(path) != "__init__.py"
               for hit in _unused_imports(path)]
     assert paths and not unused, "\n".join(unused)
+
+
+# Library names only the tests call, each kept for the documented property it
+# backs.  Every other function, method or property in src/enermod must be
+# referenced from src/enermod or perfbench.
+_TEST_ONLY_ALLOWED = {
+    "compose": "abstract_trace(t, compose(f, g)) equals applying g, then f",
+    "rekey_vector": "the two-stage reference behind compose's property",
+    "Trace.concat": "abstraction is linear under trace concatenation",
+    "Trace.per_cycle_events": "the per-cycle form that trace files spell",
+    "Trace.from_events": "folds a per-cycle event list into the span form",
+    "structural_diff": "benchmarks of one sweep differ only in what it sweeps",
+    "serialize_isa": "ISA documents round-trip",
+    "serialize_config": "config documents round-trip",
+    "group_count_formula": "the group count is prod(n_slot + 1) - 1 (README)",
+    "gen_transition_benchmarks": "acceptance criterion 5's transition campaign",
+    "transition_function": "acceptance criterion 5's pairwise model",
+}
+
+
+def _definitions(path):
+    """(qualified name, name, node, is_method) per module-level function and
+    per method or property of a module-level class; dunders are implicit."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
+                    yield f"{node.name}.{sub.name}", sub.name, sub, True
+
+
+def _references(tree):
+    """Counts of names loaded (Name) and of attributes read (Attribute).
+    Imports are not references, so re-exports do not count as use.  Matching
+    is by name, so a method that shares its name with a used attribute
+    counts as used."""
+    names, attrs = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] = names.get(node.id, 0) + 1
+        elif isinstance(node, ast.Attribute):
+            attrs[node.attr] = attrs.get(node.attr, 0) + 1
+    return names, attrs
+
+
+def test_no_library_code_serves_only_the_tests():
+    src = sorted(glob.glob(os.path.join(ROOT, "src", "enermod", "*.py")))
+    users = src + sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
+    names, attrs = {}, {}
+    for path in users:
+        with open(path, encoding="utf-8") as fh:
+            n, a = _references(ast.parse(fh.read(), filename=path))
+        for key, count in n.items():
+            names[key] = names.get(key, 0) + count
+        for key, count in a.items():
+            attrs[key] = attrs.get(key, 0) + count
+    unused, defined = [], set()
+    for path in src:
+        for qualname, name, node, is_method in _definitions(path):
+            defined.add(qualname)
+            # a recursive call is not a use
+            own_names, own_attrs = _references(node)
+            uses = attrs.get(name, 0) - own_attrs.get(name, 0)
+            if not is_method:
+                uses += names.get(name, 0) - own_names.get(name, 0)
+            if uses == 0 and qualname not in _TEST_ONLY_ALLOWED:
+                unused.append(f"{os.path.relpath(path, ROOT)}: {qualname}")
+            elif uses and qualname in _TEST_ONLY_ALLOWED:
+                unused.append(f"{qualname} is used; drop it from the allowlist")
+    stale = sorted(set(_TEST_ONLY_ALLOWED) - defined)
+    assert not unused and not stale, "\n".join(unused + stale)

