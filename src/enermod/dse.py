@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .modelfit import EnergyModel
-from .sysconfig import SystemConfig, manhattan, n_flits
+from .sysconfig import SystemConfig, n_flits
 
 G_MAX = 64  # granularity multiplier bound
 
@@ -101,11 +101,6 @@ class Partition:
     def clones_of(self, actor_id: str) -> int:
         return dict(self.clones).get(actor_id, 1)
 
-    def placements(self, actor_id: str, n_cpus: int) -> list[int]:
-        """Clone k of an actor runs on (mapped cpu + k) mod n_cpus."""
-        base = self.cpu_of(actor_id)
-        return [(base + k) % n_cpus for k in range(self.clones_of(actor_id))]
-
 
 def initial_partition(graph: DataflowGraph) -> Partition:
     return Partition(
@@ -118,14 +113,17 @@ def initial_partition(graph: DataflowGraph) -> Partition:
 def validate_partition(graph: DataflowGraph, partition: Partition,
                        config: SystemConfig) -> None:
     mapped = dict(partition.assignment)
+    clones = dict(partition.clones)
+    n_cpus = config.n_cpus
     for actor in graph.actors:
         if actor.id not in mapped:
             raise GraphError(f"actor {actor.id!r} is unmapped")
-        if not 0 <= mapped[actor.id] < config.n_cpus:
+        if not 0 <= mapped[actor.id] < n_cpus:
             raise GraphError(f"actor {actor.id!r} mapped off the platform")
-        if partition.clones_of(actor.id) < 1:
+        factor = clones.get(actor.id, 1)
+        if factor < 1:
             raise GraphError(f"actor {actor.id!r} has clone factor < 1")
-        if partition.clones_of(actor.id) > 1 and not actor.stateless:
+        if factor > 1 and not actor.stateless:
             raise GraphError(f"stateful actor {actor.id!r} cannot be cloned")
     if partition.granularity < 1:
         raise GraphError("granularity must be >= 1")
@@ -144,16 +142,88 @@ class PartitionScore:
         return w_energy * self.energy_pj + w_throughput * self.throughput_cycles
 
 
-def _packet_cost(model: EnergyModel, hops: int, size_bytes: int) -> float:
-    """Channel-synchronized packet cost from the model: the sync constant
-    plus the hop family's reducer (hop 0 is the cluster-local bus route)."""
-    sync = model.constants.get("sync", 0.0)
-    key = f"noc/hops:{hops}/size:{size_bytes}"
-    pj = model.energy_of_key(key)
-    if pj is None:
-        raise GraphError(
-            f"model has no constant or reducer for hop count {hops}")
-    return sync + pj
+class _Scorer:
+    """Scores partitions of one graph on one platform with one model.
+
+    The terms no partition changes are computed once: the actor work energy
+    (summed from 0.0 in actor order, as the score's first additions), each
+    actor's work cycles and state, and the channel endpoints.  Hop counts
+    come from the config's CPU table and packet costs from the model's key
+    table.  Every score adds its floats in the same order.
+    """
+
+    def __init__(self, graph: DataflowGraph, config: SystemConfig,
+                 model: EnergyModel) -> None:
+        table = model.table
+        work_pj = 0.0
+        for actor in graph.actors:
+            for key, count in actor.work:
+                work_pj += (table.pj(key) or 0.0) * count
+        self.work_pj = work_pj
+        self.actors = [(a.id, a.work_cycles, a.state_bytes) for a in graph.actors]
+        self.channels = [(ch.src, ch.dst, ch.bytes_per_iter)
+                         for ch in graph.channels]
+        self.n_cpus = config.n_cpus
+        self.hops = config.cpu_hops
+        self.flit_payload_bytes = config.flit_payload_bytes
+        self.dmem_bytes = config.dmem_bytes
+        self.packet_pj = table.packet_pj
+        self.static_pj_per_cycle = model.static_pj_per_cycle
+
+    def score(self, partition: Partition) -> PartitionScore:
+        """Score a valid partition; see evaluate_partition."""
+        n_cpus = self.n_cpus
+        g = partition.granularity
+        mapped = dict(partition.assignment)
+        clone_factors = dict(partition.clones)
+
+        cycles = [0.0] * n_cpus
+        memory = [0.0] * n_cpus
+        places: dict[str, list[int]] = {}
+        # clone k of an actor runs on (mapped cpu + k) mod n_cpus
+        for actor_id, work_cycles, state_bytes in self.actors:
+            clones = clone_factors.get(actor_id, 1)
+            base = mapped[actor_id]
+            cpus = places[actor_id] = [(base + k) % n_cpus for k in range(clones)]
+            share = work_cycles / clones
+            for cpu in cpus:
+                cycles[cpu] += share
+                memory[cpu] += state_bytes
+
+        energy = self.work_pj
+        hops = self.hops
+        packet_pj = self.packet_pj
+        for src, dst, bytes_per_iter in self.channels:
+            src_places = places[src]
+            dst_places = places[dst]
+            pair_bytes = bytes_per_iter * g / (len(src_places) * len(dst_places))
+            size = max(1, math.ceil(pair_bytes))
+            buf = 2 * size
+            src_cycles = (1 + n_flits(size, self.flit_payload_bytes)) / g
+            dst_cycles = 1 / g
+            for s_cpu in src_places:
+                hops_from = hops[s_cpu]
+                for d_cpu in dst_places:
+                    memory[s_cpu] += buf
+                    memory[d_cpu] += buf
+                    if s_cpu == d_cpu:
+                        continue
+                    packet = packet_pj(hops_from[d_cpu], size)
+                    if packet is None:
+                        raise GraphError("model has no constant or reducer for "
+                                         f"hop count {hops_from[d_cpu]}")
+                    energy += packet / g
+                    cycles[s_cpu] += src_cycles
+                    cycles[d_cpu] += dst_cycles
+
+        # only CPUs that hold a clone carry cycles or memory
+        used = sorted({cpu for cpus in places.values() for cpu in cpus})
+        period = max((cycles[cpu] for cpu in used), default=0.0)
+        energy += self.static_pj_per_cycle * period
+        memory_int = {cpu: int(math.ceil(memory[cpu])) for cpu in used}
+        feasible = all(v <= self.dmem_bytes for v in memory_int.values())
+        return PartitionScore(energy_pj=energy, throughput_cycles=period,
+                              memory_bytes=memory_int, feasible=feasible)
 
 
 def evaluate_partition(graph: DataflowGraph, partition: Partition,
@@ -161,52 +231,14 @@ def evaluate_partition(graph: DataflowGraph, partition: Partition,
     """Score one partition; a pure function of its inputs.
 
     Energy per iteration: actor work evaluated against the model, plus per
-    channel the packet cost of size bytes*g amortized over g iterations,
+    channel the packet cost (sync plus the hop family's key; hop 0 is the
+    cluster-local bus route) of size bytes*g amortized over g iterations,
     plus static power over the steady-state period.  Channels between
     co-located clones are free.  Memory per CPU: actor state plus double
     buffers of 2*bytes*g per channel endpoint, split across clones.
     """
     validate_partition(graph, partition, config)
-    n_cpus = config.n_cpus
-    g = partition.granularity
-
-    cycles: dict[int, float] = {}
-    memory: dict[int, float] = {}
-    energy = 0.0
-
-    for actor in graph.actors:
-        clones = partition.clones_of(actor.id)
-        for cpu in partition.placements(actor.id, n_cpus):
-            cycles[cpu] = cycles.get(cpu, 0.0) + actor.work_cycles / clones
-            memory[cpu] = memory.get(cpu, 0.0) + actor.state_bytes
-        for key, count in actor.work:
-            pj = model.energy_of_key(key)
-            energy += (pj or 0.0) * count
-
-    for ch in graph.channels:
-        src_places = partition.placements(ch.src, n_cpus)
-        dst_places = partition.placements(ch.dst, n_cpus)
-        pair_bytes = ch.bytes_per_iter * g / (len(src_places) * len(dst_places))
-        size = max(1, math.ceil(pair_bytes))
-        for s_cpu in src_places:
-            for d_cpu in dst_places:
-                buf = 2 * size
-                memory[s_cpu] = memory.get(s_cpu, 0.0) + buf
-                memory[d_cpu] = memory.get(d_cpu, 0.0) + buf
-                if s_cpu == d_cpu:
-                    continue
-                hops = manhattan(config.cpu_cluster(s_cpu), config.cpu_cluster(d_cpu))
-                energy += _packet_cost(model, hops, size) / g
-                flits = n_flits(size, config.flit_payload_bytes)
-                cycles[s_cpu] = cycles.get(s_cpu, 0.0) + (1 + flits) / g
-                cycles[d_cpu] = cycles.get(d_cpu, 0.0) + 1 / g
-
-    period = max(cycles.values(), default=0.0)
-    energy += model.static_pj_per_cycle * period
-    memory_int = {cpu: int(math.ceil(v)) for cpu, v in sorted(memory.items())}
-    feasible = all(v <= config.dmem_bytes for v in memory_int.values())
-    return PartitionScore(energy_pj=energy, throughput_cycles=period,
-                          memory_bytes=memory_int, feasible=feasible)
+    return _Scorer(graph, config, model).score(partition)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +319,11 @@ def anneal(graph: DataflowGraph, config: SystemConfig, model: EnergyModel,
     g_max and clone_max bound the mutation space.
     """
     rng = random.Random(schedule.seed)
+    scorer = _Scorer(graph, config, model)
     current = initial_partition(graph)
-    current_score = evaluate_partition(graph, current, config, model)
+    # mutate builds only valid partitions, so the start is the one to check
+    validate_partition(graph, current, config)
+    current_score = scorer.score(current)
     if not current_score.feasible:
         raise InfeasibleError("the all-on-CPU-0 partition exceeds data memory")
     current_cost = current_score.cost(w_energy, w_throughput)
@@ -299,7 +334,7 @@ def anneal(graph: DataflowGraph, config: SystemConfig, model: EnergyModel,
     for step in range(schedule.steps):
         candidate = mutate(current, graph, config, rng, g_max=g_max,
                            clone_max=clone_max)
-        score = evaluate_partition(graph, candidate, config, model)
+        score = scorer.score(candidate)
         if score.feasible:
             cost = score.cost(w_energy, w_throughput)
             delta = cost - current_cost

@@ -69,11 +69,12 @@ def estimate(trace: Trace, model: EnergyModel) -> EnergyEstimate:
     missing: dict[str, None] = {}
     mapped = 0
     covered = 0
+    pj_of = model.table.pj
     for component, key, cycles in weighted_keys(trace, model.function):
         if key is None:
             continue
         mapped += cycles
-        pj = model.energy_of_key(key)
+        pj = pj_of(key)
         if pj is None:
             missing[key] = None
             continue

@@ -12,6 +12,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,6 +97,46 @@ class EnergyModel:
         if reducer is not None:
             return reducer.evaluate_key(key)
         return self.constants.get(key)
+
+    @cached_property
+    def table(self) -> KeyTable:
+        """The compiled key lookup, built on first use; the model's
+        constants and reducers must not change after that."""
+        return KeyTable(self)
+
+
+class KeyTable:
+    """An EnergyModel's key lookup compiled into memo tables.
+
+    `pj` maps a key to energy_of_key's answer, including None for a key the
+    model has no entry for, and `packet_pj` maps (hops, size) to the pJ of
+    one channel-synchronized packet.  Each key is resolved once, through
+    energy_of_key, so every answer equals its answer exactly.
+    """
+
+    def __init__(self, model: EnergyModel) -> None:
+        self._model = model
+        self._pj: dict[str, float | None] = {}
+        self._packet: dict[tuple[int, int], float | None] = {}
+
+    def pj(self, key: str) -> float | None:
+        try:
+            return self._pj[key]
+        except KeyError:
+            pj = self._pj[key] = self._model.energy_of_key(key)
+            return pj
+
+    def packet_pj(self, hops: int, size_bytes: int) -> float | None:
+        """The sync constant plus the noc/hops:<hops>/size:<size> key (hop 0
+        is the cluster-local bus route), or None when that key has no entry."""
+        try:
+            return self._packet[hops, size_bytes]
+        except KeyError:
+            pj = self.pj(f"noc/hops:{hops}/size:{size_bytes}")
+            if pj is not None:
+                pj = self._model.constants.get("sync", 0.0) + pj
+            self._packet[hops, size_bytes] = pj
+            return pj
 
 
 @dataclass

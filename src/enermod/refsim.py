@@ -161,7 +161,11 @@ def params_from_json(doc: dict[str, float]) -> OracleParams:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ParamError(f"parameter {key!r} must be a number")
         if key.startswith("core."):
-            _, iclass, pattern = key.split(".")
+            parts = key.split(".")
+            if len(parts) != 3:
+                raise ParamError(
+                    f"parameter {key!r} must be core.<iclass>.<pattern>")
+            _, iclass, pattern = parts
             core.append(((iclass, pattern), float(value)))
         elif key.startswith("dmem."):
             dmem.append((key.split(".", 1)[1], float(value)))
@@ -527,6 +531,10 @@ def program_from_json(doc: dict, isa: list) -> Program:
     by_name = {i.mnemonic: i for i in isa}
     ops: dict[int, list[ProgramOp]] = {}
     for cpu_str, entries in doc.get("cpus", {}).items():
+        try:
+            cpu = int(cpu_str)
+        except ValueError:
+            raise ProgramError(f"cpu key {cpu_str!r} is not an integer") from None
         lst: list[ProgramOp] = []
         for entry in entries:
             if "bundle" in entry:
@@ -554,5 +562,5 @@ def program_from_json(doc: dict, isa: list) -> Program:
                 lst.append(SyncOp())
             else:
                 raise ProgramError(f"unknown op entry {sorted(entry)}")
-        ops[int(cpu_str)] = lst
+        ops[cpu] = lst
     return Program.from_dict(ops, min_cycles=doc.get("min_cycles", 0))

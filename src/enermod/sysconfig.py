@@ -142,6 +142,12 @@ class SystemConfig:
     def all_clusters(self) -> list[Coord]:
         return [self.cluster_xy(i) for i in range(self.n_clusters)]
 
+    @cached_property
+    def cpu_hops(self) -> tuple[tuple[int, ...], ...]:
+        """Mesh hops between the clusters of two CPUs, as [src_cpu][dst_cpu]."""
+        clusters = [self.cpu_cluster(cpu) for cpu in range(self.n_cpus)]
+        return tuple(tuple(manhattan(a, b) for b in clusters) for a in clusters)
+
 
 def parse_config(text: str) -> SystemConfig:
     """Parse a JSON configuration document into a SystemConfig.

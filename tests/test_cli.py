@@ -105,6 +105,42 @@ def test_oracle_unknown_bundle_field_exits_4(tmp_path, capsys):
     assert not (tmp_path / "traces").exists()
 
 
+def _one_error_line(capsys, code):
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error:{code}:")
+    assert "Traceback" not in err
+    return errors[0]
+
+
+def test_oracle_non_integer_cpu_key_exits_4(tmp_path, capsys):
+    rc = main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "16",
+               "--step", "8", "--api", data_path("api.json")]
+              + _defaults(tmp_path, params=False))
+    assert rc == EXIT_OK
+    program = sorted((tmp_path / "benchmarks").glob("*.json"))[0]
+    program.write_text(json.dumps({"cpus": {"x": []}}))
+    capsys.readouterr()
+    rc = main(["oracle"] + _defaults(tmp_path))
+    assert rc == EXIT_INVARIANT
+    assert "'x'" in _one_error_line(capsys, EXIT_INVARIANT)
+    assert not (tmp_path / "traces").exists()
+
+
+def test_sweep_noc_core_key_without_three_parts_exits_4(tmp_path, capsys):
+    with open(data_path("oracle_params.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["core.NOP"] = 1.0
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(doc))
+    rc = main(["sweep-noc", "--min", "4", "--max", "8", "--step", "4",
+               "--config", data_path("default_config.json"),
+               "--isa", data_path("isa.json"), "--params", str(params),
+               "--out", str(tmp_path)])
+    assert rc == EXIT_INVARIANT
+    assert "core.NOP" in _one_error_line(capsys, EXIT_INVARIANT)
+
+
 def test_bad_config_exits_4(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"imem_bytes": 1000}')
@@ -225,10 +261,7 @@ def _estimate_exits_5(out, capsys, lines):
     rc = main(["estimate", "--model", str(out / "models" / "noc.json"),
                "--trace", str(path)])
     assert rc == EXIT_DATA
-    err = capsys.readouterr().err
-    errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and errors[0].startswith(f"error:{EXIT_DATA}:")
-    assert "Traceback" not in err
+    _one_error_line(capsys, EXIT_DATA)
 
 
 def _one_packet_trace(out):

@@ -1,11 +1,16 @@
 """Partition scoring, mutations, and annealing."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enermod.dse import (
+    G_MAX,
     Actor,
     AnnealSchedule,
     Channel,
@@ -20,7 +25,16 @@ from enermod.dse import (
     initial_partition,
     mutate,
     partition_to_json,
+    validate_partition,
 )
+from enermod.modelfit import (
+    REDUCER_LINEAR,
+    REDUCER_STAIRCASE,
+    EnergyModel,
+    Reducer,
+)
+from enermod.statetrace import noc_hop_function
+from enermod.sysconfig import parse_config
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +118,20 @@ def test_granularity_amortizes_packet_overhead(config, model):
     e1 = evaluate_partition(graph, base, config, model).energy_pj
     e8 = evaluate_partition(graph, fused, config, model).energy_pj
     assert e8 < e1  # sync and header amortized over 8 fused iterations
+
+
+def test_missing_hop_family_is_a_graph_error(config):
+    model = _synthetic_model()
+    model.reducers = [r for r in model.reducers if r.family != "noc/hops:2"]
+    graph = _graph(2)
+    clones = (("a0", 1), ("a1", 1))
+    one_hop = Partition(assignment=(("a0", 0), ("a1", 4)), clones=clones)
+    two_hops = Partition(assignment=(("a0", 0), ("a1", config.n_cpus - 1)),
+                         clones=clones)
+    assert evaluate_partition(graph, one_hop, config, model).feasible
+    for _ in range(2):  # the second lookup is answered from the key table
+        with pytest.raises(GraphError, match="hop count 2"):
+            evaluate_partition(graph, two_hops, config, model)
 
 
 def test_memory_limit_marks_infeasible(config, model):
@@ -298,3 +326,118 @@ def test_partition_json(config, model):
     doc = partition_to_json(p, score)
     assert doc["assignment"] == {"a0": 0, "a1": 0}
     assert doc["score"]["feasible"]
+
+
+# ---------------------------------------------------------------------------
+# properties that let annealing skip per-step validation and reuse terms
+# ---------------------------------------------------------------------------
+
+_GROUPS = ("add+add", "ldw+mul", "vadd+vmul", "add+mac", "xor+nop", "nop+nop")
+_WORK_KEYS = tuple(f"group:{g}/pat:{p}" for g in _GROUPS
+                   for p in ("zeros", "random"))
+
+
+def _synthetic_model():
+    """A fixed model that no fit produced: group constants, a sync constant,
+    staircase reducers for hops 0 and 1 and a linear one for hop 2, so its
+    numbers do not depend on a least-squares solver."""
+    function = noc_hop_function()
+    constants = {key: 1.1 + 0.37 * i for i, key in enumerate(_WORK_KEYS)}
+    constants["sync"] = 24.7
+    reducers = [Reducer(kind=REDUCER_STAIRCASE, family=f"noc/hops:{hops}",
+                        a=5.9 + 1.3 * hops, b=8.6 + 2.85 * hops,
+                        flit_payload_bytes=8) for hops in (0, 1)]
+    reducers.append(Reducer(kind=REDUCER_LINEAR, family="noc/hops:2",
+                            a=9.1, b=1.45))
+    return EnergyModel(level=function.level, function=function,
+                       constants=constants, reducers=reducers,
+                       static_pj_per_cycle=0.0421)
+
+
+def _random_graph(rng, n_actors):
+    """A chain of actors plus skip channels; about a third stateful, and
+    some work keys the model has no constant for."""
+    keys = _WORK_KEYS + ("group:mystery/pat:zeros",)
+    stateful = set(rng.sample(range(n_actors), n_actors // 3))
+    actors = tuple(
+        Actor(f"a{i}", tuple(sorted(
+                  (k, rng.randint(1, 64))
+                  for k in rng.sample(keys, rng.randint(0, 3)))),
+              state_bytes=rng.choice((0, 64, 512)) if i in stateful else 0,
+              stateless=i not in stateful)
+        for i in range(n_actors))
+    edges = {(i, i + 1) for i in range(n_actors - 1)}
+    for _ in range(n_actors // 2):
+        a = rng.randrange(n_actors)
+        b = rng.randrange(n_actors)
+        if a < b:
+            edges.add((a, b))
+    channels = tuple(Channel(f"a{a}", f"a{b}", rng.randint(1, 300))
+                     for a, b in sorted(edges))
+    return DataflowGraph(actors=actors, channels=channels)
+
+
+_configs = st.builds(
+    lambda cols, rows, cpus: parse_config(json.dumps(
+        {"mesh_cols": cols, "mesh_rows": rows, "cpus_per_cluster": cpus})),
+    st.integers(1, 3), st.integers(1, 3), st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_actors=st.integers(1, 8),
+       config=_configs, g_max=st.integers(1, G_MAX),
+       clone_max=st.none() | st.integers(1, 8))
+def test_mutation_chains_stay_valid(seed, n_actors, config, g_max, clone_max):
+    rng = random.Random(seed)
+    graph = _random_graph(rng, n_actors)
+    partition = initial_partition(graph)
+    for _ in range(150):
+        partition = mutate(partition, graph, config, rng, g_max=g_max,
+                           clone_max=clone_max)
+        validate_partition(graph, partition, config)
+        assert partition.granularity <= g_max
+
+
+_noc_keys = st.builds(lambda hops, size: f"noc/hops:{hops}/size:{size}",
+                      st.integers(0, 4), st.integers(0, 5000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=_noc_keys | st.sampled_from(_WORK_KEYS) | st.text(max_size=20))
+def test_key_table_equals_energy_of_key(model, key):
+    for m in (model, _synthetic_model()):
+        assert m.table.pj(key) == m.energy_of_key(key)
+        assert m.table.pj(key) == m.energy_of_key(key)  # a memo hit
+
+
+def test_key_table_holds_every_model_key(model):
+    for key in model.constants:
+        assert model.table.pj(key) == model.energy_of_key(key)
+    assert model.table.pj("no/such:key") is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(hops=st.integers(0, 4), size=st.integers(1, 5000))
+def test_packet_pj_is_sync_plus_the_hop_key(model, hops, size):
+    for m in (model, _synthetic_model()):
+        pj = m.energy_of_key(f"noc/hops:{hops}/size:{size}")
+        want = None if pj is None else m.constants.get("sync", 0.0) + pj
+        assert m.table.packet_pj(hops, size) == want
+
+
+def test_anneal_is_bit_identical_to_the_recorded_run(config):
+    # Recorded before the key table and the precomputed scoring terms
+    # existed; any change to the order of float additions, to the Metropolis
+    # draws or to the mutation sequence changes the digest.
+    model = _synthetic_model()
+    graph = _random_graph(random.Random(2024), 8)
+    digest = hashlib.sha256()
+    for w_throughput in (0.0, 0.5):
+        result = anneal(graph, config, model,
+                        AnnealSchedule(steps=2000, seed=11),
+                        w_throughput=w_throughput)
+        digest.update(result.history_csv().encode())
+        digest.update(json.dumps(partition_to_json(
+            result.best_partition, result.best_score), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "3f39b1b47921718945daa93110f57b0e0ceceb5de4f7a6549f80425e85c717d7")
