@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 from .modelfit import EnergyModel
 from .sysconfig import SystemConfig, n_flits
@@ -55,6 +56,14 @@ class DataflowGraph:
     actors: tuple[Actor, ...]
     channels: tuple[Channel, ...]
 
+    @cached_property
+    def actor_ids(self) -> tuple[str, ...]:
+        return tuple(a.id for a in self.actors)
+
+    @cached_property
+    def stateless_ids(self) -> tuple[str, ...]:
+        return tuple(a.id for a in self.actors if a.stateless)
+
     def __post_init__(self) -> None:
         ids = [a.id for a in self.actors]
         if len(set(ids)) != len(ids):
@@ -94,12 +103,6 @@ class Partition:
     assignment: tuple[tuple[str, int], ...]   # actor -> CPU id
     clones: tuple[tuple[str, int], ...]       # actor -> clone factor (>= 1)
     granularity: int = 1                      # iterations fused per firing
-
-    def cpu_of(self, actor_id: str) -> int:
-        return dict(self.assignment)[actor_id]
-
-    def clones_of(self, actor_id: str) -> int:
-        return dict(self.clones).get(actor_id, 1)
 
 
 def initial_partition(graph: DataflowGraph) -> Partition:
@@ -251,39 +254,40 @@ def mutate(partition: Partition, graph: DataflowGraph, config: SystemConfig,
     """Apply exactly one mutation, chosen uniformly; inapplicable draws are
     resampled.  MOVE reassigns one actor, CLONE adjusts a stateless actor's
     clone factor, GRANULARITY doubles or halves g within bounds."""
-    actors = [a.id for a in graph.actors]
-    stateless = [a.id for a in graph.actors if a.stateless]
-    clone_cap = min(clone_max or config.n_cpus, config.n_cpus)
+    actors, stateless = graph.actor_ids, graph.stateless_ids
+    n_cpus = config.n_cpus
+    clone_cap = min(clone_max or n_cpus, n_cpus)
     for _ in range(64):
         kind = MUTATIONS[rng.randrange(3)]
         if kind == "MOVE":
-            if config.n_cpus < 2:
+            if n_cpus < 2:
                 continue
             actor = rng.choice(actors)
-            current = partition.cpu_of(actor)
-            new_cpu = rng.randrange(config.n_cpus - 1)
-            if new_cpu >= current:
+            cpus = dict(partition.assignment)
+            new_cpu = rng.randrange(n_cpus - 1)
+            if new_cpu >= cpus[actor]:
                 new_cpu += 1
-            assignment = tuple(sorted(
-                (a, new_cpu if a == actor else c) for a, c in partition.assignment))
-            return replace(partition, assignment=assignment)
+            cpus[actor] = new_cpu
+            return Partition(tuple(sorted(cpus.items())), partition.clones,
+                             partition.granularity)
         if kind == "CLONE":
             if not stateless or clone_cap < 2:
                 continue
             actor = rng.choice(stateless)
             delta = rng.choice((1, -1))
-            new = partition.clones_of(actor) + delta
+            clones = dict(partition.clones)
+            new = clones.get(actor, 1) + delta
             if not 1 <= new <= clone_cap:
                 continue
-            clones = tuple(sorted(
-                (a, new if a == actor else c) for a, c in partition.clones))
-            return replace(partition, clones=clones)
+            clones[actor] = new
+            return Partition(partition.assignment, tuple(sorted(clones.items())),
+                             partition.granularity)
         # GRANULARITY
         double = rng.choice((True, False))
         new_g = partition.granularity * 2 if double else partition.granularity // 2
         if not 1 <= new_g <= g_max:
             continue
-        return replace(partition, granularity=new_g)
+        return Partition(partition.assignment, partition.clones, new_g)
     return partition
 
 

@@ -302,14 +302,26 @@ def ledger_from_csv(text: str) -> dict[str, float]:
 
 
 class _Accumulator:
-    """Orders energy contributions deterministically and sums per category."""
+    """Orders energy contributions deterministically and sums per category.
+
+    Every booking lies at the cycle of an event, except crossbar beats:
+    beat_end is the cycle after the last beat booked.
+    """
 
     def __init__(self) -> None:
         self.entries: list[tuple[int, str, float]] = []
+        self.beat_end = 0
 
     def add(self, cycle: int, component: str, pj: float) -> None:
         if pj != 0.0:
             self.entries.append((cycle, component, pj))
+
+    def add_beats(self, first: int, beats: int, component: str, pj: float) -> None:
+        """Book pj at each of beats consecutive cycles from first."""
+        for beat in range(beats):
+            self.add(first + beat, component, pj)
+        if pj != 0.0 and beats > 0:
+            self.beat_end = max(self.beat_end, first + beats)
 
     def ledger(self) -> EnergyLedger:
         breakdown = {name: 0.0 for name in LEDGER_COMPONENTS}
@@ -441,11 +453,11 @@ def run_program(config: SystemConfig, params: OracleParams,
                 cycles.append(t)
                 t += 1
 
-    duration = program.min_cycles
-    if events:
-        duration = max(duration, max(e.cycle for e in events) + 1)
-    for entry in acc.entries:
-        duration = max(duration, entry[0] + 1)
+    # In canonical order the last event is the latest; only crossbar beats
+    # are booked past the events.
+    ordered = sort_events(events)
+    duration = max(program.min_cycles, acc.beat_end,
+                   ordered[-1].cycle + 1 if ordered else 0)
 
     # Idle spans are the gaps between a CPU's busy cycles, which ascend.
     idle: list[IdleSpan] = []
@@ -460,7 +472,7 @@ def run_program(config: SystemConfig, params: OracleParams,
         static = params.static_pw_total(config) * duration / config.clock_hz
         acc.add(duration - 1, "static", static)
 
-    return Trace(events=sort_events(events), idle=tuple(idle)), acc.ledger()
+    return Trace(events=ordered, idle=tuple(idle)), acc.ledger()
 
 
 def _emit_packet(config: SystemConfig, params: OracleParams,
@@ -482,8 +494,7 @@ def _emit_packet(config: SystemConfig, params: OracleParams,
         events.append(make_event(
             t + 1, f"bus{src_index}", EVENT_NI,
             src=src_label, dst=dst_label, size=op.size_bytes, flits=flits))
-        for beat in range(flits):
-            acc.add(t + 1 + beat, "bus", params.bus_beat_energy)
+        acc.add_beats(t + 1, flits, "bus", params.bus_beat_energy)
         return t + 1 + flits
 
     events.append(make_event(

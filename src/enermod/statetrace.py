@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import insort
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from itertools import chain, repeat
 from typing import NamedTuple
 
 from .sysconfig import manhattan, parse_coord
@@ -64,7 +65,7 @@ class StateEvent(NamedTuple):
     attrs: tuple[tuple[str, object], ...] = ()
 
 
-def make_event(cycle: int, component: str, kind: str, **attrs: object) -> StateEvent:
+def make_event(cycle: int, component: str, kind: str, /, **attrs: object) -> StateEvent:
     if kind not in EVENT_KINDS:
         raise TraceError(f"unknown event kind {kind!r}")
     return StateEvent(cycle, component, kind, tuple(sorted(attrs.items())))
@@ -139,23 +140,64 @@ class Trace:
     def per_cycle_events(self) -> list[StateEvent]:
         """Every event in canonical order, each idle span expanded to one
         bare idle event per cycle: the trace as the file format spells it."""
-        return [StateEvent._make(row) for row in self._per_cycle_rows()]
+        return sorted([*self.events,
+                       *(StateEvent(cycle, component, EVENT_IDLE)
+                         for component, start, length in self.idle
+                         for cycle in range(start, start + length))])
 
     def to_lines(self) -> list[str]:
-        return [f"{cycle}\t{component}\t{kind}\t"
-                f"{' '.join(f'{k}={v}' for k, v in sorted(attrs)) if attrs else ''}"
-                for cycle, component, kind, attrs in self._per_cycle_rows()]
+        """The file lines of per_cycle_events, each
+        'cycle<TAB>component<TAB>kind<TAB>payload'.
 
-    def _per_cycle_rows(self) -> list[tuple]:
-        """per_cycle_events with each idle cycle a plain tuple built in C,
-        which is cheaper to make and to sort than a StateEvent."""
-        idle = (zip(range(start, start + length), repeat(component),
-                    repeat(EVENT_IDLE), repeat(()))
-                for component, start, length in self.idle)
-        return sorted(chain(self.events, *idle))
+        A cycle's lines are its number in front of tails that depend only
+        on the components idle in it and on its event rows without the
+        cycle.  An idle stretch repeats one set of tails cycle after cycle,
+        and a campaign repeats its packets, so the tails are cached on that
+        key (_CycleTails); only a new key sorts and formats its rows.
+        """
+        rows: dict[int, list[tuple]] = {}
+        for event in self.events:
+            rows.setdefault(event.cycle, []).append(event[1:])
+        begins: dict[int, list[str]] = {}
+        ends: dict[int, list[str]] = {}
+        for component, start, length in self.idle:
+            begins.setdefault(start, []).append(component)
+            ends.setdefault(start + length, []).append(component)
+        # Cycles where the lines can change; between two of them only the
+        # idle components, unchanged, have lines.
+        points = sorted({*rows, *begins, *ends})
+        idle: list[str] = []    # components idle now, sorted, repeats kept
+        tails = _CycleTails()
+        lines: list[str] = []
+        for cycle, stop in zip(points, points[1:] + points[-1:]):
+            for component in begins.get(cycle, ()):
+                insort(idle, component)
+            for component in ends.get(cycle, ()):
+                idle.remove(component)
+            lines.extend(map(str(cycle).__add__,
+                             tails[tuple(idle), tuple(rows.get(cycle, ()))]))
+            if idle and stop > cycle + 1:
+                quiet = tails[tuple(idle), ()]
+                for gap in range(cycle + 1, stop):
+                    lines.extend(map(str(gap).__add__, quiet))
+        return lines
 
 
-def _fold_idle(idle: dict[str, list[int]]) -> tuple[IdleSpan, ...]:
+class _CycleTails(dict):
+    """(idle components, event rows) of a cycle -> the text after the cycle
+    number of each of its lines, in canonical order, computed once per key."""
+
+    def __missing__(self, key: tuple) -> list[str]:
+        idle, rows = key
+        ordered = sorted([*((component, EVENT_IDLE, ()) for component in idle), *rows])
+        tails = self[key] = [
+            f"\t{component}\t{kind}\t"
+            f"{' '.join(f'{k}={v}' for k, v in sorted(attrs)) if attrs else ''}"
+            for component, kind, attrs in ordered]
+        return tails
+
+
+def _fold_idle(idle: dict[str, Iterable[int]]) -> tuple[IdleSpan, ...]:
     """Maximal spans, sorted by (component, start), of each component's
     idle cycles; a cycle listed twice is refused."""
     spans: list[IdleSpan] = []
@@ -180,35 +222,60 @@ def sort_events(events: list[StateEvent]) -> tuple[StateEvent, ...]:
 
 def trace_from_lines(lines) -> Trace:
     """Parse a trace file; bare idle lines fold into spans as in
-    Trace.from_events."""
-    events = []
-    idle: dict[str, list[int]] = {}
+    Trace.from_events.
+
+    Everything after a line's cycle (its tail) recurs: a trace file spells
+    each idle cycle as its own line.  So a tail is parsed and checked once,
+    and a line costs its cycle's int() and one lookup of its tail.
+    """
+    events: list[StateEvent] = []
+    idle: dict[str, dict[int, int]] = {}    # component -> {cycle: line}
+    parsed: dict[str, tuple] = {}
     for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise TraceError(f"line {lineno}: expected 4 tab-separated fields")
-        text, component, kind, payload = parts
+        text, _, tail = line.partition("\t")
+        entry = parsed.get(tail)
+        if entry is None:
+            if not line.rstrip("\n"):
+                continue
+            entry = parsed[tail] = _parse_tail(lineno, text, tail, idle)
         try:
             cycle = int(text)
         except ValueError:
             raise TraceError(f"line {lineno}: cycle {text!r} is not an integer") from None
-        if kind == EVENT_IDLE:
-            if payload:
-                raise TraceError(f"line {lineno}: idle event has attributes")
-            idle.setdefault(component, []).append(cycle)
-            continue
-        attrs: dict[str, object] = {}
-        if payload:
-            for item in payload.split(" "):
-                k, sep, v = item.partition("=")
-                if not sep:
-                    raise TraceError(f"line {lineno}: attribute {item!r} is not name=value")
-                attrs[k] = int(v) if _INT_RE.match(v) else v
-        events.append(make_event(cycle, component, kind, **attrs))
+        component, kind, rest = entry
+        if kind != EVENT_IDLE:
+            events.append(StateEvent(cycle, component, kind, rest))
+        elif rest.setdefault(cycle, lineno) != lineno:
+            raise TraceError(
+                f"line {lineno}: two idle events of {component} at cycle {cycle}")
     return Trace(events=sort_events(events), idle=_fold_idle(idle))
+
+
+def _parse_tail(lineno: int, text: str, tail: str,
+                idle: dict[str, dict[int, int]]) -> tuple:
+    """Check a line whose tail is new, in the order its faults are
+    reported, and return (component, kind, attrs) of an event or
+    (component, EVENT_IDLE, that component's idle cycles) of an idle line."""
+    fields = tail.rstrip("\n").split("\t")
+    if len(fields) != 3:
+        raise TraceError(f"line {lineno}: expected 4 tab-separated fields")
+    try:
+        int(text)
+    except ValueError:
+        raise TraceError(f"line {lineno}: cycle {text!r} is not an integer") from None
+    component, kind, payload = fields
+    if kind == EVENT_IDLE:
+        if payload:
+            raise TraceError(f"line {lineno}: idle event has attributes")
+        return component, EVENT_IDLE, idle.setdefault(component, {})
+    attrs: dict[str, object] = {}
+    if payload:
+        for item in payload.split(" "):
+            k, sep, v = item.partition("=")
+            if not sep:
+                raise TraceError(f"line {lineno}: attribute {item!r} is not name=value")
+            attrs[k] = int(v) if _INT_RE.match(v) else v
+    return make_event(0, component, kind, **attrs)[1:]
 
 
 def component_class(component: str) -> str:

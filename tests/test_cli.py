@@ -1,12 +1,16 @@
 """End-to-end CLI behavior: artifacts, exit codes, idempotence."""
 
+import contextlib
 import filecmp
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enermod import data_path
 from enermod.cli import (
@@ -288,6 +292,61 @@ def test_estimate_of_a_malformed_trace_line_exits_5(tmp_path, capsys):
     for bad in ("x\tcpu0\tsync\t", "0\tcpu0\tsync\tfoo"):  # cycle; payload item
         _estimate_exits_5(tmp_path, capsys, [bad])
         _estimate_exits_5(tmp_path, capsys, lines + [bad])
+
+
+@pytest.fixture(scope="module")
+def one_packet(tmp_path_factory):
+    out = tmp_path_factory.mktemp("one-packet")
+    with contextlib.redirect_stdout(io.StringIO()):
+        return out, _one_packet_trace(out)
+
+
+def _mutate_one_line(lines, how, pick, cycle):
+    """A valid trace file with one line made malformed; returns the lines
+    and the number of the line the error must name."""
+    lines = list(lines)
+    idle = [i for i, line in enumerate(lines) if "\tidle\t" in line]
+    busy = [i for i, line in enumerate(lines) if "\tidle\t" not in line]
+    tails = [line.split("\t", 1)[1] for line in lines]
+    # lines whose tail an earlier line already has: the parse is memoized
+    repeats = [i for i, tail in enumerate(tails) if tail in tails[:i]]
+    at = {"idle payload": idle, "attribute": busy, "repeated tail": repeats}.get(
+        how, range(len(lines)))
+    i = at[pick % len(at)]
+    if how == "missing field":
+        lines[i] = lines[i].rsplit("\t", 1)[0]
+    elif how in ("cycle", "repeated tail"):
+        lines[i] = cycle + "\t" + tails[i]
+    elif how == "idle payload":
+        lines[i] += "why=stall"
+    elif how == "attribute":
+        lines[i] += "stall" if lines[i].endswith("\t") else " stall"
+    else:   # a second idle line of one component and cycle
+        j = idle[pick % len(idle)]
+        if i == j:
+            i = (i + 1) % len(lines)
+        lines[i] = lines[j]
+        i = max(i, j)
+    return lines, i + 1
+
+
+@pytest.mark.parametrize("how", ["missing field", "cycle", "idle payload", "attribute",
+                                 "second idle", "repeated tail"])
+@settings(max_examples=15, deadline=None)
+@given(pick=st.integers(0, 10**6), cycle=st.sampled_from(["x", "", "1.5", "0x1", "1e3"]))
+def test_estimate_of_a_trace_with_one_malformed_line_exits_5(one_packet, how, pick, cycle):
+    out, lines = one_packet
+    bad, lineno = _mutate_one_line(lines, how, pick, cycle)
+    path = out / "bad.tsv"
+    path.write_text("\n".join(bad) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["estimate", "--model", str(out / "models" / "noc.json"),
+                   "--trace", str(path)])
+    assert rc == EXIT_DATA
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error:{EXIT_DATA}:line {lineno}:")
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("command,option", [

@@ -163,7 +163,7 @@ def test_move_on_two_cpu_platform(isa, model):
     graph = _graph(1, stateless=False)
     p = initial_partition(graph)
     moved = mutate(p, graph, cfg, random.Random(0), g_max=1)
-    assert moved.cpu_of("a0") == 1
+    assert dict(moved.assignment)["a0"] == 1
 
 
 def test_stateful_actor_never_cloned(config):
@@ -175,7 +175,7 @@ def test_stateful_actor_never_cloned(config):
     p = initial_partition(graph)
     for _ in range(200):
         p = mutate(p, graph, config, rng)
-        assert p.clones_of("a") == 1
+        assert dict(p.clones).get("a", 1) == 1
 
 
 def test_mutation_distribution_uniform(config):
@@ -297,8 +297,8 @@ def test_energy_objective_avoids_max_hop_placement(isa, model):
             cost = score.cost()
             if best_cost is None or cost < best_cost:
                 best_cost, best_p = cost, p
-    hops = manhattan(cfg.cpu_cluster(best_p.cpu_of("a0")),
-                     cfg.cpu_cluster(best_p.cpu_of("a1")))
+    cpus = dict(best_p.assignment)
+    hops = manhattan(cfg.cpu_cluster(cpus["a0"]), cfg.cpu_cluster(cpus["a1"]))
     assert hops <= 1
 
 

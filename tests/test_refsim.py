@@ -294,6 +294,21 @@ def test_local_transfer_uses_bus(config, params):
     assert any(e.component.startswith("bus") for e in trace.events)
 
 
+def test_a_run_lasts_until_its_last_crossbar_beat(config, params):
+    # the transfer is one event a cycle after the sync; its beats, one per
+    # flit, follow it, and only beats that cost energy are booked
+    flits = n_flits(100, config.flit_payload_bytes)
+    trace, ledger = _send_total(config, params, (0, 0), (0, 0), 100)
+    assert trace.events[-1].cycle == 1
+    assert trace.duration == 1 + flits
+    free = dataclasses.replace(params, bus_beat_energy=0.0)
+    trace, free_ledger = _send_total(config, free, (0, 0), (0, 0), 100)
+    assert trace.duration == 2
+    static = params.static_pj_per_cycle(config)
+    assert ledger.total_pj - free_ledger.total_pj == pytest.approx(
+        flits * params.bus_beat_energy + (flits - 1) * static)
+
+
 # ---------------------------------------------------------------------------
 # ledger invariants, determinism
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
 """Trace abstraction, model functions, and composition."""
 
+import contextlib
+import io
+import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enermod import data_path
+from enermod.benchgen import parse_manifest_csv
+from enermod.cli import main
 from enermod.refsim import (
     DATA_PATTERNS,
     BundleOp,
@@ -14,6 +21,7 @@ from enermod.refsim import (
     RecvOp,
     SendOp,
     SyncOp,
+    program_from_json,
     run_program,
 )
 from enermod.statetrace import (
@@ -44,7 +52,7 @@ from enermod.statetrace import (
     trace_from_lines,
     transition_function,
 )
-from enermod.sysconfig import enumerate_instruction_groups, manhattan
+from enermod.sysconfig import enumerate_instruction_groups, load_isa, manhattan
 
 
 def _trace(events):
@@ -435,6 +443,46 @@ def _reference_lines(events):
             + " ".join(f"{k}={v}" for k, v in sorted(e.attrs)) for e in ordered]
 
 
+def _oracle_files_spell_the_reference(out, isa_path, config, params):
+    isa = load_isa(isa_path)
+    assert main(["oracle", "--workers", "2", "--config", data_path("default_config.json"),
+                 "--isa", isa_path, "--params", data_path("oracle_params.json"),
+                 "--out", str(out)]) == 0
+    rows = parse_manifest_csv((out / "benchmarks" / "manifest.csv").read_text())
+    for _name, filename in rows:
+        doc = json.loads((out / "benchmarks" / filename).read_text())
+        trace, _ = run_program(config, params, program_from_json(doc, isa))
+        stem = filename.rsplit(".", 1)[0]
+        written = (out / "traces" / (stem + ".tsv")).read_text()
+        assert written == "\n".join(_reference_lines(_expand(trace))) + "\n", filename
+    return len(rows)
+
+
+def test_oracle_trace_files_spell_the_reference(tmp_path, config, params):
+    """enermod oracle writes each trace as the per-cycle reference spelling:
+    a packet sweep (idle stretches, repeated packets) and an instruction
+    campaign (dense bundles, each at its own address)."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-bench", "--kind", "comm", "--min", "4", "--max", "1024",
+                     "--step", "36", "--reps", "8", "--api", data_path("api.json"),
+                     "--config", data_path("default_config.json"),
+                     "--out", str(tmp_path / "noc")]) == 0
+        assert _oracle_files_spell_the_reference(
+            tmp_path / "noc", data_path("isa.json"), config, params) == 29
+        isa_path = tmp_path / "tiny_isa.json"
+        isa_path.write_text(json.dumps([
+            {"mnemonic": "nop", "iclass": "NOP", "allowed_slots": [0, 1],
+             "reads_dmem": False, "writes_dmem": False},
+            {"mnemonic": "ldw", "iclass": "LOAD", "allowed_slots": [0, 1],
+             "reads_dmem": True, "writes_dmem": False}]))
+        assert main(["gen-bench", "--kind", "instr", "--reps", "8",
+                     "--api", data_path("api.json"), "--isa", str(isa_path),
+                     "--config", data_path("default_config.json"),
+                     "--out", str(tmp_path / "instr")]) == 0
+        assert _oracle_files_spell_the_reference(
+            tmp_path / "instr", str(isa_path), config, params) == 2 + 8 * 3
+
+
 def _per_cycle_counts(events, fn):
     counts = {}
     for e in events:
@@ -483,6 +531,59 @@ def test_adjacent_idle_spans_merge_under_concat():
     first = _trace([_bundle(0), make_event(1, "cpu0", "idle"), make_event(1, "cpu1", "idle")])
     second = _trace([make_event(0, "cpu0", "idle"), _bundle(0, cpu=1)])
     assert first.concat(second).idle == (IdleSpan("cpu0", 1, 2), IdleSpan("cpu1", 1, 1))
+
+
+# Any text the line format carries: names hold no space, tab, newline or
+# "=", string values no space, tab, newline or "=" and no integer form.
+# Braces and the separators str.splitlines would split on (but "\n" does
+# not) are in.  An "i" name holds integers and an "s" name text, so events
+# of one component, kind and cycle sort; "kind" and "cycle" name
+# attributes as well.
+_text = st.text(st.characters(blacklist_characters=" \t\n\r=",
+                              blacklist_categories=("Cs",))
+                | st.sampled_from("{}\v\f\x1c\u2028"), max_size=5)
+_any_attrs = st.builds(
+    lambda ints, texts: {**ints, **texts},
+    st.dictionaries(st.builds("i{}".format, _text), st.integers(-10**6, 10**6),
+                    max_size=3),
+    st.dictionaries(st.builds("s{}".format, _text) | st.sampled_from(["kind", "cycle"]),
+                    _text.filter(lambda v: not re.fullmatch(r"-?\d+", v)),
+                    max_size=3))
+_COMPONENTS = ("cpu0", "cpu1", "cpu{2}", "router0")
+
+
+@st.composite
+def _file_traces(draw):
+    """Events of every non-idle kind (two sort before idle, two after) with
+    any attributes, plus per-component idle cycles that are a union of
+    overlapping and adjacent runs, so spans of one cycle share it with
+    events of their own component."""
+    events = draw(st.lists(st.builds(
+        lambda cycle, component, kind, attrs: make_event(cycle, component, kind, **attrs),
+        st.integers(0, 30), st.sampled_from(_COMPONENTS),
+        st.sampled_from([k for k in EVENT_KINDS if k != EVENT_IDLE]), _any_attrs),
+        max_size=25))
+    for component in _COMPONENTS:
+        cycles = set()
+        for start, length in draw(st.lists(st.tuples(st.integers(0, 30),
+                                                     st.integers(1, 6)), max_size=4)):
+            cycles.update(range(start, start + length))
+        events += [make_event(cycle, component, EVENT_IDLE) for cycle in cycles]
+    return _trace(events)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=_file_traces(), data=st.data())
+def test_trace_files_spell_and_read_back_any_trace(t, data):
+    lines = t.to_lines()
+    assert lines == _reference_lines(_expand(t))
+    shuffled = data.draw(st.permutations(lines))
+    for at in data.draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+        shuffled.insert(at, "")
+    assert trace_from_lines(shuffled) == t
+    # a file handle yields every line with its "\n"
+    assert trace_from_lines(io.StringIO("\n".join(lines) + "\n")) == t
+    assert trace_from_lines([line + "\n" for line in shuffled]) == t
 
 
 # ---------------------------------------------------------------------------
