@@ -161,8 +161,9 @@ class Trace:
         begins: dict[int, list[str]] = {}
         ends: dict[int, list[str]] = {}
         for component, start, length in self.idle:
-            begins.setdefault(start, []).append(component)
-            ends.setdefault(start + length, []).append(component)
+            if length > 0:      # a span of no cycles has no lines
+                begins.setdefault(start, []).append(component)
+                ends.setdefault(start + length, []).append(component)
         # Cycles where the lines can change; between two of them only the
         # idle components, unchanged, have lines.
         points = sorted({*rows, *begins, *ends})

@@ -572,6 +572,15 @@ def _file_traces(draw):
     return _trace(events)
 
 
+def test_a_hand_built_trace_is_spelled_as_its_expansion():
+    # not canonical: events out of order, overlapping spans of one
+    # component, and spans of no or negative length
+    t = Trace(events=(make_event(3, "cpu0", "sync"), make_event(1, "cpu0", "sync")),
+              idle=(IdleSpan("cpu0", 5, -2), IdleSpan("cpu1", 2, 0),
+                    IdleSpan("cpu0", 0, 2), IdleSpan("cpu0", 1, 2)))
+    assert t.to_lines() == _reference_lines(_expand(t))
+
+
 @settings(max_examples=150, deadline=None)
 @given(t=_file_traces(), data=st.data())
 def test_trace_files_spell_and_read_back_any_trace(t, data):
