@@ -62,18 +62,19 @@ def _swept(**kv: object) -> tuple[tuple[str, object], ...]:
     return tuple(sorted(kv.items()))
 
 
-def _all_nop_group(isa: list[InstructionDef], vliw_slots: int) -> InstructionGroup | None:
+def all_nop_group(isa: list[InstructionDef], vliw_slots: int) -> InstructionGroup | None:
+    """The bundle of the ISA's first NOP (by mnemonic) on every slot, or
+    None when the ISA has no NOP."""
     nops = [i for i in isa if i.iclass == "NOP"]
     if not nops:
         return None
-    nop = sorted(nops, key=lambda i: i.mnemonic)[0]
-    return InstructionGroup(slots=(nop,) * vliw_slots)
+    return InstructionGroup(slots=(min(nops, key=lambda i: i.mnemonic),) * vliw_slots)
 
 
 def prologue_group(isa: list[InstructionDef], vliw_slots: int) -> InstructionGroup:
     """Setup bundle: the all-NOP group when the ISA has a NOP, otherwise the
     first enumerated group.  Held constant across every sweep."""
-    group = _all_nop_group(isa, vliw_slots)
+    group = all_nop_group(isa, vliw_slots)
     if group is not None:
         return group
     groups = enumerate_instruction_groups(isa, vliw_slots)
@@ -90,8 +91,7 @@ def _prologue_ops(group: InstructionGroup, pattern: str = "zeros") -> list[Bundl
 def make_baseline(isa: list[InstructionDef], config: SystemConfig,
                   cpu: int = 0) -> Microbenchmark:
     """Prologue-only benchmark; its measurement is subtracted from sweeps."""
-    group = prologue_group(isa, config.vliw_slots)
-    program = Program.from_dict({cpu: _prologue_ops(group)})
+    program = Program.from_dict({cpu: _prologue_ops(prologue_group(isa, config.vliw_slots))})
     return Microbenchmark(name="cal/baseline", program=program,
                           swept=_swept(kind="baseline"), reps=0)
 
@@ -107,8 +107,7 @@ def make_idle_benchmark(config: SystemConfig,
 def make_sync_benchmark(isa: list[InstructionDef], config: SystemConfig,
                         reps: int = DEFAULT_REPS, cpu: int = 0) -> Microbenchmark:
     """Standalone channel synchronizations; pins the sync cost."""
-    group = prologue_group(isa, config.vliw_slots)
-    ops: list = _prologue_ops(group)
+    ops: list = _prologue_ops(prologue_group(isa, config.vliw_slots))
     ops.extend(SyncOp() for _ in range(reps))
     program = Program.from_dict({cpu: ops})
     return Microbenchmark(name="cal/sync", program=program,
@@ -150,26 +149,31 @@ def gen_position_benchmarks(config: SystemConfig, group: InstructionGroup,
                             reps: int = DEFAULT_REPS,
                             cpu: int = 0) -> list[Microbenchmark]:
     """One benchmark per instruction-memory address, same group everywhere."""
-    span = 1 if group.compressed else config.vliw_slots
     if addr_lo > addr_hi:
         raise ProgramError(f"addr_lo {addr_lo} > addr_hi {addr_hi}")
-    if addr_lo < 0 or addr_hi > config.imem_words - span:
+    if addr_lo < 0 or addr_hi > config.imem_words - group.imem_footprint:
         raise ProgramError(
             f"address range [{addr_lo}, {addr_hi}] outside instruction memory")
-    fmt = "c" if group.compressed else "u"
     benchmarks = []
     for addr in range(addr_lo, addr_hi + 1):
-        ops: list = [BundleOp(group=group, addr=BODY_ADDR, pattern=pattern)
-                     for _ in range(PROLOGUE_LEN)]
+        ops: list = _prologue_ops(group, pattern)
         ops.extend(BundleOp(group=group, addr=addr, pattern=pattern)
                    for _ in range(reps))
         program = Program.from_dict({cpu: ops})
         benchmarks.append(Microbenchmark(
-            name=f"imem/{fmt}/{addr}",
+            name=f"imem/{group.fmt}/{addr}",
             program=program,
-            swept=_swept(kind="imem-position", addr=addr, fmt=fmt),
+            swept=_swept(kind="imem-position", addr=addr, fmt=group.fmt),
             reps=reps))
     return benchmarks
+
+
+def comm_endpoints(config: SystemConfig, src: Coord, dst: Coord) -> tuple[int, int]:
+    """Sender and receiver CPU of a sweep between two clusters: CPU 0 of
+    each, or CPUs 0 and 1 of one cluster, whose crossbar then carries it."""
+    if src == dst and config.cpus_per_cluster < 2:
+        raise ProgramError("cluster-local transfers need at least two CPUs")
+    return config.cpu_id(src, 0), config.cpu_id(dst, 1 if src == dst else 0)
 
 
 def gen_comm_benchmarks(api: ApiDescription, config: SystemConfig,
@@ -180,15 +184,11 @@ def gen_comm_benchmarks(api: ApiDescription, config: SystemConfig,
     """One benchmark per packet size between two cluster coordinates.
 
     The default descriptor sweeps 4..1024 bytes in 4-byte increments,
-    giving 256 data points.  Sender and receiver sit on CPU 0 of their
-    clusters; when src == dst the sweep takes the cluster crossbar from
-    CPU 0 to CPU 1.  The prologue synchronizes the channel into a defined
+    giving 256 data points.  Sender and receiver are the comm_endpoints of
+    the two clusters.  The prologue synchronizes the channel into a defined
     state.
     """
-    if src == dst and config.cpus_per_cluster < 2:
-        raise ProgramError("cluster-local transfers need at least two CPUs")
-    src_cpu = config.cpu_id(src, 0)
-    dst_cpu = config.cpu_id(dst, 1 if src == dst else 0)
+    src_cpu, dst_cpu = comm_endpoints(config, src, dst)
     if sizes is None:
         sizes = api.operation(op_name).sizes()
     benchmarks = []
@@ -222,8 +222,7 @@ def gen_transition_benchmarks(states: list[InstructionGroup],
     benchmarks = []
     for a in states:
         for b in states:
-            ops: list = [BundleOp(group=a, addr=BODY_ADDR, pattern=pattern)
-                         for _ in range(PROLOGUE_LEN)]
+            ops: list = _prologue_ops(a, pattern)
             for _ in range(reps):
                 ops.append(BundleOp(group=a, addr=BODY_ADDR, pattern=pattern))
                 ops.append(BundleOp(group=b, addr=BODY_ADDR, pattern=pattern))

@@ -19,8 +19,10 @@ from concurrent.futures.process import BrokenProcessPool
 from . import data_path
 from .benchgen import (
     Microbenchmark,
+    all_nop_group,
     benchmark_filename,
     center_window,
+    comm_endpoints,
     gen_comm_benchmarks,
     gen_position_benchmarks,
     instruction_campaign,
@@ -39,6 +41,7 @@ from .modelfit import (
     FitError,
     REDUCER_LINEAR,
     REDUCER_STAIRCASE,
+    fit_constants,
     fit_packet_reducers,
     load_model,
     reduce_noc_model,
@@ -55,8 +58,11 @@ from .refsim import (
     ParamError,
     Program,
     ProgramError,
+    SendOp,
     bundle_energy,
+    ledger_from_csv,
     load_oracle_params,
+    packet_energy,
     program_from_json,
     program_to_json,
     run_program,
@@ -65,12 +71,15 @@ from .refsim import (
 from .statetrace import (
     ModelFunctionError,
     TraceError,
+    abstract_trace,
     builtin_function,
     load_function,
     trace_from_lines,
 )
 from .sysconfig import (
     ConfigError,
+    EMPTY,
+    InstructionGroup,
     IsaError,
     group_by_label,
     load_api,
@@ -136,6 +145,12 @@ def _load_params(args) -> OracleParams:
     return load_oracle_params(_require(args.params))
 
 
+def _manifest_rows(bench_dir: str) -> list[tuple[str, str]]:
+    with open(_require(os.path.join(bench_dir, "manifest.csv")), "r",
+              encoding="utf-8") as fh:
+        return parse_manifest_csv(fh.read())
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -183,11 +198,8 @@ def cmd_oracle(args) -> int:
     params = _load_params(args)
     out = _outdir(args)
     bench_dir = os.path.join(out, "benchmarks")
-    manifest = _require(os.path.join(bench_dir, "manifest.csv"))
-    with open(manifest, "r", encoding="utf-8") as fh:
-        rows = parse_manifest_csv(fh.read())
     benches = []
-    for name, filename in rows:
+    for name, filename in _manifest_rows(bench_dir):
         with open(_require(os.path.join(bench_dir, filename)), "r",
                   encoding="utf-8") as fh:
             program = program_from_json(json.load(fh), isa)
@@ -215,18 +227,11 @@ def cmd_fit(args) -> int:
     config, isa, _ = _load_inputs(args)
     params = _load_params(args)
     out = _outdir(args)
-    bench_dir = os.path.join(out, "benchmarks")
-    manifest = _require(os.path.join(bench_dir, "manifest.csv"))
-    with open(manifest, "r", encoding="utf-8") as fh:
-        rows = parse_manifest_csv(fh.read())
+    rows = _manifest_rows(os.path.join(out, "benchmarks"))
     if args.function_file:
         function = load_function(_require(args.function_file))
     else:
         function = builtin_function(args.function)
-
-    from .refsim import ledger_from_csv
-    from .statetrace import abstract_trace
-
     observations = []
     for name, filename in rows:
         stem = filename.rsplit(".", 1)[0]
@@ -237,14 +242,10 @@ def cmd_fit(args) -> int:
         with open(ledger_path, "r", encoding="utf-8") as fh:
             total = ledger_from_csv(fh.read())["total"]
         observations.append((abstract_trace(trace, function), total))
-
-    from .modelfit import fit_constants
-
     model, report = fit_constants(observations, function)
     model.provenance["clock_hz"] = config.clock_hz
-    model_dir = _subdir(out, "models")
     report_dir = _subdir(out, "reports")
-    save_model(model, os.path.join(model_dir, args.name + ".json"),
+    save_model(model, os.path.join(_subdir(out, "models"), args.name + ".json"),
                clock_hz=config.clock_hz)
     residuals = ["observation,residual_pj"]
     residuals.extend(f"{rows[i][0]},{r!r}" for i, r in enumerate(report.residuals))
@@ -314,12 +315,8 @@ def cmd_sweep_noc(args) -> int:
     config = load_config(_require(args.config))
     params = _load_params(args)
     out = _outdir(args)
-    src_cpu = config.cpu_id(args.src, 0)
-    dst_cpu = config.cpu_id(args.dst, 0 if args.src != args.dst else 1)
+    src_cpu, dst_cpu = comm_endpoints(config, args.src, args.dst)
     sizes = list(range(args.min, args.max + 1, args.step))
-
-    from .refsim import SendOp, packet_energy
-
     lines = ["size_bytes,flits,total_pj,dynamic_packet_pj,sync_pj,ni_pj,"
              "router_pj,unclassified_pj,bus_pj,static_pj"]
     for size in sizes:
@@ -343,15 +340,10 @@ def cmd_sweep_imem(args) -> int:
     params = _load_params(args)
     out = _outdir(args)
 
-    nops = [i for i in isa if i.iclass == "NOP"]
-    if not nops:
+    full = all_nop_group(isa, config.vliw_slots)
+    if full is None:
         raise CliError(EXIT_INVARIANT, "sweep-imem needs a NOP instruction")
-    nop = sorted(nops, key=lambda i: i.mnemonic)[0]
-
-    from .sysconfig import InstructionGroup
-
-    single = InstructionGroup(slots=(nop,) + (None,) * (config.vliw_slots - 1))
-    full = InstructionGroup(slots=(nop,) * config.vliw_slots)
+    single = InstructionGroup(slots=full.slots[:1] + (EMPTY,) * (config.vliw_slots - 1))
     lines = ["address,popcount,compressed_pj,uncompressed_pj"]
     for addr in range(args.lo, args.hi + 1):
         row = [str(addr), str(bin(addr % config.bank_words).count("1"))]

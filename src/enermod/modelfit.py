@@ -18,7 +18,10 @@ import numpy as np
 
 from .statetrace import (
     AbstractionLevel,
+    HOP_FAMILY,
+    HOP_KEY,
     ModelFunction,
+    SYNC_KEY,
     StateCountVector,
     function_from_json,
     function_to_json,
@@ -63,9 +66,7 @@ class Reducer:
         return key == self.family or key.startswith(self.family + "/")
 
     def evaluate_size(self, x: float) -> float:
-        if self.kind == REDUCER_LINEAR:
-            return self.a + self.b * x
-        return self.a + self.b * n_flits(x, self.flit_payload_bytes)
+        return self.a + self.b * _size_regressor(self.kind, x, self.flit_payload_bytes)
 
     def evaluate_key(self, key: str) -> float:
         rec = parse_key(key)
@@ -76,14 +77,18 @@ class Reducer:
 
 @dataclass
 class EnergyModel:
-    """A state space, a granularity transform, and fitted constants."""
+    """A state space, a granularity transform, and fitted constants; the
+    model's level is its function's."""
 
-    level: AbstractionLevel
     function: ModelFunction
     constants: dict[str, float]
     reducers: list[Reducer] = field(default_factory=list)
     static_pj_per_cycle: float = 0.0
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def level(self) -> AbstractionLevel:
+        return self.function.level
 
     def reducer_for(self, key: str) -> Reducer | None:
         for reducer in self.reducers:
@@ -127,14 +132,14 @@ class KeyTable:
             return pj
 
     def packet_pj(self, hops: int, size_bytes: int) -> float | None:
-        """The sync constant plus the noc/hops:<hops>/size:<size> key (hop 0
-        is the cluster-local bus route), or None when that key has no entry."""
+        """The sync constant plus the HOP_KEY of (hops, size_bytes), or None
+        when that key has no entry."""
         try:
             return self._packet[hops, size_bytes]
         except KeyError:
-            pj = self.pj(f"noc/hops:{hops}/size:{size_bytes}")
+            pj = self.pj(HOP_KEY.format(hops=hops, size=size_bytes))
             if pj is not None:
-                pj = self._model.constants.get("sync", 0.0) + pj
+                pj = self._model.constants.get(SYNC_KEY, 0.0) + pj
             self._packet[hops, size_bytes] = pj
             return pj
 
@@ -213,10 +218,8 @@ def fit_constants(observations: list[tuple[StateCountVector, float]],
     means = per_group_pattern_means(constants)
     if means:
         provenance["group_means"] = means
-    model = EnergyModel(level=function.level, function=function,
-                        constants=constants, reducers=[],
-                        static_pj_per_cycle=static, provenance=provenance)
-    return model, report
+    return EnergyModel(function=function, constants=constants, reducers=[],
+                       static_pj_per_cycle=static, provenance=provenance), report
 
 
 def per_group_pattern_means(constants: dict[str, float]) -> dict[str, float]:
@@ -233,52 +236,50 @@ def per_group_pattern_means(constants: dict[str, float]) -> dict[str, float]:
 # Packet-size regressions
 # ---------------------------------------------------------------------------
 
-def _ols_2col(x: np.ndarray, y: np.ndarray) -> tuple[float, float, int]:
-    a = np.column_stack([np.ones_like(x), x])
-    coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
-    return float(coef[0]), float(coef[1]), int(rank)
+def _size_regressor(kind: str, size: float, flit_payload_bytes: int | None) -> float:
+    """What a reducer is linear in: the size, or its flit count (STAIRCASE)."""
+    return n_flits(size, flit_payload_bytes) if kind == REDUCER_STAIRCASE else size
 
 
-def fit_linear(points: list[tuple[float, float]],
-               window: list[tuple[float, float]] | None = None
-               ) -> tuple[float, float, FitReport]:
-    """Ordinary least squares for E(s) = a + b*s.
+def _fit_size_regression(kind: str, points: list[tuple[float, float]],
+                         window: list[tuple[float, float]] | None,
+                         flit_payload_bytes: int | None = None
+                         ) -> tuple[float, float, FitReport]:
+    """Least squares for E(s) = a + b*x(s), x the _size_regressor of kind.
 
     The fit may use a subset (window) of the points; the report always
     evaluates residuals over every provided point.
     """
     if len(points) < 2:
         raise FitError("need at least two points")
-    fit_points = window if window is not None else points
-    xs = np.array([p[0] for p in fit_points], dtype=float)
-    ys = np.array([p[1] for p in fit_points], dtype=float)
+
+    def columns(pts: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+        return (np.array([_size_regressor(kind, s, flit_payload_bytes) for s, _ in pts],
+                         dtype=float), np.array([e for _, e in pts], dtype=float))
+
+    xs, ys = columns(window if window is not None else points)
     if len(set(xs.tolist())) < 2:
-        raise FitError("underdetermined: all sizes equal")
-    a, b, rank = _ols_2col(xs, ys)
-    all_x = np.array([p[0] for p in points], dtype=float)
-    all_y = np.array([p[1] for p in points], dtype=float)
-    report = _report(a + b * all_x, all_y, rank, 2, {})
-    return a, b, report
+        raise FitError("underdetermined: single flit count in fit window"
+                       if kind == REDUCER_STAIRCASE else "underdetermined: all sizes equal")
+    coef, _, rank, _ = np.linalg.lstsq(np.column_stack([np.ones_like(xs), xs]), ys,
+                                       rcond=None)
+    a, b = float(coef[0]), float(coef[1])
+    all_x, all_y = columns(points)
+    return a, b, _report(a + b * all_x, all_y, int(rank), 2, {})
+
+
+def fit_linear(points: list[tuple[float, float]],
+               window: list[tuple[float, float]] | None = None
+               ) -> tuple[float, float, FitReport]:
+    """Ordinary least squares for E(s) = a + b*s."""
+    return _fit_size_regression(REDUCER_LINEAR, points, window)
 
 
 def fit_staircase(points: list[tuple[float, float]], flit_payload_bytes: int,
                   window: list[tuple[float, float]] | None = None
                   ) -> tuple[float, float, FitReport]:
     """Least squares for E(s) = a + b*ceil(s / flit_payload_bytes)."""
-    if len(points) < 2:
-        raise FitError("need at least two points")
-    fit_points = window if window is not None else points
-    steps = np.array([n_flits(p[0], flit_payload_bytes) for p in fit_points],
-                     dtype=float)
-    ys = np.array([p[1] for p in fit_points], dtype=float)
-    if len(set(steps.tolist())) < 2:
-        raise FitError("underdetermined: single flit count in fit window")
-    a, b, rank = _ols_2col(steps, ys)
-    all_steps = np.array([n_flits(p[0], flit_payload_bytes) for p in points],
-                         dtype=float)
-    all_y = np.array([p[1] for p in points], dtype=float)
-    report = _report(a + b * all_steps, all_y, rank, 2, {})
-    return a, b, report
+    return _fit_size_regression(REDUCER_STAIRCASE, points, window, flit_payload_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +305,7 @@ def reduce_noc_model(full: EnergyModel, tolerance: float = 1e-9) -> EnergyModel:
         rec = parse_key(key)
         if "src" in rec and "dst" in rec and "size" in rec:
             hops = manhattan(parse_coord(str(rec["src"])), parse_coord(str(rec["dst"])))
-            groups.setdefault(f"noc/hops:{hops}/size:{rec['size']}", []).append(value)
+            groups.setdefault(HOP_KEY.format(hops=hops, size=rec["size"]), []).append(value)
         else:
             constants[key] = value
     for key, values in sorted(groups.items()):
@@ -316,8 +317,8 @@ def reduce_noc_model(full: EnergyModel, tolerance: float = 1e-9) -> EnergyModel:
         constants[key] = sum(values) / len(values)
     provenance = dict(full.provenance)
     provenance["reduced"] = "hops"
-    return EnergyModel(level=full.level, function=noc_hop_function(),
-                       constants=constants, reducers=list(full.reducers),
+    return EnergyModel(function=noc_hop_function(), constants=constants,
+                       reducers=list(full.reducers),
                        static_pj_per_cycle=full.static_pj_per_cycle,
                        provenance=provenance)
 
@@ -331,7 +332,7 @@ def fit_packet_reducers(model: EnergyModel, kind: str = REDUCER_STAIRCASE,
     for key, value in model.constants.items():
         rec = parse_key(key)
         if "hops" in rec and "size" in rec:
-            families.setdefault(f"noc/hops:{rec['hops']}", []).append(
+            families.setdefault(HOP_FAMILY.format(hops=rec["hops"]), []).append(
                 (float(rec["size"]), value))
         else:
             constants[key] = value
@@ -347,8 +348,8 @@ def fit_packet_reducers(model: EnergyModel, kind: str = REDUCER_STAIRCASE,
                                 flit_payload_bytes=flit_payload_bytes))
     provenance = dict(model.provenance)
     provenance["reducers"] = kind
-    return EnergyModel(level=model.level, function=model.function,
-                       constants=constants, reducers=reducers,
+    return EnergyModel(function=model.function, constants=constants,
+                       reducers=reducers,
                        static_pj_per_cycle=model.static_pj_per_cycle,
                        provenance=provenance)
 
@@ -376,9 +377,12 @@ def model_to_json(model: EnergyModel, clock_hz: float | None = None) -> dict:
 
 
 def model_from_json(doc: dict) -> EnergyModel:
+    function = function_from_json(doc["function"])
+    if AbstractionLevel[doc["level"]] != function.level:
+        raise FitError(f"model level {doc['level']} is not its function's "
+                       f"level {function.level.name}")
     return EnergyModel(
-        level=AbstractionLevel[doc["level"]],
-        function=function_from_json(doc["function"]),
+        function=function,
         constants=dict(doc["constants"]),
         reducers=[Reducer(kind=r["kind"], family=r["family"], a=r["a"], b=r["b"],
                           variable=r.get("variable", "size"),

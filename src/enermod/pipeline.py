@@ -35,6 +35,7 @@ from .statetrace import (
     Trace,
     abstract_trace,
     instruction_model_function,
+    is_comm_key,
     noc_hop_function,
 )
 from .sysconfig import ApiDescription, Coord, SystemConfig, manhattan
@@ -87,9 +88,8 @@ def observations(runs: list[CampaignRun],
 
 def fit_campaign(runs: list[CampaignRun], function: ModelFunction,
                  fit_static: bool = True) -> tuple[EnergyModel, FitReport]:
-    model, report = fit_constants(observations(runs, function), function,
-                                  fit_static=fit_static)
-    return model, report
+    return fit_constants(observations(runs, function), function,
+                         fit_static=fit_static)
 
 
 def cluster_at_distance(config: SystemConfig, hops: int,
@@ -130,19 +130,15 @@ def merge_models(instruction_model: EnergyModel,
     """Combine the instruction fit with the communication fit.
 
     Instruction constants win on overlap except for communication keys
-    (noc/..., sync), which come from the communication campaign; the static
+    (is_comm_key), which come from the communication campaign; the static
     term comes from the instruction fit (same platform, same truth).
     """
-    constants = {k: v for k, v in comm_model.constants.items()
-                 if k == "sync" or k.startswith("noc/")}
-    for key, value in instruction_model.constants.items():
-        if key == "sync" or key.startswith("noc/"):
-            continue
-        constants[key] = value
+    constants = {k: v for k, v in comm_model.constants.items() if is_comm_key(k)}
+    constants.update((k, v) for k, v in instruction_model.constants.items()
+                     if not is_comm_key(k))
     provenance = dict(instruction_model.provenance)
     provenance["merged_with"] = comm_model.provenance.get("function_name", "comm")
-    return EnergyModel(level=instruction_model.level,
-                       function=instruction_model.function,
+    return EnergyModel(function=instruction_model.function,
                        constants=constants,
                        reducers=list(comm_model.reducers),
                        static_pj_per_cycle=instruction_model.static_pj_per_cycle,

@@ -253,11 +253,10 @@ def validate_program(config: SystemConfig, program: Program) -> None:
                     raise ProgramError(
                         f"group {op.group.label} has {len(op.group.slots)} slots, "
                         f"config has {config.vliw_slots}")
-                span = 1 if op.group.compressed else config.vliw_slots
-                if not 0 <= op.addr <= config.imem_words - span:
+                if not 0 <= op.addr <= config.imem_words - op.group.imem_footprint:
                     raise ProgramError(
                         f"imem address {op.addr} out of range for "
-                        f"{'compressed' if span == 1 else 'uncompressed'} bundle")
+                        f"{'compressed' if op.group.compressed else 'uncompressed'} bundle")
                 if op.pattern not in DATA_PATTERNS:
                     raise ProgramError(f"unknown data pattern {op.pattern!r}")
             elif isinstance(op, (SendOp, RecvOp)):
@@ -434,7 +433,7 @@ def run_program(config: SystemConfig, params: OracleParams,
                 events.append(make_event(
                     t, comp, EVENT_BUNDLE,
                     group=op.group.label, pattern=op.pattern, addr=op.addr,
-                    fmt="c" if op.group.compressed else "u"))
+                    fmt=op.group.fmt))
                 core, imem, dmem = bundle_energy_parts(params, config, op)
                 acc.add(t, "core", core)
                 acc.add(t, "imem", imem)

@@ -32,6 +32,17 @@ DISCARD = "discard"
 
 _INT_RE = re.compile(r"^-?\d+$")
 
+# Model-state keys of a channel synchronization and of a packet by hop count
+# (0 is the cluster-local crossbar route) and size; fill with str.format.
+SYNC_KEY = "sync"
+HOP_FAMILY = "noc/hops:{hops}"
+HOP_KEY = HOP_FAMILY + "/size:{size}"
+
+
+def is_comm_key(key: str) -> bool:
+    """Whether a key is the communication campaign's: sync or a noc/ key."""
+    return key == SYNC_KEY or key.startswith("noc/")
+
 
 class TraceError(ValueError):
     """A trace document or event is malformed."""
@@ -276,7 +287,9 @@ def _parse_tail(lineno: int, text: str, tail: str,
             if not sep:
                 raise TraceError(f"line {lineno}: attribute {item!r} is not name=value")
             attrs[k] = int(v) if _INT_RE.match(v) else v
-    return make_event(0, component, kind, **attrs)[1:]
+    if kind not in EVENT_KINDS:
+        raise TraceError(f"line {lineno}: unknown event kind {kind!r}")
+    return component, kind, tuple(sorted(attrs.items()))
 
 
 def component_class(component: str) -> str:
@@ -319,10 +332,6 @@ class _EventRecord(dict):
         except KeyError:
             return False
         return True
-
-
-def event_record(event: StateEvent) -> dict[str, object]:
-    return _EventRecord(event)
 
 
 def _identity_key(event: StateEvent) -> str:
@@ -427,7 +436,7 @@ class ModelFunction:
         if event.kind in self.pair_kinds:
             raise ModelFunctionError(
                 "pairwise functions require stream context; use weighted_keys")
-        rec = event_record(event)
+        rec = _EventRecord(event)
         return self._chain(self._emit(rec, f"event kind {event.kind!r}"))
 
     def rekey(self, key: str) -> str | None:
@@ -478,7 +487,7 @@ def weighted_keys(trace: Trace, fn: ModelFunction):
         if ident in memo:
             key = memo[ident]
         elif event.kind in fn.pair_kinds:
-            rec = event_record(event)
+            rec = _EventRecord(event)
             if fn.pair_attr not in rec:
                 raise ModelFunctionError(
                     f"pairwise attribute {fn.pair_attr!r} absent from {event.kind} event")
@@ -513,9 +522,6 @@ class StateCountVector:
                 raise TraceError(f"negative count for key {key!r}")
         if self.duration < 0:
             raise TraceError("negative duration")
-
-    def get(self, key: str) -> int:
-        return self.counts.get(key, 0)
 
     def add(self, other: "StateCountVector") -> "StateCountVector":
         merged = dict(self.counts)
@@ -566,7 +572,7 @@ def _fine_function(name: str, ni_key: str) -> ModelFunction:
         level=AbstractionLevel.FINE_GRAINED,
         rules=(
             rule({"kind": EVENT_BUNDLE}, "group:{group}/pat:{pattern}"),
-            rule({"kind": EVENT_SYNC}, "sync"),
+            rule({"kind": EVENT_SYNC}, SYNC_KEY),
             rule({"kind": EVENT_NI}, ni_key),
             rule({"kind": EVENT_FLIT}, DISCARD),
             rule({"kind": EVENT_IDLE}, DISCARD),
@@ -583,7 +589,7 @@ def instruction_model_function() -> ModelFunction:
     included.  The instruction-memory position is deliberately not part of
     the key; component ids are dropped so constants transfer across CPUs.
     """
-    return _fine_function("instruction-fine", "noc/hops:{hops}/size:{size}")
+    return _fine_function("instruction-fine", HOP_KEY)
 
 
 def noc_pair_function() -> ModelFunction:
@@ -593,7 +599,7 @@ def noc_pair_function() -> ModelFunction:
 
 def noc_hop_function() -> ModelFunction:
     """Reduced NoC keys: endpoint coordinates collapsed to the hop count."""
-    return _fine_function("noc-hop", "noc/hops:{hops}/size:{size}")
+    return _fine_function("noc-hop", HOP_KEY)
 
 
 def active_idle_function(per_instance: bool = False) -> ModelFunction:

@@ -225,9 +225,10 @@ class InstructionGroup:
 
     Each slot holds an InstructionDef or EMPTY (None).  The all-EMPTY group
     is the idle bundle.  A group with exactly one occupied slot is encoded
-    in the compressed instruction format.  The derived compressed, label
-    and accesses_dmem attributes are computed once, on first use, and kept
-    outside the dataclass fields, so they stay out of eq, repr and hash.
+    in the compressed instruction format (fmt "c"): its imem_footprint is
+    one instruction-memory word, an uncompressed group's (fmt "u") one word
+    per slot.  The derived attributes are computed once, on first use, and
+    kept outside the dataclass fields, so they stay out of eq, repr and hash.
     """
 
     slots: tuple[InstructionDef | None, ...]
@@ -240,6 +241,14 @@ class InstructionGroup:
     @cached_property
     def compressed(self) -> bool:
         return sum(1 for s in self.slots if s is not None) == 1
+
+    @cached_property
+    def imem_footprint(self) -> int:
+        return 1 if self.compressed else len(self.slots)
+
+    @cached_property
+    def fmt(self) -> str:
+        return "c" if self.compressed else "u"
 
     @cached_property
     def label(self) -> str:

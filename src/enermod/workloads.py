@@ -48,8 +48,7 @@ class _AppBuilder:
         self.ops: dict[int, list] = {}
 
     def _addr(self, group: InstructionGroup) -> int:
-        span = 1 if group.compressed else self.config.vliw_slots
-        hi = min(_ADDR_RANGE, self.config.imem_words - span)
+        hi = min(_ADDR_RANGE, self.config.imem_words - group.imem_footprint)
         return self.rng.randrange(0, hi)
 
     def block(self, cpu: int, length: int, pool: str = "compute",
@@ -71,9 +70,9 @@ class _AppBuilder:
         return Program.from_dict(self.ops)
 
 
-def filter_chain(config: SystemConfig, isa, seed: int = 0) -> Program:
+def filter_chain(config: SystemConfig, pools: dict, seed: int = 0) -> Program:
     """Pipeline of filter stages, each forwarding a frame to the next CPU."""
-    b = _AppBuilder(config, _group_pools(isa, config), seed)
+    b = _AppBuilder(config, pools, seed)
     stages = min(config.n_cpus, 6)
     frames = 4
     for _ in range(frames):
@@ -84,10 +83,10 @@ def filter_chain(config: SystemConfig, isa, seed: int = 0) -> Program:
     return b.program()
 
 
-def matmul_tiles(config: SystemConfig, isa, seed: int = 0) -> Program:
+def matmul_tiles(config: SystemConfig, pools: dict, seed: int = 0) -> Program:
     """Workers multiply tiles (load + multiply heavy) and stream partial
     results to an accumulator CPU."""
-    b = _AppBuilder(config, _group_pools(isa, config), seed + 1)
+    b = _AppBuilder(config, pools, seed + 1)
     workers = list(range(1, min(config.n_cpus, 8)))
     if not workers:
         workers = [0]
@@ -101,9 +100,9 @@ def matmul_tiles(config: SystemConfig, isa, seed: int = 0) -> Program:
     return b.program()
 
 
-def sorting_network(config: SystemConfig, isa, seed: int = 0) -> Program:
+def sorting_network(config: SystemConfig, pools: dict, seed: int = 0) -> Program:
     """Odd-even compare/exchange stages with neighbor exchanges."""
-    b = _AppBuilder(config, _group_pools(isa, config), seed + 2)
+    b = _AppBuilder(config, pools, seed + 2)
     lanes = min(config.n_cpus, 8)
     for stage in range(6):
         lo = stage % 2
@@ -117,12 +116,10 @@ def sorting_network(config: SystemConfig, isa, seed: int = 0) -> Program:
     return b.program()
 
 
-def fft_butterfly(config: SystemConfig, isa, seed: int = 0) -> Program:
+def fft_butterfly(config: SystemConfig, pools: dict, seed: int = 0) -> Program:
     """Butterfly exchange pattern: partner distance doubles per stage."""
-    b = _AppBuilder(config, _group_pools(isa, config), seed + 3)
-    n = 1
-    while n * 2 <= min(config.n_cpus, 8):
-        n *= 2
+    b = _AppBuilder(config, pools, seed + 3)
+    n = 1 << (min(config.n_cpus, 8).bit_length() - 1)   # largest power of 2 <= that
     stage = 1
     while stage < n:
         for cpu in range(n):
@@ -137,19 +134,15 @@ def fft_butterfly(config: SystemConfig, isa, seed: int = 0) -> Program:
     return b.program()
 
 
-def reduction_tree(config: SystemConfig, isa, seed: int = 0) -> Program:
+def reduction_tree(config: SystemConfig, pools: dict, seed: int = 0) -> Program:
     """Binary reduction: leaves compute partial sums pushed up to the root."""
-    b = _AppBuilder(config, _group_pools(isa, config), seed + 4)
-    n = 1
-    while n * 2 <= min(config.n_cpus, 8):
-        n *= 2
-    width = n
+    b = _AppBuilder(config, pools, seed + 4)
+    width = 1 << (min(config.n_cpus, 8).bit_length() - 1)   # largest power of 2 <= that
     while width > 1:
         for i in range(width):
             b.block(i, 20, pool="compute", mem_every=4)
         for i in range(0, width, 2):
-            if i + 1 < width:
-                b.transfer(i + 1, i, 48)
+            b.transfer(i + 1, i, 48)
         width //= 2
     b.block(0, 24, pool="compute", mem_every=4)
     return b.program()
@@ -158,10 +151,11 @@ def reduction_tree(config: SystemConfig, isa, seed: int = 0) -> Program:
 def synthetic_applications(config: SystemConfig, isa,
                            seed: int = 0) -> list[tuple[str, Program]]:
     """The five held-out applications, deterministically generated."""
+    pools = _group_pools(isa, config)
     return [
-        ("app/filter-chain", filter_chain(config, isa, seed)),
-        ("app/matmul-tiles", matmul_tiles(config, isa, seed)),
-        ("app/sorting-network", sorting_network(config, isa, seed)),
-        ("app/fft-butterfly", fft_butterfly(config, isa, seed)),
-        ("app/reduction-tree", reduction_tree(config, isa, seed)),
+        ("app/filter-chain", filter_chain(config, pools, seed)),
+        ("app/matmul-tiles", matmul_tiles(config, pools, seed)),
+        ("app/sorting-network", sorting_network(config, pools, seed)),
+        ("app/fft-butterfly", fft_butterfly(config, pools, seed)),
+        ("app/reduction-tree", reduction_tree(config, pools, seed)),
     ]

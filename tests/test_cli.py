@@ -321,6 +321,10 @@ def _mutate_one_line(lines, how, pick, cycle):
         lines[i] += "why=stall"
     elif how == "attribute":
         lines[i] += "stall" if lines[i].endswith("\t") else " stall"
+    elif how == "unknown kind":
+        fields = lines[i].split("\t")
+        fields[2] = "bogus"
+        lines[i] = "\t".join(fields)
     else:   # a second idle line of one component and cycle
         j = idle[pick % len(idle)]
         if i == j:
@@ -331,7 +335,7 @@ def _mutate_one_line(lines, how, pick, cycle):
 
 
 @pytest.mark.parametrize("how", ["missing field", "cycle", "idle payload", "attribute",
-                                 "second idle", "repeated tail"])
+                                 "second idle", "repeated tail", "unknown kind"])
 @settings(max_examples=15, deadline=None)
 @given(pick=st.integers(0, 10**6), cycle=st.sampled_from(["x", "", "1.5", "0x1", "1e3"]))
 def test_estimate_of_a_trace_with_one_malformed_line_exits_5(one_packet, how, pick, cycle):
@@ -382,6 +386,45 @@ def test_sweep_imem_csv(tmp_path):
     lines = (tmp_path / "reports" / "sweep_imem.csv").read_text().splitlines()
     assert lines[0] == "address,popcount,compressed_pj,uncompressed_pj"
     assert len(lines) == 17
+
+
+def test_estimate_with_a_model_whose_level_is_not_its_functions_exits_5(
+        one_packet, tmp_path, capsys):
+    out, lines = one_packet
+    doc = json.loads((out / "models" / "noc.json").read_text())
+    assert doc["level"] == doc["function"]["level"] == "FINE_GRAINED"
+    doc["level"] = "ACTIVE_IDLE"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    trace = tmp_path / "trace.tsv"
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["estimate", "--model", str(model), "--trace", str(trace)])
+    assert rc == EXIT_DATA
+    assert "ACTIVE_IDLE" in _one_error_line(capsys, EXIT_DATA)
+
+
+def test_sweep_noc_within_a_cluster_takes_the_crossbar(tmp_path):
+    rc = main(["sweep-noc", "--src", "0,0", "--dst", "0,0", "--min", "8",
+               "--max", "32", "--step", "8"] + _defaults(tmp_path))
+    assert rc == EXIT_OK
+    lines = (tmp_path / "reports" / "sweep_noc.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+    assert len(rows) == 4
+    assert all(r["router_pj"] == 0.0 and r["bus_pj"] > 0.0 for r in rows)
+
+
+def test_sweep_noc_within_a_cluster_of_one_cpu_exits_4(tmp_path, capsys):
+    one_cpu = tmp_path / "one_cpu.json"
+    one_cpu.write_text('{"cpus_per_cluster": 1}')
+    capsys.readouterr()
+    rc = main(["sweep-noc", "--src", "0,0", "--dst", "0,0",
+               "--params", data_path("oracle_params.json"),
+               "--config", str(one_cpu), "--out", str(tmp_path)])
+    assert rc == EXIT_INVARIANT
+    assert "two CPUs" in _one_error_line(capsys, EXIT_INVARIANT)
+    assert not (tmp_path / "reports").exists()
 
 
 def test_sweep_noc_csv(tmp_path):

@@ -349,7 +349,7 @@ def _synthetic_model():
                         flit_payload_bytes=8) for hops in (0, 1)]
     reducers.append(Reducer(kind=REDUCER_LINEAR, family="noc/hops:2",
                             a=9.1, b=1.45))
-    return EnergyModel(level=function.level, function=function,
+    return EnergyModel(function=function,
                        constants=constants, reducers=reducers,
                        static_pj_per_cycle=0.0421)
 
