@@ -237,18 +237,31 @@ class Program:
         )
 
 
+def _bundle_key(op: BundleOp) -> tuple:
+    """What a bundle's event, energy and validity depend on.  The group is
+    keyed by identity: it is only used while the program holds the group."""
+    return id(op.group), op.pattern, op.addr
+
+
 def validate_program(config: SystemConfig, program: Program) -> None:
-    """Reject invalid addresses, coordinates, patterns and sizes up front."""
+    """Reject invalid addresses, coordinates, patterns and sizes up front.
+
+    Each distinct bundle is checked once."""
     if program.min_cycles < 0:
         raise ProgramError("min_cycles must be >= 0")
     cpus = [cpu for cpu, _ops in program.ops]
     if len(set(cpus)) != len(cpus):
         raise ProgramError("a cpu id is listed twice")
+    checked: set[tuple] = set()
     for cpu, ops in program.ops:
         if not 0 <= cpu < config.n_cpus:
             raise ProgramError(f"cpu id {cpu} out of range (n_cpus={config.n_cpus})")
         for op in ops:
             if isinstance(op, BundleOp):
+                key = _bundle_key(op)
+                if key in checked:
+                    continue
+                checked.add(key)
                 if len(op.group.slots) != config.vliw_slots:
                     raise ProgramError(
                         f"group {op.group.label} has {len(op.group.slots)} slots, "
@@ -417,11 +430,15 @@ def run_program(config: SystemConfig, params: OracleParams,
     own.  A CPU cycle without an event is idle (the cycles a blocked sender
     spends feeding the NI count as idle too); the trace holds idle time as
     per-CPU spans.
+
+    A program repeats its bundles, so each distinct bundle's event
+    attributes and energy parts are worked out once per run and reused.
     """
     validate_program(config, program)
     events: list[StateEvent] = []
     busy: dict[str, list[int]] = {}
     acc = _Accumulator()
+    bundles: dict[tuple, tuple] = {}    # _bundle_key -> (attrs, core, imem, dmem)
 
     for cpu, ops in program.ops:
         cluster = config.cpu_cluster(cpu)
@@ -430,11 +447,15 @@ def run_program(config: SystemConfig, params: OracleParams,
         t = 0
         for op in ops:
             if isinstance(op, BundleOp):
-                events.append(make_event(
-                    t, comp, EVENT_BUNDLE,
-                    group=op.group.label, pattern=op.pattern, addr=op.addr,
-                    fmt=op.group.fmt))
-                core, imem, dmem = bundle_energy_parts(params, config, op)
+                key = _bundle_key(op)
+                if key not in bundles:
+                    bundles[key] = (make_event(
+                        t, comp, EVENT_BUNDLE,
+                        group=op.group.label, pattern=op.pattern, addr=op.addr,
+                        fmt=op.group.fmt).attrs,
+                        *bundle_energy_parts(params, config, op))
+                attrs, core, imem, dmem = bundles[key]
+                events.append(StateEvent(t, comp, EVENT_BUNDLE, attrs))
                 acc.add(t, "core", core)
                 acc.add(t, "imem", imem)
                 acc.add(t, "dmem", dmem)
@@ -500,15 +521,16 @@ def _emit_packet(config: SystemConfig, params: OracleParams,
         t + 1, f"ni{src_index}", EVENT_NI,
         src=src_label, dst=dst_label, size=op.size_bytes, flits=flits))
     acc.add(t + 1, "ni", params.packet_header_energy)
-    path = xy_route(src_cluster, dst_cluster)
+    # The hop events of a flit injected at cycle 0; every flit repeats them
+    # from its own injection cycle.
+    hops = [make_event(hop, f"router{config.cluster_index(cluster)}", EVENT_FLIT,
+                       src=src_label, dst=dst_label, size=op.size_bytes, hop=hop)
+            for hop, cluster in enumerate(xy_route(src_cluster, dst_cluster))]
     for flit in range(flits):
         inject = t + 1 + flit
         acc.add(inject, "ni", params.ni_in_flit_energy + params.ni_out_flit_energy)
-        for hop, cluster in enumerate(path):
-            router = config.cluster_index(cluster)
-            events.append(make_event(
-                inject + hop, f"router{router}", EVENT_FLIT,
-                src=src_label, dst=dst_label, size=op.size_bytes, hop=hop))
+        for hop, router, kind, attrs in hops:
+            events.append(StateEvent(inject + hop, router, kind, attrs))
             acc.add(inject + hop, "router", params.router_flit_energy)
             acc.add(inject + hop, "unclassified", params.link_flit_energy)
     return t + 1 + flits

@@ -16,6 +16,8 @@ from bisect import insort
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from functools import cached_property
+from string import Formatter
 from typing import NamedTuple
 
 from .sysconfig import manhattan, parse_coord
@@ -397,6 +399,11 @@ class ModelFunction:
     component (transition models); the first event of a component counts
     as a self-transition.  Idle cannot be a paired kind: an idle event has
     no attribute to pair.
+
+    An unpaired event's key is a function of its projection: its kind and
+    its values of event_fields, the fields the rules match on and their
+    templates read.  weighted_keys runs the rules once per distinct
+    projection.
     """
 
     level: AbstractionLevel
@@ -413,6 +420,28 @@ class ModelFunction:
             raise ModelFunctionError(f"unknown domain {self.domain!r}")
         if EVENT_IDLE in self.pair_kinds:
             raise ModelFunctionError("idle cannot be a paired kind: it has no attributes")
+
+    @cached_property
+    def event_fields(self) -> frozenset[str] | None:
+        """The fields the rules match on and their templates read, with each
+        derived field widened to what it is derived from: "component" for
+        comp_class, "src" and "dst" for hops.  None when a rule reads the
+        whole event (__identity__) or a template cannot be parsed."""
+        fields: set[str] = set()
+        for r in self.rules:
+            fields.update(name for name, _want in r.match)
+            if r.emit != DISCARD:
+                try:
+                    fields.update(_template_fields(r.emit))
+                except ValueError:      # format_map raises it if the rule fires
+                    return None
+        if "__identity__" in fields:
+            return None
+        if "comp_class" in fields:
+            fields.add("component")
+        if "hops" in fields:
+            fields.update(("src", "dst"))
+        return frozenset(fields)
 
     # -- application ---------------------------------------------------------
 
@@ -446,6 +475,17 @@ class ModelFunction:
         return self._chain(self._emit(rec, f"key {key!r}"))
 
 
+def _template_fields(template: str) -> set[str]:
+    """The record fields a key template reads: each replacement field's
+    name before any attribute or index access, nested format specs too."""
+    fields: set[str] = set()
+    for _text, name, spec, _conversion in Formatter().parse(template):
+        if name is not None:
+            fields.add(re.match(r"[^.\[]*", name).group())
+            fields.update(_template_fields(spec or ""))
+    return fields
+
+
 def _fill(template: str, rec: dict[str, object], what: str) -> str:
     try:
         return template.format_map(rec)
@@ -468,25 +508,46 @@ def compose(f: ModelFunction, g: ModelFunction) -> ModelFunction:
                    name=f"{f.name or 'f'}*{g.name or 'g'}")
 
 
+_UNSEEN = object()     # memo default: a memoized key may be None (discarded)
+
+
 def weighted_keys(trace: Trace, fn: ModelFunction):
     """Yield (component, key-or-None, cycles) under fn: one triple per
     non-idle event (cycles 1), then one per idle span (its length).
 
-    An unpaired event's key depends only on (component, kind, attrs), so
-    repeated events and every span hit a memo instead of re-running the
-    rules.  A paired event's key depends on its component's previous
-    paired value, so it is never memoized; canonical order restricted to
-    one component is that component's stream order.
+    An unpaired event's key depends only on its projection onto
+    fn.event_fields: the component if the rules read it, the kind and the
+    attributes the rules read.  So the rules run once per distinct
+    projection: bundles that differ only in addr, or idle spans that differ
+    only in component, share one key when no rule reads that field.  A memo
+    on the whole (component, kind, attrs) answers an event's repeats before
+    it is projected.  Both memos live for one call.  A paired event's key
+    depends on its component's previous paired value, so it is never
+    memoized; canonical order restricted to one component is that
+    component's stream order.
     """
     if fn.domain != "event":
         raise ModelFunctionError("traces can only be abstracted by event-domain functions")
+    fields = fn.event_fields
+    reads_component = fields is None or "component" in fields
+    projected: dict[tuple, str | None] = {}
+
+    def project(event: StateEvent) -> str | None:
+        component, kind, attrs = event[1:]
+        proj = (component if reads_component else None, kind,
+                attrs if fields is None
+                else tuple([item for item in attrs if item[0] in fields]))
+        key = projected.get(proj, _UNSEEN)
+        if key is _UNSEEN:
+            key = projected[proj] = fn.key_for_event(event)
+        return key
+
     memo: dict[tuple, str | None] = {}
     last: dict[str, object] = {}
     for event in trace.events:
-        ident = (event.component, event.kind, event.attrs)
-        if ident in memo:
-            key = memo[ident]
-        elif event.kind in fn.pair_kinds:
+        ident = event[1:]       # (component, kind, attrs)
+        key = memo.get(ident, _UNSEEN)
+        if key is _UNSEEN and event.kind in fn.pair_kinds:
             rec = _EventRecord(event)
             if fn.pair_attr not in rec:
                 raise ModelFunctionError(
@@ -495,14 +556,15 @@ def weighted_keys(trace: Trace, fn: ModelFunction):
             prev = last.get(event.component, cur)
             last[event.component] = cur
             key = fn._chain(fn.pair_template.format_map({"prev": prev, "cur": cur}))
-        else:
-            key = memo[ident] = fn.key_for_event(event)
+        elif key is _UNSEEN:
+            key = memo[ident] = project(event)
         yield event.component, key, 1
     for component, start, length in trace.idle:
         ident = (component, EVENT_IDLE, ())
-        if ident not in memo:
-            memo[ident] = fn.key_for_event(StateEvent(start, component, EVENT_IDLE))
-        yield component, memo[ident], length
+        key = memo.get(ident, _UNSEEN)
+        if key is _UNSEEN:
+            key = memo[ident] = project(StateEvent(start, *ident))
+        yield component, key, length
 
 
 # ---------------------------------------------------------------------------

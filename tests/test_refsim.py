@@ -4,11 +4,13 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import re
 
 import pytest
 
 from enermod import data_path
-from enermod.benchgen import gen_comm_benchmarks
+from enermod.benchgen import gen_comm_benchmarks, instruction_campaign
+from enermod.pipeline import comm_benchmarks_per_hop
 from enermod.refsim import (
     BundleOp,
     ParamError,
@@ -33,6 +35,7 @@ from enermod.sysconfig import (
     manhattan,
     n_flits,
 )
+from enermod.workloads import synthetic_applications
 
 
 def _group(isa, label):
@@ -380,6 +383,31 @@ def test_trace_files_are_pinned(config, isa, api, params):
         assert hashlib.sha256(text.encode()).hexdigest() == _TRACE_SHA256[name], name
 
 
+# SHA-256 over every run's trace file lines and ledger CSV, per program set,
+# recorded before the oracle memoized its bundles: the memo must not change
+# a byte of either.  The applications vary each bundle's address.
+_CAMPAIGN_SHA256 = {
+    "instruction": "9d5ce3a687e8c878488aa4ea7dc1dc6909f743a682cb5df8da18c15e5c2abbd9",
+    "comm": "dfbb7b05c102107bc6e37e4eb20b3e5dfcf06ad491fa58a085ef9178166fa617",
+    "applications": "46d8b6913c8b68876987585b1aa7ccc78f5a77eefd270402f70f8ae14055ffb4",
+}
+
+
+def test_campaign_traces_and_ledgers_are_pinned(config, isa, api, params):
+    sets = {
+        "instruction": [b.program for b in instruction_campaign(isa, config)],
+        "comm": [b.program for b in comm_benchmarks_per_hop(api, config, isa)],
+        "applications": [p for _name, p in synthetic_applications(config, isa, seed=0)],
+    }
+    for name, programs in sets.items():
+        digest = hashlib.sha256()
+        for program in programs:
+            trace, ledger = run_program(config, params, program)
+            digest.update("\n".join(trace.to_lines()).encode())
+            digest.update(ledger.to_csv().encode())
+        assert digest.hexdigest() == _CAMPAIGN_SHA256[name], name
+
+
 def test_min_cycles_pads_with_idle(tiny_config, params):
     program = Program.from_dict({}, min_cycles=32)
     trace, ledger = run_program(tiny_config, params, program)
@@ -403,6 +431,33 @@ def test_invalid_programs_rejected(config, isa, params):
         {0: [BundleOp(group=group, addr=0, pattern="noise")]})
     with pytest.raises(ProgramError, match="pattern"):
         run_program(config, params, bad_pattern)
+
+
+def test_a_reused_group_is_validated_at_each_address_and_pattern(config, isa, params):
+    # one group object, first valid, then out of range or with a bad pattern
+    group = _group(isa, "nop+nop")
+    good = BundleOp(group=group, addr=0, pattern="zeros")
+    bad_addr = BundleOp(group=group, addr=config.imem_words, pattern="zeros")
+    with pytest.raises(ProgramError, match=re.escape(
+            f"imem address {config.imem_words} out of range for uncompressed bundle")):
+        run_program(config, params, Program.from_dict({0: [good, good, bad_addr]}))
+    bad_pattern = BundleOp(group=group, addr=0, pattern="noise")
+    with pytest.raises(ProgramError, match=re.escape("unknown data pattern 'noise'")):
+        run_program(config, params, Program.from_dict({0: [good], 1: [good, bad_pattern]}))
+
+
+def test_a_two_address_ledger_is_the_sum_of_its_closed_forms(tiny_config, isa, params):
+    group = _group(isa, "ldw+add")
+    ops = [BundleOp(group=group, addr=addr, pattern="alt") for addr in (0, 6) * 5]
+    trace, ledger = run_program(tiny_config, params, Program.from_dict({0: ops}))
+    assert [dict(e.attrs)["addr"] for e in trace.events] == [op.addr for op in ops]
+    parts = [bundle_energy_parts(params, tiny_config, op) for op in ops]
+    assert parts[0] != parts[1]
+    expected = [0.0, 0.0, 0.0]
+    for part in parts:
+        expected = [total + pj for total, pj in zip(expected, part)]
+    b = ledger.breakdown_dict()
+    assert [b["core"], b["imem"], b["dmem"]] == expected
 
 
 def test_uncompressed_needs_room_for_its_slots(config, isa, params):

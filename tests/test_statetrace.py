@@ -25,10 +25,15 @@ from enermod.refsim import (
     run_program,
 )
 from enermod.statetrace import (
+    _BUILTINS,
     AbstractionLevel,
     DISCARD,
+    EVENT_BUNDLE,
+    EVENT_FLIT,
     EVENT_IDLE,
     EVENT_KINDS,
+    EVENT_NI,
+    EVENT_SYNC,
     ModelFunction,
     ModelFunctionError,
     IdleSpan,
@@ -38,6 +43,7 @@ from enermod.statetrace import (
     abstract_trace,
     active_idle_function,
     binary_usage_function,
+    builtin_function,
     compose,
     function_from_json,
     function_to_json,
@@ -51,6 +57,7 @@ from enermod.statetrace import (
     sort_events,
     trace_from_lines,
     transition_function,
+    weighted_keys,
 )
 from enermod.sysconfig import enumerate_instruction_groups, load_isa, manhattan
 
@@ -593,6 +600,88 @@ def test_trace_files_spell_and_read_back_any_trace(t, data):
     # a file handle yields every line with its "\n"
     assert trace_from_lines(io.StringIO("\n".join(lines) + "\n")) == t
     assert trace_from_lines([line + "\n" for line in shuffled]) == t
+
+
+# ---------------------------------------------------------------------------
+# the projection memo of weighted_keys
+# ---------------------------------------------------------------------------
+
+def test_event_fields_widen_derived_fields():
+    assert instruction_model_function().event_fields == {
+        "kind", "group", "pattern", "hops", "src", "dst", "size"}
+    assert active_idle_function().event_fields == {"kind", "comp_class", "component"}
+    assert active_idle_function(per_instance=True).event_fields == {"kind", "component"}
+    assert binary_usage_function().event_fields == {"comp_class", "component"}
+    assert identity_function().event_fields is None
+    # format specs, attribute access and nested fields name what they read
+    fn = ModelFunction(level=AbstractionLevel.FINE_GRAINED,
+                       rules=(rule({"addr": 3}, "{group.upper}/{size:>{width}}"),))
+    assert fn.event_fields == {"addr", "group", "size", "width"}
+    broken = ModelFunction(level=AbstractionLevel.FINE_GRAINED, rules=(rule({}, "{x"),))
+    assert broken.event_fields is None
+
+
+_coords = st.sampled_from(["0,0", "1,0", "0,1", "1,1", "2,1"])
+_cpus = st.builds("cpu{}".format, st.integers(0, 15))
+# The simulator's event kinds with its attributes: bundles at varied
+# addresses on many CPUs, packets with endpoints and sizes, bare syncs and
+# idle events (which fold into spans).
+_oracle_events = st.one_of(
+    st.builds(lambda cycle, cpu, group, pattern, addr, fmt: make_event(
+        cycle, cpu, EVENT_BUNDLE, group=group, pattern=pattern, addr=addr, fmt=fmt),
+        st.integers(0, 40), _cpus, st.sampled_from(["add+add", "ldw+EMPTY", "nop+nop"]),
+        st.sampled_from(DATA_PATTERNS), st.integers(0, 12), st.sampled_from("cu")),
+    st.builds(lambda cycle, comp, src, dst, size: make_event(
+        cycle, comp, EVENT_NI, src=src, dst=dst, size=size, flits=-(-size // 8)),
+        st.integers(0, 40), st.sampled_from(["ni0", "ni3", "bus1"]), _coords, _coords,
+        st.sampled_from([8, 64, 100])),
+    st.builds(lambda cycle, router, src, dst, size, hop: make_event(
+        cycle, f"router{router}", EVENT_FLIT, src=src, dst=dst, size=size, hop=hop),
+        st.integers(0, 40), st.integers(0, 3), _coords, _coords,
+        st.sampled_from([8, 64, 100]), st.integers(0, 3)),
+    st.builds(lambda cycle, cpu: make_event(cycle, cpu, EVENT_SYNC),
+              st.integers(0, 40), _cpus),
+    st.builds(lambda cycle, cpu: make_event(cycle, cpu, EVENT_IDLE),
+              st.integers(0, 40), _cpus))
+
+_WHOLE = AbstractionLevel.FINE_GRAINED
+# Functions whose rules read the fields the projection must keep: the
+# component, its class, the derived hop count, the whole event, and the
+# address no shipped rule reads.
+_PROJECTION_FUNCTIONS = (
+    ModelFunction(_WHOLE, (rule({"kind": EVENT_IDLE}, "{component}/idle"),
+                           rule({}, "{kind}/{component}"))),
+    ModelFunction(_WHOLE, (rule({"comp_class": "cpu"}, "{comp_class}/{kind}"),
+                           rule({}, "other"))),
+    ModelFunction(_WHOLE, (rule({"hops": 1}, "one-hop/{size}"),
+                           rule({"kind": [EVENT_NI, EVENT_FLIT]}, "{hops}/{kind}"),
+                           rule({}, DISCARD))),
+    ModelFunction(_WHOLE, (rule({"kind": EVENT_SYNC}, "{__identity__}"),
+                           rule({}, "{kind}"))),
+    ModelFunction(_WHOLE, (rule({"kind": EVENT_BUNDLE, "addr": [0, 1, 2]}, "low/{group}"),
+                           rule({"kind": EVENT_BUNDLE}, "high/{pattern}/{fmt}"),
+                           rule({"kind": EVENT_IDLE}, DISCARD),
+                           rule({}, "{kind}"))),
+    replace(transition_function(), rules=(rule({}, "{kind}/{comp_class}"),)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(events=st.lists(_oracle_events, max_size=60).map(_one_idle_per_cycle))
+def test_projection_memo_yields_the_per_event_keys(events):
+    t = _trace(events)
+    for fn in (*(builtin_function(name) for name in sorted(_BUILTINS)),
+               *_PROJECTION_FUNCTIONS):
+        got = list(weighted_keys(t, fn))
+        assert len(got) == len(t.events) + len(t.idle)
+        for event, (component, key, cycles) in zip(t.events, got):
+            assert (component, cycles) == (event.component, 1)
+            if event.kind not in fn.pair_kinds:
+                assert key == fn.key_for_event(event), event
+        for span, (component, key, cycles) in zip(t.idle, got[len(t.events):]):
+            assert (component, cycles) == (span.component, span.length)
+            assert key == fn.key_for_event(
+                StateEvent(span.start, span.component, EVENT_IDLE)), span
 
 
 # ---------------------------------------------------------------------------
