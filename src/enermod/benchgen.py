@@ -84,8 +84,9 @@ def prologue_group(isa: list[InstructionDef], vliw_slots: int) -> InstructionGro
 
 
 def _prologue_ops(group: InstructionGroup, pattern: str = "zeros") -> list[BundleOp]:
-    return [BundleOp(group=group, addr=BODY_ADDR, pattern=pattern)
-            for _ in range(PROLOGUE_LEN)]
+    """The setup bundles.  A program repeats one frozen op object rather
+    than building equal copies, here as in every sweep body."""
+    return [BundleOp(group=group, addr=BODY_ADDR, pattern=pattern)] * PROLOGUE_LEN
 
 
 def make_baseline(isa: list[InstructionDef], config: SystemConfig,
@@ -108,7 +109,7 @@ def make_sync_benchmark(isa: list[InstructionDef], config: SystemConfig,
                         reps: int = DEFAULT_REPS, cpu: int = 0) -> Microbenchmark:
     """Standalone channel synchronizations; pins the sync cost."""
     ops: list = _prologue_ops(prologue_group(isa, config.vliw_slots))
-    ops.extend(SyncOp() for _ in range(reps))
+    ops += [SyncOp()] * reps
     program = Program.from_dict({cpu: ops})
     return Microbenchmark(name="cal/sync", program=program,
                           swept=_swept(kind="sync"), reps=reps)
@@ -126,13 +127,11 @@ def gen_instruction_benchmarks(isa: list[InstructionDef], config: SystemConfig,
     for pattern in patterns:
         if pattern not in DATA_PATTERNS:
             raise ProgramError(f"unknown data pattern {pattern!r}")
-    setup = prologue_group(isa, config.vliw_slots)
+    prologue = _prologue_ops(prologue_group(isa, config.vliw_slots))
     benchmarks = []
     for group in enumerate_instruction_groups(isa, config.vliw_slots):
         for pattern in patterns:
-            ops: list = _prologue_ops(setup)
-            ops.extend(BundleOp(group=group, addr=BODY_ADDR, pattern=pattern)
-                       for _ in range(reps))
+            ops = prologue + [BundleOp(group=group, addr=BODY_ADDR, pattern=pattern)] * reps
             program = Program.from_dict({cpu: ops})
             benchmarks.append(Microbenchmark(
                 name=f"instr/{group.label}/{pattern}",
@@ -156,9 +155,8 @@ def gen_position_benchmarks(config: SystemConfig, group: InstructionGroup,
             f"address range [{addr_lo}, {addr_hi}] outside instruction memory")
     benchmarks = []
     for addr in range(addr_lo, addr_hi + 1):
-        ops: list = _prologue_ops(group, pattern)
-        ops.extend(BundleOp(group=group, addr=addr, pattern=pattern)
-                   for _ in range(reps))
+        ops = _prologue_ops(group, pattern) + [
+            BundleOp(group=group, addr=addr, pattern=pattern)] * reps
         program = Program.from_dict({cpu: ops})
         benchmarks.append(Microbenchmark(
             name=f"imem/{group.fmt}/{addr}",
@@ -194,10 +192,9 @@ def gen_comm_benchmarks(api: ApiDescription, config: SystemConfig,
     benchmarks = []
     hops = manhattan(src, dst)
     for size in sizes:
-        sender: list = [SyncOp() for _ in range(PROLOGUE_LEN)]
-        sender.extend(SendOp(dst_cpu=dst_cpu, size_bytes=size) for _ in range(reps))
-        receiver: list = [RecvOp(src_cpu=src_cpu, size_bytes=size)
-                          for _ in range(reps)]
+        sender: list = [SyncOp()] * PROLOGUE_LEN
+        sender += [SendOp(dst_cpu=dst_cpu, size_bytes=size)] * reps
+        receiver = [RecvOp(src_cpu=src_cpu, size_bytes=size)] * reps
         program = Program.from_dict({src_cpu: sender, dst_cpu: receiver})
         benchmarks.append(Microbenchmark(
             name=f"comm/h{hops}/{size}",
@@ -222,10 +219,9 @@ def gen_transition_benchmarks(states: list[InstructionGroup],
     benchmarks = []
     for a in states:
         for b in states:
-            ops: list = _prologue_ops(a, pattern)
-            for _ in range(reps):
-                ops.append(BundleOp(group=a, addr=BODY_ADDR, pattern=pattern))
-                ops.append(BundleOp(group=b, addr=BODY_ADDR, pattern=pattern))
+            ops = _prologue_ops(a, pattern) + [
+                BundleOp(group=a, addr=BODY_ADDR, pattern=pattern),
+                BundleOp(group=b, addr=BODY_ADDR, pattern=pattern)] * reps
             program = Program.from_dict({cpu: ops})
             benchmarks.append(Microbenchmark(
                 name=f"trans/{a.label}>{b.label}",

@@ -224,8 +224,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    config, isa, _ = _load_inputs(args)
-    params = _load_params(args)
+    config = load_config(_require(args.config))
     out = _outdir(args)
     rows = _manifest_rows(os.path.join(out, "benchmarks"))
     if args.function_file:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from .modelfit import EnergyModel
 from .refsim import OracleParams, run_program
 from .statetrace import Trace, component_class, weighted_keys
-from .sysconfig import SystemConfig
+from .sysconfig import SystemConfig, fold_sum
 
 MIN_TRUTH_PJ = 1.0  # benchmarks below this are numerical noise; excluded
 
@@ -87,7 +87,7 @@ def estimate(trace: Trace, model: EnergyModel) -> EnergyEstimate:
     static = model.static_pj_per_cycle * trace.duration
     if static:
         breakdown["static"] = breakdown.get("static", 0.0) + static
-    total = sum(breakdown.values())
+    total = fold_sum(breakdown.values())
     coverage = covered / mapped if mapped else 1.0
     return EnergyEstimate(total_pj=total, breakdown=breakdown,
                           contributions=contributions, coverage=coverage,
@@ -113,7 +113,7 @@ def validate(model: EnergyModel, benchmarks, config: SystemConfig,
         est = estimate(trace, model).total_pj
         rows.append((name, truth, est, abs(est - truth) / truth))
     rels = [r[3] for r in rows]
-    mean_rel = sum(rels) / len(rels) if rels else 0.0
+    mean_rel = fold_sum(rels) / len(rels) if rels else 0.0
     max_rel = max(rels) if rels else 0.0
     return ErrorReport(rows=rows, mean_rel_error=mean_rel,
                        max_rel_error=max_rel, excluded=excluded)

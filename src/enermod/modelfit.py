@@ -28,7 +28,7 @@ from .statetrace import (
     noc_hop_function,
     parse_key,
 )
-from .sysconfig import manhattan, n_flits, parse_coord
+from .sysconfig import fold_sum, manhattan, n_flits, parse_coord
 
 REDUCER_LINEAR = "LINEAR"
 REDUCER_STAIRCASE = "STAIRCASE"
@@ -173,7 +173,7 @@ def _report(predicted: np.ndarray, measured: np.ndarray, rank: int,
     residuals = (predicted - measured).tolist()
     max_abs = max((abs(r) for r in residuals), default=0.0)
     rels = [abs(r) / abs(m) for r, m in zip(residuals, measured) if m != 0.0]
-    mean_rel = sum(rels) / len(rels) if rels else 0.0
+    mean_rel = fold_sum(rels) / len(rels) if rels else 0.0
     negative = sorted(k for k, v in constants.items() if v < -NEGATIVE_TOL)
     return FitReport(residuals=residuals, max_abs_error_pj=max_abs,
                      mean_rel_error=mean_rel, rank=rank, n_unknowns=n_unknowns,
@@ -229,7 +229,7 @@ def per_group_pattern_means(constants: dict[str, float]) -> dict[str, float]:
         rec = parse_key(key)
         if "group" in rec and "pat" in rec:
             sums.setdefault(str(rec["group"]), []).append(value)
-    return {g: sum(vs) / len(vs) for g, vs in sorted(sums.items())}
+    return {g: fold_sum(vs) / len(vs) for g, vs in sorted(sums.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +314,7 @@ def reduce_noc_model(full: EnergyModel, tolerance: float = 1e-9) -> EnergyModel:
             warnings.warn(
                 f"constants for {key} disagree by {spread:.3e} pJ; averaging",
                 stacklevel=2)
-        constants[key] = sum(values) / len(values)
+        constants[key] = fold_sum(values) / len(values)
     provenance = dict(full.provenance)
     provenance["reduced"] = "hops"
     return EnergyModel(function=noc_hop_function(), constants=constants,

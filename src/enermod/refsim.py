@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .statetrace import (
     EVENT_BUNDLE,
@@ -39,6 +40,7 @@ from .sysconfig import (
     ICLASSES,
     InstructionGroup,
     SystemConfig,
+    fold_sum,
     format_coord,
     manhattan,
     n_flits,
@@ -314,33 +316,33 @@ def ledger_from_csv(text: str) -> dict[str, float]:
 
 
 class _Accumulator:
-    """Orders energy contributions deterministically and sums per category.
+    """Energy bookings per ledger category, summed in a deterministic order.
 
+    book maps each category to its (cycle, pj) bookings, which run_program
+    appends directly; a zero booking may be left out, as it adds nothing.
     Every booking lies at the cycle of an event, except crossbar beats:
     beat_end is the cycle after the last beat booked.
     """
 
     def __init__(self) -> None:
-        self.entries: list[tuple[int, str, float]] = []
+        self.book: dict[str, list[tuple[int, float]]] = {
+            name: [] for name in LEDGER_COMPONENTS}
         self.beat_end = 0
 
-    def add(self, cycle: int, component: str, pj: float) -> None:
-        if pj != 0.0:
-            self.entries.append((cycle, component, pj))
-
-    def add_beats(self, first: int, beats: int, component: str, pj: float) -> None:
-        """Book pj at each of beats consecutive cycles from first."""
-        for beat in range(beats):
-            self.add(first + beat, component, pj)
+    def add_beats(self, first: int, beats: int, pj: float) -> None:
+        """Book pj of bus energy at each of beats consecutive cycles from first."""
         if pj != 0.0 and beats > 0:
+            self.book["bus"].extend((first + beat, pj) for beat in range(beats))
             self.beat_end = max(self.beat_end, first + beats)
 
     def ledger(self) -> EnergyLedger:
-        breakdown = {name: 0.0 for name in LEDGER_COMPONENTS}
-        for _cycle, component, pj in sorted(self.entries):
-            breakdown[component] += pj
-        return EnergyLedger(total_pj=sum(breakdown.values()),
-                            breakdown=tuple(breakdown.items()))
+        """Each category sums its bookings in (cycle, pj) order; the total
+        folds the categories left to right in LEDGER_COMPONENTS order."""
+        breakdown = tuple(
+            (name, fold_sum(map(itemgetter(1), sorted(self.book[name]))))
+            for name in LEDGER_COMPONENTS)
+        return EnergyLedger(total_pj=fold_sum(pj for _name, pj in breakdown),
+                            breakdown=breakdown)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +440,9 @@ def run_program(config: SystemConfig, params: OracleParams,
     events: list[StateEvent] = []
     busy: dict[str, list[int]] = {}
     acc = _Accumulator()
+    core_book = acc.book["core"].append
+    imem_book = acc.book["imem"].append
+    dmem_book = acc.book["dmem"].append
     bundles: dict[tuple, tuple] = {}    # _bundle_key -> (attrs, core, imem, dmem)
 
     for cpu, ops in program.ops:
@@ -456,9 +461,10 @@ def run_program(config: SystemConfig, params: OracleParams,
                         *bundle_energy_parts(params, config, op))
                 attrs, core, imem, dmem = bundles[key]
                 events.append(StateEvent(t, comp, EVENT_BUNDLE, attrs))
-                acc.add(t, "core", core)
-                acc.add(t, "imem", imem)
-                acc.add(t, "dmem", dmem)
+                core_book((t, core))
+                imem_book((t, imem))
+                if dmem:
+                    dmem_book((t, dmem))
                 cycles.append(t)
                 t += 1
             elif isinstance(op, SendOp):
@@ -469,7 +475,7 @@ def run_program(config: SystemConfig, params: OracleParams,
                 t += 1
             elif isinstance(op, SyncOp):
                 events.append(make_event(t, comp, EVENT_SYNC))
-                acc.add(t, "sync", params.sync_energy)
+                acc.book["sync"].append((t, params.sync_energy))
                 cycles.append(t)
                 t += 1
 
@@ -490,7 +496,7 @@ def run_program(config: SystemConfig, params: OracleParams,
 
     if duration > 0:
         static = params.static_pw_total(config) * duration / config.clock_hz
-        acc.add(duration - 1, "static", static)
+        acc.book["static"].append((duration - 1, static))
 
     return Trace(events=ordered, idle=tuple(idle)), acc.ledger()
 
@@ -502,8 +508,9 @@ def _emit_packet(config: SystemConfig, params: OracleParams,
     dst_cluster = config.cpu_cluster(op.dst_cpu)
     flits = n_flits(op.size_bytes, config.flit_payload_bytes)
 
+    book = acc.book
     events.append(make_event(t, comp, EVENT_SYNC))
-    acc.add(t, "sync", params.sync_energy)
+    book["sync"].append((t, params.sync_energy))
 
     src_label = format_coord(src_cluster)
     dst_label = format_coord(dst_cluster)
@@ -514,25 +521,27 @@ def _emit_packet(config: SystemConfig, params: OracleParams,
         events.append(make_event(
             t + 1, f"bus{src_index}", EVENT_NI,
             src=src_label, dst=dst_label, size=op.size_bytes, flits=flits))
-        acc.add_beats(t + 1, flits, "bus", params.bus_beat_energy)
+        acc.add_beats(t + 1, flits, params.bus_beat_energy)
         return t + 1 + flits
 
     events.append(make_event(
         t + 1, f"ni{src_index}", EVENT_NI,
         src=src_label, dst=dst_label, size=op.size_bytes, flits=flits))
-    acc.add(t + 1, "ni", params.packet_header_energy)
+    book["ni"].append((t + 1, params.packet_header_energy))
     # The hop events of a flit injected at cycle 0; every flit repeats them
     # from its own injection cycle.
     hops = [make_event(hop, f"router{config.cluster_index(cluster)}", EVENT_FLIT,
                        src=src_label, dst=dst_label, size=op.size_bytes, hop=hop)
             for hop, cluster in enumerate(xy_route(src_cluster, dst_cluster))]
+    ni_pj = params.ni_in_flit_energy + params.ni_out_flit_energy
+    router_book, link_book = book["router"].append, book["unclassified"].append
     for flit in range(flits):
         inject = t + 1 + flit
-        acc.add(inject, "ni", params.ni_in_flit_energy + params.ni_out_flit_energy)
+        book["ni"].append((inject, ni_pj))
         for hop, router, kind, attrs in hops:
             events.append(StateEvent(inject + hop, router, kind, attrs))
-            acc.add(inject + hop, "router", params.router_flit_energy)
-            acc.add(inject + hop, "unclassified", params.link_flit_energy)
+            router_book((inject + hop, params.router_flit_energy))
+            link_book((inject + hop, params.link_flit_energy))
     return t + 1 + flits
 
 
@@ -559,8 +568,22 @@ def program_to_json(program: Program) -> dict:
     return {"min_cycles": program.min_cycles, "cpus": doc_ops}
 
 
+def _slot_instruction(by_name: dict, name: str | None):
+    """The ISA entry of one slot's mnemonic; None is an empty slot."""
+    if name is None:
+        return None
+    if name not in by_name:
+        raise ProgramError(f"unknown mnemonic {name!r}")
+    return by_name[name]
+
+
 def program_from_json(doc: dict, isa: list) -> Program:
+    """A program from its JSON document.  Equal bundle entries load as one
+    BundleOp and equal slot lists as one InstructionGroup, so the oracle's
+    per-bundle memo, keyed by group identity, holds across repetitions."""
     by_name = {i.mnemonic: i for i in isa}
+    groups: dict[tuple, InstructionGroup] = {}
+    bundles: dict[tuple, BundleOp] = {}
     ops: dict[int, list[ProgramOp]] = {}
     for cpu_str, entries in doc.get("cpus", {}).items():
         try:
@@ -574,16 +597,15 @@ def program_from_json(doc: dict, isa: list) -> Program:
                 unknown = sorted(set(b) - {"slots", "addr", "pattern"})
                 if unknown:
                     raise ProgramError(f"unknown bundle field(s) {', '.join(unknown)}")
-                slots = []
-                for name in b["slots"]:
-                    if name is None:
-                        slots.append(None)
-                    elif name in by_name:
-                        slots.append(by_name[name])
-                    else:
-                        raise ProgramError(f"unknown mnemonic {name!r}")
-                lst.append(BundleOp(group=InstructionGroup(slots=tuple(slots)),
-                                    addr=b["addr"], pattern=b["pattern"]))
+                names = tuple(b["slots"])
+                if names not in groups:
+                    groups[names] = InstructionGroup(
+                        slots=tuple(_slot_instruction(by_name, n) for n in names))
+                key = (names, b["addr"], b["pattern"])
+                if key not in bundles:
+                    bundles[key] = BundleOp(group=groups[names], addr=b["addr"],
+                                            pattern=b["pattern"])
+                lst.append(bundles[key])
             elif "send" in entry:
                 lst.append(SendOp(dst_cpu=entry["send"]["dst"],
                                   size_bytes=entry["send"]["size"]))

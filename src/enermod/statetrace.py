@@ -585,12 +585,6 @@ class StateCountVector:
         if self.duration < 0:
             raise TraceError("negative duration")
 
-    def add(self, other: "StateCountVector") -> "StateCountVector":
-        merged = dict(self.counts)
-        for key, count in other.counts.items():
-            merged[key] = merged.get(key, 0) + count
-        return StateCountVector(counts=merged, duration=self.duration + other.duration)
-
 
 def abstract_trace(trace: Trace, fn: ModelFunction) -> StateCountVector:
     """Aggregate a trace into per-key counts under a model function.

@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
+from operator import add
 
 ICLASSES = ("NOP", "ALU", "SIMD", "MULDIV", "LOAD", "STORE", "BRANCH")
 
@@ -41,6 +43,15 @@ def manhattan(a: Coord, b: Coord) -> int:
 def n_flits(size_bytes: float, flit_payload_bytes: int) -> int:
     """Flits needed to carry size_bytes of payload: ceil(size / payload)."""
     return math.ceil(size_bytes / flit_payload_bytes)
+
+
+def fold_sum(values: Iterable[float]) -> float:
+    """Sum floats one by one, left to right, from 0.0.
+
+    Every float sum whose result reaches a file goes through this, so the
+    artifacts do not depend on the interpreter: from Python 3.12 on the
+    builtin sum adds floats with compensation and rounds differently."""
+    return reduce(add, values, 0.0)
 
 
 def format_coord(c: Coord) -> str:

@@ -216,6 +216,22 @@ def test_hop_reduction_of_a_model_without_pair_keys_exits_5(tmp_path, capsys):
     assert not reduced.exists()
 
 
+def test_fit_reads_neither_the_isa_nor_the_oracle_params(tmp_path):
+    base = _defaults(tmp_path)
+    assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "24",
+                 "--step", "8", "--api", data_path("api.json")]
+                + _defaults(tmp_path, params=False)) == EXIT_OK
+    assert main(["oracle"] + base) == EXIT_OK
+    assert main(["fit", "--function", "noc-hop", "--name", "noc"] + base) == EXIT_OK
+    model = (tmp_path / "models" / "noc.json").read_bytes()
+    missing = str(tmp_path / "missing.json")
+    assert main(["fit", "--function", "noc-hop", "--name", "noc",
+                 "--config", data_path("default_config.json"),
+                 "--isa", missing, "--params", missing,
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "models" / "noc.json").read_bytes() == model
+
+
 def _pipeline(out, workers=1):
     base = _defaults(out)
     assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "64",

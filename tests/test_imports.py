@@ -106,3 +106,60 @@ def test_no_library_code_serves_only_the_tests():
                 unused.append(f"{qualname} is used; drop it from the allowlist")
     stale = sorted(set(_TEST_ONLY_ALLOWED) - defined)
     assert not unused and not stale, "\n".join(unused + stale)
+
+
+# From Python 3.12 on the builtin sum adds floats with compensation, so a
+# float sum that reaches a file would round differently per interpreter;
+# such sums go through sysconfig.fold_sum.  The builtin stays for integer
+# counts: a sum of an integer literal per item, or a function named here.
+_INTEGER_SUMS = {
+    "Actor.work_cycles": "Actor.work holds integer counts",
+}
+
+
+def _functions(tree):
+    """(qualified name, node) per module-level function and per method of
+    a module-level class; "<module>" stands for the rest of the module."""
+    rest = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{node.name}.{sub.name}", sub
+                else:
+                    rest.append(sub)
+        else:
+            rest.append(node)
+    yield "<module>", ast.Module(body=rest, type_ignores=[])
+
+
+def _counts_literal(call):
+    """sum(<int literal> for ...): a count whatever the items are."""
+    return (len(call.args) == 1 and not call.keywords
+            and isinstance(call.args[0], (ast.GeneratorExp, ast.ListComp))
+            and isinstance(call.args[0].elt, ast.Constant)
+            and type(call.args[0].elt.value) is int)
+
+
+def test_builtin_sum_only_adds_integer_counts():
+    offending, summing = [], set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "enermod", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for qualname, node in _functions(tree):
+            counting = {id(call.func) for call in ast.walk(node)
+                        if isinstance(call, ast.Call) and _counts_literal(call)
+                        and isinstance(call.func, ast.Name) and call.func.id == "sum"}
+            for name in ast.walk(node):
+                if not (isinstance(name, ast.Name) and name.id == "sum"):
+                    continue
+                if qualname in _INTEGER_SUMS:
+                    summing.add(qualname)
+                elif id(name) not in counting:
+                    offending.append(
+                        f"{os.path.relpath(path, ROOT)}:{name.lineno}: "
+                        f"builtin sum in {qualname}; use fold_sum for floats")
+    stale = sorted(set(_INTEGER_SUMS) - summing)
+    assert not offending and not stale, "\n".join(offending + stale)

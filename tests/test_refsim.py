@@ -7,11 +7,19 @@ import pickle
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enermod import data_path
-from enermod.benchgen import gen_comm_benchmarks, instruction_campaign
+from enermod.benchgen import (
+    DEFAULT_REPS,
+    PROLOGUE_LEN,
+    gen_comm_benchmarks,
+    instruction_campaign,
+)
 from enermod.pipeline import comm_benchmarks_per_hop
 from enermod.refsim import (
+    LEDGER_COMPONENTS,
     BundleOp,
     ParamError,
     Program,
@@ -29,6 +37,7 @@ from enermod.refsim import (
     run_program,
     validate_program,
     xy_route,
+    _Accumulator,
 )
 from enermod.sysconfig import (
     enumerate_instruction_groups,
@@ -393,6 +402,15 @@ _CAMPAIGN_SHA256 = {
 }
 
 
+def _campaign_digest(config, params, programs):
+    digest = hashlib.sha256()
+    for program in programs:
+        trace, ledger = run_program(config, params, program)
+        digest.update("\n".join(trace.to_lines()).encode())
+        digest.update(ledger.to_csv().encode())
+    return digest.hexdigest()
+
+
 def test_campaign_traces_and_ledgers_are_pinned(config, isa, api, params):
     sets = {
         "instruction": [b.program for b in instruction_campaign(isa, config)],
@@ -400,12 +418,51 @@ def test_campaign_traces_and_ledgers_are_pinned(config, isa, api, params):
         "applications": [p for _name, p in synthetic_applications(config, isa, seed=0)],
     }
     for name, programs in sets.items():
-        digest = hashlib.sha256()
-        for program in programs:
-            trace, ledger = run_program(config, params, program)
-            digest.update("\n".join(trace.to_lines()).encode())
-            digest.update(ledger.to_csv().encode())
-        assert digest.hexdigest() == _CAMPAIGN_SHA256[name], name
+        assert _campaign_digest(config, params, programs) == _CAMPAIGN_SHA256[name], name
+
+
+def test_loaded_programs_share_their_bundles_and_keep_the_pin(config, isa, params):
+    loaded = {b.name: program_from_json(json.loads(json.dumps(program_to_json(b.program))),
+                                        isa)
+              for b in instruction_campaign(isa, config)}
+    # the nop+nop prologue at zeros, then the body's nop+nop at alt
+    ops = dict(loaded["instr/nop+nop/alt"].ops)[0]
+    assert len(ops) == PROLOGUE_LEN + DEFAULT_REPS
+    assert len({id(op) for op in ops}) == 2
+    assert len({id(op.group) for op in ops}) == 1
+    digest = _campaign_digest(config, params, loaded.values())
+    assert digest == _CAMPAIGN_SHA256["instruction"]
+
+
+# Bookings over every ledger category, in no particular order, with ties in
+# cycle and in energy; the energies mix magnitudes so that the order of
+# addition shows in the last bits.
+_bookings = st.lists(st.tuples(
+    st.integers(0, 12),
+    st.sampled_from(LEDGER_COMPONENTS),
+    st.one_of(st.just(0.0), st.sampled_from([0.1, 0.2, 0.3, 1e16]),
+              st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))),
+    max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bookings=_bookings)
+def test_ledger_sums_like_one_sorted_list_of_bookings(bookings):
+    acc = _Accumulator()
+    for cycle, component, pj in bookings:
+        acc.book[component].append((cycle, pj))
+    # reference: every booking in (cycle, component, pj) order, one running
+    # sum per category, then the categories left to right
+    breakdown = dict.fromkeys(LEDGER_COMPONENTS, 0.0)
+    for _cycle, component, pj in sorted(bookings):
+        breakdown[component] += pj
+    total = 0.0
+    for pj in breakdown.values():
+        total += pj
+    ledger = acc.ledger()
+    assert [(name, pj.hex()) for name, pj in ledger.breakdown] == \
+        [(name, pj.hex()) for name, pj in breakdown.items()]
+    assert ledger.total_pj.hex() == total.hex()
 
 
 def test_min_cycles_pads_with_idle(tiny_config, params):
