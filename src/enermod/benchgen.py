@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .refsim import (
     BundleOp,
+    CsvError,
     DATA_PATTERNS,
     Program,
     ProgramError,
@@ -36,6 +37,8 @@ from .sysconfig import (
 
 PROLOGUE_LEN = 8
 BODY_ADDR = 0          # fixed body position; popcount(0) = 0, no position term
+SETUP_PATTERN = "zeros"  # prologue data; also the body's unless the pattern is swept
+BENCH_CPU = 0          # every single-CPU benchmark, so baselines run where sweeps run
 DEFAULT_REPS = 64
 COMM_REPS = 8
 IDLE_CYCLES = 64
@@ -83,16 +86,16 @@ def prologue_group(isa: list[InstructionDef], vliw_slots: int) -> InstructionGro
     return groups[0]
 
 
-def _prologue_ops(group: InstructionGroup, pattern: str = "zeros") -> list[BundleOp]:
+def _prologue_ops(group: InstructionGroup) -> list[BundleOp]:
     """The setup bundles.  A program repeats one frozen op object rather
     than building equal copies, here as in every sweep body."""
-    return [BundleOp(group=group, addr=BODY_ADDR, pattern=pattern)] * PROLOGUE_LEN
+    return [BundleOp(group=group, addr=BODY_ADDR, pattern=SETUP_PATTERN)] * PROLOGUE_LEN
 
 
-def make_baseline(isa: list[InstructionDef], config: SystemConfig,
-                  cpu: int = 0) -> Microbenchmark:
+def make_baseline(isa: list[InstructionDef], config: SystemConfig) -> Microbenchmark:
     """Prologue-only benchmark; its measurement is subtracted from sweeps."""
-    program = Program.from_dict({cpu: _prologue_ops(prologue_group(isa, config.vliw_slots))})
+    program = Program.from_dict(
+        {BENCH_CPU: _prologue_ops(prologue_group(isa, config.vliw_slots))})
     return Microbenchmark(name="cal/baseline", program=program,
                           swept=_swept(kind="baseline"), reps=0)
 
@@ -106,19 +109,18 @@ def make_idle_benchmark(config: SystemConfig,
 
 
 def make_sync_benchmark(isa: list[InstructionDef], config: SystemConfig,
-                        reps: int = DEFAULT_REPS, cpu: int = 0) -> Microbenchmark:
+                        reps: int = DEFAULT_REPS) -> Microbenchmark:
     """Standalone channel synchronizations; pins the sync cost."""
     ops: list = _prologue_ops(prologue_group(isa, config.vliw_slots))
     ops += [SyncOp()] * reps
-    program = Program.from_dict({cpu: ops})
+    program = Program.from_dict({BENCH_CPU: ops})
     return Microbenchmark(name="cal/sync", program=program,
                           swept=_swept(kind="sync"), reps=reps)
 
 
 def gen_instruction_benchmarks(isa: list[InstructionDef], config: SystemConfig,
                                patterns: tuple[str, ...] = DATA_PATTERNS,
-                               reps: int = DEFAULT_REPS,
-                               cpu: int = 0) -> list[Microbenchmark]:
+                               reps: int = DEFAULT_REPS) -> list[Microbenchmark]:
     """One benchmark per (instruction group, data pattern).
 
     The body places the group at a fixed address and repeats it; registers
@@ -132,7 +134,7 @@ def gen_instruction_benchmarks(isa: list[InstructionDef], config: SystemConfig,
     for group in enumerate_instruction_groups(isa, config.vliw_slots):
         for pattern in patterns:
             ops = prologue + [BundleOp(group=group, addr=BODY_ADDR, pattern=pattern)] * reps
-            program = Program.from_dict({cpu: ops})
+            program = Program.from_dict({BENCH_CPU: ops})
             benchmarks.append(Microbenchmark(
                 name=f"instr/{group.label}/{pattern}",
                 program=program,
@@ -144,9 +146,7 @@ def gen_instruction_benchmarks(isa: list[InstructionDef], config: SystemConfig,
 
 def gen_position_benchmarks(config: SystemConfig, group: InstructionGroup,
                             addr_lo: int, addr_hi: int,
-                            pattern: str = "zeros",
-                            reps: int = DEFAULT_REPS,
-                            cpu: int = 0) -> list[Microbenchmark]:
+                            reps: int = DEFAULT_REPS) -> list[Microbenchmark]:
     """One benchmark per instruction-memory address, same group everywhere."""
     if addr_lo > addr_hi:
         raise ProgramError(f"addr_lo {addr_lo} > addr_hi {addr_hi}")
@@ -155,9 +155,9 @@ def gen_position_benchmarks(config: SystemConfig, group: InstructionGroup,
             f"address range [{addr_lo}, {addr_hi}] outside instruction memory")
     benchmarks = []
     for addr in range(addr_lo, addr_hi + 1):
-        ops = _prologue_ops(group, pattern) + [
-            BundleOp(group=group, addr=addr, pattern=pattern)] * reps
-        program = Program.from_dict({cpu: ops})
+        ops = _prologue_ops(group) + [
+            BundleOp(group=group, addr=addr, pattern=SETUP_PATTERN)] * reps
+        program = Program.from_dict({BENCH_CPU: ops})
         benchmarks.append(Microbenchmark(
             name=f"imem/{group.fmt}/{addr}",
             program=program,
@@ -177,18 +177,17 @@ def comm_endpoints(config: SystemConfig, src: Coord, dst: Coord) -> tuple[int, i
 def gen_comm_benchmarks(api: ApiDescription, config: SystemConfig,
                         src: Coord = (0, 0), dst: Coord = (1, 1),
                         sizes: list[int] | None = None,
-                        reps: int = COMM_REPS,
-                        op_name: str = "send") -> list[Microbenchmark]:
+                        reps: int = COMM_REPS) -> list[Microbenchmark]:
     """One benchmark per packet size between two cluster coordinates.
 
-    The default descriptor sweeps 4..1024 bytes in 4-byte increments,
-    giving 256 data points.  Sender and receiver are the comm_endpoints of
-    the two clusters.  The prologue synchronizes the channel into a defined
-    state.
+    The sizes default to the API's send descriptor; the shipped one sweeps
+    4..1024 bytes in 4-byte increments, giving 256 data points.  Sender and
+    receiver are the comm_endpoints of the two clusters.  The prologue
+    synchronizes the channel into a defined state.
     """
     src_cpu, dst_cpu = comm_endpoints(config, src, dst)
     if sizes is None:
-        sizes = api.operation(op_name).sizes()
+        sizes = api.operation("send").sizes()
     benchmarks = []
     hops = manhattan(src, dst)
     for size in sizes:
@@ -207,9 +206,7 @@ def gen_comm_benchmarks(api: ApiDescription, config: SystemConfig,
 
 def gen_transition_benchmarks(states: list[InstructionGroup],
                               config: SystemConfig,
-                              reps: int = DEFAULT_REPS,
-                              pattern: str = "zeros",
-                              cpu: int = 0) -> list[Microbenchmark]:
+                              reps: int = DEFAULT_REPS) -> list[Microbenchmark]:
     """n_states x n_states benchmarks covering every ordered state pair.
 
     The pair (a, b) runs a self-warmup prologue of a followed by an
@@ -219,10 +216,10 @@ def gen_transition_benchmarks(states: list[InstructionGroup],
     benchmarks = []
     for a in states:
         for b in states:
-            ops = _prologue_ops(a, pattern) + [
-                BundleOp(group=a, addr=BODY_ADDR, pattern=pattern),
-                BundleOp(group=b, addr=BODY_ADDR, pattern=pattern)] * reps
-            program = Program.from_dict({cpu: ops})
+            ops = _prologue_ops(a) + [
+                BundleOp(group=a, addr=BODY_ADDR, pattern=SETUP_PATTERN),
+                BundleOp(group=b, addr=BODY_ADDR, pattern=SETUP_PATTERN)] * reps
+            program = Program.from_dict({BENCH_CPU: ops})
             benchmarks.append(Microbenchmark(
                 name=f"trans/{a.label}>{b.label}",
                 program=program,
@@ -232,19 +229,17 @@ def gen_transition_benchmarks(states: list[InstructionGroup],
 
 
 def instruction_campaign(isa: list[InstructionDef], config: SystemConfig,
-                         patterns: tuple[str, ...] = DATA_PATTERNS,
                          reps: int = DEFAULT_REPS) -> list[Microbenchmark]:
     """Full instruction campaign plus the calibration benchmarks."""
     benchmarks = [make_idle_benchmark(config), make_baseline(isa, config)]
-    benchmarks.extend(gen_instruction_benchmarks(isa, config, patterns, reps))
+    benchmarks.extend(gen_instruction_benchmarks(isa, config, reps=reps))
     return benchmarks
 
 
-def center_window(benchmarks: list[Microbenchmark], k: int = 16,
-                  key: str = "size") -> list[Microbenchmark]:
-    """The k benchmarks around the center of a sweep, by swept value."""
-    swept = sorted((b for b in benchmarks if key in b.swept_dict()),
-                   key=lambda b: b.swept_dict()[key])
+def center_window(benchmarks: list[Microbenchmark], k: int = 16) -> list[Microbenchmark]:
+    """The k benchmarks around the center of a packet sweep, by size."""
+    swept = sorted((b for b in benchmarks if "size" in b.swept_dict()),
+                   key=lambda b: b.swept_dict()["size"])
     if k >= len(swept):
         return swept
     lo = (len(swept) - k) // 2
@@ -294,9 +289,9 @@ def manifest_csv(benchmarks: list[Microbenchmark]) -> str:
 def parse_manifest_csv(text: str) -> list[tuple[str, str]]:
     """(name, program_file) rows of a campaign manifest."""
     rows = []
-    lines = text.strip().splitlines()
-    for line in lines[1:]:
-        name = line.split(",", 1)[0]
-        filename = line.rsplit(",", 1)[1]
-        rows.append((name, filename))
+    for lineno, line in enumerate(text.rstrip().splitlines()[1:], start=2):
+        if "," not in line:
+            raise CsvError(f"line {lineno}: expected name,swept,program_file, "
+                           f"got {line!r}")
+        rows.append((line.split(",", 1)[0], line.rsplit(",", 1)[1]))
     return rows

@@ -54,6 +54,7 @@ from .pipeline import (
 )
 from .refsim import (
     BundleOp,
+    CsvError,
     OracleParams,
     ParamError,
     Program,
@@ -134,21 +135,26 @@ def _subdir(out: str, name: str) -> str:
     return path
 
 
-def _load_inputs(args, need_api: bool = False):
-    config = load_config(_require(args.config))
-    isa = load_isa(_require(args.isa))
-    api = load_api(_require(args.api)) if need_api else None
-    return config, isa, api
+def _load_inputs(args):
+    return load_config(_require(args.config)), load_isa(_require(args.isa))
 
 
 def _load_params(args) -> OracleParams:
     return load_oracle_params(_require(args.params))
 
 
+def _parse_csv(path: str, parse):
+    """parse(text) of a CSV file; a malformed line exits 5 naming the file."""
+    with open(_require(path), "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except CsvError as exc:
+        raise CliError(EXIT_DATA, f"{path}: {exc}") from None
+
+
 def _manifest_rows(bench_dir: str) -> list[tuple[str, str]]:
-    with open(_require(os.path.join(bench_dir, "manifest.csv")), "r",
-              encoding="utf-8") as fh:
-        return parse_manifest_csv(fh.read())
+    return _parse_csv(os.path.join(bench_dir, "manifest.csv"), parse_manifest_csv)
 
 
 def _write(path: str, text: str) -> None:
@@ -167,16 +173,18 @@ def _write_json(path: str, doc) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_bench(args) -> int:
-    config, isa, api = _load_inputs(args, need_api=(args.kind == "comm"))
-    out = _outdir(args)
-    bench_dir = _subdir(out, "benchmarks")
+    """The instr and imem campaigns read the ISA; the comm sweep reads the API."""
     if args.kind == "instr":
+        config, isa = _load_inputs(args)
         benchmarks = instruction_campaign(isa, config, reps=args.reps)
     elif args.kind == "imem":
+        config, isa = _load_inputs(args)
         group = group_by_label(isa, config.vliw_slots, args.group)
         benchmarks = gen_position_benchmarks(config, group, args.lo, args.hi,
                                              reps=args.reps)
     else:
+        config = load_config(_require(args.config))
+        api = load_api(_require(args.api))
         sizes = None
         if args.min is not None:
             step = args.step or 4
@@ -185,6 +193,7 @@ def cmd_gen_bench(args) -> int:
                                          sizes=sizes, reps=args.reps)
         if args.center_window:
             benchmarks = center_window(benchmarks, args.center_window)
+    bench_dir = _subdir(_outdir(args), "benchmarks")
     for bench in benchmarks:
         _write_json(os.path.join(bench_dir, benchmark_filename(bench.name)),
                     program_to_json(bench.program))
@@ -194,7 +203,7 @@ def cmd_gen_bench(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    config, isa, _ = _load_inputs(args)
+    config, isa = _load_inputs(args)
     params = _load_params(args)
     out = _outdir(args)
     bench_dir = os.path.join(out, "benchmarks")
@@ -238,8 +247,7 @@ def cmd_fit(args) -> int:
         ledger_path = _require(os.path.join(out, "ledgers", stem + ".csv"))
         with open(trace_path, "r", encoding="utf-8") as fh:
             trace = trace_from_lines(fh)
-        with open(ledger_path, "r", encoding="utf-8") as fh:
-            total = ledger_from_csv(fh.read())["total"]
+        total = _parse_csv(ledger_path, ledger_from_csv)["total"]
         observations.append((abstract_trace(trace, function), total))
     model, report = fit_constants(observations, function)
     model.provenance["clock_hz"] = config.clock_hz
@@ -291,7 +299,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config, isa, api = _load_inputs(args, need_api=True)
+    config, isa = _load_inputs(args)
+    api = load_api(_require(args.api))
     params = _load_params(args)
     out = _outdir(args)
     if args.model:
@@ -335,7 +344,7 @@ def cmd_sweep_noc(args) -> int:
 
 
 def cmd_sweep_imem(args) -> int:
-    config, isa, _ = _load_inputs(args)
+    config, isa = _load_inputs(args)
     params = _load_params(args)
     out = _outdir(args)
 
@@ -398,14 +407,16 @@ def cmd_report(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, api: bool = False,
-                params: bool = True) -> None:
+_INPUT_FILES = {"isa": "isa.json", "api": "api.json",
+                "params": "oracle_params.json"}
+
+
+def _add_common(parser: argparse.ArgumentParser, *inputs: str) -> None:
+    """--config, --out, and an option per named input file of the
+    subcommand, each defaulting to the shipped data file."""
     parser.add_argument("--config", default=data_path("default_config.json"))
-    parser.add_argument("--isa", default=data_path("isa.json"))
-    if api:
-        parser.add_argument("--api", default=data_path("api.json"))
-    if params:
-        parser.add_argument("--params", default=data_path("oracle_params.json"))
+    for name in inputs:
+        parser.add_argument(f"--{name}", default=data_path(_INPUT_FILES[name]))
     parser.add_argument("--out", default=None,
                         help="output directory (default $ENERMOD_OUTDIR)")
 
@@ -418,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-bench", help="generate microbenchmark programs")
-    _add_common(p, api=True, params=False)
+    _add_common(p, "isa", "api")
     p.add_argument("--kind", choices=["instr", "imem", "comm"], default="instr")
     p.add_argument("--reps", type=int, default=64)
     p.add_argument("--group", default="nop+nop", help="imem sweep group label")
@@ -434,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_bench)
 
     p = sub.add_parser("oracle", help="run a benchmark campaign on the oracle")
-    _add_common(p)
+    _add_common(p, "isa", "params")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_oracle)
 
@@ -464,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate",
                        help="validate a model against the oracle on the "
                             "held-out applications")
-    _add_common(p, api=True)
+    _add_common(p, "isa", "api", "params")
     p.add_argument("--model", default=None,
                    help="model file (default: fit the simplified model)")
     p.add_argument("--seed", type=int, default=0)
@@ -472,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("sweep-noc", help="packet-size sweep CSV")
-    _add_common(p)
+    _add_common(p, "params")
     p.add_argument("--src", type=parse_coord, default="0,0")
     p.add_argument("--dst", type=parse_coord, default="1,1")
     p.add_argument("--min", type=int, default=4)
@@ -481,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep_noc)
 
     p = sub.add_parser("sweep-imem", help="instruction-position sweep CSV")
-    _add_common(p)
+    _add_common(p, "isa", "params")
     p.add_argument("--lo", type=int, default=0)
     p.add_argument("--hi", type=int, default=799)
     p.set_defaults(func=cmd_sweep_imem)

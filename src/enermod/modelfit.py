@@ -286,10 +286,10 @@ def fit_staircase(points: list[tuple[float, float]], flit_payload_bytes: int,
 # NoC model reduction
 # ---------------------------------------------------------------------------
 
-def reduce_noc_model(full: EnergyModel, tolerance: float = 1e-9) -> EnergyModel:
+def reduce_noc_model(full: EnergyModel) -> EnergyModel:
     """Re-key (src, dst, size) NoC constants by (hop count, size).
 
-    Pairs sharing a hop count must agree within tolerance (they do on the
+    Pairs sharing a hop count must agree within 1e-9 pJ (they do on the
     congestion-free oracle); disagreeing families are averaged with a
     warning.  Model size shrinks from O(pairs * sizes) to O(hops * sizes).
     The model's function must emit noc/src:<s>/dst:<d>/size:<n> keys, since
@@ -310,7 +310,7 @@ def reduce_noc_model(full: EnergyModel, tolerance: float = 1e-9) -> EnergyModel:
             constants[key] = value
     for key, values in sorted(groups.items()):
         spread = max(values) - min(values)
-        if spread > tolerance:
+        if spread > 1e-9:
             warnings.warn(
                 f"constants for {key} disagree by {spread:.3e} pJ; averaging",
                 stacklevel=2)

@@ -86,17 +86,15 @@ def observations(runs: list[CampaignRun],
             for run in runs]
 
 
-def fit_campaign(runs: list[CampaignRun], function: ModelFunction,
-                 fit_static: bool = True) -> tuple[EnergyModel, FitReport]:
-    return fit_constants(observations(runs, function), function,
-                         fit_static=fit_static)
+def fit_campaign(runs: list[CampaignRun],
+                 function: ModelFunction) -> tuple[EnergyModel, FitReport]:
+    return fit_constants(observations(runs, function), function)
 
 
-def cluster_at_distance(config: SystemConfig, hops: int,
-                        origin: Coord = (0, 0)) -> Coord | None:
-    """First cluster (in index order) at a given hop distance from origin."""
+def cluster_at_distance(config: SystemConfig, hops: int) -> Coord | None:
+    """First cluster (in index order) at a given hop distance from (0, 0)."""
     for cluster in config.all_clusters():
-        if manhattan(origin, cluster) == hops:
+        if manhattan((0, 0), cluster) == hops:
             return cluster
     return None
 
@@ -106,8 +104,7 @@ def max_hops(config: SystemConfig) -> int:
 
 
 def comm_benchmarks_per_hop(api: ApiDescription, config: SystemConfig, isa,
-                            sizes: list[int] | None = None,
-                            reps: int = 8) -> list[Microbenchmark]:
+                            sizes: list[int] | None = None) -> list[Microbenchmark]:
     """Packet sweeps covering every hop distance the mesh offers, plus the
     cluster-local bus route and the idle/baseline/sync calibration
     benchmarks that make the system full rank."""
@@ -121,7 +118,7 @@ def comm_benchmarks_per_hop(api: ApiDescription, config: SystemConfig, isa,
         dst = cluster_at_distance(config, hops)
         if dst is not None:
             benchmarks.extend(gen_comm_benchmarks(api, config, (0, 0), dst,
-                                                  sizes=sizes, reps=reps))
+                                                  sizes=sizes))
     return benchmarks
 
 

@@ -56,6 +56,10 @@ class ParamError(ValueError):
     """Oracle parameters are malformed or violate an invariant."""
 
 
+class CsvError(ValueError):
+    """A ledger or manifest line that does not hold its header's fields."""
+
+
 class ProgramError(ValueError):
     """A program is invalid against its system configuration."""
 
@@ -146,13 +150,13 @@ class OracleParams:
     def imem_base(self, compressed: bool) -> float:
         return self.imem_base_compressed if compressed else self.imem_base_uncompressed
 
-    def static_pw_total(self, config: SystemConfig) -> float:
-        return (self.static_cpu_pw * config.n_cpus
-                + self.static_router_pw * config.n_clusters
-                + self.static_ni_pw * config.n_clusters)
-
-    def static_pj_per_cycle(self, config: SystemConfig) -> float:
-        return self.static_pw_total(config) / config.clock_hz
+    def static_pj(self, config: SystemConfig, cycles: int) -> float:
+        """Static energy of a run of the given length: every CPU, router and
+        NI leaks for all of its cycles."""
+        return ((self.static_cpu_pw * config.n_cpus
+                 + self.static_router_pw * config.n_clusters
+                 + self.static_ni_pw * config.n_clusters)
+                * cycles / config.clock_hz)
 
 
 def params_from_json(doc: dict[str, float]) -> OracleParams:
@@ -308,10 +312,13 @@ class EnergyLedger:
 
 def ledger_from_csv(text: str) -> dict[str, float]:
     values: dict[str, float] = {}
-    lines = text.strip().splitlines()
-    for line in lines[1:]:
-        name, value = line.split(",")
-        values[name] = float(value)
+    for lineno, line in enumerate(text.rstrip().splitlines()[1:], start=2):
+        name, _comma, value = line.partition(",")
+        try:
+            values[name] = float(value)
+        except ValueError:
+            raise CsvError(f"line {lineno}: expected component,energy_pj, "
+                           f"got {line!r}") from None
     return values
 
 
@@ -495,8 +502,7 @@ def run_program(config: SystemConfig, params: OracleParams,
             start = cycle + 1
 
     if duration > 0:
-        static = params.static_pw_total(config) * duration / config.clock_hz
-        acc.book["static"].append((duration - 1, static))
+        acc.book["static"].append((duration - 1, params.static_pj(config, duration)))
 
     return Trace(events=ordered, idle=tuple(idle)), acc.ledger()
 

@@ -377,7 +377,7 @@ class Rule:
             if name not in rec:
                 return False
             have = rec[name]
-            if isinstance(want, (list, tuple)):
+            if isinstance(want, tuple):
                 if have not in want and str(have) not in [str(w) for w in want]:
                     return False
             elif have != want and str(have) != str(want):
@@ -386,7 +386,11 @@ class Rule:
 
 
 def rule(match: dict[str, object], emit: str) -> Rule:
-    return Rule(match=tuple(sorted(match.items())), emit=emit)
+    """A Rule whose list or tuple match values are stored as tuples, so a
+    rule read back from JSON equals the original and hashes."""
+    return Rule(match=tuple(sorted(
+        (name, tuple(want) if isinstance(want, (list, tuple)) else want)
+        for name, want in match.items())), emit=emit)
 
 
 @dataclass(frozen=True)

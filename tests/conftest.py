@@ -1,7 +1,16 @@
 import pytest
+from hypothesis import strategies as st
 
 from enermod import data_path
 from enermod.refsim import load_oracle_params
+from enermod.statetrace import (
+    DISCARD,
+    EVENT_IDLE,
+    EVENT_KINDS,
+    AbstractionLevel,
+    ModelFunction,
+    rule,
+)
 from enermod.sysconfig import load_api, load_isa, parse_config
 
 
@@ -34,3 +43,34 @@ def api():
 @pytest.fixture(scope="session")
 def params():
     return load_oracle_params(data_path("oracle_params.json"))
+
+
+_NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=6)
+_VALUES = st.one_of(st.text(max_size=6), st.integers(-5, 1000), st.booleans())
+_RULES = st.builds(
+    rule,
+    st.dictionaries(_NAMES, st.one_of(_VALUES, st.lists(_VALUES, max_size=3)),
+                    max_size=3),
+    st.one_of(st.just(DISCARD), st.text(max_size=12)))
+_PAIRS = st.one_of(st.none(), st.tuples(
+    _NAMES, st.text(max_size=12),
+    st.lists(st.sampled_from([k for k in EVENT_KINDS if k != EVENT_IDLE]),
+             max_size=3).map(tuple)))
+
+
+def _functions(then):
+    def build(level, domain, rules, name, pair, then):
+        attr, template, kinds = pair or (None, "", ())
+        return ModelFunction(level=level, rules=tuple(rules), domain=domain,
+                             name=name, pair_attr=attr, pair_template=template,
+                             pair_kinds=kinds, then=then)
+    return st.builds(build, st.sampled_from(AbstractionLevel),
+                     st.sampled_from(["event", "key"]), st.lists(_RULES, max_size=4),
+                     st.text(max_size=8), _PAIRS, then)
+
+
+@pytest.fixture(scope="session")
+def model_functions():
+    """Hypothesis strategy over model functions: every level and domain,
+    list-valued matches, pair settings and then chains."""
+    return st.recursive(_functions(st.none()), _functions, max_leaves=3)

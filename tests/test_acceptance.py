@@ -217,7 +217,7 @@ def test_criterion_4_hop_reduction(isa, api, params):
     pair_keys = sum(1 for k in full.constants if k.startswith("noc/src"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # 1e-9 agreement, no averaging
-        reduced = reduce_noc_model(full, tolerance=1e-9)
+        reduced = reduce_noc_model(full)
     hop_keys = [k for k in reduced.constants if k.startswith("noc/hops")]
     worst = 0.0
     for run in runs:
@@ -335,15 +335,14 @@ def test_criterion_9_determinism_and_conservation(tmp_path, config, isa,
     from enermod.cli import main
 
     def pipeline(out, workers):
-        base = ["--config", data_path("default_config.json"),
-                "--isa", data_path("isa.json"), "--out", str(out)]
+        base = ["--config", data_path("default_config.json"), "--out", str(out)]
         assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max",
                      "64", "--step", "8", "--api", data_path("api.json")]
                     + base) == 0
         assert main(["oracle", "--params", data_path("oracle_params.json"),
+                     "--isa", data_path("isa.json"),
                      "--workers", str(workers)] + base) == 0
-        assert main(["fit", "--params", data_path("oracle_params.json"),
-                     "--function", "noc-hop", "--name", "noc"] + base) == 0
+        assert main(["fit", "--function", "noc-hop", "--name", "noc"] + base) == 0
 
     outs = [tmp_path / "r1", tmp_path / "r2", tmp_path / "r4"]
     for out, workers in zip(outs, (1, 1, 4)):

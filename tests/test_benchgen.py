@@ -162,7 +162,6 @@ def test_comm_sweep_energy_is_prologue_plus_packets(api, params, mesh, data):
     # every ordered cluster pair, the crossbar route (src == dst) included:
     # the oracle's dynamic energy is the prologue's syncs plus reps packets
     config = parse_config(MESHES[mesh])
-    static_rate = params.static_pj_per_cycle(config)
     clusters = config.all_clusters()
     for src in clusters:
         for dst in clusters:
@@ -175,7 +174,7 @@ def test_comm_sweep_energy_is_prologue_plus_packets(api, params, mesh, data):
             assert sorted(dict(bench.program.ops)) == sorted(
                 [config.cpu_id(src, 0), dst_cpu])
             trace, ledger = run_program(config, params, bench.program)
-            dynamic = ledger.total_pj - static_rate * trace.duration
+            dynamic = ledger.total_pj - params.static_pj(config, trace.duration)
             expected = (PROLOGUE_LEN * params.sync_energy
                         + reps * packet_energy(params, config, src, dst, size))
             assert dynamic == pytest.approx(expected, rel=1e-12)

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: artifacts, exit codes, idempotence."""
 
+import argparse
+import ast
 import contextlib
 import filecmp
 import io
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enermod import data_path
+from enermod import cli, data_path
 from enermod.cli import (
     EXIT_DATA,
     EXIT_INTERNAL,
@@ -24,12 +26,15 @@ from enermod.cli import (
 )
 
 
-def _defaults(out, params=True):
-    args = ["--config", data_path("default_config.json"),
-            "--isa", data_path("isa.json"),
-            "--out", str(out)]
-    if params:
-        args += ["--params", data_path("oracle_params.json")]
+_SHIPPED = {"isa": "isa.json", "api": "api.json", "params": "oracle_params.json"}
+
+
+def _defaults(out, *inputs):
+    """--config and --out, plus each named input option (isa, api, params)
+    at its shipped file; pass only the inputs the subcommand takes."""
+    args = ["--config", data_path("default_config.json"), "--out", str(out)]
+    for name in inputs:
+        args += [f"--{name}", data_path(_SHIPPED[name])]
     return args
 
 
@@ -45,7 +50,7 @@ def _tree_files(root):
 def test_gen_bench_comm_writes_256_programs(tmp_path):
     rc = main(["gen-bench", "--kind", "comm", "--min", "4", "--max", "1024",
                "--step", "4", "--api", data_path("api.json")]
-              + _defaults(tmp_path, params=False))
+              + _defaults(tmp_path))
     assert rc == EXIT_OK
     bench_dir = tmp_path / "benchmarks"
     programs = [f for f in os.listdir(bench_dir) if f.endswith(".json")]
@@ -57,7 +62,7 @@ def test_gen_bench_comm_same_cluster_sweeps_the_crossbar(tmp_path):
     rc = main(["gen-bench", "--kind", "comm", "--src", "0,0", "--dst", "0,0",
                "--min", "8", "--max", "32", "--step", "8",
                "--api", data_path("api.json")]
-              + _defaults(tmp_path, params=False))
+              + _defaults(tmp_path))
     assert rc == EXIT_OK
     bench_dir = tmp_path / "benchmarks"
     manifest = (bench_dir / "manifest.csv").read_text()
@@ -82,7 +87,7 @@ def test_gen_bench_comm_same_cluster_one_cpu_exits_4(tmp_path, capsys):
 def test_oracle_missing_params_exits_3_no_artifacts(tmp_path):
     rc = main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "16",
                "--step", "8", "--api", data_path("api.json")]
-              + _defaults(tmp_path, params=False))
+              + _defaults(tmp_path))
     assert rc == EXIT_OK
     rc = main(["oracle", "--config", data_path("default_config.json"),
                "--isa", data_path("isa.json"),
@@ -97,13 +102,13 @@ def test_oracle_unknown_bundle_field_exits_4(tmp_path, capsys):
     """A bundle field the simulator would not honour is refused, not dropped."""
     rc = main(["gen-bench", "--kind", "imem", "--group", "ldw+add",
                "--lo", "0", "--hi", "1", "--reps", "2",
-               "--api", data_path("api.json")] + _defaults(tmp_path, params=False))
+               "--api", data_path("api.json")] + _defaults(tmp_path, "isa"))
     assert rc == EXIT_OK
     program = sorted((tmp_path / "benchmarks").glob("*.json"))[-1]
     doc = json.loads(program.read_text())
     doc["cpus"]["0"][0]["bundle"]["dmem_pattern"] = "ones"
     program.write_text(json.dumps(doc))
-    rc = main(["oracle"] + _defaults(tmp_path))
+    rc = main(["oracle"] + _defaults(tmp_path, "isa", "params"))
     assert rc == EXIT_INVARIANT
     assert "dmem_pattern" in capsys.readouterr().err
     assert not (tmp_path / "traces").exists()
@@ -120,12 +125,12 @@ def _one_error_line(capsys, code):
 def test_oracle_non_integer_cpu_key_exits_4(tmp_path, capsys):
     rc = main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "16",
                "--step", "8", "--api", data_path("api.json")]
-              + _defaults(tmp_path, params=False))
+              + _defaults(tmp_path))
     assert rc == EXIT_OK
     program = sorted((tmp_path / "benchmarks").glob("*.json"))[0]
     program.write_text(json.dumps({"cpus": {"x": []}}))
     capsys.readouterr()
-    rc = main(["oracle"] + _defaults(tmp_path))
+    rc = main(["oracle"] + _defaults(tmp_path, "isa", "params"))
     assert rc == EXIT_INVARIANT
     assert "'x'" in _one_error_line(capsys, EXIT_INVARIANT)
     assert not (tmp_path / "traces").exists()
@@ -138,9 +143,7 @@ def test_sweep_noc_core_key_without_three_parts_exits_4(tmp_path, capsys):
     params = tmp_path / "params.json"
     params.write_text(json.dumps(doc))
     rc = main(["sweep-noc", "--min", "4", "--max", "8", "--step", "4",
-               "--config", data_path("default_config.json"),
-               "--isa", data_path("isa.json"), "--params", str(params),
-               "--out", str(tmp_path)])
+               "--params", str(params)] + _defaults(tmp_path))
     assert rc == EXIT_INVARIANT
     assert "core.NOP" in _one_error_line(capsys, EXIT_INVARIANT)
 
@@ -161,10 +164,61 @@ def test_unknown_flag_exits_2(tmp_path, capsys):
     assert err.value.code == 2
 
 
-def test_option_nothing_reads_exits_2(tmp_path):
-    with pytest.raises(SystemExit) as err:
-        main(["fit", "--seed", "1"] + _defaults(tmp_path))
-    assert err.value.code == EXIT_USAGE
+def test_option_nothing_reads_exits_2(tmp_path, capsys):
+    # fit reads the traces and ledgers, never the ISA or the oracle
+    # parameters; sweep-noc builds its packets without the ISA
+    missing = str(tmp_path / "missing.json")
+    for command, option, value in [("fit", "--seed", "1"),
+                                   ("fit", "--isa", missing),
+                                   ("fit", "--params", missing),
+                                   ("sweep-noc", "--isa", missing)]:
+        with pytest.raises(SystemExit) as err:
+            main([command, option, value] + _defaults(tmp_path))
+        assert err.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def _args_read(functions, name, seen):
+    """The args.<dest> names a cli function reads, and those read by the
+    cli functions it passes args to."""
+    seen.add(name)
+    read = set()
+    for node in ast.walk(functions[name]):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in functions and node.func.id not in seen
+              and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)):
+            read |= _args_read(functions, node.func.id, seen)
+    return read
+
+
+def test_every_option_is_read_by_its_subcommand():
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    [subparsers] = [a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for command, parser in sorted(subparsers.choices.items()):
+        func = parser.get_default("func").__name__
+        read = _args_read(functions, func, set())
+        unread.extend(f"{command} {action.option_strings[0]}"
+                      for action in parser._actions
+                      if action.option_strings and action.dest != "help"
+                      and action.dest not in read)
+    assert not unread, unread
+
+
+def test_gen_bench_comm_does_not_read_the_isa(tmp_path):
+    rc = main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "16",
+               "--step", "8", "--isa", str(tmp_path / "missing.json")]
+              + _defaults(tmp_path))
+    assert rc == EXIT_OK
+    assert len(os.listdir(tmp_path / "benchmarks")) == 3
 
 
 _ORACLE_LOSING_A_WORKER = """
@@ -188,7 +242,7 @@ sys.exit(cli.main(["oracle", "--workers", "2", "--out", sys.argv[1]]))
 def test_oracle_losing_a_worker_exits_1_without_a_traceback(tmp_path):
     assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "32",
                  "--step", "8", "--api", data_path("api.json")]
-                + _defaults(tmp_path, params=False)) == EXIT_OK
+                + _defaults(tmp_path)) == EXIT_OK
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -202,12 +256,12 @@ def test_oracle_losing_a_worker_exits_1_without_a_traceback(tmp_path):
 
 
 def test_hop_reduction_of_a_model_without_pair_keys_exits_5(tmp_path, capsys):
-    base = _defaults(tmp_path)
     assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "24",
                  "--step", "8", "--api", data_path("api.json")]
-                + _defaults(tmp_path, params=False)) == EXIT_OK
-    assert main(["oracle"] + base) == EXIT_OK
-    assert main(["fit", "--function", "active-idle", "--name", "ai"] + base) == EXIT_OK
+                + _defaults(tmp_path)) == EXIT_OK
+    assert main(["oracle"] + _defaults(tmp_path, "isa", "params")) == EXIT_OK
+    assert main(["fit", "--function", "active-idle", "--name", "ai"]
+                + _defaults(tmp_path)) == EXIT_OK
     reduced = tmp_path / "models" / "ai_hops.json"
     rc = main(["reduce", "--model", str(tmp_path / "models" / "ai.json"),
                "--kind", "hops", "--output", str(reduced)])
@@ -216,29 +270,50 @@ def test_hop_reduction_of_a_model_without_pair_keys_exits_5(tmp_path, capsys):
     assert not reduced.exists()
 
 
-def test_fit_reads_neither_the_isa_nor_the_oracle_params(tmp_path):
-    base = _defaults(tmp_path)
-    assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "24",
-                 "--step", "8", "--api", data_path("api.json")]
-                + _defaults(tmp_path, params=False)) == EXIT_OK
-    assert main(["oracle"] + base) == EXIT_OK
-    assert main(["fit", "--function", "noc-hop", "--name", "noc"] + base) == EXIT_OK
-    model = (tmp_path / "models" / "noc.json").read_bytes()
-    missing = str(tmp_path / "missing.json")
-    assert main(["fit", "--function", "noc-hop", "--name", "noc",
-                 "--config", data_path("default_config.json"),
-                 "--isa", missing, "--params", missing,
-                 "--out", str(tmp_path)]) == EXIT_OK
-    assert (tmp_path / "models" / "noc.json").read_bytes() == model
+def _campaign_on_file(out):
+    """A two-packet campaign's manifest, traces and ledgers."""
+    assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "16",
+                 "--step", "8"] + _defaults(out)) == EXIT_OK
+    assert main(["oracle"] + _defaults(out, "isa", "params")) == EXIT_OK
+
+
+def test_manifest_line_without_a_comma_exits_5(tmp_path, capsys):
+    _campaign_on_file(tmp_path)
+    manifest = tmp_path / "benchmarks" / "manifest.csv"
+    manifest.write_text(manifest.read_text() + "comm/h2/24\n")
+    for command in (["oracle"] + _defaults(tmp_path, "isa", "params"),
+                    ["fit", "--function", "noc-hop"] + _defaults(tmp_path)):
+        capsys.readouterr()
+        assert main(command) == EXIT_DATA
+        assert "manifest.csv: line 4:" in _one_error_line(capsys, EXIT_DATA)
+
+
+def _fit_with_ledger_line(out, capsys, line):
+    _campaign_on_file(out)
+    ledger = out / "ledgers" / "comm__h2__16.csv"
+    ledger.write_text(ledger.read_text().replace("total,", line + "\ntotal,"))
+    capsys.readouterr()
+    assert main(["fit", "--function", "noc-hop"] + _defaults(out)) == EXIT_DATA
+    return _one_error_line(capsys, EXIT_DATA)
+
+
+def test_ledger_energy_that_is_not_a_number_exits_5(tmp_path, capsys):
+    error = _fit_with_ledger_line(tmp_path, capsys, "total,abc")
+    assert "comm__h2__16.csv: line 11:" in error
+
+
+def test_ledger_line_without_a_comma_exits_5(tmp_path, capsys):
+    error = _fit_with_ledger_line(tmp_path, capsys, "core")
+    assert "comm__h2__16.csv: line 11:" in error
 
 
 def _pipeline(out, workers=1):
-    base = _defaults(out)
     assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "64",
                  "--step", "8", "--api", data_path("api.json")]
-                + _defaults(out, params=False)) == EXIT_OK
-    assert main(["oracle", "--workers", str(workers)] + base) == EXIT_OK
-    assert main(["fit", "--function", "noc-hop", "--name", "noc"] + base) == EXIT_OK
+                + _defaults(out)) == EXIT_OK
+    assert main(["oracle", "--workers", str(workers)]
+                + _defaults(out, "isa", "params")) == EXIT_OK
+    assert main(["fit", "--function", "noc-hop", "--name", "noc"] + _defaults(out)) == EXIT_OK
     assert main(["reduce", "--model", str(out / "models" / "noc.json"),
                  "--config", data_path("default_config.json"),
                  "--kind", "staircase",
@@ -286,12 +361,11 @@ def _estimate_exits_5(out, capsys, lines):
 
 def _one_packet_trace(out):
     """Fit the noc-hop model of a one-packet campaign; return its trace lines."""
-    base = _defaults(out)
     assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "8",
                  "--step", "8", "--api", data_path("api.json")]
-                + _defaults(out, params=False)) == EXIT_OK
-    assert main(["oracle"] + base) == EXIT_OK
-    assert main(["fit", "--function", "noc-hop", "--name", "noc"] + base) == EXIT_OK
+                + _defaults(out)) == EXIT_OK
+    assert main(["oracle"] + _defaults(out, "isa", "params")) == EXIT_OK
+    assert main(["fit", "--function", "noc-hop", "--name", "noc"] + _defaults(out)) == EXIT_OK
     (trace,) = os.listdir(out / "traces")
     return (out / "traces" / trace).read_text().splitlines()
 
@@ -375,7 +449,7 @@ def test_estimate_of_a_trace_with_one_malformed_line_exits_5(one_packet, how, pi
 def test_malformed_coordinate_is_a_usage_error(tmp_path, capsys, command, option):
     kind = ["--kind", "comm"] if command == "gen-bench" else []
     with pytest.raises(SystemExit) as err:
-        main([command, *kind, option, "abc"] + _defaults(tmp_path, params=False))
+        main([command, *kind, option, "abc"] + _defaults(tmp_path))
     assert err.value.code == EXIT_USAGE
     assert f"argument {option}" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
@@ -384,7 +458,7 @@ def test_malformed_coordinate_is_a_usage_error(tmp_path, capsys, command, option
 def test_fit_with_idle_as_a_paired_kind_exits_5(tmp_path, capsys):
     assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "8",
                  "--step", "8", "--api", data_path("api.json")]
-                + _defaults(tmp_path, params=False)) == EXIT_OK
+                + _defaults(tmp_path)) == EXIT_OK
     rules = tmp_path / "pair_idle.json"
     rules.write_text(json.dumps({
         "level": "FINE_GRAINED", "rules": [{"match": {}, "emit": "discard"}],
@@ -397,7 +471,8 @@ def test_fit_with_idle_as_a_paired_kind_exits_5(tmp_path, capsys):
 
 
 def test_sweep_imem_csv(tmp_path):
-    rc = main(["sweep-imem", "--lo", "0", "--hi", "15"] + _defaults(tmp_path))
+    rc = main(["sweep-imem", "--lo", "0", "--hi", "15"]
+              + _defaults(tmp_path, "isa", "params"))
     assert rc == EXIT_OK
     lines = (tmp_path / "reports" / "sweep_imem.csv").read_text().splitlines()
     assert lines[0] == "address,popcount,compressed_pj,uncompressed_pj"
@@ -422,7 +497,7 @@ def test_estimate_with_a_model_whose_level_is_not_its_functions_exits_5(
 
 def test_sweep_noc_within_a_cluster_takes_the_crossbar(tmp_path):
     rc = main(["sweep-noc", "--src", "0,0", "--dst", "0,0", "--min", "8",
-               "--max", "32", "--step", "8"] + _defaults(tmp_path))
+               "--max", "32", "--step", "8"] + _defaults(tmp_path, "params"))
     assert rc == EXIT_OK
     lines = (tmp_path / "reports" / "sweep_noc.csv").read_text().splitlines()
     header = lines[0].split(",")
@@ -445,7 +520,7 @@ def test_sweep_noc_within_a_cluster_of_one_cpu_exits_4(tmp_path, capsys):
 
 def test_sweep_noc_csv(tmp_path):
     rc = main(["sweep-noc", "--min", "4", "--max", "64", "--step", "4"]
-              + _defaults(tmp_path))
+              + _defaults(tmp_path, "params"))
     assert rc == EXIT_OK
     lines = (tmp_path / "reports" / "sweep_noc.csv").read_text().splitlines()
     assert len(lines) == 17
@@ -454,7 +529,7 @@ def test_sweep_noc_csv(tmp_path):
 
 
 def test_validate_writes_summary(tmp_path):
-    rc = main(["validate", "--api", data_path("api.json")] + _defaults(tmp_path))
+    rc = main(["validate"] + _defaults(tmp_path, "isa", "api", "params"))
     assert rc == EXIT_OK
     summary = json.loads(
         (tmp_path / "reports" / "validation_summary.json").read_text())
@@ -465,12 +540,12 @@ def test_validate_writes_summary(tmp_path):
 
 
 def test_explore_runs(tmp_path):
-    rc = main(["validate", "--api", data_path("api.json")] + _defaults(tmp_path))
+    rc = main(["validate"] + _defaults(tmp_path, "isa", "api", "params"))
     assert rc == EXIT_OK
     # validating again against the stored model reproduces the summary
     rc = main(["validate", "--api", data_path("api.json"),
                "--model", str(tmp_path / "models" / "simplified.json")]
-              + _defaults(tmp_path))
+              + _defaults(tmp_path, "isa", "api", "params"))
     assert rc == EXIT_OK
     graph = tmp_path / "graph.json"
     graph.write_text(json.dumps({
@@ -491,7 +566,8 @@ def test_report_aggregates(tmp_path):
     """The summary depends on the outdir's contents, not on its path."""
     summaries = []
     for out in (tmp_path / "a", tmp_path / "elsewhere" / "b"):
-        rc = main(["sweep-imem", "--lo", "0", "--hi", "3"] + _defaults(out))
+        rc = main(["sweep-imem", "--lo", "0", "--hi", "3"]
+                  + _defaults(out, "isa", "params"))
         assert rc == EXIT_OK
         (out / "reports" / "extra.json").write_text('{"n": 1}')
         rc = main(["report", "--out", str(out)])
@@ -521,17 +597,14 @@ def test_instruction_campaign_through_files(tmp_path):
          "reads_dmem": False, "writes_dmem": False},
         {"mnemonic": "add", "iclass": "ALU", "allowed_slots": [0, 1],
          "reads_dmem": False, "writes_dmem": False}]))
-    base = ["--config", data_path("default_config.json"),
-            "--isa", str(isa_path), "--out", str(tmp_path)]
-    assert main(["gen-bench", "--kind", "instr", "--reps", "8",
-                 "--api", data_path("api.json")] + base) == EXIT_OK
+    tiny = ["--isa", str(isa_path)] + _defaults(tmp_path)
+    assert main(["gen-bench", "--kind", "instr", "--reps", "8"] + tiny) == EXIT_OK
     manifest = (tmp_path / "benchmarks" / "manifest.csv").read_text()
     assert len(manifest.splitlines()) == 1 + 2 + 8 * 3
     assert main(["oracle", "--params", data_path("oracle_params.json")]
-                + base) == EXIT_OK
-    assert main(["fit", "--params", data_path("oracle_params.json"),
-                 "--function", "instruction-fine", "--name", "tiny"]
-                + base) == EXIT_OK
+                + tiny) == EXIT_OK
+    assert main(["fit", "--function", "instruction-fine", "--name", "tiny"]
+                + _defaults(tmp_path)) == EXIT_OK
     doc = json.loads((tmp_path / "models" / "tiny.json").read_text())
     assert "group:add+add/pat:ones" in doc["constants"]
     assert "group:nop+add/pat:zeros" in doc["constants"]

@@ -1,5 +1,6 @@
-"""Source hygiene: no module-level import goes unused, and no library code
-serves only the tests."""
+"""Source hygiene: no module-level import goes unused, no library code
+serves only the tests, every defaulted parameter is set by some call, and
+float sums that reach files fold left to right."""
 
 import ast
 import glob
@@ -8,9 +9,13 @@ import os
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _unused_imports(path):
+def _parse(path):
     with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=path)
+        return ast.parse(fh.read(), filename=path)
+
+
+def _unused_imports(path):
+    tree = _parse(path)
     imported = {}
     for node in tree.body:
         if isinstance(node, ast.Import):
@@ -52,60 +57,216 @@ _TEST_ONLY_ALLOWED = {
 }
 
 
-def _definitions(path):
-    """(qualified name, name, node, is_method) per module-level function and
-    per method or property of a module-level class; dunders are implicit."""
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=path)
+def _definitions(tree):
+    """(qualified name, name, node, class name or None) per module-level
+    function and per method or property of a module-level class; dunders
+    are implicit."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield node.name, node.name, node, False
+            yield node.name, node.name, node, None
         elif isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
-                    yield f"{node.name}.{sub.name}", sub.name, sub, True
+                    yield f"{node.name}.{sub.name}", sub.name, sub, node.name
 
 
-def _references(tree):
-    """Counts of names loaded (Name) and of attributes read (Attribute).
-    Imports are not references, so re-exports do not count as use.  Matching
-    is by name, so a method that shares its name with a used attribute
-    counts as used."""
-    names, attrs = {}, {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names[node.id] = names.get(node.id, 0) + 1
-        elif isinstance(node, ast.Attribute):
-            attrs[node.attr] = attrs.get(node.attr, 0) + 1
-    return names, attrs
+def _is_record(node):
+    """A dataclass or a NamedTuple: its annotated names are fields."""
+    marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    marks += node.bases
+    return any((m.id if isinstance(m, ast.Name) else getattr(m, "attr", None))
+               in ("dataclass", "NamedTuple") for m in marks)
+
+
+def _fields(tree):
+    """(class name, field name) per field of a module-level record class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _is_record(node):
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    yield node.name, sub.target.id
+
+
+def _scopes(tree):
+    """(owner, class name or None, node) per module-level function and per
+    method of a module-level class; "<module>" owns the rest."""
+    rest = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, None, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{node.name}.{sub.name}", node.name, sub
+                else:
+                    rest.append(sub)
+        else:
+            rest.append(node)
+    yield "<module>", None, ast.Module(body=rest, type_ignores=[])
+
+
+def _typed_locals(node, cls, classes):
+    """Local names whose class the AST shows: a method's first parameter,
+    a parameter annotated with a class, a name assigned from a class call."""
+    typed = {}
+    if isinstance(node, ast.FunctionDef):
+        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        if cls and args and not static:
+            typed[args[0].arg] = cls
+        for arg in args:
+            ann = arg.annotation
+            name = (ann.id if isinstance(ann, ast.Name)
+                    else ann.value if isinstance(ann, ast.Constant) else None)
+            if name in classes:
+                typed[arg.arg] = name
+    for sub in ast.walk(node):
+        if (isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Call)
+                and isinstance(sub.value.func, ast.Name)
+                and sub.value.func.id in classes):
+            for target in sub.targets:
+                if isinstance(target, ast.Name):
+                    typed[target.id] = sub.value.func.id
+    return typed
+
+
+def _references(tree, classes):
+    """(owner, reference) per name loaded and per attribute read, owner being
+    the function or method it appears in.  A reference is "name", ".attr",
+    or "Class.attr" when the AST shows the receiver's class: the class
+    itself or a typed local.  Imports are not references, so re-exports do
+    not count as use."""
+    for owner, cls, scope in _scopes(tree):
+        typed = _typed_locals(scope, cls, classes)
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Name):
+                yield owner, node.id
+            elif isinstance(node, ast.Attribute):
+                yield owner, "." + node.attr
+                recv = node.value
+                if isinstance(recv, ast.Name):
+                    known = recv.id if recv.id in classes else typed.get(recv.id)
+                    if known:
+                        yield owner, f"{known}.{node.attr}"
 
 
 def test_no_library_code_serves_only_the_tests():
-    src = sorted(glob.glob(os.path.join(ROOT, "src", "enermod", "*.py")))
-    users = src + sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
-    names, attrs = {}, {}
-    for path in users:
-        with open(path, encoding="utf-8") as fh:
-            n, a = _references(ast.parse(fh.read(), filename=path))
-        for key, count in n.items():
-            names[key] = names.get(key, 0) + count
-        for key, count in a.items():
-            attrs[key] = attrs.get(key, 0) + count
+    """A method shares its name with a field of another record class
+    (OracleParams.static_pj_per_cycle with EnergyModel.static_pj_per_cycle,
+    say) counts as used only where the AST shows the receiver is its class;
+    any other method or function counts as used wherever its name is read."""
+    src = [_parse(path) for path in
+           sorted(glob.glob(os.path.join(ROOT, "src", "enermod", "*.py")))]
+    users = src + [_parse(path) for path in
+                   sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))]
+    classes = {node.name for tree in src for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    field_owners = {}
+    for tree in src:
+        for cls, name in _fields(tree):
+            field_owners.setdefault(name, set()).add(cls)
+    refs = [ref for tree in users for ref in _references(tree, classes)]
     unused, defined = [], set()
-    for path in src:
-        for qualname, name, node, is_method in _definitions(path):
+    for tree in src:
+        for qualname, name, _node, cls in _definitions(tree):
             defined.add(qualname)
+            if cls is None:
+                wanted = {name, "." + name}
+            elif field_owners.get(name, set()) - {cls}:
+                wanted = {qualname}
+            else:
+                wanted = {"." + name}
             # a recursive call is not a use
-            own_names, own_attrs = _references(node)
-            uses = attrs.get(name, 0) - own_attrs.get(name, 0)
-            if not is_method:
-                uses += names.get(name, 0) - own_names.get(name, 0)
+            uses = sum(1 for owner, ref in refs if ref in wanted and owner != qualname)
             if uses == 0 and qualname not in _TEST_ONLY_ALLOWED:
-                unused.append(f"{os.path.relpath(path, ROOT)}: {qualname}")
+                unused.append(qualname)
             elif uses and qualname in _TEST_ONLY_ALLOWED:
                 unused.append(f"{qualname} is used; drop it from the allowlist")
     stale = sorted(set(_TEST_ONLY_ALLOWED) - defined)
     assert not unused and not stale, "\n".join(unused + stale)
+
+
+# Defaulted parameters no call sets, each kept for the documented property
+# it backs.  Every other defaulted parameter of a function or method in
+# src/enermod must be passed by some call in src/enermod, perfbench or the
+# tests; a default nobody overrides is a constant, not a setting.
+_UNSET_ALLOWED = {}
+
+
+def _defaulted(node, method):
+    """(parameter, positional index or None, default node) per parameter
+    of a function definition that has a default."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in node.decorator_list)
+    skip = 1 if method and not static else 0
+    first = len(positional) - len(args.defaults)
+    for i, (arg, default) in enumerate(zip(positional[first:], args.defaults)):
+        yield arg.arg, first + i - skip, default
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None, default
+
+
+_NOT_LITERAL = object()
+
+
+def _literal(node):
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return _NOT_LITERAL
+    return type(value), value
+
+
+def _passes(call, name, index, default):
+    """Whether a call sets a parameter to something other than a literal
+    equal to its default."""
+    value = None
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return True
+        if i == index:
+            value = arg
+    for kw in call.keywords:
+        if kw.arg is None:
+            return True
+        if kw.arg == name:
+            value = kw.value
+    if value is None:
+        return False
+    literal = _literal(value)
+    return literal is _NOT_LITERAL or literal != _literal(default)
+
+
+def test_every_defaulted_parameter_is_passed():
+    callers = [path for rel in (("src", "enermod"), ("perfbench",), ("tests",))
+               for path in sorted(glob.glob(os.path.join(ROOT, *rel, "*.py")))]
+    calls = {}
+    for path in callers:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = (func.id if isinstance(func, ast.Name)
+                          else getattr(func, "attr", None))
+                calls.setdefault(callee, []).append(node)
+    unset, seen = [], set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "enermod", "*.py"))):
+        module = os.path.basename(path)[:-3]
+        for qualname, name, node, cls in _definitions(_parse(path)):
+            for param, index, default in _defaulted(node, cls is not None):
+                where = f"{module}.{qualname}({param})"
+                seen.add(where)
+                passed = any(_passes(call, param, index, default)
+                             for call in calls.get(name, ()))
+                if not passed and where not in _UNSET_ALLOWED:
+                    unset.append(where)
+                elif passed and where in _UNSET_ALLOWED:
+                    unset.append(f"{where} is passed; drop it from the allowlist")
+    stale = sorted(set(_UNSET_ALLOWED) - seen)
+    assert not unset and not stale, "\n".join(unset + stale)
 
 
 # From Python 3.12 on the builtin sum adds floats with compensation, so a
@@ -115,24 +276,6 @@ def test_no_library_code_serves_only_the_tests():
 _INTEGER_SUMS = {
     "Actor.work_cycles": "Actor.work holds integer counts",
 }
-
-
-def _functions(tree):
-    """(qualified name, node) per module-level function and per method of
-    a module-level class; "<module>" stands for the rest of the module."""
-    rest = []
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            yield node.name, node
-        elif isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, ast.FunctionDef):
-                    yield f"{node.name}.{sub.name}", sub
-                else:
-                    rest.append(sub)
-        else:
-            rest.append(node)
-    yield "<module>", ast.Module(body=rest, type_ignores=[])
 
 
 def _counts_literal(call):
@@ -146,9 +289,7 @@ def _counts_literal(call):
 def test_builtin_sum_only_adds_integer_counts():
     offending, summing = [], set()
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "enermod", "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        for qualname, node in _functions(tree):
+        for qualname, _cls, node in _scopes(_parse(path)):
             counting = {id(call.func) for call in ast.walk(node)
                         if isinstance(call, ast.Call) and _counts_literal(call)
                         and isinstance(call.func, ast.Name) and call.func.id == "sum"}

@@ -1,11 +1,15 @@
 """Constant fitting, packet-size regressions, and NoC reduction."""
 
+import json
 import warnings
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enermod.modelfit import (
+    EnergyModel,
     FitError,
     REDUCER_LINEAR,
     REDUCER_STAIRCASE,
@@ -15,6 +19,7 @@ from enermod.modelfit import (
     fit_packet_reducers,
     fit_staircase,
     load_model,
+    model_from_json,
     model_to_json,
     per_group_pattern_means,
     reduce_noc_model,
@@ -103,7 +108,7 @@ def test_recovers_oracle_group_energies(tiny_config, isa, params):
     model, report = fit_constants(observations, fn)
     assert not report.rank_deficient
     assert model.static_pj_per_cycle == pytest.approx(
-        params.static_pj_per_cycle(tiny_config), rel=1e-9)
+        params.static_pj(tiny_config, 1), rel=1e-9)
     for key, value in expected.items():
         assert model.constants[key] == pytest.approx(value, rel=1e-6)
 
@@ -266,7 +271,7 @@ def test_disagreeing_pairs_warn_and_average():
          (_vec({"noc/src:1,0/dst:0,0/size:8": 1}), 12.0)],
         noc_pair_function(), fit_static=False)
     with pytest.warns(UserWarning, match="disagree"):
-        reduced = reduce_noc_model(model, tolerance=1e-9)
+        reduced = reduce_noc_model(model)
     assert reduced.constants["noc/hops:1/size:8"] == pytest.approx(11.0)
 
 
@@ -315,6 +320,36 @@ def test_model_json_round_trip(tmp_path, config):
         model.static_pj_per_cycle * config.clock_hz)
 
 
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bits(model):
+    """A model's function, constants, reducers and static term, with every
+    float spelled by float.hex."""
+    return (model.function,
+            sorted((k, v.hex()) for k, v in model.constants.items()),
+            [(r.kind, r.family, r.a.hex(), r.b.hex(), r.variable, r.flit_payload_bytes)
+             for r in model.reducers],
+            model.static_pj_per_cycle.hex())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_model_json_round_trip_any_model(model_functions, data):
+    reducers = st.builds(Reducer, kind=st.sampled_from([REDUCER_LINEAR, REDUCER_STAIRCASE]),
+                         family=st.text(max_size=8), a=_FLOATS, b=_FLOATS,
+                         variable=st.text(max_size=6),
+                         flit_payload_bytes=st.integers(1, 64))
+    model = EnergyModel(
+        function=data.draw(model_functions),
+        constants=data.draw(st.dictionaries(st.text(max_size=12), _FLOATS, max_size=5)),
+        reducers=data.draw(st.lists(reducers, max_size=3)),
+        static_pj_per_cycle=data.draw(_FLOATS))
+    clock_hz = data.draw(st.one_of(st.none(), st.floats(1.0, 1e10)))
+    doc = json.loads(json.dumps(model_to_json(model, clock_hz=clock_hz)))
+    assert _bits(model_from_json(doc)) == _bits(model)
+
+
 def test_staircase_coefficients_match_oracle_closed_form(config, params):
     # single-send programs: dynamic per-flit cost plus the per-flit cycle of
     # static power form the step height; sync + header + the fixed tail
@@ -323,7 +358,7 @@ def test_staircase_coefficients_match_oracle_closed_form(config, params):
     a, b, report = fit_staircase(points, config.flit_payload_bytes)
     assert report.max_abs_error_pj < 1e-9
     hops = 2  # (0,0) -> (1,1)
-    static = params.static_pj_per_cycle(config)
+    static = params.static_pj(config, 1)
     per_flit = (params.ni_in_flit_energy + params.ni_out_flit_energy
                 + (hops + 1) * (params.router_flit_energy
                                 + params.link_flit_energy))

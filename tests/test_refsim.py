@@ -120,7 +120,7 @@ def test_single_nop_bundle_accounting(tiny_config, isa, params):
     expected = (2 * params.core("NOP", "zeros")
                 + params.imem_base(False)
                 + fetch_position_energy(params, tiny_config, 0, False)
-                + params.static_pj_per_cycle(tiny_config) * 1)
+                + params.static_pj(tiny_config, 1))
     assert ledger.total_pj == pytest.approx(expected, rel=1e-12)
     b = ledger.breakdown_dict()
     assert b["core"] == pytest.approx(2 * params.core("NOP", "zeros"))
@@ -145,7 +145,7 @@ def test_bundle_energy_closed_form(tiny_config, isa, params):
         op = BundleOp(group=group, addr=37, pattern=pattern)
         program = Program.from_dict({0: [op]})
         _, ledger = run_program(tiny_config, params, program)
-        dynamic = ledger.total_pj - params.static_pj_per_cycle(tiny_config)
+        dynamic = ledger.total_pj - params.static_pj(tiny_config, 1)
         assert dynamic == pytest.approx(bundle_energy(params, tiny_config, op),
                                         rel=1e-12)
         # the simulator books exactly the closed form's three ledger parts
@@ -275,14 +275,13 @@ def test_path_additivity_all_pairs(mesh3_config, params):
     # dynamic packet energy matches the closed form for every ordered pair
     size = 40
     flits = n_flits(size, mesh3_config.flit_payload_bytes)
-    static_rate = params.static_pj_per_cycle(mesh3_config)
     clusters = mesh3_config.all_clusters()
     for src in clusters:
         for dst in clusters:
             if src == dst:
                 continue
             trace, ledger = _send_total(mesh3_config, params, src, dst, size)
-            dynamic = ledger.total_pj - static_rate * trace.duration
+            dynamic = ledger.total_pj - params.static_pj(mesh3_config, trace.duration)
             hops = manhattan(src, dst)
             expected = (params.sync_energy + params.packet_header_energy
                         + flits * (params.ni_in_flit_energy
@@ -316,9 +315,8 @@ def test_a_run_lasts_until_its_last_crossbar_beat(config, params):
     free = dataclasses.replace(params, bus_beat_energy=0.0)
     trace, free_ledger = _send_total(config, free, (0, 0), (0, 0), 100)
     assert trace.duration == 2
-    static = params.static_pj_per_cycle(config)
     assert ledger.total_pj - free_ledger.total_pj == pytest.approx(
-        flits * params.bus_beat_energy + (flits - 1) * static)
+        flits * params.bus_beat_energy + params.static_pj(config, flits - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +469,7 @@ def test_min_cycles_pads_with_idle(tiny_config, params):
     assert trace.duration == 32
     assert all(e.kind == "idle" for e in trace.per_cycle_events())
     assert ledger.total_pj == pytest.approx(
-        params.static_pj_per_cycle(tiny_config) * 32)
+        params.static_pj(tiny_config, 32))
 
 
 def test_invalid_programs_rejected(config, isa, params):

@@ -370,6 +370,15 @@ def test_function_json_round_trip():
         assert function_from_json(doc) == fn
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_function_json_round_trip_any_function(model_functions, data):
+    fn = data.draw(model_functions)
+    back = function_from_json(json.loads(json.dumps(function_to_json(fn))))
+    assert back == fn
+    assert hash(back) == hash(fn)
+
+
 def test_parse_key_fields():
     rec = parse_key("cpu3/group:add+add/pat:zeros")
     assert rec["component"] == "cpu3"
