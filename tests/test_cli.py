@@ -179,6 +179,23 @@ def test_option_nothing_reads_exits_2(tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
+def test_fit_reads_neither_the_isa_nor_the_oracle_params(tmp_path, monkeypatch):
+    assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "24",
+                 "--step", "8"] + _defaults(tmp_path)) == EXIT_OK
+    assert main(["oracle"] + _defaults(tmp_path, "isa", "params")) == EXIT_OK
+    fit = ["fit", "--function", "noc-hop", "--name", "noc"] + _defaults(tmp_path)
+    assert main(fit) == EXIT_OK
+    model = (tmp_path / "models" / "noc.json").read_bytes()
+
+    def refuse(path):
+        raise AssertionError(f"fit loaded {path}")
+
+    monkeypatch.setattr(cli, "load_isa", refuse)
+    monkeypatch.setattr(cli, "load_oracle_params", refuse)
+    assert main(fit) == EXIT_OK
+    assert (tmp_path / "models" / "noc.json").read_bytes() == model
+
+
 def _args_read(functions, name, seen):
     """The args.<dest> names a cli function reads, and those read by the
     cli functions it passes args to."""
