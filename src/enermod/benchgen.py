@@ -2,9 +2,11 @@
 
 Every benchmark carries a setup prologue that brings the CPU into a defined
 state, followed by a body that repeats the measured unit.  Within one sweep
-only the swept variable changes; a matching prologue-only baseline and an
-idle-only calibration benchmark make the campaign's least-squares system
-identifiable (static power and prologue cost get their own equations).
+only the swept variable changes.  This module alone decides which
+calibration runs a campaign ships: instruction_campaign and comm_campaign
+start with an idle-only run and a prologue-only baseline (comm_campaign
+adds a standalone-sync run), so static power, prologue and sync cost get
+their own equations and the least-squares system is identifiable.
 """
 
 from __future__ import annotations
@@ -228,12 +230,24 @@ def gen_transition_benchmarks(states: list[InstructionGroup],
     return benchmarks
 
 
+def _calibration(isa: list[InstructionDef],
+                 config: SystemConfig) -> list[Microbenchmark]:
+    """The idle and prologue-only runs that open every campaign."""
+    return [make_idle_benchmark(config), make_baseline(isa, config)]
+
+
 def instruction_campaign(isa: list[InstructionDef], config: SystemConfig,
                          reps: int = DEFAULT_REPS) -> list[Microbenchmark]:
     """Full instruction campaign plus the calibration benchmarks."""
-    benchmarks = [make_idle_benchmark(config), make_baseline(isa, config)]
-    benchmarks.extend(gen_instruction_benchmarks(isa, config, reps=reps))
-    return benchmarks
+    return _calibration(isa, config) + gen_instruction_benchmarks(isa, config,
+                                                                  reps=reps)
+
+
+def comm_campaign(isa: list[InstructionDef], config: SystemConfig,
+                  sweeps: list[Microbenchmark]) -> list[Microbenchmark]:
+    """Packet sweeps behind the idle, baseline and sync calibration runs,
+    which give static power, prologue and sync cost their own equations."""
+    return _calibration(isa, config) + [make_sync_benchmark(isa, config), *sweeps]
 
 
 def center_window(benchmarks: list[Microbenchmark], k: int = 16) -> list[Microbenchmark]:

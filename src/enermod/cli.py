@@ -22,6 +22,7 @@ from .benchgen import (
     all_nop_group,
     benchmark_filename,
     center_window,
+    comm_campaign,
     comm_endpoints,
     gen_comm_benchmarks,
     gen_position_benchmarks,
@@ -50,6 +51,7 @@ from .modelfit import (
 from .pipeline import (
     build_simplified_model,
     iter_campaign,
+    observations,
     validate_applications,
 )
 from .refsim import (
@@ -72,7 +74,6 @@ from .refsim import (
 from .statetrace import (
     ModelFunctionError,
     TraceError,
-    abstract_trace,
     builtin_function,
     load_function,
     trace_from_lines,
@@ -100,7 +101,7 @@ EXIT_DATA = 5
 _EPILOG = """\
 exit codes:
   0  success
-  2  usage error (unknown flag or subcommand)
+  2  usage error (unknown flag or subcommand, bad option value, empty size range)
   3  referenced file missing
   4  configuration or invariant violation
   5  malformed data file
@@ -153,6 +154,15 @@ def _parse_csv(path: str, parse):
         raise CliError(EXIT_DATA, f"{path}: {exc}") from None
 
 
+def _sizes(lo: int, hi: int, step: int) -> list[int]:
+    """Packet sizes lo, lo + step, ... up to hi, for gen-bench and
+    sweep-noc; an empty range is a usage error."""
+    sizes = list(range(lo, hi + 1, step))
+    if not sizes:
+        raise CliError(EXIT_USAGE, f"empty size range: --min {lo} > --max {hi}")
+    return sizes
+
+
 def _manifest_rows(bench_dir: str) -> list[tuple[str, str]]:
     return _parse_csv(os.path.join(bench_dir, "manifest.csv"), parse_manifest_csv)
 
@@ -173,26 +183,28 @@ def _write_json(path: str, doc) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_bench(args) -> int:
-    """The instr and imem campaigns read the ISA; the comm sweep reads the API."""
+    """Every kind reads the ISA; the comm campaign's calibration runs start
+    with its NOP prologue.  The comm sweep is windowed before comm_campaign
+    puts them in front, and each size option left out falls back to the
+    API's send range."""
+    config, isa = _load_inputs(args)
     if args.kind == "instr":
-        config, isa = _load_inputs(args)
         benchmarks = instruction_campaign(isa, config, reps=args.reps)
     elif args.kind == "imem":
-        config, isa = _load_inputs(args)
         group = group_by_label(isa, config.vliw_slots, args.group)
         benchmarks = gen_position_benchmarks(config, group, args.lo, args.hi,
                                              reps=args.reps)
     else:
-        config = load_config(_require(args.config))
         api = load_api(_require(args.api))
-        sizes = None
-        if args.min is not None:
-            step = args.step or 4
-            sizes = list(range(args.min, args.max + 1, step))
-        benchmarks = gen_comm_benchmarks(api, config, args.src, args.dst,
-                                         sizes=sizes, reps=args.reps)
+        send = api.operation("send")
+        sizes = _sizes(send.size_min if args.min is None else args.min,
+                       send.size_max if args.max is None else args.max,
+                       send.size_step if args.step is None else args.step)
+        sweep = gen_comm_benchmarks(api, config, args.src, args.dst,
+                                    sizes=sizes, reps=args.reps)
         if args.center_window:
-            benchmarks = center_window(benchmarks, args.center_window)
+            sweep = center_window(sweep, args.center_window)
+        benchmarks = comm_campaign(isa, config, sweep)
     bench_dir = _subdir(_outdir(args), "benchmarks")
     for bench in benchmarks:
         _write_json(os.path.join(bench_dir, benchmark_filename(bench.name)),
@@ -232,6 +244,18 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _measured_from_files(out: str, rows: list[tuple[str, str]]):
+    """(trace, total_pj) of each manifest row, read from its trace and
+    ledger files."""
+    for _name, filename in rows:
+        stem = filename.rsplit(".", 1)[0]
+        trace_path = _require(os.path.join(out, "traces", stem + ".tsv"))
+        ledger_path = _require(os.path.join(out, "ledgers", stem + ".csv"))
+        with open(trace_path, "r", encoding="utf-8") as fh:
+            trace = trace_from_lines(fh)
+        yield trace, _parse_csv(ledger_path, ledger_from_csv)["total"]
+
+
 def cmd_fit(args) -> int:
     config = load_config(_require(args.config))
     out = _outdir(args)
@@ -240,16 +264,8 @@ def cmd_fit(args) -> int:
         function = load_function(_require(args.function_file))
     else:
         function = builtin_function(args.function)
-    observations = []
-    for name, filename in rows:
-        stem = filename.rsplit(".", 1)[0]
-        trace_path = _require(os.path.join(out, "traces", stem + ".tsv"))
-        ledger_path = _require(os.path.join(out, "ledgers", stem + ".csv"))
-        with open(trace_path, "r", encoding="utf-8") as fh:
-            trace = trace_from_lines(fh)
-        total = _parse_csv(ledger_path, ledger_from_csv)["total"]
-        observations.append((abstract_trace(trace, function), total))
-    model, report = fit_constants(observations, function)
+    model, report = fit_constants(
+        observations(_measured_from_files(out, rows), function), function)
     model.provenance["clock_hz"] = config.clock_hz
     report_dir = _subdir(out, "reports")
     save_model(model, os.path.join(_subdir(out, "models"), args.name + ".json"),
@@ -322,9 +338,9 @@ def cmd_validate(args) -> int:
 def cmd_sweep_noc(args) -> int:
     config = load_config(_require(args.config))
     params = _load_params(args)
+    sizes = _sizes(args.min, args.max, args.step)
     out = _outdir(args)
     src_cpu, dst_cpu = comm_endpoints(config, args.src, args.dst)
-    sizes = list(range(args.min, args.max + 1, args.step))
     lines = ["size_bytes,flits,total_pj,dynamic_packet_pj,sync_pj,ni_pj,"
              "router_pj,unclassified_pj,bus_pj,static_pj"]
     for size in sizes:
@@ -421,6 +437,14 @@ def _add_common(parser: argparse.ArgumentParser, *inputs: str) -> None:
                         help="output directory (default $ENERMOD_OUTDIR)")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a size step: a step below 1 is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="enermod",
@@ -436,8 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=int, default=0)
     p.add_argument("--hi", type=int, default=799)
     p.add_argument("--min", type=int, default=None, help="comm size minimum")
-    p.add_argument("--max", type=int, default=1024)
-    p.add_argument("--step", type=int, default=4)
+    p.add_argument("--max", type=int, default=None, help="comm size maximum")
+    p.add_argument("--step", type=_positive_int, default=None,
+                   help="comm size step")
     p.add_argument("--src", type=parse_coord, default="0,0")
     p.add_argument("--dst", type=parse_coord, default="1,1")
     p.add_argument("--center-window", type=int, default=0,
@@ -488,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dst", type=parse_coord, default="1,1")
     p.add_argument("--min", type=int, default=4)
     p.add_argument("--max", type=int, default=1024)
-    p.add_argument("--step", type=int, default=4)
+    p.add_argument("--step", type=_positive_int, default=4)
     p.set_defaults(func=cmd_sweep_noc)
 
     p = sub.add_parser("sweep-imem", help="instruction-position sweep CSV")

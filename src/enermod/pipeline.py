@@ -8,17 +8,15 @@ aggregation is order-stable, making results identical for any worker count.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .benchgen import (
     Microbenchmark,
+    comm_campaign,
     gen_comm_benchmarks,
     instruction_campaign,
-    make_baseline,
-    make_idle_benchmark,
-    make_sync_benchmark,
 )
 from .estimator import ErrorReport, validate
 from .modelfit import (
@@ -80,15 +78,17 @@ def run_campaign(benchmarks: list[Microbenchmark], config: SystemConfig,
     return list(iter_campaign(benchmarks, config, params, workers))
 
 
-def observations(runs: list[CampaignRun],
+def observations(measured: Iterable[tuple[Trace, float]],
                  function: ModelFunction) -> list[tuple[StateCountVector, float]]:
-    return [(abstract_trace(run.trace, function), run.ledger.total_pj)
-            for run in runs]
+    """The fit rows of (trace, total_pj) pairs, in order, whether the runs
+    are in memory or read from trace and ledger files."""
+    return [(abstract_trace(trace, function), total) for trace, total in measured]
 
 
 def fit_campaign(runs: list[CampaignRun],
                  function: ModelFunction) -> tuple[EnergyModel, FitReport]:
-    return fit_constants(observations(runs, function), function)
+    return fit_constants(observations(((run.trace, run.ledger.total_pj)
+                                       for run in runs), function), function)
 
 
 def cluster_at_distance(config: SystemConfig, hops: int) -> Coord | None:
@@ -105,21 +105,18 @@ def max_hops(config: SystemConfig) -> int:
 
 def comm_benchmarks_per_hop(api: ApiDescription, config: SystemConfig, isa,
                             sizes: list[int] | None = None) -> list[Microbenchmark]:
-    """Packet sweeps covering every hop distance the mesh offers, plus the
-    cluster-local bus route and the idle/baseline/sync calibration
-    benchmarks that make the system full rank."""
+    """The comm_campaign of packet sweeps covering every hop distance the
+    mesh offers, plus the cluster-local bus route."""
     sizes = sizes or DEFAULT_COMM_SIZES
-    benchmarks: list[Microbenchmark] = [make_idle_benchmark(config),
-                                        make_baseline(isa, config),
-                                        make_sync_benchmark(isa, config)]
+    sweeps: list[Microbenchmark] = []
     # hop count 0 is the crossbar route, which needs two CPUs per cluster
     first_hops = 0 if config.cpus_per_cluster >= 2 else 1
     for hops in range(first_hops, max_hops(config) + 1):
         dst = cluster_at_distance(config, hops)
         if dst is not None:
-            benchmarks.extend(gen_comm_benchmarks(api, config, (0, 0), dst,
-                                                  sizes=sizes))
-    return benchmarks
+            sweeps.extend(gen_comm_benchmarks(api, config, (0, 0), dst,
+                                              sizes=sizes))
+    return comm_campaign(isa, config, sweeps)
 
 
 def merge_models(instruction_model: EnergyModel,

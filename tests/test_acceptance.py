@@ -17,12 +17,11 @@ import pytest
 from enermod import data_path
 from enermod.benchgen import (
     BODY_ADDR,
+    comm_campaign,
     gen_comm_benchmarks,
     gen_transition_benchmarks,
     instruction_campaign,
-    make_baseline,
     make_idle_benchmark,
-    make_sync_benchmark,
 )
 from enermod.dse import (
     Actor,
@@ -205,13 +204,11 @@ def test_criterion_3_staircase_dominance(config, params):
 def test_criterion_4_hop_reduction(isa, api, params):
     config = parse_config('{"mesh_cols": 3, "mesh_rows": 3}')
     sizes = [16, 64]
-    benches = [make_idle_benchmark(config), make_baseline(isa, config),
-               make_sync_benchmark(isa, config)]
     clusters = config.all_clusters()
     pairs = [(s, d) for s in clusters for d in clusters if s != d]
-    for src, dst in pairs:
-        benches.extend(gen_comm_benchmarks(api, config, src, dst,
-                                           sizes=sizes, reps=4))
+    benches = comm_campaign(isa, config, [
+        bench for src, dst in pairs
+        for bench in gen_comm_benchmarks(api, config, src, dst, sizes=sizes, reps=4)])
     runs = run_campaign(benches, config, params)
     full, _ = fit_campaign(runs, noc_pair_function())
     pair_keys = sum(1 for k in full.constants if k.startswith("noc/src"))

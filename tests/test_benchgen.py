@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from enermod.benchgen import (
     PROLOGUE_LEN,
     center_window,
+    comm_campaign,
     gen_comm_benchmarks,
     gen_instruction_benchmarks,
     gen_position_benchmarks,
@@ -195,6 +196,16 @@ def test_campaign_includes_calibration(isa, config):
     assert names[0] == "cal/idle" and names[1] == "cal/baseline"
     groups = enumerate_instruction_groups(isa, config.vliw_slots)
     assert len(campaign) == 2 + len(groups) * 3
+
+
+def test_comm_campaign_puts_the_instruction_calibration_and_sync_first(
+        isa, api, config):
+    sweep = gen_comm_benchmarks(api, config, sizes=[8, 16])
+    campaign = comm_campaign(isa, config, sweep)
+    assert [b.name for b in campaign] == [
+        "cal/idle", "cal/baseline", "cal/sync", "comm/h2/8", "comm/h2/16"]
+    assert campaign[:2] == instruction_campaign(isa, config)[:2]
+    assert campaign[3:] == sweep
 
 
 def test_baseline_is_prologue_only(isa, config):

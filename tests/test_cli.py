@@ -47,6 +47,14 @@ def _tree_files(root):
     return found
 
 
+_CALIBRATION = ["cal/idle", "cal/baseline", "cal/sync"]
+
+
+def _manifest_names(out):
+    manifest = (out / "benchmarks" / "manifest.csv").read_text()
+    return [line.split(",", 1)[0] for line in manifest.splitlines()[1:]]
+
+
 def test_gen_bench_comm_writes_256_programs(tmp_path):
     rc = main(["gen-bench", "--kind", "comm", "--min", "4", "--max", "1024",
                "--step", "4", "--api", data_path("api.json")]
@@ -54,8 +62,8 @@ def test_gen_bench_comm_writes_256_programs(tmp_path):
     assert rc == EXIT_OK
     bench_dir = tmp_path / "benchmarks"
     programs = [f for f in os.listdir(bench_dir) if f.endswith(".json")]
-    assert len(programs) == 256
-    assert (bench_dir / "manifest.csv").exists()
+    assert len(programs) == 256 + len(_CALIBRATION)
+    assert _manifest_names(tmp_path)[:4] == _CALIBRATION + ["comm/h2/4"]
 
 
 def test_gen_bench_comm_same_cluster_sweeps_the_crossbar(tmp_path):
@@ -65,8 +73,7 @@ def test_gen_bench_comm_same_cluster_sweeps_the_crossbar(tmp_path):
               + _defaults(tmp_path))
     assert rc == EXIT_OK
     bench_dir = tmp_path / "benchmarks"
-    manifest = (bench_dir / "manifest.csv").read_text()
-    assert [line.split(",", 1)[0] for line in manifest.splitlines()[1:]] == [
+    assert _manifest_names(tmp_path) == _CALIBRATION + [
         "comm/h0/8", "comm/h0/16", "comm/h0/24", "comm/h0/32"]
     doc = json.loads((bench_dir / "comm__h0__8.json").read_text())
     assert sorted(doc["cpus"]) == ["0", "1"]
@@ -230,12 +237,71 @@ def test_every_option_is_read_by_its_subcommand():
     assert not unread, unread
 
 
-def test_gen_bench_comm_does_not_read_the_isa(tmp_path):
+def test_gen_bench_comm_without_the_isa_exits_3(tmp_path, capsys):
+    # the baseline and sync runs start with the ISA's NOP prologue
+    missing = str(tmp_path / "missing.json")
     rc = main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "16",
-               "--step", "8", "--isa", str(tmp_path / "missing.json")]
-              + _defaults(tmp_path))
-    assert rc == EXIT_OK
-    assert len(os.listdir(tmp_path / "benchmarks")) == 3
+               "--step", "8", "--isa", missing] + _defaults(tmp_path))
+    assert rc == EXIT_MISSING_FILE
+    assert missing in _one_error_line(capsys, EXIT_MISSING_FILE)
+    assert not (tmp_path / "benchmarks").exists()
+
+
+@pytest.mark.parametrize("route", [["--src", "0,0", "--dst", "1,1"],
+                                   ["--src", "0,0", "--dst", "0,0"]])
+def test_readme_comm_flow_fits_every_constant(tmp_path, route):
+    """gen-bench ships the calibration runs, so a packet sweep alone fits
+    at full rank with no negative constant, over the mesh or the crossbar."""
+    assert main(["gen-bench", "--kind", "comm", *route, "--min", "4",
+                 "--max", "76", "--step", "36", "--reps", "8"]
+                + _defaults(tmp_path)) == EXIT_OK
+    assert main(["oracle", "--workers", "2"]
+                + _defaults(tmp_path, "isa", "params")) == EXIT_OK
+    assert main(["fit", "--function", "noc-hop", "--name", "noc"]
+                + _defaults(tmp_path)) == EXIT_OK
+    report = json.loads((tmp_path / "reports" / "fit_noc.json").read_text())
+    assert report["rank"] == report["n_unknowns"]
+    assert report["negative_keys"] == []
+    assert report["observations"] == 3 + len(_CALIBRATION)
+
+
+def test_center_window_keeps_the_calibration_runs_first(tmp_path):
+    assert main(["gen-bench", "--kind", "comm", "--center-window", "2",
+                 "--min", "8", "--max", "64", "--step", "8"]
+                + _defaults(tmp_path)) == EXIT_OK
+    assert _manifest_names(tmp_path) == _CALIBRATION + ["comm/h2/32", "comm/h2/40"]
+
+
+def test_gen_bench_size_options_fall_back_to_the_api(tmp_path):
+    # the shipped send range is 4..1024 B in 4-byte steps
+    for given, sizes in [(["--max", "64", "--step", "20"], [4, 24, 44, 64]),
+                         (["--min", "1000"], [1000, 1004, 1008, 1012, 1016, 1020, 1024]),
+                         (["--max", "12"], [4, 8, 12])]:
+        out = tmp_path / "-".join(given)
+        assert main(["gen-bench", "--kind", "comm", *given] + _defaults(out)) == EXIT_OK
+        assert _manifest_names(out) == _CALIBRATION + [f"comm/h2/{n}" for n in sizes]
+
+
+@pytest.mark.parametrize("command", ["gen-bench", "sweep-noc"])
+@pytest.mark.parametrize("step", ["0", "-4"])
+def test_size_step_below_1_is_a_usage_error(tmp_path, capsys, command, step):
+    kind = ["--kind", "comm"] if command == "gen-bench" else []
+    with pytest.raises(SystemExit) as err:
+        main([command, *kind, "--step", step] + _defaults(tmp_path))
+    assert err.value.code == EXIT_USAGE
+    assert "argument --step" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("command,inputs", [("gen-bench", ("isa", "api")),
+                                            ("sweep-noc", ("params",))])
+def test_empty_size_range_exits_2(tmp_path, capsys, command, inputs):
+    kind = ["--kind", "comm"] if command == "gen-bench" else []
+    out = tmp_path / "out"
+    rc = main([command, *kind, "--min", "64", "--max", "8"] + _defaults(out, *inputs))
+    assert rc == EXIT_USAGE
+    assert "empty size range" in _one_error_line(capsys, EXIT_USAGE)
+    assert not out.exists()
 
 
 _ORACLE_LOSING_A_WORKER = """
@@ -302,7 +368,7 @@ def test_manifest_line_without_a_comma_exits_5(tmp_path, capsys):
                     ["fit", "--function", "noc-hop"] + _defaults(tmp_path)):
         capsys.readouterr()
         assert main(command) == EXIT_DATA
-        assert "manifest.csv: line 4:" in _one_error_line(capsys, EXIT_DATA)
+        assert "manifest.csv: line 7:" in _one_error_line(capsys, EXIT_DATA)
 
 
 def _fit_with_ledger_line(out, capsys, line):
@@ -353,10 +419,9 @@ def test_pipeline_idempotent_and_worker_independent(tmp_path):
 def test_fit_then_estimate_trace(tmp_path):
     out = tmp_path
     _pipeline(out)
-    traces = sorted(os.listdir(out / "traces"))
     est_path = out / "estimate.json"
     rc = main(["estimate", "--model", str(out / "models" / "noc.json"),
-               "--trace", str(out / "traces" / traces[0]),
+               "--trace", str(out / "traces" / "comm__h2__16.tsv"),
                "--output", str(est_path)])
     assert rc == EXIT_OK
     doc = json.loads(est_path.read_text())
@@ -383,8 +448,7 @@ def _one_packet_trace(out):
                 + _defaults(out)) == EXIT_OK
     assert main(["oracle"] + _defaults(out, "isa", "params")) == EXIT_OK
     assert main(["fit", "--function", "noc-hop", "--name", "noc"] + _defaults(out)) == EXIT_OK
-    (trace,) = os.listdir(out / "traces")
-    return (out / "traces" / trace).read_text().splitlines()
+    return (out / "traces" / "comm__h2__8.tsv").read_text().splitlines()
 
 
 def test_estimate_of_idle_time_that_cannot_be_a_span_exits_5(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Source hygiene: no module-level import goes unused, no library code
-serves only the tests, every defaulted parameter is set by some call, and
-float sums that reach files fold left to right."""
+serves only the tests, every defaulted parameter is set by some call,
+calibration runs are built in benchgen alone, and float sums that reach
+files fold left to right."""
 
 import ast
 import glob
@@ -267,6 +268,24 @@ def test_every_defaulted_parameter_is_passed():
                     unset.append(f"{where} is passed; drop it from the allowlist")
     stale = sorted(set(_UNSET_ALLOWED) - seen)
     assert not unset and not stale, "\n".join(unset + stale)
+
+
+_CALIBRATION_BUILDERS = ("make_idle_benchmark", "make_baseline", "make_sync_benchmark")
+
+
+def test_calibration_runs_are_built_in_benchgen_alone():
+    """A campaign's calibration runs come from benchgen's campaign
+    functions, so the CLI and the pipeline cannot ship different ones."""
+    outside = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "enermod", "*.py"))):
+        if os.path.basename(path) == "benchgen.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name in _CALIBRATION_BUILDERS:
+                outside.append(f"{os.path.relpath(path, ROOT)}:{node.lineno}: {name}")
+    assert not outside, "\n".join(outside)
 
 
 # From Python 3.12 on the builtin sum adds floats with compensation, so a

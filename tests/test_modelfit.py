@@ -209,21 +209,12 @@ def test_staircase_dominates_linear_on_oracle_sweep(config, params):
 # ---------------------------------------------------------------------------
 
 def _pair_model_2x2(config, isa, api, params):
-    from enermod.benchgen import (
-        gen_comm_benchmarks,
-        make_baseline,
-        make_idle_benchmark,
-        make_sync_benchmark,
-    )
+    from enermod.benchgen import comm_campaign, gen_comm_benchmarks
 
-    benches = [make_idle_benchmark(config), make_baseline(isa, config),
-               make_sync_benchmark(isa, config)]
     clusters = config.all_clusters()
-    for src in clusters:
-        for dst in clusters:
-            if src != dst:
-                benches.extend(gen_comm_benchmarks(api, config, src, dst,
-                                                   sizes=[16], reps=4))
+    benches = comm_campaign(isa, config, [
+        bench for src in clusters for dst in clusters if src != dst
+        for bench in gen_comm_benchmarks(api, config, src, dst, sizes=[16], reps=4)])
     runs = run_campaign(benches, config, params)
     model, report = fit_campaign(runs, noc_pair_function())
     return model, report, runs

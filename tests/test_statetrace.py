@@ -484,7 +484,7 @@ def test_oracle_trace_files_spell_the_reference(tmp_path, config, params):
                      "--config", data_path("default_config.json"),
                      "--out", str(tmp_path / "noc")]) == 0
         assert _oracle_files_spell_the_reference(
-            tmp_path / "noc", data_path("isa.json"), config, params) == 29
+            tmp_path / "noc", data_path("isa.json"), config, params) == 3 + 29
         isa_path = tmp_path / "tiny_isa.json"
         isa_path.write_text(json.dumps([
             {"mnemonic": "nop", "iclass": "NOP", "allowed_slots": [0, 1],
