@@ -3,10 +3,11 @@
 Every benchmark carries a setup prologue that brings the CPU into a defined
 state, followed by a body that repeats the measured unit.  Within one sweep
 only the swept variable changes.  This module alone decides which
-calibration runs a campaign ships: instruction_campaign and comm_campaign
-start with an idle-only run and a prologue-only baseline (comm_campaign
-adds a standalone-sync run), so static power, prologue and sync cost get
-their own equations and the least-squares system is identifiable.
+calibration runs a campaign ships: instruction_campaign, position_campaign
+and comm_campaign start with an idle-only run and a prologue-only baseline
+(comm_campaign adds a standalone-sync run), so static power, prologue and
+sync cost get their own equations and the least-squares system is
+identifiable.
 """
 
 from __future__ import annotations
@@ -241,6 +242,14 @@ def instruction_campaign(isa: list[InstructionDef], config: SystemConfig,
     """Full instruction campaign plus the calibration benchmarks."""
     return _calibration(isa, config) + gen_instruction_benchmarks(isa, config,
                                                                   reps=reps)
+
+
+def position_campaign(isa: list[InstructionDef], config: SystemConfig,
+                      group: InstructionGroup, addr_lo: int, addr_hi: int,
+                      reps: int) -> list[Microbenchmark]:
+    """An instruction-memory position sweep plus the calibration benchmarks."""
+    return _calibration(isa, config) + gen_position_benchmarks(
+        config, group, addr_lo, addr_hi, reps=reps)
 
 
 def comm_campaign(isa: list[InstructionDef], config: SystemConfig,

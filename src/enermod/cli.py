@@ -25,12 +25,13 @@ from .benchgen import (
     comm_campaign,
     comm_endpoints,
     gen_comm_benchmarks,
-    gen_position_benchmarks,
     instruction_campaign,
     manifest_csv,
     parse_manifest_csv,
+    position_campaign,
 )
 from .dse import (
+    AnnealSchedule,
     GraphError,
     InfeasibleError,
     anneal_restarts,
@@ -69,7 +70,6 @@ from .refsim import (
     program_from_json,
     program_to_json,
     run_program,
-    validate_program,
 )
 from .statetrace import (
     ModelFunctionError,
@@ -183,7 +183,7 @@ def _write_json(path: str, doc) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_bench(args) -> int:
-    """Every kind reads the ISA; the comm campaign's calibration runs start
+    """Every kind reads the ISA; each campaign's calibration runs start
     with its NOP prologue.  The comm sweep is windowed before comm_campaign
     puts them in front, and each size option left out falls back to the
     API's send range."""
@@ -192,8 +192,8 @@ def cmd_gen_bench(args) -> int:
         benchmarks = instruction_campaign(isa, config, reps=args.reps)
     elif args.kind == "imem":
         group = group_by_label(isa, config.vliw_slots, args.group)
-        benchmarks = gen_position_benchmarks(config, group, args.lo, args.hi,
-                                             reps=args.reps)
+        benchmarks = position_campaign(isa, config, group, args.lo, args.hi,
+                                       args.reps)
     else:
         api = load_api(_require(args.api))
         send = api.operation("send")
@@ -224,7 +224,6 @@ def cmd_oracle(args) -> int:
         with open(_require(os.path.join(bench_dir, filename)), "r",
                   encoding="utf-8") as fh:
             program = program_from_json(json.load(fh), isa)
-        validate_program(config, program)
         benches.append(Microbenchmark(name=name, program=program, swept=(), reps=0))
 
     trace_dir = _subdir(out, "traces")
@@ -386,9 +385,10 @@ def cmd_explore(args) -> int:
     model = load_model(_require(args.model))
     graph = load_graph(_require(args.graph))
     out = _outdir(args)
-    seeds = [args.seed + i for i in range(args.chains)]
-    result = anneal_restarts(graph, config, model, seeds, steps=args.steps,
-                             initial_temp=args.temp, cooling=args.cooling,
+    schedules = [AnnealSchedule(initial_temp=args.temp, cooling=args.cooling,
+                                steps=args.steps, seed=args.seed + i)
+                 for i in range(args.chains)]
+    result = anneal_restarts(graph, config, model, schedules,
                              w_energy=args.w_energy,
                              w_throughput=args.w_throughput)
     _write_json(os.path.join(_subdir(out, "models"), "partition.json"),
@@ -438,7 +438,8 @@ def _add_common(parser: argparse.ArgumentParser, *inputs: str) -> None:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of a size step: a step below 1 is a usage error."""
+    """argparse type of a count or step that must be at least 1; a value
+    below 1 is a usage error."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
@@ -465,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comm size step")
     p.add_argument("--src", type=parse_coord, default="0,0")
     p.add_argument("--dst", type=parse_coord, default="1,1")
-    p.add_argument("--center-window", type=int, default=0,
+    p.add_argument("--center-window", type=_positive_int, default=None,
                    help="keep only the N sweep points around the center")
     p.set_defaults(func=cmd_gen_bench)
 
@@ -528,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=data_path("default_config.json"))
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chains", type=int, default=4)
+    p.add_argument("--chains", type=_positive_int, default=4)
     p.add_argument("--steps", type=int, default=10_000)
     p.add_argument("--temp", type=float, default=500.0)
     p.add_argument("--cooling", type=float, default=0.999)

@@ -66,6 +66,8 @@ class DataflowGraph:
 
     def __post_init__(self) -> None:
         ids = [a.id for a in self.actors]
+        if not ids:
+            raise GraphError("a graph needs at least one actor")
         if len(set(ids)) != len(ids):
             raise GraphError("duplicate actor ids")
         known = set(ids)
@@ -353,19 +355,16 @@ def anneal(graph: DataflowGraph, config: SystemConfig, model: EnergyModel,
 
 
 def anneal_restarts(graph: DataflowGraph, config: SystemConfig,
-                    model: EnergyModel, seeds, steps: int = 10_000,
-                    initial_temp: float = 500.0, cooling: float = 0.999,
+                    model: EnergyModel, schedules: list[AnnealSchedule],
                     w_energy: float = 1.0, w_throughput: float = 0.0,
                     g_max: int = G_MAX,
                     clone_max: int | None = None) -> AnnealResult:
-    """Independent chains, one per seed; the best feasible result wins."""
+    """Independent chains, one per schedule; the best feasible result wins
+    (the earliest chain on a tie)."""
     best: AnnealResult | None = None
-    for seed in seeds:
-        result = anneal(graph, config, model,
-                        AnnealSchedule(initial_temp=initial_temp,
-                                       cooling=cooling, steps=steps, seed=seed),
-                        w_energy, w_throughput, g_max=g_max,
-                        clone_max=clone_max)
+    for schedule in schedules:
+        result = anneal(graph, config, model, schedule, w_energy, w_throughput,
+                        g_max=g_max, clone_max=clone_max)
         if best is None or (result.best_score.cost(w_energy, w_throughput)
                             < best.best_score.cost(w_energy, w_throughput)):
             best = result
@@ -377,16 +376,52 @@ def anneal_restarts(graph: DataflowGraph, config: SystemConfig,
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _count(value, where: str, field: str) -> int:
+    """A graph field that must be a non-negative integer."""
+    if type(value) is not int or value < 0:
+        raise GraphError(f"{where}: {field} must be an integer >= 0, got {value!r}")
+    return value
+
+
+def _entries(doc: dict, name: str, fields: tuple[str, ...]) -> list[dict]:
+    """The objects listed under doc[name], each holding its string fields."""
+    entries = doc.get(name, [])
+    if not isinstance(entries, list):
+        raise GraphError(f"{name} must be a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not all(
+                isinstance(entry.get(field), str) for field in fields):
+            raise GraphError(f"{name}[{i}] must be an object with string "
+                             f"{' and '.join(fields)}")
+    return entries
+
+
 def graph_from_json(doc: dict) -> DataflowGraph:
-    actors = tuple(Actor(
-        id=a["id"],
-        work=tuple(sorted(a.get("work", {}).items())),
-        state_bytes=a.get("state_bytes", 0),
-        stateless=a.get("stateless", True),
-    ) for a in doc["actors"])
-    channels = tuple(Channel(src=c["src"], dst=c["dst"], bytes_per_iter=c["bytes"])
-                     for c in doc.get("channels", []))
-    return DataflowGraph(actors=actors, channels=channels)
+    """A graph from its JSON document.  A field of the wrong type raises
+    GraphError naming its actor or channel and the field."""
+    if not isinstance(doc, dict):
+        raise GraphError("a graph is a JSON object")
+    actors = []
+    for a in _entries(doc, "actors", ("id",)):
+        where = f"actor {a['id']!r}"
+        work = a.get("work", {})
+        if not isinstance(work, dict):
+            raise GraphError(f"{where}: work must be an object of key counts")
+        stateless = a.get("stateless", True)
+        if not isinstance(stateless, bool):
+            raise GraphError(f"{where}: stateless must be true or false")
+        actors.append(Actor(
+            id=a["id"],
+            work=tuple(sorted((key, _count(n, where, f"work {key!r}"))
+                              for key, n in work.items())),
+            state_bytes=_count(a.get("state_bytes", 0), where, "state_bytes"),
+            stateless=stateless))
+    channels = []
+    for c in _entries(doc, "channels", ("src", "dst")):
+        where = f"channel {c['src']}->{c['dst']}"
+        channels.append(Channel(src=c["src"], dst=c["dst"],
+                                bytes_per_iter=_count(c.get("bytes"), where, "bytes")))
+    return DataflowGraph(actors=tuple(actors), channels=tuple(channels))
 
 
 def load_graph(path: str) -> DataflowGraph:

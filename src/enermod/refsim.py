@@ -243,50 +243,31 @@ class Program:
         )
 
 
-def _bundle_key(op: BundleOp) -> tuple:
-    """What a bundle's event, energy and validity depend on.  The group is
-    keyed by identity: it is only used while the program holds the group."""
-    return id(op.group), op.pattern, op.addr
+def _check_bundle(config: SystemConfig, op: BundleOp) -> None:
+    """Reject a bundle whose slot count, address or pattern does not fit
+    the configuration."""
+    if len(op.group.slots) != config.vliw_slots:
+        raise ProgramError(
+            f"group {op.group.label} has {len(op.group.slots)} slots, "
+            f"config has {config.vliw_slots}")
+    if not 0 <= op.addr <= config.imem_words - op.group.imem_footprint:
+        raise ProgramError(
+            f"imem address {op.addr} out of range for "
+            f"{'compressed' if op.group.compressed else 'uncompressed'} bundle")
+    if op.pattern not in DATA_PATTERNS:
+        raise ProgramError(f"unknown data pattern {op.pattern!r}")
 
 
-def validate_program(config: SystemConfig, program: Program) -> None:
-    """Reject invalid addresses, coordinates, patterns and sizes up front.
-
-    Each distinct bundle is checked once."""
-    if program.min_cycles < 0:
-        raise ProgramError("min_cycles must be >= 0")
-    cpus = [cpu for cpu, _ops in program.ops]
-    if len(set(cpus)) != len(cpus):
-        raise ProgramError("a cpu id is listed twice")
-    checked: set[tuple] = set()
-    for cpu, ops in program.ops:
-        if not 0 <= cpu < config.n_cpus:
-            raise ProgramError(f"cpu id {cpu} out of range (n_cpus={config.n_cpus})")
-        for op in ops:
-            if isinstance(op, BundleOp):
-                key = _bundle_key(op)
-                if key in checked:
-                    continue
-                checked.add(key)
-                if len(op.group.slots) != config.vliw_slots:
-                    raise ProgramError(
-                        f"group {op.group.label} has {len(op.group.slots)} slots, "
-                        f"config has {config.vliw_slots}")
-                if not 0 <= op.addr <= config.imem_words - op.group.imem_footprint:
-                    raise ProgramError(
-                        f"imem address {op.addr} out of range for "
-                        f"{'compressed' if op.group.compressed else 'uncompressed'} bundle")
-                if op.pattern not in DATA_PATTERNS:
-                    raise ProgramError(f"unknown data pattern {op.pattern!r}")
-            elif isinstance(op, (SendOp, RecvOp)):
-                peer = op.dst_cpu if isinstance(op, SendOp) else op.src_cpu
-                if not 0 <= peer < config.n_cpus:
-                    raise ProgramError(f"peer cpu {peer} off mesh")
-                if op.size_bytes < 1:
-                    raise ProgramError("transfer size must be >= 1 byte")
-                if op.size_bytes > config.dmem_bytes:
-                    raise ProgramError(
-                        f"transfer of {op.size_bytes} B exceeds dmem {config.dmem_bytes} B")
+def _check_transfer(config: SystemConfig, peer: int, size_bytes: int) -> None:
+    """Reject a send or recv whose peer is off the mesh or whose size does
+    not fit data memory."""
+    if not 0 <= peer < config.n_cpus:
+        raise ProgramError(f"peer cpu {peer} off mesh")
+    if size_bytes < 1:
+        raise ProgramError("transfer size must be >= 1 byte")
+    if size_bytes > config.dmem_bytes:
+        raise ProgramError(
+            f"transfer of {size_bytes} B exceeds dmem {config.dmem_bytes} B")
 
 
 # ---------------------------------------------------------------------------
@@ -440,27 +421,36 @@ def run_program(config: SystemConfig, params: OracleParams,
     spends feeding the NI count as idle too); the trace holds idle time as
     per-CPU spans.
 
-    A program repeats its bundles, so each distinct bundle's event
-    attributes and energy parts are worked out once per run and reused.
+    A program repeats its bundle op objects, so each distinct op is
+    checked against the configuration, and its event attributes and energy
+    parts worked out, once per run.  An invalid program raises ProgramError
+    at its first invalid op, in program order.
     """
-    validate_program(config, program)
+    if program.min_cycles < 0:
+        raise ProgramError("min_cycles must be >= 0")
+    cpus = [cpu for cpu, _ops in program.ops]
+    if len(set(cpus)) != len(cpus):
+        raise ProgramError("a cpu id is listed twice")
     events: list[StateEvent] = []
     busy: dict[str, list[int]] = {}
     acc = _Accumulator()
     core_book = acc.book["core"].append
     imem_book = acc.book["imem"].append
     dmem_book = acc.book["dmem"].append
-    bundles: dict[tuple, tuple] = {}    # _bundle_key -> (attrs, core, imem, dmem)
+    bundles: dict[int, tuple] = {}    # id(op) -> (attrs, core, imem, dmem)
 
     for cpu, ops in program.ops:
+        if not 0 <= cpu < config.n_cpus:
+            raise ProgramError(f"cpu id {cpu} out of range (n_cpus={config.n_cpus})")
         cluster = config.cpu_cluster(cpu)
         comp = f"cpu{cpu}"
         cycles = busy[comp] = []
         t = 0
         for op in ops:
             if isinstance(op, BundleOp):
-                key = _bundle_key(op)
+                key = id(op)
                 if key not in bundles:
+                    _check_bundle(config, op)
                     bundles[key] = (make_event(
                         t, comp, EVENT_BUNDLE,
                         group=op.group.label, pattern=op.pattern, addr=op.addr,
@@ -475,9 +465,11 @@ def run_program(config: SystemConfig, params: OracleParams,
                 cycles.append(t)
                 t += 1
             elif isinstance(op, SendOp):
+                _check_transfer(config, op.dst_cpu, op.size_bytes)
                 cycles.append(t)
                 t = _emit_packet(config, params, events, acc, cpu, cluster, op, t)
             elif isinstance(op, RecvOp):
+                _check_transfer(config, op.src_cpu, op.size_bytes)
                 # Receive completion is free; the cycle shows up as idle.
                 t += 1
             elif isinstance(op, SyncOp):
@@ -586,7 +578,8 @@ def _slot_instruction(by_name: dict, name: str | None):
 def program_from_json(doc: dict, isa: list) -> Program:
     """A program from its JSON document.  Equal bundle entries load as one
     BundleOp and equal slot lists as one InstructionGroup, so the oracle's
-    per-bundle memo, keyed by group identity, holds across repetitions."""
+    per-bundle memo and checks, keyed by op identity, hold across
+    repetitions."""
     by_name = {i.mnemonic: i for i in isa}
     groups: dict[tuple, InstructionGroup] = {}
     bundles: dict[tuple, BundleOp] = {}

@@ -25,6 +25,7 @@ from enermod.benchgen import (
 )
 from enermod.dse import (
     Actor,
+    AnnealSchedule,
     Channel,
     DataflowGraph,
     Partition,
@@ -316,8 +317,9 @@ def test_criterion_8_dse_optimality(config, simplified_model):
             if score.feasible:
                 cost = score.cost()
                 best = cost if best is None else min(best, cost)
-    result = anneal_restarts(graph, config, model, seeds=range(8),
-                             steps=10_000, g_max=4, clone_max=1)
+    result = anneal_restarts(graph, config, model,
+                             [AnnealSchedule(seed=seed) for seed in range(8)],
+                             g_max=4, clone_max=1)
     elapsed = time.perf_counter() - start
     annealed = result.best_score.cost()
     _report("8 dse-optimality",

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import contextlib
+import copy
 import filecmp
 import io
 import json
@@ -24,6 +25,8 @@ from enermod.cli import (
     EXIT_USAGE,
     main,
 )
+from enermod.modelfit import save_model
+from enermod.pipeline import build_simplified_model
 
 
 _SHIPPED = {"isa": "isa.json", "api": "api.json", "params": "oracle_params.json"}
@@ -127,6 +130,28 @@ def _one_error_line(capsys, code):
     assert len(errors) == 1 and errors[0].startswith(f"error:{code}:")
     assert "Traceback" not in err
     return errors[0]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_oracle_stops_at_the_first_invalid_program(tmp_path, capsys, workers):
+    """A program that loads but does not fit the configuration stops the
+    campaign at its turn: the runs before it keep their files, and no
+    results.csv is written."""
+    assert main(["gen-bench", "--kind", "imem", "--group", "ldw+add", "--lo", "0",
+                 "--hi", "7", "--reps", "2"] + _defaults(tmp_path)) == EXIT_OK
+    rows = _manifest_names(tmp_path)
+    k = 4
+    program = tmp_path / "benchmarks" / cli.benchmark_filename(rows[k])
+    doc = json.loads(program.read_text())
+    doc["cpus"]["0"][-1]["bundle"]["addr"] = 10**6
+    program.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["oracle", "--workers", workers] + _defaults(tmp_path, "isa", "params"))
+    assert rc == EXIT_INVARIANT
+    assert "imem address 1000000 out of range" in _one_error_line(capsys, EXIT_INVARIANT)
+    stems = [cli.benchmark_filename(name)[:-len(".json")] for name in rows[:k]]
+    assert sorted(os.listdir(tmp_path / "traces")) == sorted(s + ".tsv" for s in stems)
+    assert sorted(os.listdir(tmp_path / "ledgers")) == sorted(s + ".csv" for s in stems)
 
 
 def test_oracle_non_integer_cpu_key_exits_4(tmp_path, capsys):
@@ -270,6 +295,35 @@ def test_center_window_keeps_the_calibration_runs_first(tmp_path):
                  "--min", "8", "--max", "64", "--step", "8"]
                 + _defaults(tmp_path)) == EXIT_OK
     assert _manifest_names(tmp_path) == _CALIBRATION + ["comm/h2/32", "comm/h2/40"]
+
+
+@pytest.mark.parametrize("command,option", [
+    (["gen-bench", "--kind", "comm"], "--center-window"),
+    (["explore", "--graph", data_path("example_graph.json"), "--model", "m.json"],
+     "--chains")])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_count_below_1_is_a_usage_error(tmp_path, capsys, command, option, value):
+    with pytest.raises(SystemExit) as err:
+        main(command + [option, value] + _defaults(tmp_path))
+    assert err.value.code == EXIT_USAGE
+    assert f"argument {option}" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("group", ["nop+nop", "ldw+add"])
+def test_gen_bench_imem_fits_every_constant(tmp_path, group):
+    """The position sweep ships the idle and baseline runs, so it fits at
+    full rank with no negative constant."""
+    assert main(["gen-bench", "--kind", "imem", "--group", group, "--lo", "0",
+                 "--hi", "31", "--reps", "8"] + _defaults(tmp_path)) == EXIT_OK
+    assert _manifest_names(tmp_path)[:2] == ["cal/idle", "cal/baseline"]
+    assert main(["oracle"] + _defaults(tmp_path, "isa", "params")) == EXIT_OK
+    assert main(["fit", "--function", "instruction-fine", "--name", "imem"]
+                + _defaults(tmp_path)) == EXIT_OK
+    report = json.loads((tmp_path / "reports" / "fit_imem.json").read_text())
+    assert report["rank"] == report["n_unknowns"] > 1
+    assert report["negative_keys"] == []
+    assert report["observations"] == 2 + 32
 
 
 def test_gen_bench_size_options_fall_back_to_the_api(tmp_path):
@@ -641,6 +695,60 @@ def test_explore_runs(tmp_path):
     doc = json.loads((tmp_path / "models" / "partition.json").read_text())
     assert doc["score"]["feasible"]
     assert (tmp_path / "reports" / "explore_history.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def explore_model(tmp_path_factory, config, isa, api, params):
+    model, _reports = build_simplified_model(config, isa, api, params, reps=8)
+    path = tmp_path_factory.mktemp("explore") / "model.json"
+    save_model(model, str(path))
+    return path
+
+
+with open(data_path("example_graph.json"), encoding="utf-8") as _fh:
+    _GRAPH = json.load(_fh)
+
+
+def _graph_fields(doc):
+    """The path of every field of a graph document, the document first."""
+    yield ()
+    for name in ("actors", "channels"):
+        yield (name,)
+        for i, entry in enumerate(doc[name]):
+            yield (name, i)
+            for field, value in entry.items():
+                yield (name, i, field)
+                if isinstance(value, dict):
+                    yield from ((name, i, field, key) for key in value)
+
+
+@settings(max_examples=120, deadline=None)
+@given(path=st.sampled_from(list(_graph_fields(_GRAPH))),
+       value=st.sampled_from(["x", "", 1.5, -1, 0, True, None, [1], [], {"a": 1}, {}]))
+def test_explore_of_a_graph_with_one_mutated_field_never_crashes(explore_model, path,
+                                                                  value):
+    doc = copy.deepcopy(_GRAPH)
+    if path:
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    out = explore_model.parent / "mutated"
+    out.mkdir(exist_ok=True)
+    (out / "graph.json").write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["explore", "--graph", str(out / "graph.json"),
+                   "--model", str(explore_model), "--out", str(out),
+                   "--config", data_path("default_config.json"),
+                   "--steps", "20", "--chains", "1"])
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert rc in (EXIT_OK, EXIT_INVARIANT, EXIT_DATA)
+    assert len(errors) == (rc != EXIT_OK)
+    assert all(line.startswith(f"error:{rc}:") for line in errors)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_report_aggregates(tmp_path):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -274,7 +275,8 @@ def test_anneal_matches_brute_force_small(isa, model):
             if score.feasible:
                 cost = score.cost()
                 best = cost if best is None else min(best, cost)
-    result = anneal_restarts(graph, cfg, model, seeds=range(4), steps=2000,
+    result = anneal_restarts(graph, cfg, model,
+                             [AnnealSchedule(steps=2000, seed=seed) for seed in range(4)],
                              g_max=2, clone_max=1)
     assert result.best_score.cost() == pytest.approx(best, rel=1e-12)
 
@@ -317,6 +319,26 @@ def test_graph_json(config):
     assert (a.id, a.state_bytes, a.stateless) == ("a", 8, False)
     assert (b.id, b.stateless) == ("b", True)
     assert graph.channels[0].bytes_per_iter == 32
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda d: d["channels"][0].update(bytes="x"), "channel a->b: bytes"),
+    (lambda d: d["actors"][0].update(work=[1]), "actor 'a': work"),
+    (lambda d: d["actors"][0].update(state_bytes="big"), "actor 'a': state_bytes"),
+    (lambda d: d["actors"][1]["work"].update({"group:nop+nop/pat:zeros": "2"}),
+     "actor 'b': work 'group:nop+nop/pat:zeros'"),
+    (lambda d: d["actors"][1].update(stateless="no"), "actor 'b': stateless"),
+    (lambda d: d["actors"].clear(), "at least one actor"),
+])
+def test_graph_field_of_the_wrong_type_names_its_owner(mutate, message):
+    doc = {"actors": [{"id": "a", "work": {"group:add+add/pat:zeros": 4}},
+                      {"id": "b", "work": {"group:nop+nop/pat:zeros": 2}}],
+           "channels": [{"src": "a", "dst": "b", "bytes": 32}]}
+    mutate(doc)
+    with pytest.raises(GraphError, match=re.escape(message)):
+        graph_from_json(doc)
+    with pytest.raises(GraphError, match="JSON object"):
+        graph_from_json([doc])
 
 
 def test_partition_json(config, model):

@@ -1,5 +1,6 @@
 """Reference oracle: accounting formulas, determinism, conservation."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enermod import data_path
+from enermod import data_path, refsim
 from enermod.benchgen import (
     DEFAULT_REPS,
     PROLOGUE_LEN,
@@ -19,11 +20,13 @@ from enermod.benchgen import (
 )
 from enermod.pipeline import comm_benchmarks_per_hop
 from enermod.refsim import (
+    DATA_PATTERNS,
     LEDGER_COMPONENTS,
     BundleOp,
     ParamError,
     Program,
     ProgramError,
+    RecvOp,
     SendOp,
     SyncOp,
     bundle_energy,
@@ -35,11 +38,11 @@ from enermod.refsim import (
     program_from_json,
     program_to_json,
     run_program,
-    validate_program,
     xy_route,
     _Accumulator,
 )
 from enermod.sysconfig import (
+    InstructionGroup,
     enumerate_instruction_groups,
     manhattan,
     n_flits,
@@ -488,6 +491,33 @@ def test_invalid_programs_rejected(config, isa, params):
         run_program(config, params, bad_pattern)
 
 
+def test_a_program_fails_at_its_first_fault_in_program_order(config, isa, params):
+    nop = _group(isa, "nop+nop")
+    ok = BundleOp(group=nop, addr=0, pattern="zeros")
+    noise = BundleOp(group=nop, addr=0, pattern="noise")
+    one_slot = InstructionGroup(slots=nop.slots[:1])
+    too_big = config.dmem_bytes + 1
+    cases = [
+        ({0: [ok]}, -1, "min_cycles must be >= 0"),
+        ({config.n_cpus: [ok]}, 0,
+         f"cpu id {config.n_cpus} out of range (n_cpus={config.n_cpus})"),
+        ({0: [BundleOp(group=one_slot, addr=0, pattern="zeros")]}, 0,
+         f"group {one_slot.label} has 1 slots, config has {config.vliw_slots}"),
+        ({0: [ok, RecvOp(src_cpu=-1, size_bytes=8)]}, 0, "peer cpu -1 off mesh"),
+        ({0: [SendOp(dst_cpu=1, size_bytes=0)]}, 0, "transfer size must be >= 1 byte"),
+        ({0: [RecvOp(src_cpu=1, size_bytes=too_big)]}, 0,
+         f"transfer of {too_big} B exceeds dmem {config.dmem_bytes} B"),
+        # CPUs in order, each CPU's ops in order
+        ({0: [RecvOp(src_cpu=99, size_bytes=8)], 1: [noise]}, 0, "peer cpu 99 off mesh"),
+        ({1: [SendOp(dst_cpu=0, size_bytes=0), noise]}, 0,
+         "transfer size must be >= 1 byte"),
+        ({0: [noise], config.n_cpus: [ok]}, 0, "unknown data pattern 'noise'"),
+    ]
+    for ops, min_cycles, message in cases:
+        with pytest.raises(ProgramError, match=re.escape(message)):
+            run_program(config, params, Program.from_dict(ops, min_cycles=min_cycles))
+
+
 def test_a_reused_group_is_validated_at_each_address_and_pattern(config, isa, params):
     # one group object, first valid, then out of range or with a bad pattern
     group = _group(isa, "nop+nop")
@@ -499,6 +529,58 @@ def test_a_reused_group_is_validated_at_each_address_and_pattern(config, isa, pa
     bad_pattern = BundleOp(group=group, addr=0, pattern="noise")
     with pytest.raises(ProgramError, match=re.escape("unknown data pattern 'noise'")):
         run_program(config, params, Program.from_dict({0: [good], 1: [good, bad_pattern]}))
+
+
+def test_a_run_checks_each_distinct_bundle_op_once(config, isa, params, monkeypatch):
+    program = next(b.program for b in instruction_campaign(isa, config)
+                   if b.name == "instr/ldw+add/ones")
+    ops = dict(program.ops)[0]
+    checked = []
+    check = refsim._check_bundle
+
+    def spy(config, op):
+        checked.append(op)
+        check(config, op)
+
+    monkeypatch.setattr(refsim, "_check_bundle", spy)
+    run_program(config, params, program)
+    # the prologue's op, then the body's, each repeated
+    assert len(ops) == PROLOGUE_LEN + DEFAULT_REPS
+    assert checked == [ops[0], ops[-1]]
+    assert [id(op) for op in checked] == list(dict.fromkeys(map(id, ops)))
+
+
+def _each_op_its_own_object(program):
+    """An equal program in which no two ops, groups or instructions are
+    one object."""
+    return Program(ops=tuple((cpu, tuple(copy.deepcopy(op) for op in ops))
+                             for cpu, ops in program.ops),
+                   min_cycles=program.min_cycles)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_separate_op_objects_run_like_repeated_ones(config, isa, params, data):
+    """The oracle's per-op memo and checks are keyed by op identity; a
+    program whose equal ops are separate objects runs to the same bytes."""
+    cpus = st.integers(0, config.n_cpus - 1)
+    sizes = st.integers(1, 300)
+    groups = enumerate_instruction_groups(isa, config.vliw_slots)
+    pool = data.draw(st.lists(st.one_of(
+        st.builds(BundleOp, group=st.sampled_from(groups), addr=st.integers(0, 64),
+                  pattern=st.sampled_from(DATA_PATTERNS)),
+        st.builds(SendOp, dst_cpu=cpus, size_bytes=sizes),
+        st.builds(RecvOp, src_cpu=cpus, size_bytes=sizes),
+        st.just(SyncOp())), min_size=1, max_size=6))
+    ops = data.draw(st.dictionaries(cpus, st.lists(st.sampled_from(pool), max_size=30),
+                                    max_size=3))
+    program = Program.from_dict(ops, min_cycles=data.draw(st.integers(0, 50)))
+    separate = _each_op_its_own_object(program)
+    assert separate == program
+    trace, ledger = run_program(config, params, program)
+    separate_trace, separate_ledger = run_program(config, params, separate)
+    assert separate_trace.to_lines() == trace.to_lines()
+    assert separate_ledger.to_csv() == ledger.to_csv()
 
 
 def test_a_two_address_ledger_is_the_sum_of_its_closed_forms(tiny_config, isa, params):
@@ -520,9 +602,9 @@ def test_uncompressed_needs_room_for_its_slots(config, isa, params):
     last_ok = config.imem_words - config.vliw_slots
     program = Program.from_dict(
         {0: [BundleOp(group=group, addr=last_ok, pattern="zeros")]})
-    validate_program(config, program)
+    run_program(config, params, program)
     with pytest.raises(ProgramError):
-        validate_program(config, Program.from_dict(
+        run_program(config, params, Program.from_dict(
             {0: [BundleOp(group=group, addr=last_ok + 1, pattern="zeros")]}))
 
 
