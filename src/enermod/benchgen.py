@@ -51,14 +51,12 @@ IDLE_CYCLES = 64
 class Microbenchmark:
     """A named program isolating one state dimension.
 
-    swept records which variable this benchmark pins (kind plus value);
-    reps is the number of measured-unit repetitions in the body.
+    swept records which variable this benchmark pins (kind plus value).
     """
 
     name: str
     program: Program
     swept: tuple[tuple[str, object], ...]
-    reps: int
 
     def swept_dict(self) -> dict[str, object]:
         return dict(self.swept)
@@ -100,50 +98,44 @@ def make_baseline(isa: list[InstructionDef], config: SystemConfig) -> Microbench
     program = Program.from_dict(
         {BENCH_CPU: _prologue_ops(prologue_group(isa, config.vliw_slots))})
     return Microbenchmark(name="cal/baseline", program=program,
-                          swept=_swept(kind="baseline"), reps=0)
+                          swept=_swept(kind="baseline"))
 
 
-def make_idle_benchmark(config: SystemConfig,
-                        cycles: int = IDLE_CYCLES) -> Microbenchmark:
+def make_idle_benchmark(config: SystemConfig) -> Microbenchmark:
     """All CPUs idle for a fixed window; pins the static-power term."""
-    program = Program.from_dict({}, min_cycles=cycles)
+    program = Program.from_dict({}, min_cycles=IDLE_CYCLES)
     return Microbenchmark(name="cal/idle", program=program,
-                          swept=_swept(kind="idle", cycles=cycles), reps=0)
+                          swept=_swept(kind="idle", cycles=IDLE_CYCLES))
 
 
-def make_sync_benchmark(isa: list[InstructionDef], config: SystemConfig,
-                        reps: int = DEFAULT_REPS) -> Microbenchmark:
+def make_sync_benchmark(isa: list[InstructionDef],
+                        config: SystemConfig) -> Microbenchmark:
     """Standalone channel synchronizations; pins the sync cost."""
     ops: list = _prologue_ops(prologue_group(isa, config.vliw_slots))
-    ops += [SyncOp()] * reps
+    ops += [SyncOp()] * DEFAULT_REPS
     program = Program.from_dict({BENCH_CPU: ops})
     return Microbenchmark(name="cal/sync", program=program,
-                          swept=_swept(kind="sync"), reps=reps)
+                          swept=_swept(kind="sync"))
 
 
 def gen_instruction_benchmarks(isa: list[InstructionDef], config: SystemConfig,
-                               patterns: tuple[str, ...] = DATA_PATTERNS,
                                reps: int = DEFAULT_REPS) -> list[Microbenchmark]:
     """One benchmark per (instruction group, data pattern).
 
     The body places the group at a fixed address and repeats it; registers
     and memory content are pinned to the pattern by the setup code.
     """
-    for pattern in patterns:
-        if pattern not in DATA_PATTERNS:
-            raise ProgramError(f"unknown data pattern {pattern!r}")
     prologue = _prologue_ops(prologue_group(isa, config.vliw_slots))
     benchmarks = []
     for group in enumerate_instruction_groups(isa, config.vliw_slots):
-        for pattern in patterns:
+        for pattern in DATA_PATTERNS:
             ops = prologue + [BundleOp(group=group, addr=BODY_ADDR, pattern=pattern)] * reps
             program = Program.from_dict({BENCH_CPU: ops})
             benchmarks.append(Microbenchmark(
                 name=f"instr/{group.label}/{pattern}",
                 program=program,
                 swept=_swept(kind="instruction-group", group=group.label,
-                             pattern=pattern),
-                reps=reps))
+                             pattern=pattern)))
     return benchmarks
 
 
@@ -164,8 +156,7 @@ def gen_position_benchmarks(config: SystemConfig, group: InstructionGroup,
         benchmarks.append(Microbenchmark(
             name=f"imem/{group.fmt}/{addr}",
             program=program,
-            swept=_swept(kind="imem-position", addr=addr, fmt=group.fmt),
-            reps=reps))
+            swept=_swept(kind="imem-position", addr=addr, fmt=group.fmt)))
     return benchmarks
 
 
@@ -202,8 +193,7 @@ def gen_comm_benchmarks(api: ApiDescription, config: SystemConfig,
             name=f"comm/h{hops}/{size}",
             program=program,
             swept=_swept(kind="packet-size", size=size, hops=hops,
-                         src=format_coord(src), dst=format_coord(dst)),
-            reps=reps))
+                         src=format_coord(src), dst=format_coord(dst))))
     return benchmarks
 
 
@@ -226,8 +216,7 @@ def gen_transition_benchmarks(states: list[InstructionGroup],
             benchmarks.append(Microbenchmark(
                 name=f"trans/{a.label}>{b.label}",
                 program=program,
-                swept=_swept(kind="transition", src=a.label, dst=b.label),
-                reps=reps))
+                swept=_swept(kind="transition", src=a.label, dst=b.label)))
     return benchmarks
 
 

@@ -18,6 +18,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from . import data_path
 from .benchgen import (
+    DEFAULT_REPS,
     Microbenchmark,
     all_nop_group,
     benchmark_filename,
@@ -224,7 +225,7 @@ def cmd_oracle(args) -> int:
         with open(_require(os.path.join(bench_dir, filename)), "r",
                   encoding="utf-8") as fh:
             program = program_from_json(json.load(fh), isa)
-        benches.append(Microbenchmark(name=name, program=program, swept=(), reps=0))
+        benches.append(Microbenchmark(name=name, program=program, swept=()))
 
     trace_dir = _subdir(out, "traces")
     ledger_dir = _subdir(out, "ledgers")
@@ -267,8 +268,7 @@ def cmd_fit(args) -> int:
         observations(_measured_from_files(out, rows), function), function)
     model.provenance["clock_hz"] = config.clock_hz
     report_dir = _subdir(out, "reports")
-    save_model(model, os.path.join(_subdir(out, "models"), args.name + ".json"),
-               clock_hz=config.clock_hz)
+    save_model(model, os.path.join(_subdir(out, "models"), args.name + ".json"))
     residuals = ["observation,residual_pj"]
     residuals.extend(f"{rows[i][0]},{r!r}" for i, r in enumerate(report.residuals))
     _write(os.path.join(report_dir, f"fit_{args.name}_residuals.csv"),
@@ -289,7 +289,8 @@ def cmd_reduce(args) -> int:
                                     config.flit_payload_bytes)
     else:
         model = fit_packet_reducers(model, REDUCER_LINEAR)
-    save_model(model, args.output, clock_hz=config.clock_hz)
+    model.provenance["clock_hz"] = config.clock_hz
+    save_model(model, args.output)
     print(f"reduced model written to {args.output}")
     return EXIT_OK
 
@@ -323,8 +324,7 @@ def cmd_validate(args) -> int:
     else:
         model, _reports = build_simplified_model(config, isa, api, params,
                                                  workers=args.workers)
-        save_model(model, os.path.join(_subdir(out, "models"), "simplified.json"),
-                   clock_hz=config.clock_hz)
+        save_model(model, os.path.join(_subdir(out, "models"), "simplified.json"))
     report = validate_applications(model, config, isa, params, seed=args.seed)
     report_dir = _subdir(out, "reports")
     _write(os.path.join(report_dir, "validation.csv"), report.to_csv())
@@ -446,6 +446,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _cooling(text: str) -> float:
+    """argparse type of an annealing cooling factor, which must lie in
+    (0, 1]; any other value is a usage error."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="enermod",
@@ -456,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-bench", help="generate microbenchmark programs")
     _add_common(p, "isa", "api")
     p.add_argument("--kind", choices=["instr", "imem", "comm"], default="instr")
-    p.add_argument("--reps", type=int, default=64)
+    p.add_argument("--reps", type=_positive_int, default=DEFAULT_REPS)
     p.add_argument("--group", default="nop+nop", help="imem sweep group label")
     p.add_argument("--lo", type=int, default=0)
     p.add_argument("--hi", type=int, default=799)
@@ -530,9 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chains", type=_positive_int, default=4)
-    p.add_argument("--steps", type=int, default=10_000)
-    p.add_argument("--temp", type=float, default=500.0)
-    p.add_argument("--cooling", type=float, default=0.999)
+    p.add_argument("--steps", type=_positive_int, default=AnnealSchedule.steps)
+    p.add_argument("--temp", type=float, default=AnnealSchedule.initial_temp)
+    p.add_argument("--cooling", type=_cooling, default=AnnealSchedule.cooling)
     p.add_argument("--w-energy", type=float, default=1.0)
     p.add_argument("--w-throughput", type=float, default=0.0)
     p.set_defaults(func=cmd_explore)

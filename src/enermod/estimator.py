@@ -95,11 +95,11 @@ def estimate(trace: Trace, model: EnergyModel) -> EnergyEstimate:
 
 
 def validate(model: EnergyModel, benchmarks, config: SystemConfig,
-             params: OracleParams, min_truth_pj: float = MIN_TRUTH_PJ) -> ErrorReport:
+             params: OracleParams) -> ErrorReport:
     """Run each (name, program) pair through the oracle and the model;
     report the per-benchmark relative error |estimate - truth| / truth.
 
-    Benchmarks whose ground truth falls below min_truth_pj are excluded
+    Benchmarks whose ground truth falls below MIN_TRUTH_PJ are excluded
     and flagged rather than dividing by noise.
     """
     rows: list[tuple[str, float, float, float]] = []
@@ -107,7 +107,7 @@ def validate(model: EnergyModel, benchmarks, config: SystemConfig,
     for name, program in benchmarks:
         trace, ledger = run_program(config, params, program)
         truth = ledger.total_pj
-        if truth < min_truth_pj:
+        if truth < MIN_TRUTH_PJ:
             excluded.append(name)
             continue
         est = estimate(trace, model).total_pj

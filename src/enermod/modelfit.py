@@ -28,7 +28,7 @@ from .statetrace import (
     noc_hop_function,
     parse_key,
 )
-from .sysconfig import fold_sum, manhattan, n_flits, parse_coord
+from .sysconfig import FieldError, fold_sum, json_field, manhattan, n_flits, parse_coord
 
 REDUCER_LINEAR = "LINEAR"
 REDUCER_STAIRCASE = "STAIRCASE"
@@ -181,9 +181,8 @@ def _report(predicted: np.ndarray, measured: np.ndarray, rank: int,
 
 
 def fit_constants(observations: list[tuple[StateCountVector, float]],
-                  function: ModelFunction,
-                  fit_static: bool = True) -> tuple[EnergyModel, FitReport]:
-    """Least-squares fit of per-key constants (and a static pJ/cycle term).
+                  function: ModelFunction) -> tuple[EnergyModel, FitReport]:
+    """Least-squares fit of per-key constants and a static pJ/cycle term.
 
     Minimizes sum((sum_k count_k*c_k + duration*p_static - measured)^2) over
     all observations.  Keys never observed get no constant.  Columns are
@@ -194,19 +193,18 @@ def fit_constants(observations: list[tuple[StateCountVector, float]],
     if not observations:
         raise FitError("at least one observation is required")
     keys = sorted({k for vec, _ in observations for k in vec.counts})
-    n_cols = len(keys) + (1 if fit_static else 0)
+    n_cols = len(keys) + 1
     a = np.zeros((len(observations), n_cols))
     b = np.zeros(len(observations))
     index = {k: i for i, k in enumerate(keys)}
     for row, (vec, measured) in enumerate(observations):
         for key, count in vec.counts.items():
             a[row, index[key]] = count
-        if fit_static:
-            a[row, -1] = vec.duration
+        a[row, -1] = vec.duration
         b[row] = measured
     coef, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     constants = {k: float(coef[index[k]]) for k in keys}
-    static = float(coef[-1]) if fit_static else 0.0
+    static = float(coef[-1])
     report = _report(a @ coef, b, int(rank), n_cols, constants)
     provenance = {
         "observations": len(observations),
@@ -358,8 +356,10 @@ def fit_packet_reducers(model: EnergyModel, kind: str = REDUCER_STAIRCASE,
 # Model serialization
 # ---------------------------------------------------------------------------
 
-def model_to_json(model: EnergyModel, clock_hz: float | None = None) -> dict:
-    clock = clock_hz or model.provenance.get("clock_hz")
+def model_to_json(model: EnergyModel) -> dict:
+    """The model file; static_power_pw comes from provenance["clock_hz"],
+    and is None without it."""
+    clock = model.provenance.get("clock_hz")
     doc = {
         "level": model.level.name,
         "function_ref": model.function.name,
@@ -377,25 +377,50 @@ def model_to_json(model: EnergyModel, clock_hz: float | None = None) -> dict:
 
 
 def model_from_json(doc: dict) -> EnergyModel:
-    function = function_from_json(doc["function"])
-    if AbstractionLevel[doc["level"]] != function.level:
-        raise FitError(f"model level {doc['level']} is not its function's "
+    """A model from its file's document.  A field of the wrong type raises
+    FitError naming the field, or ModelFunctionError inside the function."""
+    try:
+        return _model_from_json(doc)
+    except FieldError as exc:
+        raise FitError(str(exc)) from None
+
+
+def _model_from_json(doc) -> EnergyModel:
+    if not isinstance(doc, dict):
+        raise FieldError(f"a model file must be an object, got {doc!r}")
+    function = function_from_json(json_field("", doc, "function", "an object"))
+    level = json_field("", doc, "level", "a string")
+    if level != function.level.name:
+        raise FitError(f"model level {level} is not its function's "
                        f"level {function.level.name}")
+    constants = json_field("", doc, "constants", "an object")
+    for key in constants:
+        json_field("constants.", constants, key, "a number")
+    reducers = []
+    for i, r in enumerate(json_field("", doc, "reducers", "a list", [])):
+        at = f"reducers[{i}]."
+        if not isinstance(r, dict):
+            raise FieldError(f"{at[:-1]} must be an object, got {r!r}")
+        reducers.append(Reducer(
+            kind=json_field(at, r, "kind", "a string"),
+            family=json_field(at, r, "family", "a string"),
+            a=json_field(at, r, "a", "a number"),
+            b=json_field(at, r, "b", "a number"),
+            variable=json_field(at, r, "variable", "a string", "size"),
+            flit_payload_bytes=json_field(at, r, "flit_payload_bytes", "an integer",
+                                          None)))
     return EnergyModel(
         function=function,
-        constants=dict(doc["constants"]),
-        reducers=[Reducer(kind=r["kind"], family=r["family"], a=r["a"], b=r["b"],
-                          variable=r.get("variable", "size"),
-                          flit_payload_bytes=r.get("flit_payload_bytes"))
-                  for r in doc.get("reducers", [])],
-        static_pj_per_cycle=doc.get("static_pj_per_cycle", 0.0),
-        provenance=doc.get("provenance", {}),
+        constants=dict(constants),
+        reducers=reducers,
+        static_pj_per_cycle=json_field("", doc, "static_pj_per_cycle", "a number", 0.0),
+        provenance=json_field("", doc, "provenance", "an object", {}),
     )
 
 
-def save_model(model: EnergyModel, path: str, clock_hz: float | None = None) -> None:
+def save_model(model: EnergyModel, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(model, clock_hz), fh, indent=2, sort_keys=True)
+        json.dump(model_to_json(model), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -103,11 +103,10 @@ def max_hops(config: SystemConfig) -> int:
     return (config.mesh_cols - 1) + (config.mesh_rows - 1)
 
 
-def comm_benchmarks_per_hop(api: ApiDescription, config: SystemConfig, isa,
-                            sizes: list[int] | None = None) -> list[Microbenchmark]:
-    """The comm_campaign of packet sweeps covering every hop distance the
-    mesh offers, plus the cluster-local bus route."""
-    sizes = sizes or DEFAULT_COMM_SIZES
+def comm_benchmarks_per_hop(api: ApiDescription, config: SystemConfig,
+                            isa) -> list[Microbenchmark]:
+    """The comm_campaign of DEFAULT_COMM_SIZES packet sweeps covering every
+    hop distance the mesh offers, plus the cluster-local bus route."""
     sweeps: list[Microbenchmark] = []
     # hop count 0 is the crossbar route, which needs two CPUs per cluster
     first_hops = 0 if config.cpus_per_cluster >= 2 else 1
@@ -115,7 +114,7 @@ def comm_benchmarks_per_hop(api: ApiDescription, config: SystemConfig, isa,
         dst = cluster_at_distance(config, hops)
         if dst is not None:
             sweeps.extend(gen_comm_benchmarks(api, config, (0, 0), dst,
-                                              sizes=sizes))
+                                              sizes=DEFAULT_COMM_SIZES))
     return comm_campaign(isa, config, sweeps)
 
 

@@ -20,7 +20,7 @@ from functools import cached_property
 from string import Formatter
 from typing import NamedTuple
 
-from .sysconfig import manhattan, parse_coord
+from .sysconfig import FieldError, json_field, manhattan, parse_coord
 
 EVENT_BUNDLE = "bundle-issue"
 EVENT_FLIT = "flit-hop"
@@ -662,32 +662,30 @@ def noc_hop_function() -> ModelFunction:
     return _fine_function("noc-hop", HOP_KEY)
 
 
-def active_idle_function(per_instance: bool = False) -> ModelFunction:
-    """Per-component active/idle keys.
+def active_idle_function() -> ModelFunction:
+    """Per-component-class active/idle keys.
 
     Shared components without idle events (routers, NIs, the bus)
     contribute active keys only.
     """
-    comp = "{component}" if per_instance else "{comp_class}"
     return ModelFunction(
         level=AbstractionLevel.ACTIVE_IDLE,
         rules=(
-            rule({"kind": EVENT_IDLE}, comp + "/idle"),
-            rule({}, comp + "/active"),
+            rule({"kind": EVENT_IDLE}, "{comp_class}/idle"),
+            rule({}, "{comp_class}/active"),
         ),
-        name="active-idle" + ("-inst" if per_instance else ""),
+        name="active-idle",
     )
 
 
-def binary_usage_function(per_instance: bool = False) -> ModelFunction:
-    """Coarsest keys: a component is merely used, the active/idle split is
-    gone.  Strictly coarser than active_idle_function (active and idle keys
-    merge into one), so refining the level can never hurt the fit."""
-    comp = "{component}" if per_instance else "{comp_class}"
+def binary_usage_function() -> ModelFunction:
+    """Coarsest keys: a component class is merely used, the active/idle
+    split is gone.  Strictly coarser than active_idle_function (active and
+    idle keys merge into one), so refining the level can never hurt the fit."""
     return ModelFunction(
         level=AbstractionLevel.BINARY_USAGE,
-        rules=(rule({}, comp + "/used"),),
-        name="binary-usage" + ("-inst" if per_instance else ""),
+        rules=(rule({}, "{comp_class}/used"),),
+        name="binary-usage",
     )
 
 
@@ -745,19 +743,50 @@ def function_to_json(fn: ModelFunction) -> dict:
 
 
 def function_from_json(doc) -> ModelFunction:
+    """A model function from its rule-file document.  A field of the wrong
+    type raises ModelFunctionError naming the field."""
+    try:
+        return _function_from_json(doc, "")
+    except FieldError as exc:
+        raise ModelFunctionError(str(exc)) from None
+
+
+def _function_from_json(doc, where: str) -> ModelFunction:
     if isinstance(doc, list):
         # bare rule list: a fine-grained event-domain function
         doc = {"level": "FINE_GRAINED", "rules": doc}
-    pair = doc.get("pair")
+    if not isinstance(doc, dict):
+        raise FieldError(f"{where.rstrip('.') or 'a rule file'} must be an "
+                         f"object or a list of rules, got {doc!r}")
+    level = json_field(where, doc, "level", "a string")
+    if level not in AbstractionLevel.__members__:
+        raise FieldError(f"{where}level {level!r} is not a level")
+    rules = []
+    for i, r in enumerate(json_field(where, doc, "rules", "a list")):
+        at = f"{where}rules[{i}]"
+        if not isinstance(r, dict):
+            raise FieldError(f"{at} must be an object, got {r!r}")
+        rules.append(rule(json_field(at + ".", r, "match", "an object"),
+                          json_field(at + ".", r, "emit", "a string")))
+    pair = json_field(where, doc, "pair", "an object", None)
+    attr, template, kinds = None, "", ()
+    if pair is not None:
+        at = where + "pair."
+        attr = json_field(at, pair, "attr", "a string")
+        template = json_field(at, pair, "template", "a string")
+        kinds = tuple(json_field(at, pair, "kinds", "a list"))
+        if not all(isinstance(kind, str) for kind in kinds):
+            raise FieldError(f"{at}kinds must list strings, got {list(kinds)!r}")
+    then = doc.get("then")
     return ModelFunction(
-        level=AbstractionLevel[doc["level"]],
-        domain=doc.get("domain", "event"),
-        rules=tuple(rule(r["match"], r["emit"]) for r in doc["rules"]),
-        name=doc.get("name", ""),
-        pair_attr=pair["attr"] if pair else None,
-        pair_template=pair["template"] if pair else "",
-        pair_kinds=tuple(pair["kinds"]) if pair else (),
-        then=function_from_json(doc["then"]) if "then" in doc else None,
+        level=AbstractionLevel[level],
+        domain=json_field(where, doc, "domain", "a string", "event"),
+        rules=tuple(rules),
+        name=json_field(where, doc, "name", "a string", ""),
+        pair_attr=attr,
+        pair_template=template,
+        pair_kinds=kinds,
+        then=None if then is None else _function_from_json(then, where + "then."),
     )
 
 

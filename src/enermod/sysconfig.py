@@ -54,6 +54,30 @@ def fold_sum(values: Iterable[float]) -> float:
     return reduce(add, values, 0.0)
 
 
+class FieldError(ValueError):
+    """A field of a JSON document is missing or of the wrong type; each
+    reader turns it into its own format's error."""
+
+
+_REQUIRED = object()
+_JSON_KINDS = {"a string": str, "a number": (int, float), "an integer": int,
+               "a list": list, "an object": dict}
+
+
+def json_field(where: str, doc: dict, name: str, kind: str, default=_REQUIRED):
+    """doc[name] when it is of the named JSON kind (a key of _JSON_KINDS;
+    true and false are neither numbers nor integers), or default when the
+    field is absent (or null, where the default is None).  Anything else
+    raises FieldError, naming the field as where + name."""
+    value = doc.get(name, default)
+    if value is _REQUIRED:
+        raise FieldError(f"{where}{name} is missing")
+    if value is not default and (isinstance(value, bool)
+                                 or not isinstance(value, _JSON_KINDS[kind])):
+        raise FieldError(f"{where}{name} must be {kind}, got {value!r}")
+    return value
+
+
 def format_coord(c: Coord) -> str:
     return f"{c[0]},{c[1]}"
 

@@ -297,16 +297,31 @@ def test_center_window_keeps_the_calibration_runs_first(tmp_path):
     assert _manifest_names(tmp_path) == _CALIBRATION + ["comm/h2/32", "comm/h2/40"]
 
 
+_EXPLORE = ["explore", "--graph", data_path("example_graph.json"), "--model", "m.json"]
+
+
 @pytest.mark.parametrize("command,option", [
     (["gen-bench", "--kind", "comm"], "--center-window"),
-    (["explore", "--graph", data_path("example_graph.json"), "--model", "m.json"],
-     "--chains")])
-@pytest.mark.parametrize("value", ["0", "-1"])
+    (_EXPLORE, "--chains"),
+    (["gen-bench", "--kind", "comm", "--min", "8", "--max", "24", "--step", "8"],
+     "--reps"),
+    (["gen-bench", "--kind", "instr"], "--reps"),
+    (_EXPLORE, "--steps")])
+@pytest.mark.parametrize("value", ["0", "-1", "-3"])
 def test_count_below_1_is_a_usage_error(tmp_path, capsys, command, option, value):
     with pytest.raises(SystemExit) as err:
         main(command + [option, value] + _defaults(tmp_path))
     assert err.value.code == EXIT_USAGE
     assert f"argument {option}" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("value", ["0", "-0.5", "1.5", "nan", "x"])
+def test_cooling_outside_0_1_is_a_usage_error(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as err:
+        main(_EXPLORE + ["--cooling", value] + _defaults(tmp_path))
+    assert err.value.code == EXIT_USAGE
+    assert "argument --cooling" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
 
 
@@ -705,50 +720,142 @@ def explore_model(tmp_path_factory, config, isa, api, params):
     return path
 
 
+def test_cooling_of_1_holds_the_temperature(explore_model, tmp_path):
+    assert main(["explore", "--graph", data_path("example_graph.json"),
+                 "--model", str(explore_model), "--steps", "3", "--chains", "1",
+                 "--cooling", "1"] + _defaults(tmp_path)) == EXIT_OK
+    history = (tmp_path / "reports" / "explore_history.csv").read_text().splitlines()
+    assert [line.split(",")[1] for line in history[1:]] == ["500.0"] * 3
+
+
 with open(data_path("example_graph.json"), encoding="utf-8") as _fh:
     _GRAPH = json.load(_fh)
 
 
-def _graph_fields(doc):
-    """The path of every field of a graph document, the document first."""
+def _json_fields(doc):
+    """The path of every field of a JSON document, the document first."""
     yield ()
-    for name in ("actors", "channels"):
-        yield (name,)
-        for i, entry in enumerate(doc[name]):
-            yield (name, i)
-            for field, value in entry.items():
-                yield (name, i, field)
-                if isinstance(value, dict):
-                    yield from ((name, i, field, key) for key in value)
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from ((key, *path) for path in _json_fields(value))
 
 
-@settings(max_examples=120, deadline=None)
-@given(path=st.sampled_from(list(_graph_fields(_GRAPH))),
-       value=st.sampled_from(["x", "", 1.5, -1, 0, True, None, [1], [], {"a": 1}, {}]))
-def test_explore_of_a_graph_with_one_mutated_field_never_crashes(explore_model, path,
-                                                                  value):
-    doc = copy.deepcopy(_GRAPH)
-    if path:
-        parent = doc
-        for step in path[:-1]:
-            parent = parent[step]
-        parent[path[-1]] = value
-    else:
-        doc = value
-    out = explore_model.parent / "mutated"
-    out.mkdir(exist_ok=True)
-    (out / "graph.json").write_text(json.dumps(doc))
+_MUTATIONS = st.sampled_from(["x", "", 1.5, -1, 0, True, None, [1], [], {"a": 1}, {}])
+
+
+def _mutated(doc, path, value):
+    """A copy of doc with the field at path replaced by value."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return doc
+
+
+def _run_quietly(argv, codes):
+    """Run the CLI; it must exit with one of codes, and with exactly one
+    error:<code>: line and no traceback unless it succeeds."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = main(["explore", "--graph", str(out / "graph.json"),
-                   "--model", str(explore_model), "--out", str(out),
-                   "--config", data_path("default_config.json"),
-                   "--steps", "20", "--chains", "1"])
+        rc = main(argv)
     errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
-    assert rc in (EXIT_OK, EXIT_INVARIANT, EXIT_DATA)
+    assert rc in (EXIT_OK, *codes)
     assert len(errors) == (rc != EXIT_OK)
     assert all(line.startswith(f"error:{rc}:") for line in errors)
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(path=st.sampled_from(list(_json_fields(_GRAPH))), value=_MUTATIONS)
+def test_explore_of_a_graph_with_one_mutated_field_never_crashes(explore_model, path,
+                                                                  value):
+    out = explore_model.parent / "mutated"
+    out.mkdir(exist_ok=True)
+    (out / "graph.json").write_text(json.dumps(_mutated(_GRAPH, path, value)))
+    _run_quietly(["explore", "--graph", str(out / "graph.json"),
+                  "--model", str(explore_model), "--out", str(out),
+                  "--config", data_path("default_config.json"),
+                  "--steps", "20", "--chains", "1"], (EXIT_INVARIANT, EXIT_DATA))
+
+
+# every field a rule file can hold: level, domain, name, rules, pair, then
+_RULE_FILE = {
+    "level": "FINE_GRAINED", "domain": "event", "name": "bundle-pairs",
+    "rules": [{"match": {"kind": ["sync", "ni-transfer"]}, "emit": "{kind}"},
+              {"match": {}, "emit": "discard"}],
+    "pair": {"attr": "group", "template": "trans:{prev}>{cur}",
+             "kinds": ["bundle-issue"]},
+    "then": {"level": "FINE_GRAINED", "domain": "key",
+             "rules": [{"match": {}, "emit": "{key}"}]},
+}
+
+
+@pytest.fixture(scope="module")
+def packet_campaign(tmp_path_factory):
+    """A two-size packet campaign with its traces, and a staircase-reduced
+    noc-hop model of it."""
+    out = tmp_path_factory.mktemp("packet-campaign")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "16",
+                     "--step", "8", "--reps", "2"] + _defaults(out)) == EXIT_OK
+        assert main(["oracle"] + _defaults(out, "isa", "params")) == EXIT_OK
+        assert main(["fit", "--function", "noc-hop", "--name", "noc"]
+                    + _defaults(out)) == EXIT_OK
+        assert main(["reduce", "--model", str(out / "models" / "noc.json"),
+                     "--output", str(out / "reduced.json")]) == EXIT_OK
+    return out
+
+
+def test_reduce_takes_the_clock_of_its_config(packet_campaign):
+    """A model file's static power is its static pJ per cycle at the clock
+    in its provenance; reduce sets that clock from --config."""
+    fitted = json.loads((packet_campaign / "models" / "noc.json").read_text())
+    assert fitted["provenance"]["clock_hz"] == 7.0e8
+    config = packet_campaign / "slow.json"
+    config.write_text(json.dumps({"clock_hz": 2.5e8}))
+    out = packet_campaign / "slow_reduced.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["reduce", "--model", str(packet_campaign / "models" / "noc.json"),
+                     "--config", str(config), "--output", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["provenance"]["clock_hz"] == 2.5e8
+    assert doc["static_power_pw"] == doc["static_pj_per_cycle"] * 2.5e8
+    assert doc["static_pj_per_cycle"] == fitted["static_pj_per_cycle"]
+
+
+def test_the_rule_file_fits(packet_campaign):
+    (packet_campaign / "rules.json").write_text(json.dumps(_RULE_FILE))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fit", "--function-file", str(packet_campaign / "rules.json"),
+                     "--name", "pairs"] + _defaults(packet_campaign)) == EXIT_OK
+    model = json.loads((packet_campaign / "models" / "pairs.json").read_text())
+    assert "trans:nop+nop>nop+nop" in model["constants"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=st.sampled_from(list(_json_fields(_RULE_FILE))), value=_MUTATIONS)
+def test_fit_with_one_mutated_rule_file_field_never_crashes(packet_campaign, path,
+                                                            value):
+    rules = packet_campaign / "mutated_rules.json"
+    rules.write_text(json.dumps(_mutated(_RULE_FILE, path, value)))
+    _run_quietly(["fit", "--function-file", str(rules), "--name", "mutated"]
+                 + _defaults(packet_campaign), (EXIT_DATA,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_estimate_with_one_mutated_model_field_never_crashes(packet_campaign, data):
+    model = json.loads((packet_campaign / "reduced.json").read_text())
+    path = data.draw(st.sampled_from(list(_json_fields(model))))
+    mutated = packet_campaign / "mutated_model.json"
+    mutated.write_text(json.dumps(_mutated(model, path, data.draw(_MUTATIONS))))
+    _run_quietly(["estimate", "--model", str(mutated),
+                  "--trace", str(packet_campaign / "traces" / "comm__h2__16.tsv")],
+                 (EXIT_DATA,))
 
 
 def test_report_aggregates(tmp_path):

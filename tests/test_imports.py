@@ -188,11 +188,21 @@ def test_no_library_code_serves_only_the_tests():
     assert not unused and not stale, "\n".join(unused + stale)
 
 
-# Defaulted parameters no call sets, each kept for the documented property
-# it backs.  Every other defaulted parameter of a function or method in
-# src/enermod must be passed by some call in src/enermod, perfbench or the
-# tests; a default nobody overrides is a constant, not a setting.
-_UNSET_ALLOWED = {}
+# Defaulted parameters only the tests set, each kept for the documented
+# property it backs.  Every other defaulted parameter of a function or method
+# in src/enermod must be passed by some call in src/enermod or perfbench; a
+# default that only tests override is a constant, not a setting.  Functions
+# in _TEST_ONLY_ALLOWED are exempt: only tests call them.
+_UNSET_ALLOWED = {
+    "dse.anneal_restarts(g_max)":
+        "criterion 8's brute force covers granularities up to 4 only",
+    "dse.anneal_restarts(clone_max)":
+        "criterion 8's brute force covers partitions without clones only",
+    "modelfit.fit_linear(window)":
+        "criterion 3 fits the 16 center sizes and scores all 256",
+    "modelfit.fit_staircase(window)":
+        "criterion 3 fits the 16 center sizes and scores all 256",
+}
 
 
 def _defaulted(node, method):
@@ -243,7 +253,7 @@ def _passes(call, name, index, default):
 
 
 def test_every_defaulted_parameter_is_passed():
-    callers = [path for rel in (("src", "enermod"), ("perfbench",), ("tests",))
+    callers = [path for rel in (("src", "enermod"), ("perfbench",))
                for path in sorted(glob.glob(os.path.join(ROOT, *rel, "*.py")))]
     calls = {}
     for path in callers:
@@ -257,6 +267,8 @@ def test_every_defaulted_parameter_is_passed():
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "enermod", "*.py"))):
         module = os.path.basename(path)[:-3]
         for qualname, name, node, cls in _definitions(_parse(path)):
+            if qualname in _TEST_ONLY_ALLOWED:
+                continue
             for param, index, default in _defaulted(node, cls is not None):
                 where = f"{module}.{qualname}({param})"
                 seen.add(where)

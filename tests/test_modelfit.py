@@ -47,7 +47,7 @@ def _vec(counts, duration=0):
 
 def test_single_observation_exact():
     model, report = fit_constants([(_vec({"A": 1}), 5.0)],
-                                  instruction_model_function(), fit_static=False)
+                                  instruction_model_function())
     assert model.constants["A"] == pytest.approx(5.0)
     assert report.max_abs_error_pj == pytest.approx(0.0, abs=1e-12)
 
@@ -69,8 +69,7 @@ def test_fit_is_deterministic():
 def test_rank_deficiency_flagged_min_norm():
     # A and B always co-occur: one degree of freedom is free
     obs = [(_vec({"A": 1, "B": 1}), 10.0), (_vec({"A": 2, "B": 2}), 20.0)]
-    model, report = fit_constants(obs, instruction_model_function(),
-                                  fit_static=False)
+    model, report = fit_constants(obs, instruction_model_function())
     assert report.rank_deficient
     # minimum-norm solution still reproduces the training data
     assert report.max_abs_error_pj < 1e-9
@@ -79,8 +78,7 @@ def test_rank_deficiency_flagged_min_norm():
 
 def test_negative_constants_flagged():
     obs = [(_vec({"A": 1}), -2.0)]
-    model, report = fit_constants(obs, instruction_model_function(),
-                                  fit_static=False)
+    model, report = fit_constants(obs, instruction_model_function())
     assert report.negative_keys == ["A"]
     assert model.provenance["signed_constants"]
 
@@ -260,7 +258,7 @@ def test_disagreeing_pairs_warn_and_average():
     model, _ = fit_constants(
         [(_vec({"noc/src:0,0/dst:1,0/size:8": 1}), 10.0),
          (_vec({"noc/src:1,0/dst:0,0/size:8": 1}), 12.0)],
-        noc_pair_function(), fit_static=False)
+        noc_pair_function())
     with pytest.warns(UserWarning, match="disagree"):
         reduced = reduce_noc_model(model)
     assert reduced.constants["noc/hops:1/size:8"] == pytest.approx(11.0)
@@ -273,7 +271,7 @@ def test_fit_packet_reducers_replaces_constants(config):
         constants[f"noc/hops:2/size:{size}"] = 6.0 + 11.4 * (size // 8)
     constants["sync"] = 25.0
     model, _ = fit_constants([(_vec({"sync": 1}), 25.0)],
-                             noc_pair_function(), fit_static=False)
+                             noc_pair_function())
     model.constants = constants
     reduced = fit_packet_reducers(model, REDUCER_STAIRCASE,
                                   config.flit_payload_bytes)
@@ -299,14 +297,15 @@ def test_model_json_round_trip(tmp_path, config):
     model = replace(model, reducers=[Reducer(kind=REDUCER_STAIRCASE,
                                              family="noc/hops:1", a=6.0, b=8.6,
                                              flit_payload_bytes=8)])
+    model.provenance["clock_hz"] = config.clock_hz
     path = tmp_path / "model.json"
-    save_model(model, str(path), clock_hz=config.clock_hz)
+    save_model(model, str(path))
     loaded = load_model(str(path))
     assert loaded.constants == model.constants
     assert loaded.reducers == model.reducers
     assert loaded.static_pj_per_cycle == model.static_pj_per_cycle
     assert loaded.level == model.level
-    doc = model_to_json(model, clock_hz=config.clock_hz)
+    doc = model_to_json(model)
     assert doc["static_power_pw"] == pytest.approx(
         model.static_pj_per_cycle * config.clock_hz)
 
@@ -335,9 +334,10 @@ def test_model_json_round_trip_any_model(model_functions, data):
         function=data.draw(model_functions),
         constants=data.draw(st.dictionaries(st.text(max_size=12), _FLOATS, max_size=5)),
         reducers=data.draw(st.lists(reducers, max_size=3)),
-        static_pj_per_cycle=data.draw(_FLOATS))
-    clock_hz = data.draw(st.one_of(st.none(), st.floats(1.0, 1e10)))
-    doc = json.loads(json.dumps(model_to_json(model, clock_hz=clock_hz)))
+        static_pj_per_cycle=data.draw(_FLOATS),
+        provenance=data.draw(st.one_of(
+            st.just({}), st.fixed_dictionaries({"clock_hz": st.floats(1.0, 1e10)}))))
+    doc = json.loads(json.dumps(model_to_json(model)))
     assert _bits(model_from_json(doc)) == _bits(model)
 
 

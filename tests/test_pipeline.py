@@ -22,8 +22,8 @@ class ExitsWhenUnpickled:
 
 
 benches = [Microbenchmark(name="idle", program=Program.from_dict({}, min_cycles=4),
-                          swept=(), reps=0),
-           Microbenchmark(name="dies", program=ExitsWhenUnpickled(), swept=(), reps=0)]
+                          swept=()),
+           Microbenchmark(name="dies", program=ExitsWhenUnpickled(), swept=())]
 try:
     params = load_oracle_params(data_path("oracle_params.json"))
     run_campaign(benches, parse_config(""), params, workers=2)

@@ -45,6 +45,7 @@ from enermod.statetrace import (
     active_idle_function,
     binary_usage_function,
     builtin_function,
+    component_class,
     compose,
     function_from_json,
     function_to_json,
@@ -86,6 +87,14 @@ _events = st.builds(
               st.integers(0, 15)),
     st.sampled_from(EVENT_KINDS),
     _attrs)
+
+
+def _active_idle_per_component():
+    """active-idle keyed by component instance, as a rule file can spell it."""
+    return ModelFunction(level=AbstractionLevel.ACTIVE_IDLE,
+                         rules=(rule({"kind": EVENT_IDLE}, "{component}/idle"),
+                                rule({}, "{component}/active")),
+                         name="active-idle-per-component")
 
 
 def _one_idle_per_cycle(events):
@@ -138,8 +147,8 @@ def test_active_idle_sixty_forty():
     # 100-cycle single-CPU trace with 60 bundles and 40 materialized idles
     events = [_bundle(c) for c in range(60)]
     events += [make_event(c, "cpu0", "idle") for c in range(60, 100)]
-    vec = abstract_trace(_trace(events), active_idle_function(per_instance=True))
-    assert vec.counts == {"cpu0/active": 60, "cpu0/idle": 40}
+    vec = abstract_trace(_trace(events), active_idle_function())
+    assert vec.counts == {"cpu/active": 60, "cpu/idle": 40}
     assert vec.duration == 100
 
 
@@ -223,14 +232,14 @@ def test_two_stage_composition_equals_direct(seed):
     # FINE -> ACTIVE_IDLE -> BINARY equals FINE -> BINARY, and equals
     # applying the stages separately.
     t = _random_trace(seed)
-    ai = active_idle_function(per_instance=True)
+    ai = active_idle_function()
     to_bin = ModelFunction(level=AbstractionLevel.BINARY_USAGE, domain="key",
                            rules=(rule({"tag": "idle"}, "{component}/used"),
                                   rule({"tag": "active"}, "{component}/used")),
                            name="ai-to-binary")
     composed = compose(to_bin, ai)
     assert composed.level == AbstractionLevel.BINARY_USAGE
-    direct = abstract_trace(t, binary_usage_function(per_instance=True))
+    direct = abstract_trace(t, binary_usage_function())
     via_compose = abstract_trace(t, composed)
     staged = rekey_vector(abstract_trace(t, ai), to_bin)
     assert via_compose.counts == direct.counts
@@ -257,19 +266,20 @@ def test_compose_rejects_event_domain_outer():
 def test_binary_recoverable_and_totals_match():
     t = _random_trace(3)
     fine = abstract_trace(t, identity_function())
-    ai = abstract_trace(t, active_idle_function(per_instance=True))
-    binary = abstract_trace(t, binary_usage_function(per_instance=True))
-    # a component's used count merges its active and idle counts
+    ai = abstract_trace(t, active_idle_function())
+    binary = abstract_trace(t, binary_usage_function())
+    classes = {component_class(e.component) for e in t.per_cycle_events()}
+    # a component class's used count merges its active and idle counts
     assert binary.counts == {
-        f"{comp}/used": sum(c for k, c in ai.counts.items()
-                            if k.startswith(comp + "/"))
-        for comp in {e.component for e in t.per_cycle_events()}}
-    # per-component active+idle totals equal summed fine-grained counts
+        f"{cls}/used": sum(c for k, c in ai.counts.items()
+                           if k.startswith(cls + "/"))
+        for cls in classes}
+    # per-class active+idle totals equal summed fine-grained counts
     # (identity keys are kind/component/attrs...)
-    for comp in {e.component for e in t.per_cycle_events()}:
-        ai_total = sum(c for k, c in ai.counts.items() if k.startswith(comp + "/"))
+    for cls in classes:
+        ai_total = sum(c for k, c in ai.counts.items() if k.startswith(cls + "/"))
         fine_total = sum(c for k, c in fine.counts.items()
-                         if k.split("/")[1] == comp)
+                         if component_class(k.split("/")[1]) == cls)
         assert ai_total == fine_total
     for key in binary.counts:
         assert key.endswith("/used")
@@ -365,7 +375,7 @@ def test_function_json_round_trip():
                compose(ModelFunction(level=AbstractionLevel.BINARY_USAGE,
                                      domain="key", rules=(rule({}, "{component}/used"),),
                                      name="to-binary"),
-                       active_idle_function(per_instance=True))):
+                       _active_idle_per_component())):
         doc = function_to_json(fn)
         assert function_from_json(doc) == fn
 
@@ -435,7 +445,7 @@ def test_abstract_counts_add_under_concat(first, second):
     shifted = [e._replace(cycle=e.cycle + first.duration)
                for e in second.per_cycle_events()]
     assert whole.per_cycle_events() == sorted([*first.per_cycle_events(), *shifted])
-    for fn in (identity_function(), active_idle_function(per_instance=True),
+    for fn in (identity_function(), _active_idle_per_component(),
                binary_usage_function()):
         got = abstract_trace(whole, fn)
         a, b = abstract_trace(first, fn), abstract_trace(second, fn)
@@ -518,7 +528,7 @@ def _assert_canonical_spans(t):
 
 
 _TOTAL_FUNCTIONS = (identity_function(), active_idle_function(),
-                    active_idle_function(per_instance=True), binary_usage_function())
+                    _active_idle_per_component(), binary_usage_function())
 
 
 @settings(max_examples=60, deadline=None)
@@ -619,7 +629,7 @@ def test_event_fields_widen_derived_fields():
     assert instruction_model_function().event_fields == {
         "kind", "group", "pattern", "hops", "src", "dst", "size"}
     assert active_idle_function().event_fields == {"kind", "comp_class", "component"}
-    assert active_idle_function(per_instance=True).event_fields == {"kind", "component"}
+    assert _active_idle_per_component().event_fields == {"kind", "component"}
     assert binary_usage_function().event_fields == {"comp_class", "component"}
     assert identity_function().event_fields is None
     # format specs, attribute access and nested fields name what they read
