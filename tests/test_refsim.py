@@ -371,13 +371,19 @@ def test_a_cpu_listed_twice_is_rejected(config, isa, params):
         run_program(config, params, Program(ops=((0, (bundle,)), (0, (bundle,)))))
 
 
-# SHA-256 of the trace files of three programs, computed when every idle
-# cycle was an event in memory too: holding idle time as spans must not
-# change a byte of the file format.
+def _trace_text(trace):
+    """The trace itself (its events, its idle spans and its duration),
+    spelled independently of the trace file format."""
+    return repr((trace.events, trace.idle, trace.duration))
+
+
+# SHA-256 of the traces of three programs, taken when trace files still
+# spelled one line per idle cycle, which these traces then matched byte for
+# byte; a change to the file format must not change a trace.
 _TRACE_SHA256 = {
-    "mixed": "cdc526546097ad5f42b61ecddd78fc30ec7cb6ed284595d24d156ca36a8995d8",
-    "crossbar": "81464439c47547e062b2207b836cab7f3b66ab162d94d17e4719c002a1cfe80d",
-    "2hop": "324d21c5b3eb230e323f802ce0454e2d10dc27aeb76d68b6682496d760560183",
+    "mixed": "ea111c51c6fab7e4bd29d44d172c887d089c878ca6d547286d5c52ebcb03a00c",
+    "crossbar": "e4b1b8c2580ff3a62de6164d125b22d138171e6e7de6b9d07ff6771b7fcfb016",
+    "2hop": "245af97e6353a3e09ef88f6562138546860d61eb24123634660ab94acbf858ce",
 }
 
 
@@ -389,17 +395,17 @@ def test_trace_files_are_pinned(config, isa, api, params):
     }
     for name, program in programs.items():
         trace, _ = run_program(config, params, program)
-        text = "\n".join(trace.to_lines())
-        assert hashlib.sha256(text.encode()).hexdigest() == _TRACE_SHA256[name], name
+        assert hashlib.sha256(_trace_text(trace).encode()).hexdigest() == _TRACE_SHA256[name], name
 
 
-# SHA-256 over every run's trace file lines and ledger CSV, per program set,
-# recorded before the oracle memoized its bundles: the memo must not change
-# a byte of either.  The applications vary each bundle's address.
+# SHA-256 over every run's trace (as _trace_text spells it) and ledger CSV,
+# per program set, taken on the traces and ledgers recorded before the oracle
+# memoized its bundles: the memo must not change either.  The applications
+# vary each bundle's address.
 _CAMPAIGN_SHA256 = {
-    "instruction": "9d5ce3a687e8c878488aa4ea7dc1dc6909f743a682cb5df8da18c15e5c2abbd9",
-    "comm": "dfbb7b05c102107bc6e37e4eb20b3e5dfcf06ad491fa58a085ef9178166fa617",
-    "applications": "46d8b6913c8b68876987585b1aa7ccc78f5a77eefd270402f70f8ae14055ffb4",
+    "instruction": "490b916c32827b662a8074b7489f5ce3eb74ceafab72b14f89d558205b1a7182",
+    "comm": "a618899706dc3637ebecb716a014e41d5d83c0bdfde402682c08824cd30fcaec",
+    "applications": "1d8a92e0b6009328fb7cf3bc6e49cb7fd718f3e1ca193ba6e7a5b5df40029264",
 }
 
 
@@ -407,7 +413,7 @@ def _campaign_digest(config, params, programs):
     digest = hashlib.sha256()
     for program in programs:
         trace, ledger = run_program(config, params, program)
-        digest.update("\n".join(trace.to_lines()).encode())
+        digest.update(_trace_text(trace).encode())
         digest.update(ledger.to_csv().encode())
     return digest.hexdigest()
 
