@@ -1,9 +1,9 @@
 """System-state events and the model functions that change their granularity.
 
 A trace is a sequence of state-transition events at the simulator's native
-granularity; idle time is held as per-component spans, and only trace files
-spell it as one idle event per cycle.  A model function maps each event (or
-each already-produced model-state key) to the coarser state space a model's
+granularity; idle time is held as per-component spans, in memory and in
+trace files alike.  A model function maps each event (or each
+already-produced model-state key) to the coarser state space a model's
 constants live in; aggregating the mapped keys yields the count vector that
 multiplies those constants.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import insort
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from enum import IntEnum
@@ -150,65 +149,15 @@ class Trace:
                 spans.append(s._replace(start=s.start + offset))
         return Trace(events=self.events + shifted, idle=tuple(sorted(spans)))
 
-    def per_cycle_events(self) -> list[StateEvent]:
-        """Every event in canonical order, each idle span expanded to one
-        bare idle event per cycle: the trace as the file format spells it."""
-        return sorted([*self.events,
-                       *(StateEvent(cycle, component, EVENT_IDLE)
-                         for component, start, length in self.idle
-                         for cycle in range(start, start + length))])
-
     def to_lines(self) -> list[str]:
-        """The file lines of per_cycle_events, each
-        'cycle<TAB>component<TAB>kind<TAB>payload'.
-
-        A cycle's lines are its number in front of tails that depend only
-        on the components idle in it and on its event rows without the
-        cycle.  An idle stretch repeats one set of tails cycle after cycle,
-        and a campaign repeats its packets, so the tails are cached on that
-        key (_CycleTails); only a new key sorts and formats its rows.
-        """
-        rows: dict[int, list[tuple]] = {}
-        for event in self.events:
-            rows.setdefault(event.cycle, []).append(event[1:])
-        begins: dict[int, list[str]] = {}
-        ends: dict[int, list[str]] = {}
-        for component, start, length in self.idle:
-            if length > 0:      # a span of no cycles has no lines
-                begins.setdefault(start, []).append(component)
-                ends.setdefault(start + length, []).append(component)
-        # Cycles where the lines can change; between two of them only the
-        # idle components, unchanged, have lines.
-        points = sorted({*rows, *begins, *ends})
-        idle: list[str] = []    # components idle now, sorted, repeats kept
-        tails = _CycleTails()
-        lines: list[str] = []
-        for cycle, stop in zip(points, points[1:] + points[-1:]):
-            for component in begins.get(cycle, ()):
-                insort(idle, component)
-            for component in ends.get(cycle, ()):
-                idle.remove(component)
-            lines.extend(map(str(cycle).__add__,
-                             tails[tuple(idle), tuple(rows.get(cycle, ()))]))
-            if idle and stop > cycle + 1:
-                quiet = tails[tuple(idle), ()]
-                for gap in range(cycle + 1, stop):
-                    lines.extend(map(str(gap).__add__, quiet))
+        """The file lines: each event as 'cycle<TAB>component<TAB>kind<TAB>payload'
+        in canonical order, then each idle span as
+        'start<TAB>component<TAB>idle<TAB>length=N' in (component, start) order."""
+        lines = [f"{cycle}\t{component}\t{kind}\t{' '.join(f'{k}={v}' for k, v in attrs)}"
+                 for cycle, component, kind, attrs in self.events]
+        lines += [f"{start}\t{component}\t{EVENT_IDLE}\tlength={length}"
+                  for component, start, length in self.idle]
         return lines
-
-
-class _CycleTails(dict):
-    """(idle components, event rows) of a cycle -> the text after the cycle
-    number of each of its lines, in canonical order, computed once per key."""
-
-    def __missing__(self, key: tuple) -> list[str]:
-        idle, rows = key
-        ordered = sorted([*((component, EVENT_IDLE, ()) for component in idle), *rows])
-        tails = self[key] = [
-            f"\t{component}\t{kind}\t"
-            f"{' '.join(f'{k}={v}' for k, v in sorted(attrs)) if attrs else ''}"
-            for component, kind, attrs in ordered]
-        return tails
 
 
 def _fold_idle(idle: dict[str, Iterable[int]]) -> tuple[IdleSpan, ...]:
@@ -235,15 +184,17 @@ def sort_events(events: list[StateEvent]) -> tuple[StateEvent, ...]:
 
 
 def trace_from_lines(lines) -> Trace:
-    """Parse a trace file; bare idle lines fold into spans as in
-    Trace.from_events.
+    """Parse a trace file whose lines may come in any order; blank lines are
+    skipped.
 
-    Everything after a line's cycle (its tail) recurs: a trace file spells
-    each idle cycle as its own line.  So a tail is parsed and checked once,
-    and a line costs its cycle's int() and one lookup of its tail.
+    Everything after a line's cycle (its tail) recurs: a packet sweep
+    repeats its flit hops.  So a tail is parsed and checked once, and a line
+    costs its cycle's int() and one lookup of its tail.  Spans of one
+    component must not overlap or touch, so a trace has one spelling; a
+    clash is reported at the later of its two lines.
     """
     events: list[StateEvent] = []
-    idle: dict[str, dict[int, int]] = {}    # component -> {cycle: line}
+    spans: list[tuple[str, int, int, int]] = []     # (component, start, length, line)
     parsed: dict[str, tuple] = {}
     for lineno, line in enumerate(lines, start=1):
         text, _, tail = line.partition("\t")
@@ -251,25 +202,31 @@ def trace_from_lines(lines) -> Trace:
         if entry is None:
             if not line.rstrip("\n"):
                 continue
-            entry = parsed[tail] = _parse_tail(lineno, text, tail, idle)
+            entry = parsed[tail] = _parse_tail(lineno, text, tail)
         try:
             cycle = int(text)
         except ValueError:
             raise TraceError(f"line {lineno}: cycle {text!r} is not an integer") from None
         component, kind, rest = entry
-        if kind != EVENT_IDLE:
+        if kind == EVENT_IDLE:
+            spans.append((component, cycle, rest, lineno))
+        else:
             events.append(StateEvent(cycle, component, kind, rest))
-        elif rest.setdefault(cycle, lineno) != lineno:
-            raise TraceError(
-                f"line {lineno}: two idle events of {component} at cycle {cycle}")
-    return Trace(events=sort_events(events), idle=_fold_idle(idle))
+    spans.sort()
+    for (component, start, length, line), nxt in zip(spans, spans[1:]):
+        if nxt[0] == component and start + length >= nxt[1]:
+            clash = ("repeats" if nxt[1:3] == (start, length)
+                     else "adjoins" if start + length == nxt[1] else "overlaps")
+            raise TraceError(f"line {max(line, nxt[3])}: idle span of {component} "
+                             f"{clash} the one at line {min(line, nxt[3])}")
+    return Trace(events=sort_events(events),
+                 idle=tuple(IdleSpan(*span[:3]) for span in spans))
 
 
-def _parse_tail(lineno: int, text: str, tail: str,
-                idle: dict[str, dict[int, int]]) -> tuple:
+def _parse_tail(lineno: int, text: str, tail: str) -> tuple:
     """Check a line whose tail is new, in the order its faults are
     reported, and return (component, kind, attrs) of an event or
-    (component, EVENT_IDLE, that component's idle cycles) of an idle line."""
+    (component, EVENT_IDLE, length) of an idle span."""
     fields = tail.rstrip("\n").split("\t")
     if len(fields) != 3:
         raise TraceError(f"line {lineno}: expected 4 tab-separated fields")
@@ -278,10 +235,6 @@ def _parse_tail(lineno: int, text: str, tail: str,
     except ValueError:
         raise TraceError(f"line {lineno}: cycle {text!r} is not an integer") from None
     component, kind, payload = fields
-    if kind == EVENT_IDLE:
-        if payload:
-            raise TraceError(f"line {lineno}: idle event has attributes")
-        return component, EVENT_IDLE, idle.setdefault(component, {})
     attrs: dict[str, object] = {}
     if payload:
         for item in payload.split(" "):
@@ -289,6 +242,13 @@ def _parse_tail(lineno: int, text: str, tail: str,
             if not sep:
                 raise TraceError(f"line {lineno}: attribute {item!r} is not name=value")
             attrs[k] = int(v) if _INT_RE.match(v) else v
+    if kind == EVENT_IDLE:
+        length = attrs.pop("length", None)
+        if attrs:
+            raise TraceError(f"line {lineno}: idle span has attribute {min(attrs)!r}")
+        if not isinstance(length, int) or length < 1:
+            raise TraceError(f"line {lineno}: idle span needs length=N with N >= 1")
+        return component, EVENT_IDLE, length
     if kind not in EVENT_KINDS:
         raise TraceError(f"line {lineno}: unknown event kind {kind!r}")
     return component, kind, tuple(sorted(attrs.items()))
@@ -496,6 +456,9 @@ def _fill(template: str, rec: dict[str, object], what: str) -> str:
     except KeyError as exc:
         raise ModelFunctionError(
             f"template {template!r} needs field {exc.args[0]!r} absent from {what}") from exc
+    except (AttributeError, TypeError, IndexError, ValueError) as exc:
+        raise ModelFunctionError(
+            f"template {template!r} cannot be filled from {what}: {exc}") from exc
 
 
 def compose(f: ModelFunction, g: ModelFunction) -> ModelFunction:
@@ -559,7 +522,8 @@ def weighted_keys(trace: Trace, fn: ModelFunction):
             cur = rec[fn.pair_attr]
             prev = last.get(event.component, cur)
             last[event.component] = cur
-            key = fn._chain(fn.pair_template.format_map({"prev": prev, "cur": cur}))
+            key = fn._chain(_fill(fn.pair_template, {"prev": prev, "cur": cur},
+                                  f"{event.kind} event pair"))
         elif key is _UNSEEN:
             key = memo[ident] = project(event)
         yield event.component, key, 1
@@ -767,13 +731,13 @@ def _function_from_json(doc, where: str) -> ModelFunction:
         if not isinstance(r, dict):
             raise FieldError(f"{at} must be an object, got {r!r}")
         rules.append(rule(json_field(at + ".", r, "match", "an object"),
-                          json_field(at + ".", r, "emit", "a string")))
+                          _template_field(at + ".", r, "emit")))
     pair = json_field(where, doc, "pair", "an object", None)
     attr, template, kinds = None, "", ()
     if pair is not None:
         at = where + "pair."
         attr = json_field(at, pair, "attr", "a string")
-        template = json_field(at, pair, "template", "a string")
+        template = _template_field(at, pair, "template")
         kinds = tuple(json_field(at, pair, "kinds", "a list"))
         if not all(isinstance(kind, str) for kind in kinds):
             raise FieldError(f"{at}kinds must list strings, got {list(kinds)!r}")
@@ -788,6 +752,16 @@ def _function_from_json(doc, where: str) -> ModelFunction:
         pair_kinds=kinds,
         then=None if then is None else _function_from_json(then, where + "then."),
     )
+
+
+def _template_field(where: str, doc: dict, name: str) -> str:
+    """A string field that str.format can parse as a key template."""
+    template = json_field(where, doc, name, "a string")
+    try:
+        _template_fields(template)
+    except ValueError as exc:
+        raise FieldError(f"{where}{name} {template!r} is not a key template: {exc}") from None
+    return template
 
 
 def load_function(path: str) -> ModelFunction:

@@ -1,3 +1,5 @@
+from string import Formatter
+
 import pytest
 from hypothesis import strategies as st
 
@@ -9,9 +11,20 @@ from enermod.statetrace import (
     EVENT_KINDS,
     AbstractionLevel,
     ModelFunction,
+    StateEvent,
     rule,
 )
 from enermod.sysconfig import load_api, load_isa, parse_config
+
+
+def expand(trace):
+    """The per-cycle reference form of a trace: every event in canonical
+    order, each idle span expanded to one bare idle event per cycle."""
+    events = list(trace.events)
+    for span in trace.idle:
+        for cycle in range(span.start, span.start + span.length):
+            events.append(StateEvent(cycle, span.component, EVENT_IDLE))
+    return sorted(events)
 
 
 @pytest.fixture(scope="session")
@@ -45,15 +58,26 @@ def params():
     return load_oracle_params(data_path("oracle_params.json"))
 
 
+def _parses(template):
+    """Whether str.format can parse template, nested format specs too."""
+    try:
+        return all(_parses(spec or "") for _text, _name, spec, _conv
+                   in Formatter().parse(template))
+    except ValueError:
+        return False
+
+
+# Rule files refuse a key template str.format cannot parse.
+_TEMPLATES = st.text(max_size=12).filter(_parses)
 _NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=6)
 _VALUES = st.one_of(st.text(max_size=6), st.integers(-5, 1000), st.booleans())
 _RULES = st.builds(
     rule,
     st.dictionaries(_NAMES, st.one_of(_VALUES, st.lists(_VALUES, max_size=3)),
                     max_size=3),
-    st.one_of(st.just(DISCARD), st.text(max_size=12)))
+    st.one_of(st.just(DISCARD), _TEMPLATES))
 _PAIRS = st.one_of(st.none(), st.tuples(
-    _NAMES, st.text(max_size=12),
+    _NAMES, _TEMPLATES,
     st.lists(st.sampled_from([k for k in EVENT_KINDS if k != EVENT_IDLE]),
              max_size=3).map(tuple)))
 

@@ -500,14 +500,14 @@ def test_fit_then_estimate_trace(tmp_path):
 
 def _estimate_exits_5(out, capsys, lines):
     """Estimate a trace file of the given lines with the one-packet noc
-    model; it must fail with exactly one error:5: line."""
+    model; it must fail with exactly one error:5: line, naming the last line."""
     path = out / "bad.tsv"
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     rc = main(["estimate", "--model", str(out / "models" / "noc.json"),
                "--trace", str(path)])
     assert rc == EXIT_DATA
-    _one_error_line(capsys, EXIT_DATA)
+    assert _one_error_line(capsys, EXIT_DATA).startswith(f"error:5:line {len(lines)}:")
 
 
 def _one_packet_trace(out):
@@ -522,8 +522,16 @@ def _one_packet_trace(out):
 
 def test_estimate_of_idle_time_that_cannot_be_a_span_exits_5(tmp_path, capsys):
     lines = _one_packet_trace(tmp_path)
-    idle = next(line for line in lines if "\tidle\t" in line)
-    for bad in (idle + "why=stall", idle):  # attributes; a second idle event
+    # the last line is an idle CPU's one span, over the whole run
+    start, component, _, length = lines[-1].split("\t")
+    start, end = int(start), int(start) + int(length.removeprefix("length="))
+    span = f"\t{component}\tidle\t"
+    for bad in (lines[-1] + " why=stall",                     # another attribute
+                f"{start}{span}", f"{start}{span}length=x",    # no length; not an integer
+                f"{start}{span}length=0",                      # below 1
+                lines[-1],                                     # a duplicate span
+                f"{start + 1}{span}length=1",                  # an overlapping span
+                f"{end}{span}length=1"):                       # an adjacent span
         _estimate_exits_5(tmp_path, capsys, lines + [bad])
 
 
@@ -550,32 +558,47 @@ def _mutate_one_line(lines, how, pick, cycle):
     tails = [line.split("\t", 1)[1] for line in lines]
     # lines whose tail an earlier line already has: the parse is memoized
     repeats = [i for i, tail in enumerate(tails) if tail in tails[:i]]
-    at = {"idle payload": idle, "attribute": busy, "repeated tail": repeats}.get(
-        how, range(len(lines)))
+    at = {"idle payload": idle, "idle length": idle, "attribute": busy,
+          "repeated tail": repeats}.get(how, range(len(lines)))
     i = at[pick % len(at)]
     if how == "missing field":
         lines[i] = lines[i].rsplit("\t", 1)[0]
     elif how in ("cycle", "repeated tail"):
         lines[i] = cycle + "\t" + tails[i]
     elif how == "idle payload":
-        lines[i] += "why=stall"
+        lines[i] += " why=stall"
+    elif how == "idle length":
+        lines[i] = (lines[i].rsplit("\t", 1)[0] + "\t"
+                    + ["", "length=x", "length=0", "length=-1"][pick % 4])
     elif how == "attribute":
         lines[i] += "stall" if lines[i].endswith("\t") else " stall"
     elif how == "unknown kind":
         fields = lines[i].split("\t")
         fields[2] = "bogus"
         lines[i] = "\t".join(fields)
-    else:   # a second idle line of one component and cycle
+    else:   # a span line that repeats, overlaps or adjoins the span of line j
+        spans = {k: lines[k].split("\t") for k in idle}
+        if how == "overlapping span":
+            idle = [k for k in idle if spans[k][3] != "length=1"]
+        elif how == "adjacent span":    # the last span of its component
+            idle = [k for k in idle if k + 1 not in spans or spans[k + 1][1] != spans[k][1]]
         j = idle[pick % len(idle)]
+        start, component, kind, length = spans[j]
+        start, length = int(start), int(length.removeprefix("length="))
+        if how == "overlapping span":
+            start, length = start + 1, length - 1
+        elif how == "adjacent span":
+            start, length = start + length, 1
         if i == j:
             i = (i + 1) % len(lines)
-        lines[i] = lines[j]
+        lines[i] = f"{start}\t{component}\t{kind}\tlength={length}"
         i = max(i, j)
     return lines, i + 1
 
 
-@pytest.mark.parametrize("how", ["missing field", "cycle", "idle payload", "attribute",
-                                 "second idle", "repeated tail", "unknown kind"])
+@pytest.mark.parametrize("how", ["missing field", "cycle", "idle payload", "idle length",
+                                 "attribute", "second idle", "overlapping span",
+                                 "adjacent span", "repeated tail", "unknown kind"])
 @settings(max_examples=15, deadline=None)
 @given(pick=st.integers(0, 10**6), cycle=st.sampled_from(["x", "", "1.5", "0x1", "1e3"]))
 def test_estimate_of_a_trace_with_one_malformed_line_exits_5(one_packet, how, pick, cycle):
@@ -837,7 +860,8 @@ def test_the_rule_file_fits(packet_campaign):
 
 
 @settings(max_examples=150, deadline=None)
-@given(path=st.sampled_from(list(_json_fields(_RULE_FILE))), value=_MUTATIONS)
+@given(path=st.sampled_from(list(_json_fields(_RULE_FILE))),
+       value=_MUTATIONS | st.sampled_from(["{", "}", "{kind.x}", "{size[0]}", "{kind!z}"]))
 def test_fit_with_one_mutated_rule_file_field_never_crashes(packet_campaign, path,
                                                             value):
     rules = packet_campaign / "mutated_rules.json"

@@ -27,6 +27,8 @@ from enermod.statetrace import (
 from enermod.workloads import synthetic_applications
 from enermod.sysconfig import n_flits
 
+from conftest import expand
+
 
 @pytest.fixture(scope="module")
 def instr_runs(config, isa, params):
@@ -92,7 +94,7 @@ def _per_cycle_estimate(trace, model):
     """The estimate as one addition per event of the per-cycle trace, in
     canonical order."""
     breakdown = {}
-    for event in trace.per_cycle_events():
+    for event in expand(trace):
         key = model.function.key_for_event(event)
         pj = None if key is None else model.energy_of_key(key)
         if pj is not None:

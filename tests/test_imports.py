@@ -47,7 +47,6 @@ _TEST_ONLY_ALLOWED = {
     "compose": "abstract_trace(t, compose(f, g)) equals applying g, then f",
     "rekey_vector": "the two-stage reference behind compose's property",
     "Trace.concat": "abstraction is linear under trace concatenation",
-    "Trace.per_cycle_events": "the per-cycle form that trace files spell",
     "Trace.from_events": "folds a per-cycle event list into the span form",
     "structural_diff": "benchmarks of one sweep differ only in what it sweeps",
     "serialize_isa": "ISA documents round-trip",

@@ -49,6 +49,8 @@ from enermod.sysconfig import (
 )
 from enermod.workloads import synthetic_applications
 
+from conftest import expand
+
 
 def _group(isa, label):
     from enermod.sysconfig import group_by_label
@@ -138,7 +140,7 @@ def test_load_books_dmem_without_an_event_of_its_own(tiny_config, isa, params,
         {0: [BundleOp(group=group, addr=0, pattern=pattern)]}, min_cycles=3)
     trace, ledger = run_program(tiny_config, params, program)
     assert ledger.breakdown_dict()["dmem"] == params.dmem(pattern)
-    assert [e.kind for e in trace.per_cycle_events()] == ["bundle-issue", "idle", "idle"]
+    assert [e.kind for e in expand(trace)] == ["bundle-issue", "idle", "idle"]
 
 
 def test_bundle_energy_closed_form(tiny_config, isa, params):
@@ -476,7 +478,7 @@ def test_min_cycles_pads_with_idle(tiny_config, params):
     program = Program.from_dict({}, min_cycles=32)
     trace, ledger = run_program(tiny_config, params, program)
     assert trace.duration == 32
-    assert all(e.kind == "idle" for e in trace.per_cycle_events())
+    assert all(e.kind == "idle" for e in expand(trace))
     assert ledger.total_pj == pytest.approx(
         params.static_pj(tiny_config, 32))
 

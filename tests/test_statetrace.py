@@ -63,6 +63,8 @@ from enermod.statetrace import (
 )
 from enermod.sysconfig import enumerate_instruction_groups, load_isa, manhattan
 
+from conftest import expand
+
 
 def _trace(events):
     return Trace.from_events(events)
@@ -268,7 +270,7 @@ def test_binary_recoverable_and_totals_match():
     fine = abstract_trace(t, identity_function())
     ai = abstract_trace(t, active_idle_function())
     binary = abstract_trace(t, binary_usage_function())
-    classes = {component_class(e.component) for e in t.per_cycle_events()}
+    classes = {component_class(e.component) for e in expand(t)}
     # a component class's used count merges its active and idle counts
     assert binary.counts == {
         f"{cls}/used": sum(c for k, c in ai.counts.items()
@@ -334,7 +336,7 @@ def _pairwise_reference(t, fn):
     """Per-cycle pairwise counts: every event in (component, cycle, kind,
     attrs) order, each paired kind keyed by its component's previous value."""
     counts, last = {}, {}
-    for e in sorted(t.per_cycle_events(),
+    for e in sorted(expand(t),
                     key=lambda e: (e.component, e.cycle, e.kind, e.attrs)):
         if e.kind in fn.pair_kinds:
             cur = dict(e.attrs)[fn.pair_attr]
@@ -433,7 +435,7 @@ def test_sort_events_is_the_explicit_canonical_order(events):
 @settings(max_examples=60, deadline=None)
 @given(t=_traces)
 def test_duration_is_last_cycle_plus_one(t):
-    assert t.duration == max((e.cycle + 1 for e in t.per_cycle_events()), default=0)
+    assert t.duration == max((e.cycle + 1 for e in expand(t)), default=0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -442,9 +444,8 @@ def test_abstract_counts_add_under_concat(first, second):
     whole = first.concat(second)
     assert whole.events == sort_events(whole.events)
     _assert_canonical_spans(whole)
-    shifted = [e._replace(cycle=e.cycle + first.duration)
-               for e in second.per_cycle_events()]
-    assert whole.per_cycle_events() == sorted([*first.per_cycle_events(), *shifted])
+    shifted = [e._replace(cycle=e.cycle + first.duration) for e in expand(second)]
+    assert expand(whole) == sorted([*expand(first), *shifted])
     for fn in (identity_function(), _active_idle_per_component(),
                binary_usage_function()):
         got = abstract_trace(whole, fn)
@@ -453,20 +454,14 @@ def test_abstract_counts_add_under_concat(first, second):
         assert got.duration == a.duration + b.duration
 
 
-def _expand(trace):
-    """Per-cycle reference: the explicit events plus one idle event per
-    cycle of every span, in no particular order."""
-    events = list(trace.events)
-    for span in trace.idle:
-        for cycle in range(span.start, span.start + span.length):
-            events.append(StateEvent(cycle, span.component, EVENT_IDLE))
-    return events
-
-
-def _reference_lines(events):
-    ordered = sorted(events, key=lambda e: (e.cycle, e.component, e.kind, e.attrs))
-    return [f"{e.cycle}\t{e.component}\t{e.kind}\t"
-            + " ".join(f"{k}={v}" for k, v in sorted(e.attrs)) for e in ordered]
+def _reference_lines(trace):
+    """Each event in (cycle, component, kind, attrs) order, then each idle
+    span in (component, start) order."""
+    events = sorted(trace.events, key=lambda e: (e.cycle, e.component, e.kind, e.attrs))
+    spans = sorted(trace.idle, key=lambda s: (s.component, s.start))
+    return ([f"{e.cycle}\t{e.component}\t{e.kind}\t"
+             + " ".join(f"{k}={v}" for k, v in sorted(e.attrs)) for e in events]
+            + [f"{s.start}\t{s.component}\tidle\tlength={s.length}" for s in spans])
 
 
 def _oracle_files_spell_the_reference(out, isa_path, config, params):
@@ -480,13 +475,13 @@ def _oracle_files_spell_the_reference(out, isa_path, config, params):
         trace, _ = run_program(config, params, program_from_json(doc, isa))
         stem = filename.rsplit(".", 1)[0]
         written = (out / "traces" / (stem + ".tsv")).read_text()
-        assert written == "\n".join(_reference_lines(_expand(trace))) + "\n", filename
+        assert written == "\n".join(_reference_lines(trace)) + "\n", filename
     return len(rows)
 
 
 def test_oracle_trace_files_spell_the_reference(tmp_path, config, params):
-    """enermod oracle writes each trace as the per-cycle reference spelling:
-    a packet sweep (idle stretches, repeated packets) and an instruction
+    """enermod oracle writes each trace as the reference spelling: a packet
+    sweep (idle stretches, repeated packets) and an instruction
     campaign (dense bundles, each at its own address)."""
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["gen-bench", "--kind", "comm", "--min", "4", "--max", "1024",
@@ -536,8 +531,8 @@ _TOTAL_FUNCTIONS = (identity_function(), active_idle_function(),
 def test_trace_spells_its_events_cycle_by_cycle(events):
     t = _trace(events)
     _assert_canonical_spans(t)
-    assert t.to_lines() == _reference_lines(events)
-    assert t.per_cycle_events() == sorted(events)
+    assert t.to_lines() == _reference_lines(t)
+    assert expand(t) == sorted(events)
     for fn in _TOTAL_FUNCTIONS:
         assert abstract_trace(t, fn).counts == _per_cycle_counts(events, fn)
 
@@ -545,12 +540,38 @@ def test_trace_spells_its_events_cycle_by_cycle(events):
 def test_idle_time_that_cannot_be_a_span_is_refused():
     with pytest.raises(TraceError, match="attributes"):
         Trace.from_events([make_event(0, "cpu0", "idle", why="stall")])
-    with pytest.raises(TraceError, match="attributes"):
-        trace_from_lines(["0\tcpu0\tidle\twhy=stall"])
     with pytest.raises(TraceError, match="two idle"):
-        trace_from_lines(["0\tcpu0\tidle\t", "1\tcpu0\tidle\t", "0\tcpu0\tidle\t"])
+        Trace.from_events([make_event(1, "cpu0", "idle"), make_event(0, "cpu0", "idle"),
+                           make_event(1, "cpu0", "idle")])
     with pytest.raises(TraceError, match="spans"):
         Trace(events=(make_event(0, "cpu0", "idle"),))
+
+
+_SYNC = "0\tcpu0\tsync\t"
+
+
+@pytest.mark.parametrize("lines,error", [
+    ([_SYNC, "0\tcpu0\tidle\t"], "line 2: idle span needs length=N with N >= 1"),
+    (["0\tcpu0\tidle\tlength=x"], "line 1: idle span needs length=N"),
+    (["0\tcpu0\tidle\tlength=1.5"], "line 1: idle span needs length=N"),
+    ([_SYNC, "0\tcpu0\tidle\tlength=0"], "line 2: idle span needs length=N"),
+    (["0\tcpu0\tidle\tlength=-2"], "line 1: idle span needs length=N"),
+    (["0\tcpu0\tidle\tlength=2 why=stall"], "line 1: idle span has attribute 'why'"),
+    (["0\tcpu0\tidle\twhy=stall"], "line 1: idle span has attribute 'why'"),
+    (["0\tcpu0\tidle\tlength=2", "0\tcpu1\tidle\tlength=2", "0\tcpu0\tidle\tlength=2"],
+     "line 3: idle span of cpu0 repeats the one at line 1"),
+    (["3\tcpu0\tidle\tlength=2", "0\tcpu0\tidle\tlength=4"],
+     "line 2: idle span of cpu0 overlaps the one at line 1"),
+    (["0\tcpu0\tidle\tlength=9", _SYNC, "5\tcpu0\tidle\tlength=1"],
+     "line 3: idle span of cpu0 overlaps the one at line 1"),
+    (["2\tcpu0\tidle\tlength=1", "0\tcpu0\tidle\tlength=2"],
+     "line 2: idle span of cpu0 adjoins the one at line 1"),
+])
+def test_a_span_line_that_is_not_a_maximal_span_is_refused_at_its_line(lines, error):
+    """Span lines of one component neither overlap nor touch, so each
+    trace has one spelling; a clash is reported at its later line."""
+    with pytest.raises(TraceError, match=f"^{re.escape(error)}"):
+        trace_from_lines(lines)
 
 
 def test_adjacent_idle_spans_merge_under_concat():
@@ -598,20 +619,11 @@ def _file_traces(draw):
     return _trace(events)
 
 
-def test_a_hand_built_trace_is_spelled_as_its_expansion():
-    # not canonical: events out of order, overlapping spans of one
-    # component, and spans of no or negative length
-    t = Trace(events=(make_event(3, "cpu0", "sync"), make_event(1, "cpu0", "sync")),
-              idle=(IdleSpan("cpu0", 5, -2), IdleSpan("cpu1", 2, 0),
-                    IdleSpan("cpu0", 0, 2), IdleSpan("cpu0", 1, 2)))
-    assert t.to_lines() == _reference_lines(_expand(t))
-
-
 @settings(max_examples=150, deadline=None)
 @given(t=_file_traces(), data=st.data())
 def test_trace_files_spell_and_read_back_any_trace(t, data):
     lines = t.to_lines()
-    assert lines == _reference_lines(_expand(t))
+    assert lines == _reference_lines(t)
     shuffled = data.draw(st.permutations(lines))
     for at in data.draw(st.lists(st.integers(0, len(lines)), max_size=3)):
         shuffled.insert(at, "")
@@ -726,11 +738,11 @@ def _programs(config, isa):
 def test_oracle_traces_spell_their_per_cycle_expansion(config, isa, params, data):
     trace, _ = run_program(config, params, data.draw(_programs(config, isa)))
     _assert_canonical_spans(trace)
-    expanded = _expand(trace)
+    expanded = expand(trace)
     for cpu in range(config.n_cpus):
         cycles = sorted(e.cycle for e in expanded if e.component == f"cpu{cpu}")
         assert cycles == list(range(trace.duration))
-    assert trace.to_lines() == _reference_lines(expanded)
+    assert trace.to_lines() == _reference_lines(trace)
     assert trace_from_lines(trace.to_lines()) == trace
     assert trace_from_lines(trace.to_lines()[::-1]) == trace
     for fn in (*_TOTAL_FUNCTIONS, instruction_model_function()):
