@@ -397,7 +397,7 @@ class ModelFunction:
             if r.emit != DISCARD:
                 try:
                     fields.update(_template_fields(r.emit))
-                except ValueError:      # format_map raises it if the rule fires
+                except ValueError:      # _fill refuses it if the rule fires
                     return None
         if "__identity__" in fields:
             return None
@@ -441,9 +441,12 @@ class ModelFunction:
 
 def _template_fields(template: str) -> set[str]:
     """The record fields a key template reads: each replacement field's
-    name before any attribute or index access, nested format specs too."""
+    name before any attribute or index access, nested format specs too.
+    Raises ValueError where str.format cannot parse the template."""
     fields: set[str] = set()
-    for _text, name, spec, _conversion in Formatter().parse(template):
+    for _text, name, spec, conversion in Formatter().parse(template):
+        if conversion not in (None, "r", "s", "a"):
+            raise ValueError(f"unknown conversion specifier {conversion}")
         if name is not None:
             fields.add(re.match(r"[^.\[]*", name).group())
             fields.update(_template_fields(spec or ""))

@@ -61,8 +61,8 @@ def params():
 def _parses(template):
     """Whether str.format can parse template, nested format specs too."""
     try:
-        return all(_parses(spec or "") for _text, _name, spec, _conv
-                   in Formatter().parse(template))
+        return all(conv in (None, "r", "s", "a") and _parses(spec or "")
+                   for _text, _name, spec, conv in Formatter().parse(template))
     except ValueError:
         return False
 

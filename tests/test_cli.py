@@ -507,7 +507,8 @@ def _estimate_exits_5(out, capsys, lines):
     rc = main(["estimate", "--model", str(out / "models" / "noc.json"),
                "--trace", str(path)])
     assert rc == EXIT_DATA
-    assert _one_error_line(capsys, EXIT_DATA).startswith(f"error:5:line {len(lines)}:")
+    error = _one_error_line(capsys, EXIT_DATA)
+    assert error.startswith(f"error:{EXIT_DATA}:line {len(lines)}:")
 
 
 def _one_packet_trace(out):
