@@ -84,6 +84,7 @@ from .sysconfig import (
     EMPTY,
     InstructionGroup,
     IsaError,
+    SystemConfig,
     group_by_label,
     load_api,
     load_config,
@@ -215,6 +216,16 @@ def cmd_gen_bench(args) -> int:
     return EXIT_OK
 
 
+def _oracle_files(config: SystemConfig, params: OracleParams,
+                  program: Program) -> tuple[str, str, float, int]:
+    """One oracle run as (trace file text, ledger CSV, total_pj, duration):
+    spelled where the run happens, so a worker sends back text, not the
+    trace's objects."""
+    trace, ledger = run_program(config, params, program)
+    return ("\n".join(trace.to_lines()) + "\n", ledger.to_csv(),
+            ledger.total_pj, trace.duration)
+
+
 def cmd_oracle(args) -> int:
     config, isa = _load_inputs(args)
     params = _load_params(args)
@@ -230,12 +241,12 @@ def cmd_oracle(args) -> int:
     trace_dir = _subdir(out, "traces")
     ledger_dir = _subdir(out, "ledgers")
     results = []
-    for run in iter_campaign(benches, config, params, workers=args.workers):
-        stem = benchmark_filename(run.benchmark.name).rsplit(".", 1)[0]
-        _write(os.path.join(trace_dir, stem + ".tsv"),
-               "\n".join(run.trace.to_lines()) + "\n")
-        _write(os.path.join(ledger_dir, stem + ".csv"), run.ledger.to_csv())
-        results.append((run.benchmark.name, run.ledger.total_pj, run.trace.duration))
+    for bench, (trace_text, ledger_csv, total_pj, duration) in iter_campaign(
+            benches, config, params, _oracle_files, workers=args.workers):
+        stem = benchmark_filename(bench.name).rsplit(".", 1)[0]
+        _write(os.path.join(trace_dir, stem + ".tsv"), trace_text)
+        _write(os.path.join(ledger_dir, stem + ".csv"), ledger_csv)
+        results.append((bench.name, total_pj, duration))
     results.sort(key=lambda r: r[0])
     summary = ["name,total_pj,duration_cycles"]
     summary.extend(f"{name},{total!r},{duration}" for name, total, duration in results)

@@ -8,9 +8,10 @@ aggregation is order-stable, making results identical for any worker count.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import TypeVar
 
 from .benchgen import (
     Microbenchmark,
@@ -26,7 +27,7 @@ from .modelfit import (
     fit_constants,
     fit_packet_reducers,
 )
-from .refsim import EnergyLedger, OracleParams, run_program
+from .refsim import EnergyLedger, OracleParams, Program, run_program
 from .statetrace import (
     ModelFunction,
     StateCountVector,
@@ -40,6 +41,8 @@ from .sysconfig import ApiDescription, Coord, SystemConfig, manhattan
 
 DEFAULT_COMM_SIZES = [8, 16, 32, 64, 128, 256, 512, 1024]
 
+R = TypeVar("R")
+
 
 @dataclass
 class CampaignRun:
@@ -49,33 +52,38 @@ class CampaignRun:
 
 
 def iter_campaign(benchmarks: list[Microbenchmark], config: SystemConfig,
-                  params: OracleParams, workers: int = 1) -> Iterator[CampaignRun]:
-    """Run every benchmark and yield its run in input order, whatever the
-    worker count.  A worker process that dies raises BrokenProcessPool,
-    unless it dies part-way through sending a result: the executor then
-    waits for the rest of that message."""
+                  params: OracleParams,
+                  run: Callable[[SystemConfig, OracleParams, Program], R],
+                  workers: int = 1) -> Iterator[tuple[Microbenchmark, R]]:
+    """Yield (benchmark, run(config, params, benchmark.program)) in input
+    order, whatever the worker count.  With workers > 1, run is called in a
+    worker process, so it must be a module-level callable, and its result is
+    all that is sent back: a run that keeps less than its whole trace sends
+    less.  A worker process that dies raises BrokenProcessPool, unless it
+    dies part-way through sending a result: the executor then waits for the
+    rest of that message, however small the message is."""
     if workers <= 1 or len(benchmarks) < 2:
         for bench in benchmarks:
-            yield CampaignRun(bench, *run_program(config, params, bench.program))
+            yield bench, run(config, params, bench.program)
         return
     with ProcessPoolExecutor(workers) as pool:
         # Two runs per worker in flight: no worker waits for work, and
         # finished runs cannot pile up behind a slower consumer.
         pending: deque = deque()
         for bench in benchmarks:
-            pending.append((bench, pool.submit(run_program, config, params,
-                                               bench.program)))
+            pending.append((bench, pool.submit(run, config, params, bench.program)))
             if len(pending) == 2 * workers:
                 oldest, future = pending.popleft()
-                yield CampaignRun(oldest, *future.result())
+                yield oldest, future.result()
         for bench, future in pending:
-            yield CampaignRun(bench, *future.result())
+            yield bench, future.result()
 
 
 def run_campaign(benchmarks: list[Microbenchmark], config: SystemConfig,
                  params: OracleParams, workers: int = 1) -> list[CampaignRun]:
-    """Every run of iter_campaign, in input order."""
-    return list(iter_campaign(benchmarks, config, params, workers))
+    """The trace and ledger of every benchmark, in input order."""
+    return [CampaignRun(bench, *result) for bench, result
+            in iter_campaign(benchmarks, config, params, run_program, workers)]
 
 
 def observations(measured: Iterable[tuple[Trace, float]],

@@ -152,9 +152,19 @@ class Trace:
     def to_lines(self) -> list[str]:
         """The file lines: each event as 'cycle<TAB>component<TAB>kind<TAB>payload'
         in canonical order, then each idle span as
-        'start<TAB>component<TAB>idle<TAB>length=N' in (component, start) order."""
-        lines = [f"{cycle}\t{component}\t{kind}\t{' '.join(f'{k}={v}' for k, v in attrs)}"
-                 for cycle, component, kind, attrs in self.events]
+        'start<TAB>component<TAB>idle<TAB>length=N' in (component, start) order.
+
+        Event tails (all but the cycle) recur, as trace_from_lines notes, so
+        each distinct tail is spelled once."""
+        tails: dict[tuple, str] = {}
+        lines = []
+        for cycle, component, kind, attrs in self.events:
+            key = (component, kind, attrs)
+            tail = tails.get(key)
+            if tail is None:
+                payload = " ".join(f"{k}={v}" for k, v in attrs)
+                tail = tails[key] = f"\t{component}\t{kind}\t{payload}"
+            lines.append(f"{cycle}{tail}")
         lines += [f"{start}\t{component}\t{EVENT_IDLE}\tlength={length}"
                   for component, start, length in self.idle]
         return lines

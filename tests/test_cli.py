@@ -377,7 +377,7 @@ _ORACLE_LOSING_A_WORKER = """
 import os
 import sys
 
-from enermod import cli, pipeline
+from enermod import cli
 
 
 class ExitsWhenUnpickled:
@@ -386,7 +386,7 @@ class ExitsWhenUnpickled:
 
 
 # every task sent to a worker kills it
-pipeline.run_program = ExitsWhenUnpickled()
+cli._oracle_files = ExitsWhenUnpickled()
 sys.exit(cli.main(["oracle", "--workers", "2", "--out", sys.argv[1]]))
 """
 

@@ -5,6 +5,12 @@ import subprocess
 import sys
 import time
 
+from enermod import data_path
+from enermod.benchgen import Microbenchmark
+from enermod.pipeline import iter_campaign
+from enermod.refsim import Program, load_oracle_params, run_program
+from enermod.sysconfig import parse_config
+
 _DYING_WORKER = """
 import os
 from concurrent.futures.process import BrokenProcessPool
@@ -42,3 +48,26 @@ def test_dying_worker_raises_instead_of_hanging():
                           capture_output=True, text=True, timeout=120)
     assert proc.stdout.strip() == "broken", proc.stderr
     assert time.perf_counter() - start < 30
+
+
+def _pid_and_duration(config, params, program):
+    trace, _ledger = run_program(config, params, program)
+    return os.getpid(), trace.duration
+
+
+def test_iter_campaign_runs_run_in_the_worker_and_keeps_input_order():
+    """run is called in a worker process, and its results come back in
+    input order, equal to an in-process campaign's."""
+    benches = [Microbenchmark(name=f"idle{n}", swept=(),
+                              program=Program.from_dict({}, min_cycles=n))
+               for n in (5, 1, 4, 2, 6, 3)]
+    config = parse_config("")
+    params = load_oracle_params(data_path("oracle_params.json"))
+    in_process = list(iter_campaign(benches, config, params, _pid_and_duration))
+    pooled = list(iter_campaign(benches, config, params, _pid_and_duration,
+                                workers=2))
+    assert [b for b, _ in pooled] == [b for b, _ in in_process] == benches
+    assert [d for _, (_, d) in pooled] == [d for _, (_, d) in in_process] \
+        == [5, 1, 4, 2, 6, 3]
+    assert {pid for _, (pid, _) in in_process} == {os.getpid()}
+    assert os.getpid() not in {pid for _, (pid, _) in pooled}
