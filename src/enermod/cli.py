@@ -233,9 +233,13 @@ def cmd_oracle(args) -> int:
     bench_dir = os.path.join(out, "benchmarks")
     benches = []
     for name, filename in _manifest_rows(bench_dir):
-        with open(_require(os.path.join(bench_dir, filename)), "r",
-                  encoding="utf-8") as fh:
-            program = program_from_json(json.load(fh), isa)
+        path = _require(os.path.join(bench_dir, filename))
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        try:
+            program = program_from_json(doc, isa)
+        except (ProgramError, IsaError) as exc:
+            raise CliError(EXIT_INVARIANT, f"{path}: {exc}") from None
         benches.append(Microbenchmark(name=name, program=program, swept=()))
 
     trace_dir = _subdir(out, "traces")
@@ -582,8 +586,7 @@ def main(argv: list[str] | None = None) -> int:
             InfeasibleError) as exc:
         print(f"error:{EXIT_INVARIANT}:{exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (TraceError, ModelFunctionError, FitError, json.JSONDecodeError,
-            KeyError) as exc:
+    except (TraceError, ModelFunctionError, FitError, json.JSONDecodeError) as exc:
         print(f"error:{EXIT_DATA}:{exc}", file=sys.stderr)
         return EXIT_DATA
 

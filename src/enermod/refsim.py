@@ -37,11 +37,13 @@ from .statetrace import (
 )
 from .sysconfig import (
     Coord,
+    FieldError,
     ICLASSES,
     InstructionGroup,
     SystemConfig,
     fold_sum,
     format_coord,
+    json_field,
     manhattan,
     n_flits,
 )
@@ -160,6 +162,8 @@ class OracleParams:
 
 
 def params_from_json(doc: dict[str, float]) -> OracleParams:
+    if not isinstance(doc, dict):
+        raise ParamError(f"an oracle-params document must be an object, got {doc!r}")
     core = []
     dmem = []
     scalars: dict[str, float] = {}
@@ -300,6 +304,8 @@ def ledger_from_csv(text: str) -> dict[str, float]:
         except ValueError:
             raise CsvError(f"line {lineno}: expected component,energy_pj, "
                            f"got {line!r}") from None
+    if "total" not in values:
+        raise CsvError("no total row")
     return values
 
 
@@ -575,45 +581,71 @@ def _slot_instruction(by_name: dict, name: str | None):
     return by_name[name]
 
 
-def program_from_json(doc: dict, isa: list) -> Program:
+def program_from_json(doc, isa: list) -> Program:
     """A program from its JSON document.  Equal bundle entries load as one
     BundleOp and equal slot lists as one InstructionGroup, so the oracle's
     per-bundle memo and checks, keyed by op identity, hold across
-    repetitions."""
-    by_name = {i.mnemonic: i for i in isa}
+    repetitions.  A field of the wrong type raises ProgramError naming the
+    field."""
+    try:
+        return _program_from_json(doc, {i.mnemonic: i for i in isa})
+    except FieldError as exc:
+        raise ProgramError(str(exc)) from None
+
+
+def _program_from_json(doc, by_name: dict) -> Program:
+    if not isinstance(doc, dict):
+        raise FieldError(f"a program must be an object, got {doc!r}")
     groups: dict[tuple, InstructionGroup] = {}
     bundles: dict[tuple, BundleOp] = {}
     ops: dict[int, list[ProgramOp]] = {}
-    for cpu_str, entries in doc.get("cpus", {}).items():
+    cpus = json_field("", doc, "cpus", "an object", {})
+    for cpu_str in cpus:
         try:
             cpu = int(cpu_str)
         except ValueError:
             raise ProgramError(f"cpu key {cpu_str!r} is not an integer") from None
         lst: list[ProgramOp] = []
-        for entry in entries:
+        for i, entry in enumerate(json_field("cpus.", cpus, cpu_str, "a list")):
+            at = f"cpus.{cpu_str}[{i}]."
+            if not isinstance(entry, dict):
+                raise FieldError(f"{at[:-1]} must be an object, got {entry!r}")
             if "bundle" in entry:
-                b = entry["bundle"]
+                b = json_field(at, entry, "bundle", "an object")
                 unknown = sorted(set(b) - {"slots", "addr", "pattern"})
                 if unknown:
                     raise ProgramError(f"unknown bundle field(s) {', '.join(unknown)}")
-                names = tuple(b["slots"])
+                at += "bundle."
+                names = tuple(json_field(at, b, "slots", "a list"))
+                if not all(n is None or isinstance(n, str) for n in names):
+                    raise FieldError(f"{at}slots must list mnemonics or nulls, "
+                                     f"got {list(names)!r}")
                 if names not in groups:
                     groups[names] = InstructionGroup(
                         slots=tuple(_slot_instruction(by_name, n) for n in names))
-                key = (names, b["addr"], b["pattern"])
+                addr = json_field(at, b, "addr", "an integer")
+                pattern = json_field(at, b, "pattern", "a string")
+                key = (names, addr, pattern)
                 if key not in bundles:
-                    bundles[key] = BundleOp(group=groups[names], addr=b["addr"],
-                                            pattern=b["pattern"])
+                    bundles[key] = BundleOp(group=groups[names], addr=addr,
+                                            pattern=pattern)
                 lst.append(bundles[key])
             elif "send" in entry:
-                lst.append(SendOp(dst_cpu=entry["send"]["dst"],
-                                  size_bytes=entry["send"]["size"]))
+                lst.append(SendOp(*_transfer(at, entry, "send", "dst")))
             elif "recv" in entry:
-                lst.append(RecvOp(src_cpu=entry["recv"]["src"],
-                                  size_bytes=entry["recv"]["size"]))
+                lst.append(RecvOp(*_transfer(at, entry, "recv", "src")))
             elif "sync" in entry:
+                json_field(at, entry, "sync", "an object")
                 lst.append(SyncOp())
             else:
                 raise ProgramError(f"unknown op entry {sorted(entry)}")
         ops[cpu] = lst
-    return Program.from_dict(ops, min_cycles=doc.get("min_cycles", 0))
+    return Program.from_dict(ops, min_cycles=json_field("", doc, "min_cycles",
+                                                        "an integer", 0))
+
+
+def _transfer(at: str, entry: dict, op: str, peer: str) -> tuple[int, int]:
+    """(peer cpu, size) of a send or recv entry."""
+    doc = json_field(at, entry, op, "an object")
+    return (json_field(f"{at}{op}.", doc, peer, "an integer"),
+            json_field(f"{at}{op}.", doc, "size", "an integer"))

@@ -32,6 +32,7 @@ EVENT_KINDS = (EVENT_BUNDLE, EVENT_FLIT, EVENT_NI, EVENT_SYNC, EVENT_IDLE)
 DISCARD = "discard"
 
 _INT_RE = re.compile(r"^-?\d+$")
+_UNSEEN = object()     # memo default: a memoized key may be None (discarded)
 
 # Model-state keys of a channel synchronization and of a packet by hop count
 # (0 is the cluster-local crossbar route) and size; fill with str.format.
@@ -373,11 +374,6 @@ class ModelFunction:
     component (transition models); the first event of a component counts
     as a self-transition.  Idle cannot be a paired kind: an idle event has
     no attribute to pair.
-
-    An unpaired event's key is a function of its projection: its kind and
-    its values of event_fields, the fields the rules match on and their
-    templates read.  weighted_keys runs the rules once per distinct
-    projection.
     """
 
     level: AbstractionLevel
@@ -432,15 +428,43 @@ class ModelFunction:
             return key
         return self.then.rekey(key)
 
+    @cached_property
+    def _keys(self) -> tuple[dict[tuple, str | None], dict[tuple, str | None]]:
+        """key_for_event's memo for the function's whole life: the key of
+        each whole (component, kind, attrs) and of each projection."""
+        return {}, {}
+
     def key_for_event(self, event: StateEvent) -> str | None:
-        """Map one event to its model-state key, or None when discarded."""
+        """Map one unpaired event to its model-state key, or None when
+        discarded.
+
+        The key is a function of the event's projection onto event_fields:
+        the component if the rules read it, the kind and the attributes the
+        rules read.  So the rules run once per distinct projection over the
+        function's life: bundles that differ only in addr, or idle events
+        that differ only in component, share one key when no rule reads that
+        field.  A memo on the whole (component, kind, attrs) answers repeats
+        before projecting; a raised ModelFunctionError is not memoized.
+        """
         if self.domain != "event":
             raise ModelFunctionError("key-domain function applied to an event")
         if event.kind in self.pair_kinds:
             raise ModelFunctionError(
                 "pairwise functions require stream context; use weighted_keys")
-        rec = _EventRecord(event)
-        return self._chain(self._emit(rec, f"event kind {event.kind!r}"))
+        whole, projected = self._keys
+        component, kind, attrs = ident = event[1:]
+        key = whole.get(ident, _UNSEEN)
+        if key is _UNSEEN:
+            fields = self.event_fields
+            proj = (component if fields is None or "component" in fields else None,
+                    kind, attrs if fields is None
+                    else tuple([item for item in attrs if item[0] in fields]))
+            key = projected.get(proj, _UNSEEN)
+            if key is _UNSEEN:
+                key = projected[proj] = self._chain(
+                    self._emit(_EventRecord(event), f"event kind {kind!r}"))
+            whole[ident] = key
+        return key
 
     def rekey(self, key: str) -> str | None:
         if self.domain != "key":
@@ -488,45 +512,21 @@ def compose(f: ModelFunction, g: ModelFunction) -> ModelFunction:
                    name=f"{f.name or 'f'}*{g.name or 'g'}")
 
 
-_UNSEEN = object()     # memo default: a memoized key may be None (discarded)
-
-
 def weighted_keys(trace: Trace, fn: ModelFunction):
     """Yield (component, key-or-None, cycles) under fn: one triple per
     non-idle event (cycles 1), then one per idle span (its length).
 
-    An unpaired event's key depends only on its projection onto
-    fn.event_fields: the component if the rules read it, the kind and the
-    attributes the rules read.  So the rules run once per distinct
-    projection: bundles that differ only in addr, or idle spans that differ
-    only in component, share one key when no rule reads that field.  A memo
-    on the whole (component, kind, attrs) answers an event's repeats before
-    it is projected.  Both memos live for one call.  A paired event's key
-    depends on its component's previous paired value, so it is never
-    memoized; canonical order restricted to one component is that
-    component's stream order.
+    Unpaired events and idle spans take fn.key_for_event's key; its memo
+    answers a repeat in one lookup.  A paired event's key depends on its
+    component's previous paired value, so it is never memoized; canonical
+    order restricted to one component is that component's stream order.
     """
     if fn.domain != "event":
         raise ModelFunctionError("traces can only be abstracted by event-domain functions")
-    fields = fn.event_fields
-    reads_component = fields is None or "component" in fields
-    projected: dict[tuple, str | None] = {}
-
-    def project(event: StateEvent) -> str | None:
-        component, kind, attrs = event[1:]
-        proj = (component if reads_component else None, kind,
-                attrs if fields is None
-                else tuple([item for item in attrs if item[0] in fields]))
-        key = projected.get(proj, _UNSEEN)
-        if key is _UNSEEN:
-            key = projected[proj] = fn.key_for_event(event)
-        return key
-
-    memo: dict[tuple, str | None] = {}
+    memo = fn._keys[0]
     last: dict[str, object] = {}
     for event in trace.events:
-        ident = event[1:]       # (component, kind, attrs)
-        key = memo.get(ident, _UNSEEN)
+        key = memo.get(event[1:], _UNSEEN)
         if key is _UNSEEN and event.kind in fn.pair_kinds:
             rec = _EventRecord(event)
             if fn.pair_attr not in rec:
@@ -538,13 +538,12 @@ def weighted_keys(trace: Trace, fn: ModelFunction):
             key = fn._chain(_fill(fn.pair_template, {"prev": prev, "cur": cur},
                                   f"{event.kind} event pair"))
         elif key is _UNSEEN:
-            key = memo[ident] = project(event)
+            key = fn.key_for_event(event)
         yield event.component, key, 1
     for component, start, length in trace.idle:
-        ident = (component, EVENT_IDLE, ())
-        key = memo.get(ident, _UNSEEN)
+        key = memo.get((component, EVENT_IDLE, ()), _UNSEEN)
         if key is _UNSEEN:
-            key = memo[ident] = project(StateEvent(start, *ident))
+            key = fn.key_for_event(StateEvent(start, component, EVENT_IDLE))
         yield component, key, length
 
 

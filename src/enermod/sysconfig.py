@@ -61,18 +61,18 @@ class FieldError(ValueError):
 
 _REQUIRED = object()
 _JSON_KINDS = {"a string": str, "a number": (int, float), "an integer": int,
-               "a list": list, "an object": dict}
+               "a boolean": bool, "a list": list, "an object": dict}
 
 
 def json_field(where: str, doc: dict, name: str, kind: str, default=_REQUIRED):
     """doc[name] when it is of the named JSON kind (a key of _JSON_KINDS;
-    true and false are neither numbers nor integers), or default when the
-    field is absent (or null, where the default is None).  Anything else
-    raises FieldError, naming the field as where + name."""
+    true and false are booleans only, not numbers or integers), or default
+    when the field is absent (or null, where the default is None).  Anything
+    else raises FieldError, naming the field as where + name."""
     value = doc.get(name, default)
     if value is _REQUIRED:
         raise FieldError(f"{where}{name} is missing")
-    if value is not default and (isinstance(value, bool)
+    if value is not default and (isinstance(value, bool) != (kind == "a boolean")
                                  or not isinstance(value, _JSON_KINDS[kind])):
         raise FieldError(f"{where}{name} must be {kind}, got {value!r}")
     return value
@@ -125,8 +125,10 @@ class SystemConfig:
         if self.cpus_per_cluster > 32:
             raise ConfigError(
                 f"cpus_per_cluster must be <= 32, got {self.cpus_per_cluster}")
-        if self.clock_hz <= 0:
-            raise ConfigError(f"clock_hz must be positive, got {self.clock_hz!r}")
+        clock = self.clock_hz
+        if (isinstance(clock, bool) or not isinstance(clock, (int, float))
+                or not 0 < clock < math.inf):
+            raise ConfigError(f"clock_hz must be a positive number, got {clock!r}")
         bank_bytes = self.bank_words * self.word_bytes
         if self.imem_bytes % bank_bytes != 0:
             raise ConfigError(
@@ -370,20 +372,29 @@ def parse_isa(text: str) -> list[InstructionDef]:
         raise IsaError(f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, list):
         raise IsaError("ISA document must be a JSON list")
-    isa = []
-    for entry in doc:
-        extra = set(entry) - {"mnemonic", "iclass", "allowed_slots",
-                              "reads_dmem", "writes_dmem"}
-        if extra:
-            raise IsaError(f"unknown ISA field(s): {sorted(extra)}")
-        isa.append(InstructionDef(
-            mnemonic=entry["mnemonic"],
-            iclass=entry["iclass"],
-            allowed_slots=frozenset(entry["allowed_slots"]),
-            reads_dmem=bool(entry.get("reads_dmem", False)),
-            writes_dmem=bool(entry.get("writes_dmem", False)),
-        ))
-    return isa
+    try:
+        return [_instruction_from_json(f"isa[{i}].", entry) for i, entry in enumerate(doc)]
+    except FieldError as exc:
+        raise IsaError(str(exc)) from None
+
+
+def _instruction_from_json(at: str, entry) -> InstructionDef:
+    if not isinstance(entry, dict):
+        raise FieldError(f"{at[:-1]} must be an object, got {entry!r}")
+    extra = set(entry) - {"mnemonic", "iclass", "allowed_slots",
+                          "reads_dmem", "writes_dmem"}
+    if extra:
+        raise IsaError(f"unknown ISA field(s): {sorted(extra)}")
+    slots = json_field(at, entry, "allowed_slots", "a list")
+    if not all(isinstance(s, int) and not isinstance(s, bool) for s in slots):
+        raise FieldError(f"{at}allowed_slots must list integers, got {slots!r}")
+    return InstructionDef(
+        mnemonic=json_field(at, entry, "mnemonic", "a string"),
+        iclass=json_field(at, entry, "iclass", "a string"),
+        allowed_slots=frozenset(slots),
+        reads_dmem=json_field(at, entry, "reads_dmem", "a boolean", False),
+        writes_dmem=json_field(at, entry, "writes_dmem", "a boolean", False),
+    )
 
 
 def serialize_isa(isa: list[InstructionDef]) -> str:
@@ -447,16 +458,22 @@ def parse_api(text: str) -> ApiDescription:
         raise IsaError(f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, list):
         raise IsaError("API document must be a JSON list")
-    ops = []
-    for entry in doc:
-        params = entry.get("params", {})
-        ops.append(ApiOperation(
-            name=entry["name"],
-            size_min=params["min"],
-            size_max=params["max"],
-            size_step=params["step"],
-        ))
-    return ApiDescription(operations=tuple(ops))
+    try:
+        return ApiDescription(operations=tuple(
+            _operation_from_json(f"api[{i}].", entry) for i, entry in enumerate(doc)))
+    except FieldError as exc:
+        raise IsaError(str(exc)) from None
+
+
+def _operation_from_json(at: str, entry) -> ApiOperation:
+    if not isinstance(entry, dict):
+        raise FieldError(f"{at[:-1]} must be an object, got {entry!r}")
+    name = json_field(at, entry, "name", "a string")
+    params = json_field(at, entry, "params", "an object")
+    return ApiOperation(name=name,
+                        size_min=json_field(at + "params.", params, "min", "an integer"),
+                        size_max=json_field(at + "params.", params, "max", "an integer"),
+                        size_step=json_field(at + "params.", params, "step", "an integer"))
 
 
 def load_api(path: str) -> ApiDescription:

@@ -8,6 +8,7 @@ import filecmp
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -459,6 +460,15 @@ def test_ledger_line_without_a_comma_exits_5(tmp_path, capsys):
     assert "comm__h2__16.csv: line 11:" in error
 
 
+def test_ledger_without_its_total_row_exits_5(tmp_path, capsys):
+    _campaign_on_file(tmp_path)
+    ledger = tmp_path / "ledgers" / "comm__h2__16.csv"
+    ledger.write_text(ledger.read_text().split("total,")[0])
+    capsys.readouterr()
+    assert main(["fit", "--function", "noc-hop"] + _defaults(tmp_path)) == EXIT_DATA
+    assert "comm__h2__16.csv: no total row" in _one_error_line(capsys, EXIT_DATA)
+
+
 def _pipeline(out, workers=1):
     assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "64",
                  "--step", "8", "--api", data_path("api.json")]
@@ -781,8 +791,9 @@ def _mutated(doc, path, value):
 
 
 def _run_quietly(argv, codes):
-    """Run the CLI; it must exit with one of codes, and with exactly one
-    error:<code>: line and no traceback unless it succeeds."""
+    """Run the CLI and return its exit code, which must be 0 or one of
+    codes, and its error line: it prints exactly one error:<code>: line and
+    no traceback unless it succeeds."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = main(argv)
@@ -791,6 +802,7 @@ def _run_quietly(argv, codes):
     assert len(errors) == (rc != EXIT_OK)
     assert all(line.startswith(f"error:{rc}:") for line in errors)
     assert "Traceback" not in err.getvalue()
+    return rc, "".join(errors)
 
 
 @settings(max_examples=120, deadline=None)
@@ -881,6 +893,151 @@ def test_estimate_with_one_mutated_model_field_never_crashes(packet_campaign, da
     _run_quietly(["estimate", "--model", str(mutated),
                   "--trace", str(packet_campaign / "traces" / "comm__h2__16.tsv")],
                  (EXIT_DATA,))
+
+
+# one program that holds every op kind, a null slot and min_cycles
+_PROGRAM = {"min_cycles": 40, "cpus": {
+    "0": [{"sync": {}},
+          {"bundle": {"slots": ["ldw", "add"], "addr": 3, "pattern": "ones"}},
+          {"bundle": {"slots": ["nop", None], "addr": 4, "pattern": "zeros"}},
+          {"send": {"dst": 5, "size": 16}}],
+    "5": [{"recv": {"src": 0, "size": 16}}]}}
+
+
+def _delete(doc, path):
+    """A copy of doc without the field at path."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    del parent[path[-1]]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def one_program(tmp_path_factory):
+    """An outdir whose campaign is the one program prog.json."""
+    out = tmp_path_factory.mktemp("one-program")
+    (out / "benchmarks").mkdir()
+    (out / "benchmarks" / "manifest.csv").write_text(
+        "name,swept,program_file\nprog,\"{}\",prog.json\n")
+    return out
+
+
+def _oracle_of_program(out, doc):
+    """_run_quietly of oracle on a campaign of the one program doc; an exit
+    other than 0 must leave no trace or ledger file."""
+    for name in ("traces", "ledgers"):
+        shutil.rmtree(out / name, ignore_errors=True)
+    (out / "benchmarks" / "prog.json").write_text(json.dumps(doc))
+    rc, error = _run_quietly(["oracle"] + _defaults(out, "isa", "params"),
+                             (EXIT_INVARIANT,))
+    written = {**_tree_files(out / "traces"), **_tree_files(out / "ledgers")}
+    assert sorted(written) == ([] if rc else ["prog.csv", "prog.tsv", "results.csv"])
+    return rc, error
+
+
+def test_the_program_with_every_op_kind_runs(one_program):
+    assert _oracle_of_program(one_program, _PROGRAM) == (EXIT_OK, "")
+    results = (one_program / "ledgers" / "results.csv").read_text()
+    assert results.splitlines()[1].endswith(",40")
+
+
+@pytest.mark.parametrize("doc,named", [
+    (_mutated(_PROGRAM, ("cpus", "0", 1, "bundle", "addr"), "x"),
+     "cpus.0[1].bundle.addr must be an integer, got 'x'"),
+    (_delete(_PROGRAM, ("cpus", "0", 1, "bundle", "addr")), "cpus.0[1].bundle.addr is missing"),
+    (_mutated(_PROGRAM, ("cpus", "0", 1, "bundle", "slots"), 5),
+     "cpus.0[1].bundle.slots must be a list, got 5"),
+    (_mutated(_PROGRAM, ("cpus", "0", 1, "bundle", "slots", 0), [1]),
+     "cpus.0[1].bundle.slots must list mnemonics or nulls"),
+    (_mutated(_PROGRAM, ("cpus", "0", 3, "send", "size"), True),
+     "cpus.0[3].send.size must be an integer, got True"),
+    (_mutated(_PROGRAM, ("cpus",), [1]), "cpus must be an object, got [1]"),
+    (_mutated(_PROGRAM, ("cpus", "0", 0), 5), "cpus.0[0] must be an object, got 5"),
+    ([1], "a program must be an object, got [1]"),
+    (_mutated(_PROGRAM, ("min_cycles",), "x"), "min_cycles must be an integer, got 'x'"),
+    (_mutated(_PROGRAM, ("min_cycles",), 1.5), "min_cycles must be an integer, got 1.5"),
+], ids=lambda x: x if isinstance(x, str) else "program")
+def test_oracle_of_a_wrong_typed_program_field_exits_4(one_program, doc, named):
+    rc, error = _oracle_of_program(one_program, doc)
+    assert rc == EXIT_INVARIANT and f"prog.json: {named}" in error
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=st.sampled_from(list(_json_fields(_PROGRAM))), value=_MUTATIONS)
+def test_oracle_of_a_program_with_one_mutated_field_never_crashes(one_program, path,
+                                                                  value):
+    _oracle_of_program(one_program, _mutated(_PROGRAM, path, value))
+
+
+def _shipped(name):
+    """The shipped document of an input format (isa, api, params, config)."""
+    with open(data_path(_SHIPPED.get(name, "default_config.json")), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# a cheap subcommand that reads each input format, with its input options
+_READS = {
+    "isa": (["sweep-imem", "--lo", "0", "--hi", "1"], ("isa", "params")),
+    "config": (["sweep-imem", "--lo", "0", "--hi", "1"], ("isa", "params")),
+    "params": (["sweep-imem", "--lo", "0", "--hi", "1"], ("isa", "params")),
+    "api": (["gen-bench", "--kind", "comm", "--center-window", "1", "--reps", "1"],
+            ("isa", "api")),
+}
+
+
+def _run_with_input(out, name, doc):
+    """_run_quietly of the subcommand that reads the input format name, on
+    doc; it exits 0, or 4 with one error line."""
+    path = out / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    command, inputs = _READS[name]
+    return _run_quietly(command + _defaults(out, *inputs) + [f"--{name}", str(path)],
+                        (EXIT_INVARIANT,))
+
+
+@pytest.mark.parametrize("name,path,value,named", [
+    ("isa", (0, "allowed_slots"), 5, "isa[0].allowed_slots must be a list, got 5"),
+    ("isa", (0, "allowed_slots"), ["a"], "isa[0].allowed_slots must list integers"),
+    ("isa", (1, "mnemonic"), 5, "isa[1].mnemonic must be a string, got 5"),
+    ("isa", (1,), "x", "isa[1] must be an object, got 'x'"),
+    ("isa", (14, "reads_dmem"), "no", "isa[14].reads_dmem must be a boolean, got 'no'"),
+    ("isa", (1, "mnemonic"), None, "isa[1].mnemonic must be a string, got None"),
+    ("api", (1, "params", "min"), "x", "api[1].params.min must be an integer, got 'x'"),
+    ("api", (1,), "x", "api[1] must be an object, got 'x'"),
+    ("api", (1, "params", "step"), True, "api[1].params.step must be an integer, got True"),
+    ("config", ("clock_hz",), "x", "clock_hz must be a positive number, got 'x'"),
+    ("config", ("clock_hz",), None, "clock_hz must be a positive number, got None"),
+    ("config", ("clock_hz",), True, "clock_hz must be a positive number, got True"),
+    ("params", (), [1], "an oracle-params document must be an object, got [1]"),
+])
+def test_a_wrong_typed_input_field_exits_4(tmp_path, name, path, value, named):
+    rc, error = _run_with_input(tmp_path, name, _mutated(_shipped(name), path, value))
+    assert rc == EXIT_INVARIANT and named in error
+
+
+@pytest.mark.parametrize("name,path,named", [
+    ("isa", (3, "mnemonic"), "isa[3].mnemonic is missing"),
+    ("api", (1, "params", "min"), "api[1].params.min is missing"),
+])
+def test_a_missing_input_field_exits_4(tmp_path, name, path, named):
+    rc, error = _run_with_input(tmp_path, name, _delete(_shipped(name), path))
+    assert rc == EXIT_INVARIANT and named in error
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("inputs")
+
+
+@pytest.mark.parametrize("name", sorted(_READS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_an_input_file_with_one_mutated_field_never_crashes(input_dir, name, data):
+    doc = _shipped(name)
+    path = data.draw(st.sampled_from(list(_json_fields(doc))))
+    _run_with_input(input_dir, name, _mutated(doc, path, data.draw(_MUTATIONS)))
 
 
 def test_report_aggregates(tmp_path):

@@ -1,12 +1,16 @@
 """Estimation, coverage, additivity, and oracle-backed validation."""
 
 import time
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enermod.estimator import estimate, validate
 from enermod.modelfit import (
     REDUCER_STAIRCASE,
+    EnergyModel,
     fit_packet_reducers,
 )
 from enermod.pipeline import (
@@ -19,10 +23,13 @@ from enermod.benchgen import instruction_campaign
 from enermod.refsim import Program, SendOp, run_program
 from enermod.statetrace import (
     Trace,
+    active_idle_function,
     builtin_function,
     component_class,
+    identity_function,
     instruction_model_function,
     noc_hop_function,
+    transition_function,
 )
 from enermod.workloads import synthetic_applications
 from enermod.sysconfig import n_flits
@@ -88,6 +95,29 @@ def test_estimate_additive_over_concat(config, isa, params, fine_model):
     e12 = estimate(t12, fine_model)
     # durations add under concat, so totals add exactly
     assert e12.total_pj == pytest.approx(e1.total_pj + e2.total_pj, rel=1e-9)
+
+
+def _fresh(model):
+    """A copy of a model with its own, empty key memos."""
+    return replace(model, function=replace(model.function))
+
+
+@settings(max_examples=8, deadline=None)
+@given(seeds=st.lists(st.integers(0, 10**6), min_size=2, max_size=3))
+def test_one_model_estimates_like_a_fresh_model_per_trace(config, isa, params,
+                                                          fine_model, seeds):
+    """A model's function keeps its keys across traces: estimating the
+    traces one by one with one model gives each trace's estimate by a
+    fresh copy of the model."""
+    traces = [run_program(config, params, program)[0] for seed in seeds
+              for _name, program in synthetic_applications(config, isa, seed=seed)]
+    others = [EnergyModel(fn, {"cpu/active": 2.0, "cpu/idle": 0.5, "router/active": 1.0},
+                          static_pj_per_cycle=0.25)
+              for fn in (active_idle_function(), identity_function(), transition_function())]
+    for model in (fine_model, *others):
+        shared = _fresh(model)
+        assert ([estimate(trace, shared) for trace in traces]
+                == [estimate(trace, _fresh(model)) for trace in traces])
 
 
 def _per_cycle_estimate(trace, model):
@@ -188,7 +218,6 @@ def test_zero_truth_benchmark_excluded(config, fine_model, params):
 
 def test_transition_model_estimates_exactly(config, isa, params):
     from enermod.benchgen import gen_transition_benchmarks, make_idle_benchmark
-    from enermod.statetrace import transition_function
     from enermod.sysconfig import enumerate_instruction_groups
 
     groups = enumerate_instruction_groups(isa, config.vliw_slots)[:3]

@@ -708,11 +708,39 @@ def test_projection_memo_yields_the_per_event_keys(events):
         for event, (component, key, cycles) in zip(t.events, got):
             assert (component, cycles) == (event.component, 1)
             if event.kind not in fn.pair_kinds:
-                assert key == fn.key_for_event(event), event
+                assert key == replace(fn).key_for_event(event), event
         for span, (component, key, cycles) in zip(t.idle, got[len(t.events):]):
             assert (component, cycles) == (span.component, span.length)
-            assert key == fn.key_for_event(
+            assert key == replace(fn).key_for_event(
                 StateEvent(span.start, span.component, EVENT_IDLE)), span
+
+
+def test_rules_run_once_per_projection_over_the_function_s_life(monkeypatch):
+    """A second trace of known projections runs no rule; an event whose key
+    template cannot be filled runs the rules, and raises, every time."""
+    runs = []
+    emit = ModelFunction._emit
+    monkeypatch.setattr(ModelFunction, "_emit",
+                        lambda self, rec, what: runs.append(what) or emit(self, rec, what))
+    fn = instruction_model_function()
+
+    def bundles(*cpu_addrs):
+        return _trace([make_event(cycle, cpu, EVENT_BUNDLE, group="add+add",
+                                  pattern="ones", addr=addr, fmt="u")
+                       for cycle, (cpu, addr) in enumerate(cpu_addrs)]
+                      + [make_event(len(cpu_addrs), "cpu0", EVENT_IDLE)])
+
+    first = abstract_trace(bundles(("cpu0", 1), ("cpu1", 2)), fn)
+    assert len(runs) == 2       # one bundle projection, one idle projection
+    again = abstract_trace(bundles(("cpu2", 7), ("cpu0", 9), ("cpu3", 1)), fn)
+    assert len(runs) == 2
+    assert (first.counts, again.counts) == ({"group:add+add/pat:ones": 2},
+                                            {"group:add+add/pat:ones": 3})
+    no_group = make_event(0, "cpu0", EVENT_BUNDLE, pattern="ones", addr=1, fmt="u")
+    for tries in (3, 4):
+        with pytest.raises(ModelFunctionError, match="needs field 'group'"):
+            fn.key_for_event(no_group)
+        assert len(runs) == tries
 
 
 # ---------------------------------------------------------------------------
