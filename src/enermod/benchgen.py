@@ -27,7 +27,6 @@ from .refsim import (
     program_to_json,
 )
 from .sysconfig import (
-    ApiDescription,
     Coord,
     InstructionDef,
     InstructionGroup,
@@ -168,20 +167,15 @@ def comm_endpoints(config: SystemConfig, src: Coord, dst: Coord) -> tuple[int, i
     return config.cpu_id(src, 0), config.cpu_id(dst, 1 if src == dst else 0)
 
 
-def gen_comm_benchmarks(api: ApiDescription, config: SystemConfig,
-                        src: Coord = (0, 0), dst: Coord = (1, 1),
-                        sizes: list[int] | None = None,
+def gen_comm_benchmarks(config: SystemConfig, src: Coord, dst: Coord,
+                        sizes: list[int],
                         reps: int = COMM_REPS) -> list[Microbenchmark]:
     """One benchmark per packet size between two cluster coordinates.
 
-    The sizes default to the API's send descriptor; the shipped one sweeps
-    4..1024 bytes in 4-byte increments, giving 256 data points.  Sender and
-    receiver are the comm_endpoints of the two clusters.  The prologue
-    synchronizes the channel into a defined state.
+    Sender and receiver are the comm_endpoints of the two clusters.  The
+    prologue synchronizes the channel into a defined state.
     """
     src_cpu, dst_cpu = comm_endpoints(config, src, dst)
-    if sizes is None:
-        sizes = api.operation("send").sizes()
     benchmarks = []
     hops = manhattan(src, dst)
     for size in sizes:
@@ -300,8 +294,12 @@ def manifest_csv(benchmarks: list[Microbenchmark]) -> str:
 
 def parse_manifest_csv(text: str) -> list[tuple[str, str]]:
     """(name, program_file) rows of a campaign manifest."""
+    header, *lines = text.rstrip().splitlines() or [""]
+    if header != "name,swept,program_file":
+        raise CsvError(f"line 1: expected the header name,swept,program_file, "
+                       f"got {header!r}")
     rows = []
-    for lineno, line in enumerate(text.rstrip().splitlines()[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if "," not in line:
             raise CsvError(f"line {lineno}: expected name,swept,program_file, "
                            f"got {line!r}")

@@ -86,6 +86,7 @@ from .sysconfig import (
     IsaError,
     SystemConfig,
     group_by_label,
+    json_document,
     load_api,
     load_config,
     load_isa,
@@ -104,7 +105,7 @@ _EPILOG = """\
 exit codes:
   0  success
   2  usage error (unknown flag or subcommand, bad option value, empty size range)
-  3  referenced file missing
+  3  input file missing, a directory or unreadable
   4  configuration or invariant violation
   5  malformed data file
   1  internal error
@@ -120,10 +121,37 @@ class CliError(Exception):
         self.code = code
 
 
-def _require(path: str) -> str:
-    if not os.path.exists(path):
-        raise CliError(EXIT_MISSING_FILE, f"missing file: {path}")
-    return path
+# The exit code of each error class a subcommand raises.
+_EXIT_CODES = {BrokenProcessPool: EXIT_INTERNAL,
+               **dict.fromkeys((ConfigError, IsaError, ProgramError, ParamError,
+                                GraphError, InfeasibleError), EXIT_INVARIANT),
+               **dict.fromkeys((TraceError, ModelFunctionError, FitError, CsvError),
+                               EXIT_DATA)}
+
+
+def _read(path: str, load):
+    """load(path) of an input file.  A format error exits with its format's
+    code, and a directory or unreadable path exits 3, on one line that names
+    the file first; a missing file reaches main's FileNotFoundError."""
+    try:
+        return load(path)
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise CliError(EXIT_MISSING_FILE, f"{path}: {exc.strerror}") from None
+    except tuple(_EXIT_CODES) as exc:
+        raise CliError(_EXIT_CODES[type(exc)], f"{path}: {exc}") from None
+
+
+def _text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _load_trace(path: str):
+    """A trace file, parsed line by line as it is read."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return trace_from_lines(fh)
 
 
 def _outdir(args) -> str:
@@ -139,21 +167,7 @@ def _subdir(out: str, name: str) -> str:
 
 
 def _load_inputs(args):
-    return load_config(_require(args.config)), load_isa(_require(args.isa))
-
-
-def _load_params(args) -> OracleParams:
-    return load_oracle_params(_require(args.params))
-
-
-def _parse_csv(path: str, parse):
-    """parse(text) of a CSV file; a malformed line exits 5 naming the file."""
-    with open(_require(path), "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return parse(text)
-    except CsvError as exc:
-        raise CliError(EXIT_DATA, f"{path}: {exc}") from None
+    return _read(args.config, load_config), _read(args.isa, load_isa)
 
 
 def _sizes(lo: int, hi: int, step: int) -> list[int]:
@@ -166,7 +180,8 @@ def _sizes(lo: int, hi: int, step: int) -> list[int]:
 
 
 def _manifest_rows(bench_dir: str) -> list[tuple[str, str]]:
-    return _parse_csv(os.path.join(bench_dir, "manifest.csv"), parse_manifest_csv)
+    return _read(os.path.join(bench_dir, "manifest.csv"),
+                 lambda path: parse_manifest_csv(_text(path)))
 
 
 def _write(path: str, text: str) -> None:
@@ -197,13 +212,11 @@ def cmd_gen_bench(args) -> int:
         benchmarks = position_campaign(isa, config, group, args.lo, args.hi,
                                        args.reps)
     else:
-        api = load_api(_require(args.api))
-        send = api.operation("send")
+        send = _read(args.api, load_api).operation("send")
         sizes = _sizes(send.size_min if args.min is None else args.min,
                        send.size_max if args.max is None else args.max,
                        send.size_step if args.step is None else args.step)
-        sweep = gen_comm_benchmarks(api, config, args.src, args.dst,
-                                    sizes=sizes, reps=args.reps)
+        sweep = gen_comm_benchmarks(config, args.src, args.dst, sizes, reps=args.reps)
         if args.center_window:
             sweep = center_window(sweep, args.center_window)
         benchmarks = comm_campaign(isa, config, sweep)
@@ -228,18 +241,14 @@ def _oracle_files(config: SystemConfig, params: OracleParams,
 
 def cmd_oracle(args) -> int:
     config, isa = _load_inputs(args)
-    params = _load_params(args)
+    params = _read(args.params, load_oracle_params)
     out = _outdir(args)
     bench_dir = os.path.join(out, "benchmarks")
     benches = []
     for name, filename in _manifest_rows(bench_dir):
-        path = _require(os.path.join(bench_dir, filename))
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        try:
-            program = program_from_json(doc, isa)
-        except (ProgramError, IsaError) as exc:
-            raise CliError(EXIT_INVARIANT, f"{path}: {exc}") from None
+        program = _read(os.path.join(bench_dir, filename),
+                        lambda path: program_from_json(
+                            json_document(_text(path), ProgramError), isa))
         benches.append(Microbenchmark(name=name, program=program, swept=()))
 
     trace_dir = _subdir(out, "traces")
@@ -264,19 +273,17 @@ def _measured_from_files(out: str, rows: list[tuple[str, str]]):
     ledger files."""
     for _name, filename in rows:
         stem = filename.rsplit(".", 1)[0]
-        trace_path = _require(os.path.join(out, "traces", stem + ".tsv"))
-        ledger_path = _require(os.path.join(out, "ledgers", stem + ".csv"))
-        with open(trace_path, "r", encoding="utf-8") as fh:
-            trace = trace_from_lines(fh)
-        yield trace, _parse_csv(ledger_path, ledger_from_csv)["total"]
+        trace = _read(os.path.join(out, "traces", stem + ".tsv"), _load_trace)
+        yield trace, _read(os.path.join(out, "ledgers", stem + ".csv"),
+                           lambda path: ledger_from_csv(_text(path)))["total"]
 
 
 def cmd_fit(args) -> int:
-    config = load_config(_require(args.config))
+    config = _read(args.config, load_config)
     out = _outdir(args)
     rows = _manifest_rows(os.path.join(out, "benchmarks"))
     if args.function_file:
-        function = load_function(_require(args.function_file))
+        function = _read(args.function_file, load_function)
     else:
         function = builtin_function(args.function)
     model, report = fit_constants(
@@ -295,8 +302,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    model = load_model(_require(args.model))
-    config = load_config(_require(args.config))
+    model = _read(args.model, load_model)
+    config = _read(args.config, load_config)
     if args.kind == "hops":
         model = reduce_noc_model(model)
     elif args.kind == "staircase":
@@ -311,10 +318,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    model = load_model(_require(args.model))
-    with open(_require(args.trace), "r", encoding="utf-8") as fh:
-        trace = trace_from_lines(fh)
-    result = estimate(trace, model)
+    model = _read(args.model, load_model)
+    result = estimate(_read(args.trace, _load_trace), model)
     doc = {
         "total_pj": result.total_pj,
         "breakdown": result.breakdown,
@@ -331,11 +336,11 @@ def cmd_estimate(args) -> int:
 
 def cmd_validate(args) -> int:
     config, isa = _load_inputs(args)
-    api = load_api(_require(args.api))
-    params = _load_params(args)
+    api = _read(args.api, load_api)
+    params = _read(args.params, load_oracle_params)
     out = _outdir(args)
     if args.model:
-        model = load_model(_require(args.model))
+        model = _read(args.model, load_model)
     else:
         model, _reports = build_simplified_model(config, isa, api, params,
                                                  workers=args.workers)
@@ -350,8 +355,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sweep_noc(args) -> int:
-    config = load_config(_require(args.config))
-    params = _load_params(args)
+    config = _read(args.config, load_config)
+    params = _read(args.params, load_oracle_params)
     sizes = _sizes(args.min, args.max, args.step)
     out = _outdir(args)
     src_cpu, dst_cpu = comm_endpoints(config, args.src, args.dst)
@@ -375,7 +380,7 @@ def cmd_sweep_noc(args) -> int:
 
 def cmd_sweep_imem(args) -> int:
     config, isa = _load_inputs(args)
-    params = _load_params(args)
+    params = _read(args.params, load_oracle_params)
     out = _outdir(args)
 
     full = all_nop_group(isa, config.vliw_slots)
@@ -396,9 +401,9 @@ def cmd_sweep_imem(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    config = load_config(_require(args.config))
-    model = load_model(_require(args.model))
-    graph = load_graph(_require(args.graph))
+    config = _read(args.config, load_config)
+    model = _read(args.model, load_model)
+    graph = _read(args.graph, load_graph)
     out = _outdir(args)
     schedules = [AnnealSchedule(initial_temp=args.temp, cooling=args.cooling,
                                 steps=args.steps, seed=args.seed + i)
@@ -424,8 +429,10 @@ def cmd_report(args) -> int:
     if os.path.isdir(report_dir):
         for name in sorted(os.listdir(report_dir)):
             if name.endswith(".json"):
-                with open(os.path.join(report_dir, name), encoding="utf-8") as fh:
-                    summary["reports"][name] = json.load(fh)
+                # a report is a data file: a syntax error in it exits 5
+                summary["reports"][name] = _read(
+                    os.path.join(report_dir, name),
+                    lambda path: json_document(_text(path), FitError))
     model_dir = os.path.join(out, "models")
     if os.path.isdir(model_dir):
         summary["models"] = sorted(os.listdir(model_dir))
@@ -569,26 +576,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error:{exc.code}:{exc}", file=sys.stderr)
-        return exc.code
-    except BrokenProcessPool as exc:
-        print(f"error:{EXIT_INTERNAL}:{exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code, message = exc.code, str(exc)
     except FileNotFoundError as exc:
-        print(f"error:{EXIT_MISSING_FILE}:missing file: {exc.filename}", file=sys.stderr)
-        return EXIT_MISSING_FILE
-    except (ConfigError, IsaError, ProgramError, ParamError, GraphError,
-            InfeasibleError) as exc:
-        print(f"error:{EXIT_INVARIANT}:{exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except (TraceError, ModelFunctionError, FitError, json.JSONDecodeError) as exc:
-        print(f"error:{EXIT_DATA}:{exc}", file=sys.stderr)
-        return EXIT_DATA
+        code, message = EXIT_MISSING_FILE, f"missing file: {exc.filename}"
+    except tuple(_EXIT_CODES) as exc:
+        code, message = _EXIT_CODES[type(exc)], str(exc)
+    print(f"error:{code}:{message}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

@@ -8,14 +8,13 @@ data memory are infeasible and never selected.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
 
 from .modelfit import EnergyModel
-from .sysconfig import SystemConfig, n_flits
+from .sysconfig import SystemConfig, json_document, n_flits
 
 G_MAX = 64  # granularity multiplier bound
 
@@ -426,7 +425,7 @@ def graph_from_json(doc: dict) -> DataflowGraph:
 
 def load_graph(path: str) -> DataflowGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json(json.load(fh))
+        return graph_from_json(json_document(fh.read(), GraphError))
 
 
 def partition_to_json(partition: Partition, score: PartitionScore) -> dict:

@@ -28,7 +28,8 @@ from .statetrace import (
     noc_hop_function,
     parse_key,
 )
-from .sysconfig import FieldError, fold_sum, json_field, manhattan, n_flits, parse_coord
+from .sysconfig import (FieldError, fold_sum, json_document, json_field, manhattan,
+                        n_flits, parse_coord)
 
 REDUCER_LINEAR = "LINEAR"
 REDUCER_STAIRCASE = "STAIRCASE"
@@ -426,4 +427,4 @@ def save_model(model: EnergyModel, path: str) -> None:
 
 def load_model(path: str) -> EnergyModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))
+        return model_from_json(json_document(fh.read(), FitError))

@@ -121,8 +121,7 @@ def comm_benchmarks_per_hop(api: ApiDescription, config: SystemConfig,
     for hops in range(first_hops, max_hops(config) + 1):
         dst = cluster_at_distance(config, hops)
         if dst is not None:
-            sweeps.extend(gen_comm_benchmarks(api, config, (0, 0), dst,
-                                              sizes=DEFAULT_COMM_SIZES))
+            sweeps.extend(gen_comm_benchmarks(config, (0, 0), dst, DEFAULT_COMM_SIZES))
     return comm_campaign(isa, config, sweeps)
 
 

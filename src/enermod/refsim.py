@@ -20,7 +20,6 @@ Fixed conventions (the fit absorbs them, but they must not drift):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -43,6 +42,7 @@ from .sysconfig import (
     SystemConfig,
     fold_sum,
     format_coord,
+    json_document,
     json_field,
     manhattan,
     n_flits,
@@ -192,7 +192,7 @@ def params_from_json(doc: dict[str, float]) -> OracleParams:
 
 def load_oracle_params(path: str) -> OracleParams:
     with open(path, "r", encoding="utf-8") as fh:
-        return params_from_json(json.load(fh))
+        return params_from_json(json_document(fh.read(), ParamError))
 
 
 # ---------------------------------------------------------------------------

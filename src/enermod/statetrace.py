@@ -10,7 +10,6 @@ multiplies those constants.
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
@@ -19,7 +18,7 @@ from functools import cached_property
 from string import Formatter
 from typing import NamedTuple
 
-from .sysconfig import FieldError, json_field, manhattan, parse_coord
+from .sysconfig import FieldError, json_document, json_field, manhattan, parse_coord
 
 EVENT_BUNDLE = "bundle-issue"
 EVENT_FLIT = "flit-hop"
@@ -778,4 +777,4 @@ def _template_field(where: str, doc: dict, name: str) -> str:
 
 def load_function(path: str) -> ModelFunction:
     with open(path, "r", encoding="utf-8") as fh:
-        return function_from_json(json.load(fh))
+        return function_from_json(json_document(fh.read(), ModelFunctionError))

@@ -78,6 +78,16 @@ def json_field(where: str, doc: dict, name: str, kind: str, default=_REQUIRED):
     return value
 
 
+def json_document(text: str, error: type[ValueError]):
+    """The JSON document text holds; a syntax error raises the format's own
+    error class, naming its line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"syntax error at line {exc.lineno} column {exc.colno}: "
+                    f"{exc.msg}") from None
+
+
 def format_coord(c: Coord) -> str:
     return f"{c[0]},{c[1]}"
 
@@ -192,14 +202,7 @@ def parse_config(text: str) -> SystemConfig:
     Absent fields take their defaults; unknown top-level keys are an error.
     An empty document yields the all-defaults configuration.
     """
-    if not text.strip():
-        doc = {}
-    else:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    doc = json_document(text, ConfigError) if text.strip() else {}
     if not isinstance(doc, dict):
         raise ConfigError("configuration document must be a JSON object")
     known = {f.name for f in fields(SystemConfig)}
@@ -366,10 +369,7 @@ def group_by_label(isa: list[InstructionDef], vliw_slots: int,
 
 def parse_isa(text: str) -> list[InstructionDef]:
     """Parse the JSON instruction-set description."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise IsaError(f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    doc = json_document(text, IsaError)
     if not isinstance(doc, list):
         raise IsaError("ISA document must be a JSON list")
     try:
@@ -436,9 +436,6 @@ class ApiOperation:
         if (self.size_max - self.size_min) % self.size_step != 0:
             raise IsaError(f"{self.name}: step does not divide (max - min)")
 
-    def sizes(self) -> list[int]:
-        return list(range(self.size_min, self.size_max + 1, self.size_step))
-
 
 @dataclass(frozen=True)
 class ApiDescription:
@@ -452,10 +449,7 @@ class ApiDescription:
 
 
 def parse_api(text: str) -> ApiDescription:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise IsaError(f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    doc = json_document(text, IsaError)
     if not isinstance(doc, list):
         raise IsaError("API document must be a JSON list")
     try:

@@ -54,6 +54,13 @@ def api():
 
 
 @pytest.fixture(scope="session")
+def send_sizes(api):
+    """The packet sizes of the shipped API's send range."""
+    send = api.operation("send")
+    return list(range(send.size_min, send.size_max + 1, send.size_step))
+
+
+@pytest.fixture(scope="session")
 def params():
     return load_oracle_params(data_path("oracle_params.json"))
 

@@ -202,14 +202,14 @@ def test_criterion_3_staircase_dominance(config, params):
             f"linear {linear.max_abs_error_pj:.2f} pJ, steps at 8-byte bounds")
 
 
-def test_criterion_4_hop_reduction(isa, api, params):
+def test_criterion_4_hop_reduction(isa, params):
     config = parse_config('{"mesh_cols": 3, "mesh_rows": 3}')
     sizes = [16, 64]
     clusters = config.all_clusters()
     pairs = [(s, d) for s in clusters for d in clusters if s != d]
     benches = comm_campaign(isa, config, [
         bench for src, dst in pairs
-        for bench in gen_comm_benchmarks(api, config, src, dst, sizes=sizes, reps=4)])
+        for bench in gen_comm_benchmarks(config, src, dst, sizes, reps=4)])
     runs = run_campaign(benches, config, params)
     full, _ = fit_campaign(runs, noc_pair_function())
     pair_keys = sum(1 for k in full.constants if k.startswith("noc/src"))

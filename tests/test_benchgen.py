@@ -129,29 +129,29 @@ def test_position_range_checked(isa, config):
 # communication benchmarks
 # ---------------------------------------------------------------------------
 
-def test_default_sweep_has_256_points(api, config):
-    benches = gen_comm_benchmarks(api, config)
+def test_default_sweep_has_256_points(send_sizes, config):
+    benches = gen_comm_benchmarks(config, (0, 0), (1, 1), send_sizes)
     assert len(benches) == 256
     sizes = [b.swept_dict()["size"] for b in benches]
     assert sizes[0] == 4 and sizes[-1] == 1024
 
 
-def test_single_size(api, config):
-    benches = gen_comm_benchmarks(api, config, sizes=[8])
+def test_single_size(config):
+    benches = gen_comm_benchmarks(config, (0, 0), (1, 1), [8])
     assert len(benches) == 1
 
 
-def test_center_window_16(api, config):
-    benches = gen_comm_benchmarks(api, config)
+def test_center_window_16(send_sizes, config):
+    benches = gen_comm_benchmarks(config, (0, 0), (1, 1), send_sizes)
     window = center_window(benches, 16)
     assert len(window) == 16
     sizes = [b.swept_dict()["size"] for b in window]
     assert sizes == list(range(484, 545, 4))
 
 
-def test_off_mesh_rejected(api, config):
+def test_off_mesh_rejected(config):
     with pytest.raises(Exception):
-        gen_comm_benchmarks(api, config, (0, 0), (5, 5))
+        gen_comm_benchmarks(config, (0, 0), (5, 5), [8])
 
 
 MESHES = {"default": "", "mesh3": '{"mesh_cols": 3, "mesh_rows": 3}'}
@@ -160,7 +160,7 @@ MESHES = {"default": "", "mesh3": '{"mesh_cols": 3, "mesh_rows": 3}'}
 @pytest.mark.parametrize("mesh", sorted(MESHES))
 @settings(max_examples=3, deadline=None)
 @given(data=st.data())
-def test_comm_sweep_energy_is_prologue_plus_packets(api, params, mesh, data):
+def test_comm_sweep_energy_is_prologue_plus_packets(params, mesh, data):
     # every ordered cluster pair, the crossbar route (src == dst) included:
     # the oracle's dynamic energy is the prologue's syncs plus reps packets
     config = parse_config(MESHES[mesh])
@@ -169,8 +169,7 @@ def test_comm_sweep_energy_is_prologue_plus_packets(api, params, mesh, data):
         for dst in clusters:
             size = data.draw(st.integers(1, 1024), label="size")
             reps = data.draw(st.integers(1, 3), label="reps")
-            [bench] = gen_comm_benchmarks(api, config, src, dst,
-                                          sizes=[size], reps=reps)
+            [bench] = gen_comm_benchmarks(config, src, dst, [size], reps=reps)
             assert bench.name == f"comm/h{manhattan(src, dst)}/{size}"
             dst_cpu = config.cpu_id(dst, 1 if src == dst else 0)
             assert sorted(dict(bench.program.ops)) == sorted(
@@ -182,9 +181,9 @@ def test_comm_sweep_energy_is_prologue_plus_packets(api, params, mesh, data):
             assert dynamic == pytest.approx(expected, rel=1e-12)
 
 
-def test_crossbar_sweep_needs_two_cpus(api, tiny_config):
+def test_crossbar_sweep_needs_two_cpus(tiny_config):
     with pytest.raises(ProgramError, match="two CPUs"):
-        gen_comm_benchmarks(api, tiny_config, (0, 0), (0, 0))
+        gen_comm_benchmarks(tiny_config, (0, 0), (0, 0), [8])
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +199,8 @@ def test_campaign_includes_calibration(isa, config):
 
 
 def test_comm_campaign_puts_the_instruction_calibration_and_sync_first(
-        isa, api, config):
-    sweep = gen_comm_benchmarks(api, config, sizes=[8, 16])
+        isa, config):
+    sweep = gen_comm_benchmarks(config, (0, 0), (1, 1), [8, 16])
     campaign = comm_campaign(isa, config, sweep)
     assert [b.name for b in campaign] == [
         "cal/idle", "cal/baseline", "cal/sync", "comm/h2/8", "comm/h2/16"]
@@ -247,11 +246,15 @@ def test_manifest_round_trip(isa, config):
     assert all(f.endswith(".json") for _, f in rows)
 
 
-def test_degenerate_descriptor_yields_one_benchmark(config):
-    from enermod.sysconfig import ApiDescription, ApiOperation
+def test_degenerate_descriptor_yields_one_benchmark(tmp_path):
+    # gen-bench --kind comm takes the sizes it is not given from the API
+    from enermod import data_path
+    from enermod.cli import main
 
-    api = ApiDescription(operations=(
-        ApiOperation(name="send", size_min=8, size_max=8, size_step=1),))
-    benches = gen_comm_benchmarks(api, config)
-    assert len(benches) == 1
-    assert benches[0].swept_dict()["size"] == 8
+    api = tmp_path / "api.json"
+    api.write_text('[{"name": "send", "params": {"min": 8, "max": 8, "step": 1}}]')
+    assert main(["gen-bench", "--kind", "comm", "--api", str(api),
+                 "--config", data_path("default_config.json"),
+                 "--isa", data_path("isa.json"), "--out", str(tmp_path)]) == 0
+    rows = parse_manifest_csv((tmp_path / "benchmarks" / "manifest.csv").read_text())
+    assert [name for name, _ in rows if name.startswith("comm/")] == ["comm/h2/8"]

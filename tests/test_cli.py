@@ -245,15 +245,20 @@ def _args_read(functions, name, seen):
     return read
 
 
+def _subparsers():
+    """The parser of each subcommand, by name."""
+    [subparsers] = [a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices
+
+
 def test_every_option_is_read_by_its_subcommand():
     with open(cli.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     functions = {node.name: node for node in tree.body
                  if isinstance(node, ast.FunctionDef)}
-    [subparsers] = [a for a in cli.build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction)]
     unread = []
-    for command, parser in sorted(subparsers.choices.items()):
+    for command, parser in sorted(_subparsers().items()):
         func = parser.get_default("func").__name__
         read = _args_read(functions, func, set())
         unread.extend(f"{command} {action.option_strings[0]}"
@@ -510,7 +515,8 @@ def test_fit_then_estimate_trace(tmp_path):
 
 def _estimate_exits_5(out, capsys, lines):
     """Estimate a trace file of the given lines with the one-packet noc
-    model; it must fail with exactly one error:5: line, naming the last line."""
+    model; it must fail with exactly one error:5: line, naming the file and
+    then the last line."""
     path = out / "bad.tsv"
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
@@ -518,7 +524,7 @@ def _estimate_exits_5(out, capsys, lines):
                "--trace", str(path)])
     assert rc == EXIT_DATA
     error = _one_error_line(capsys, EXIT_DATA)
-    assert error.startswith(f"error:{EXIT_DATA}:line {len(lines)}:")
+    assert error.startswith(f"error:{EXIT_DATA}:{path}: line {len(lines)}:")
 
 
 def _one_packet_trace(out):
@@ -623,7 +629,8 @@ def test_estimate_of_a_trace_with_one_malformed_line_exits_5(one_packet, how, pi
                    "--trace", str(path)])
     assert rc == EXIT_DATA
     errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and errors[0].startswith(f"error:{EXIT_DATA}:line {lineno}:")
+    assert len(errors) == 1 and errors[0].startswith(
+        f"error:{EXIT_DATA}:{path}: line {lineno}:")
     assert "Traceback" not in err.getvalue()
 
 
@@ -1038,6 +1045,89 @@ def test_an_input_file_with_one_mutated_field_never_crashes(input_dir, name, dat
     doc = _shipped(name)
     path = data.draw(st.sampled_from(list(_json_fields(doc))))
     _run_with_input(input_dir, name, _mutated(doc, path, data.draw(_MUTATIONS)))
+
+
+# every input file a subcommand reads, at its place in the one_size outdir,
+# with the exit code of its format: an option's dest, or the kind of file
+# the subcommand finds through the outdir
+_INPUT_FILES = {
+    "config": ("config.json", EXIT_INVARIANT), "isa": ("isa.json", EXIT_INVARIANT),
+    "api": ("api.json", EXIT_INVARIANT), "params": ("params.json", EXIT_INVARIANT),
+    "graph": ("graph.json", EXIT_INVARIANT),
+    "program": ("benchmarks/comm__h2__8.json", EXIT_INVARIANT),
+    "model": ("models/noc.json", EXIT_DATA), "function_file": ("rules.json", EXIT_DATA),
+    "trace": ("traces/comm__h2__8.tsv", EXIT_DATA),
+    "ledger": ("ledgers/comm__h2__8.csv", EXIT_DATA),
+    "manifest": ("benchmarks/manifest.csv", EXIT_DATA),
+    "report": ("reports/fit_noc.json", EXIT_DATA),
+}
+_FOUND_IN_OUTDIR = {"oracle": ("manifest", "program"),
+                    "fit": ("manifest", "trace", "ledger"), "report": ("report",)}
+# options that keep each subcommand's run small
+_SMALL_RUN = {
+    "gen-bench": ["--kind", "comm", "--center-window", "1", "--reps", "1"],
+    "explore": ["--steps", "1", "--chains", "1"],
+    "sweep-noc": ["--min", "8", "--max", "8"], "sweep-imem": ["--lo", "0", "--hi", "0"],
+}
+_INPUT_PAIRS = (
+    [(command, action.dest) for command, parser in sorted(_subparsers().items())
+     for action in parser._actions if action.dest in _INPUT_FILES]
+    + [(command, name) for command, names in sorted(_FOUND_IN_OUTDIR.items())
+       for name in names])
+
+
+@pytest.fixture(scope="module")
+def one_size(tmp_path_factory):
+    """An outdir with a one-packet campaign, its traces, ledgers and noc-hop
+    model, and a copy of every input file the subcommands take."""
+    out = tmp_path_factory.mktemp("one-size")
+    for name, shipped in (("config", "default_config.json"), ("isa", "isa.json"),
+                          ("api", "api.json"), ("params", "oracle_params.json"),
+                          ("graph", "example_graph.json")):
+        shutil.copy(data_path(shipped), out / _INPUT_FILES[name][0])
+    (out / "rules.json").write_text('[{"match": {}, "emit": "{kind}"}]')
+    inputs = ["--out", str(out), "--config", str(out / "config.json")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "8",
+                     "--reps", "1", "--isa", str(out / "isa.json")] + inputs) == EXIT_OK
+        assert main(["oracle", "--isa", str(out / "isa.json"),
+                     "--params", str(out / "params.json")] + inputs) == EXIT_OK
+        assert main(["fit", "--function", "noc-hop", "--name", "noc"] + inputs) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("case", ["{", "directory", "missing"])
+@pytest.mark.parametrize("command,name", _INPUT_PAIRS,
+                         ids=[f"{command}-{name}" for command, name in _INPUT_PAIRS])
+def test_every_input_file_error_is_one_line_naming_the_file(one_size, tmp_path,
+                                                            command, name, case):
+    """A file holding "{" exits with its format's code, and a directory in
+    its place exits 3, on one line that starts with the file's path; a
+    missing file exits 3 with the missing-file line."""
+    out = tmp_path / "out"
+    shutil.copytree(one_size, out)
+    path = out / _INPUT_FILES[name][0]
+    argv = [command] + _SMALL_RUN.get(command, [])
+    for action in _subparsers()[command]._actions:
+        if action.dest in _INPUT_FILES:
+            argv += [action.option_strings[0], str(out / _INPUT_FILES[action.dest][0])]
+        elif action.dest == "out":
+            argv += ["--out", str(out)]
+        elif action.dest == "output" and action.required:
+            argv += ["--output", str(out / "reduced.json")]
+    path.unlink()
+    if case == "{":
+        path.write_text("{")
+    elif case == "directory":
+        path.mkdir()
+    elif name == "report":
+        path.symlink_to(out / "nowhere.json")   # report finds its files by listing
+    rc, error = _run_quietly(argv, (EXIT_MISSING_FILE, EXIT_INVARIANT, EXIT_DATA))
+    if case == "missing":
+        assert (rc, error) == (EXIT_MISSING_FILE, f"error:3:missing file: {path}")
+    else:
+        code = _INPUT_FILES[name][1] if case == "{" else EXIT_MISSING_FILE
+        assert rc == code and error.startswith(f"error:{code}:{path}: ")
 
 
 def test_report_aggregates(tmp_path):

@@ -321,6 +321,41 @@ def test_graph_json(config):
     assert graph.channels[0].bytes_per_iter == 32
 
 
+@st.composite
+def _graph_docs(draw):
+    """An acyclic graph document: each channel runs from an actor drawn
+    earlier to one drawn later, and the actors are then listed in any order.
+    Optional fields are left out at random."""
+    ids = draw(st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=6,
+                        unique=True))
+    actors = []
+    for actor_id in ids:
+        actor = {"id": actor_id}
+        for field, values in (("work", st.dictionaries(st.text(max_size=8),
+                                                        st.integers(0, 10**6), max_size=4)),
+                              ("state_bytes", st.integers(0, 10**6)),
+                              ("stateless", st.booleans())):
+            if draw(st.booleans()):
+                actor[field] = draw(values)
+        actors.append(actor)
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
+    return {"actors": draw(st.permutations(actors)),
+            "channels": [{"src": a, "dst": b, "bytes": draw(st.integers(1, 10**6))}
+                         for a, b in edges]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_graph_docs())
+def test_a_graph_holds_exactly_what_its_document_lists(doc):
+    graph = graph_from_json(json.loads(json.dumps(doc)))
+    assert [(a.id, a.work, a.state_bytes, a.stateless) for a in graph.actors] == [
+        (a["id"], tuple(sorted(a.get("work", {}).items())), a.get("state_bytes", 0),
+         a.get("stateless", True)) for a in doc["actors"]]
+    assert [(c.src, c.dst, c.bytes_per_iter) for c in graph.channels] == [
+        (c["src"], c["dst"], c["bytes"]) for c in doc["channels"]]
+
+
 @pytest.mark.parametrize("mutate,message", [
     (lambda d: d["channels"][0].update(bytes="x"), "channel a->b: bytes"),
     (lambda d: d["actors"][0].update(work=[1]), "actor 'a': work"),

@@ -206,20 +206,20 @@ def test_staircase_dominates_linear_on_oracle_sweep(config, params):
 # NoC reduction
 # ---------------------------------------------------------------------------
 
-def _pair_model_2x2(config, isa, api, params):
+def _pair_model_2x2(config, isa, params):
     from enermod.benchgen import comm_campaign, gen_comm_benchmarks
 
     clusters = config.all_clusters()
     benches = comm_campaign(isa, config, [
         bench for src in clusters for dst in clusters if src != dst
-        for bench in gen_comm_benchmarks(api, config, src, dst, sizes=[16], reps=4)])
+        for bench in gen_comm_benchmarks(config, src, dst, [16], reps=4)])
     runs = run_campaign(benches, config, params)
     model, report = fit_campaign(runs, noc_pair_function())
     return model, report, runs
 
 
-def test_reduce_2x2_pairs_to_two_hop_keys(config, isa, api, params):
-    model, report, _ = _pair_model_2x2(config, isa, api, params)
+def test_reduce_2x2_pairs_to_two_hop_keys(config, isa, params):
+    model, report, _ = _pair_model_2x2(config, isa, params)
     assert not report.rank_deficient
     pair_keys = [k for k in model.constants if k.startswith("noc/src")]
     assert len(pair_keys) == 12  # ordered distinct cluster pairs on 2x2
@@ -230,10 +230,10 @@ def test_reduce_2x2_pairs_to_two_hop_keys(config, isa, api, params):
     assert hop_keys == ["noc/hops:1/size:16", "noc/hops:2/size:16"]
 
 
-def test_reduced_model_reproduces_pair_energies(config, isa, api, params):
+def test_reduced_model_reproduces_pair_energies(config, isa, params):
     from enermod.estimator import estimate
 
-    model, _, runs = _pair_model_2x2(config, isa, api, params)
+    model, _, runs = _pair_model_2x2(config, isa, params)
     reduced = reduce_noc_model(model)
     for run in runs:
         truth = run.ledger.total_pj

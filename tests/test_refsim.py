@@ -389,11 +389,11 @@ _TRACE_SHA256 = {
 }
 
 
-def test_trace_files_are_pinned(config, isa, api, params):
+def test_trace_files_are_pinned(config, isa, params):
     programs = {
         "mixed": _mixed_program(config, isa),
-        "crossbar": gen_comm_benchmarks(api, config, (0, 0), (0, 0), sizes=[100])[0].program,
-        "2hop": gen_comm_benchmarks(api, config, (0, 0), (1, 1), sizes=[100])[0].program,
+        "crossbar": gen_comm_benchmarks(config, (0, 0), (0, 0), [100])[0].program,
+        "2hop": gen_comm_benchmarks(config, (0, 0), (1, 1), [100])[0].program,
     }
     for name, program in programs.items():
         trace, _ = run_program(config, params, program)

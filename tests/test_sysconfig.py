@@ -220,9 +220,8 @@ def test_isa_serialization_round_trip(isa):
 # API description
 # ---------------------------------------------------------------------------
 
-def test_api_default_sweep(api):
-    sizes = api.operation("send").sizes()
-    assert sizes[0] == 4 and sizes[-1] == 1024 and len(sizes) == 256
+def test_api_default_sweep(send_sizes):
+    assert send_sizes[0] == 4 and send_sizes[-1] == 1024 and len(send_sizes) == 256
 
 
 def test_api_step_must_divide():
