@@ -1,5 +1,6 @@
 """Estimation, coverage, additivity, and oracle-backed validation."""
 
+import hashlib
 import time
 from dataclasses import replace
 
@@ -153,6 +154,22 @@ def test_estimate_equals_the_per_cycle_sum(config, isa, api, params, name):
         else:
             # idle is discarded, so the additions and their order are unchanged
             assert got == _per_cycle_estimate(trace, model)
+
+
+# SHA-256 of the total and the breakdown of each held-out application of
+# seeds 1000-1003 under build_simplified_model's model: a change to how a
+# trace holds its cycles must not move an estimate of these traces.
+_HELDOUT_ESTIMATES_SHA256 = "98a5a5af35ffe961525303f4a57862879b9ea8b93b22c90907bccd22bb0903df"
+
+
+def test_heldout_estimates_are_pinned(config, isa, api, params):
+    model, _ = build_simplified_model(config, isa, api, params)
+    digest = hashlib.sha256()
+    for seed in range(1000, 1004):
+        for name, program in synthetic_applications(config, isa, seed=seed):
+            est = estimate(run_program(config, params, program)[0], model)
+            digest.update(repr((name, est.total_pj, est.breakdown)).encode())
+    assert digest.hexdigest() == _HELDOUT_ESTIMATES_SHA256
 
 
 def test_staircase_model_closed_form(config, isa, api, params):

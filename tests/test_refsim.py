@@ -374,18 +374,19 @@ def test_a_cpu_listed_twice_is_rejected(config, isa, params):
 
 
 def _trace_text(trace):
-    """The trace itself (its events, its idle spans and its duration),
-    spelled independently of the trace file format."""
-    return repr((trace.events, trace.idle, trace.duration))
+    """The trace as its per-cycle events (conftest.expand, each as a plain
+    (cycle, component, kind, attrs) tuple) and its duration: spelled
+    independently of how a trace holds runs of cycles and of the file format."""
+    return repr(([event[:4] for event in expand(trace)], trace.duration))
 
 
-# SHA-256 of the traces of three programs, taken when trace files still
-# spelled one line per idle cycle, which these traces then matched byte for
-# byte; a change to the file format must not change a trace.
+# SHA-256 of the traces of three programs, taken on the per-cycle form, which
+# trace files spelled line for line before idle spans; a change to how a
+# trace holds its cycles must not change a trace.
 _TRACE_SHA256 = {
-    "mixed": "ea111c51c6fab7e4bd29d44d172c887d089c878ca6d547286d5c52ebcb03a00c",
-    "crossbar": "e4b1b8c2580ff3a62de6164d125b22d138171e6e7de6b9d07ff6771b7fcfb016",
-    "2hop": "245af97e6353a3e09ef88f6562138546860d61eb24123634660ab94acbf858ce",
+    "mixed": "2362df9546c7e78334eb715721a9c287729e6ff1aa346564fe4c1865ee511d75",
+    "crossbar": "8db9832677ee1270bc8b414c3fa2809e7224c7e45f49f8cee5a61bdb15c154e0",
+    "2hop": "f9c5b4cbc1cac324a47452c836008b09a6e77788499d94549d50b553f4f5dd6d",
 }
 
 
@@ -405,9 +406,9 @@ def test_trace_files_are_pinned(config, isa, params):
 # memoized its bundles: the memo must not change either.  The applications
 # vary each bundle's address.
 _CAMPAIGN_SHA256 = {
-    "instruction": "490b916c32827b662a8074b7489f5ce3eb74ceafab72b14f89d558205b1a7182",
-    "comm": "a618899706dc3637ebecb716a014e41d5d83c0bdfde402682c08824cd30fcaec",
-    "applications": "1d8a92e0b6009328fb7cf3bc6e49cb7fd718f3e1ca193ba6e7a5b5df40029264",
+    "instruction": "f4231115ac337757d32b0337c1036d59fb42148b171c8599c6ff11ed919f43cc",
+    "comm": "7cfa105f03f651b0b7a8fe7cbf03b75de3352b04cb390d1f0fa7acf73b2e359a",
+    "applications": "68087a43f4ffa03475e32331ae6814584ac9cd9d2706898885aa8d9c205fea95",
 }
 
 
