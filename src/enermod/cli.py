@@ -70,6 +70,7 @@ from .refsim import (
     packet_energy,
     program_from_json,
     program_to_json,
+    row_popcount,
     run_program,
 )
 from .statetrace import (
@@ -129,16 +130,20 @@ _EXIT_CODES = {BrokenProcessPool: EXIT_INTERNAL,
                                EXIT_DATA)}
 
 
-def _read(path: str, load):
-    """load(path) of an input file.  A format error exits with its format's
-    code, and a directory or unreadable path exits 3, on one line that names
-    the file first; a missing file reaches main's FileNotFoundError."""
+def _read(path: str, load, code: int):
+    """load(path) of an input file whose format exits with code.  A format
+    error, or a byte that is not UTF-8 text wherever the load meets it,
+    exits with that code, and a directory or unreadable path exits 3, on one
+    line that names the file first; a missing file reaches main's
+    FileNotFoundError."""
     try:
         return load(path)
     except FileNotFoundError:
         raise
     except OSError as exc:
         raise CliError(EXIT_MISSING_FILE, f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(code, f"{path}: not UTF-8 text: {exc.reason}") from None
     except tuple(_EXIT_CODES) as exc:
         raise CliError(_EXIT_CODES[type(exc)], f"{path}: {exc}") from None
 
@@ -167,7 +172,8 @@ def _subdir(out: str, name: str) -> str:
 
 
 def _load_inputs(args):
-    return _read(args.config, load_config), _read(args.isa, load_isa)
+    return (_read(args.config, load_config, EXIT_INVARIANT),
+            _read(args.isa, load_isa, EXIT_INVARIANT))
 
 
 def _sizes(lo: int, hi: int, step: int) -> list[int]:
@@ -181,7 +187,7 @@ def _sizes(lo: int, hi: int, step: int) -> list[int]:
 
 def _manifest_rows(bench_dir: str) -> list[tuple[str, str]]:
     return _read(os.path.join(bench_dir, "manifest.csv"),
-                 lambda path: parse_manifest_csv(_text(path)))
+                 lambda path: parse_manifest_csv(_text(path)), EXIT_DATA)
 
 
 def _write(path: str, text: str) -> None:
@@ -212,7 +218,7 @@ def cmd_gen_bench(args) -> int:
         benchmarks = position_campaign(isa, config, group, args.lo, args.hi,
                                        args.reps)
     else:
-        send = _read(args.api, load_api).operation("send")
+        send = _read(args.api, load_api, EXIT_INVARIANT).operation("send")
         sizes = _sizes(send.size_min if args.min is None else args.min,
                        send.size_max if args.max is None else args.max,
                        send.size_step if args.step is None else args.step)
@@ -241,14 +247,15 @@ def _oracle_files(config: SystemConfig, params: OracleParams,
 
 def cmd_oracle(args) -> int:
     config, isa = _load_inputs(args)
-    params = _read(args.params, load_oracle_params)
+    params = _read(args.params, load_oracle_params, EXIT_INVARIANT)
     out = _outdir(args)
     bench_dir = os.path.join(out, "benchmarks")
     benches = []
     for name, filename in _manifest_rows(bench_dir):
         program = _read(os.path.join(bench_dir, filename),
                         lambda path: program_from_json(
-                            json_document(_text(path), ProgramError), isa))
+                            json_document(_text(path), ProgramError), isa),
+                        EXIT_INVARIANT)
         benches.append(Microbenchmark(name=name, program=program, swept=()))
 
     trace_dir = _subdir(out, "traces")
@@ -273,17 +280,18 @@ def _measured_from_files(out: str, rows: list[tuple[str, str]]):
     ledger files."""
     for _name, filename in rows:
         stem = filename.rsplit(".", 1)[0]
-        trace = _read(os.path.join(out, "traces", stem + ".tsv"), _load_trace)
+        trace = _read(os.path.join(out, "traces", stem + ".tsv"), _load_trace,
+                      EXIT_DATA)
         yield trace, _read(os.path.join(out, "ledgers", stem + ".csv"),
-                           lambda path: ledger_from_csv(_text(path)))["total"]
+                           lambda path: ledger_from_csv(_text(path)), EXIT_DATA)["total"]
 
 
 def cmd_fit(args) -> int:
-    config = _read(args.config, load_config)
+    config = _read(args.config, load_config, EXIT_INVARIANT)
     out = _outdir(args)
     rows = _manifest_rows(os.path.join(out, "benchmarks"))
     if args.function_file:
-        function = _read(args.function_file, load_function)
+        function = _read(args.function_file, load_function, EXIT_DATA)
     else:
         function = builtin_function(args.function)
     model, report = fit_constants(
@@ -302,8 +310,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    model = _read(args.model, load_model)
-    config = _read(args.config, load_config)
+    model = _read(args.model, load_model, EXIT_DATA)
+    config = _read(args.config, load_config, EXIT_INVARIANT)
     if args.kind == "hops":
         model = reduce_noc_model(model)
     elif args.kind == "staircase":
@@ -318,8 +326,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    model = _read(args.model, load_model)
-    result = estimate(_read(args.trace, _load_trace), model)
+    model = _read(args.model, load_model, EXIT_DATA)
+    result = estimate(_read(args.trace, _load_trace, EXIT_DATA), model)
     doc = {
         "total_pj": result.total_pj,
         "breakdown": result.breakdown,
@@ -336,11 +344,11 @@ def cmd_estimate(args) -> int:
 
 def cmd_validate(args) -> int:
     config, isa = _load_inputs(args)
-    api = _read(args.api, load_api)
-    params = _read(args.params, load_oracle_params)
+    api = _read(args.api, load_api, EXIT_INVARIANT)
+    params = _read(args.params, load_oracle_params, EXIT_INVARIANT)
     out = _outdir(args)
     if args.model:
-        model = _read(args.model, load_model)
+        model = _read(args.model, load_model, EXIT_DATA)
     else:
         model, _reports = build_simplified_model(config, isa, api, params,
                                                  workers=args.workers)
@@ -355,8 +363,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sweep_noc(args) -> int:
-    config = _read(args.config, load_config)
-    params = _read(args.params, load_oracle_params)
+    config = _read(args.config, load_config, EXIT_INVARIANT)
+    params = _read(args.params, load_oracle_params, EXIT_INVARIANT)
     sizes = _sizes(args.min, args.max, args.step)
     out = _outdir(args)
     src_cpu, dst_cpu = comm_endpoints(config, args.src, args.dst)
@@ -380,7 +388,7 @@ def cmd_sweep_noc(args) -> int:
 
 def cmd_sweep_imem(args) -> int:
     config, isa = _load_inputs(args)
-    params = _read(args.params, load_oracle_params)
+    params = _read(args.params, load_oracle_params, EXIT_INVARIANT)
     out = _outdir(args)
 
     full = all_nop_group(isa, config.vliw_slots)
@@ -389,7 +397,7 @@ def cmd_sweep_imem(args) -> int:
     single = InstructionGroup(slots=full.slots[:1] + (EMPTY,) * (config.vliw_slots - 1))
     lines = ["address,popcount,compressed_pj,uncompressed_pj"]
     for addr in range(args.lo, args.hi + 1):
-        row = [str(addr), str(bin(addr % config.bank_words).count("1"))]
+        row = [str(addr), str(row_popcount(config, addr, compressed=True))]
         for group in (single, full):
             op = BundleOp(group=group, addr=addr, pattern="zeros")
             row.append(repr(bundle_energy(params, config, op)))
@@ -401,9 +409,9 @@ def cmd_sweep_imem(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    config = _read(args.config, load_config)
-    model = _read(args.model, load_model)
-    graph = _read(args.graph, load_graph)
+    config = _read(args.config, load_config, EXIT_INVARIANT)
+    model = _read(args.model, load_model, EXIT_DATA)
+    graph = _read(args.graph, load_graph, EXIT_INVARIANT)
     out = _outdir(args)
     schedules = [AnnealSchedule(initial_temp=args.temp, cooling=args.cooling,
                                 steps=args.steps, seed=args.seed + i)
@@ -432,7 +440,7 @@ def cmd_report(args) -> int:
                 # a report is a data file: a syntax error in it exits 5
                 summary["reports"][name] = _read(
                     os.path.join(report_dir, name),
-                    lambda path: json_document(_text(path), FitError))
+                    lambda path: json_document(_text(path), FitError), EXIT_DATA)
     model_dir = os.path.join(out, "models")
     if os.path.isdir(model_dir):
         summary["models"] = sorted(os.listdir(model_dir))

@@ -2,7 +2,7 @@
 
 Estimation applies a model's granularity transform to a trace and combines
 the resulting counts with the fitted constants and reducers; it is a single
-pass over the events and idle spans with no per-event simulation.
+pass over the trace's records with no per-event simulation.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ class EnergyEstimate:
     """Model-predicted energy with per-component and per-key attribution.
 
     coverage is the fraction of mapped (non-discarded) events whose key had
-    a constant or reducer, an idle span counting one event per cycle;
-    uncovered events contribute nothing.
+    a constant or reducer, a record counting one event per cycle; uncovered
+    events contribute nothing.
     """
 
     total_pj: float
@@ -61,7 +61,7 @@ def estimate(trace: Trace, model: EnergyModel) -> EnergyEstimate:
     """Evaluate a model over a trace.
 
     E = sum_k count_k * c_k + reducer terms + duration * static.  Events
-    whose key has no constant are reported, not fatal.  An idle span adds
+    whose key has no constant are reported, not fatal.  A record adds
     c_k * length once; counts and coverage count cycles.
     """
     breakdown: dict[str, float] = {}

@@ -26,9 +26,9 @@ from operator import itemgetter
 from .statetrace import (
     EVENT_BUNDLE,
     EVENT_FLIT,
+    EVENT_IDLE,
     EVENT_NI,
     EVENT_SYNC,
-    IdleSpan,
     StateEvent,
     Trace,
     make_event,
@@ -361,19 +361,24 @@ def xy_route(src: Coord, dst: Coord) -> list[Coord]:
     return path
 
 
-def fetch_position_energy(params: OracleParams, config: SystemConfig,
-                          address: int, compressed: bool) -> float:
-    """Position term of one fetch: coeff x popcount of the bank-local row
-    index, a deterministic proxy for address-decoder-tree switching.
-    Uncompressed bundles decode a row of vliw_slots words, shrinking the
-    row index space by that factor."""
+def row_popcount(config: SystemConfig, address: int, compressed: bool) -> int:
+    """Popcount of the bank-local row index one fetch decodes.  Uncompressed
+    bundles decode a row of vliw_slots words, shrinking the row index space
+    by that factor."""
     if compressed:
         row = address
         rows_per_bank = config.bank_words
     else:
         row = address // config.vliw_slots
         rows_per_bank = max(1, config.bank_words // config.vliw_slots)
-    return params.imem_spatial_coeff * bin(row % rows_per_bank).count("1")
+    return bin(row % rows_per_bank).count("1")
+
+
+def fetch_position_energy(params: OracleParams, config: SystemConfig,
+                          address: int, compressed: bool) -> float:
+    """Position term of one fetch: coeff x row_popcount, a deterministic
+    proxy for address-decoder-tree switching."""
+    return params.imem_spatial_coeff * row_popcount(config, address, compressed)
 
 
 def bundle_energy_parts(params: OracleParams, config: SystemConfig,
@@ -424,13 +429,14 @@ def run_program(config: SystemConfig, params: OracleParams,
     costs nothing (channel synchronization is charged once, at the sender).
     A bundle's data-memory access is booked as dmem but has no event of its
     own.  A CPU cycle without an event is idle (the cycles a blocked sender
-    spends feeding the NI count as idle too); the trace holds idle time as
-    per-CPU spans.
+    spends feeding the NI count as idle too).
 
-    A program repeats its bundle op objects, so each distinct op is
-    checked against the configuration, and its event attributes and energy
-    parts worked out, once per run.  An invalid program raises ProgramError
-    at its first invalid op, in program order.
+    The trace holds runs: an op equal to the op before it extends that
+    op's record, a packet's hops at one router are one record of its flits,
+    and each idle gap of a CPU is one record; the ledger still books every
+    cycle.  Each distinct op is checked against the configuration, and its
+    event attributes and energy parts worked out, once per run.  An invalid
+    program raises ProgramError at its first invalid op, in program order.
     """
     if program.min_cycles < 0:
         raise ProgramError("min_cycles must be >= 0")
@@ -438,11 +444,12 @@ def run_program(config: SystemConfig, params: OracleParams,
     if len(set(cpus)) != len(cpus):
         raise ProgramError("a cpu id is listed twice")
     events: list[StateEvent] = []
-    busy: dict[str, list[int]] = {}
+    busy: dict[str, list[tuple[int, int]]] = {}     # per CPU, ascending [start, end)
     acc = _Accumulator()
     core_book = acc.book["core"].append
     imem_book = acc.book["imem"].append
     dmem_book = acc.book["dmem"].append
+    sync_book = acc.book["sync"].append
     bundles: dict[int, tuple] = {}    # id(op) -> (attrs, core, imem, dmem)
 
     for cpu, ops in program.ops:
@@ -450,8 +457,8 @@ def run_program(config: SystemConfig, params: OracleParams,
             raise ProgramError(f"cpu id {cpu} out of range (n_cpus={config.n_cpus})")
         cluster = config.cpu_cluster(cpu)
         comp = f"cpu{cpu}"
-        cycles = busy[comp] = []
-        t = 0
+        runs = busy[comp] = []
+        t, start, state = 0, 0, None    # state: (kind, attrs) of the open record
         for op in ops:
             if isinstance(op, BundleOp):
                 key = id(op)
@@ -463,46 +470,51 @@ def run_program(config: SystemConfig, params: OracleParams,
                         fmt=op.group.fmt).attrs,
                         *bundle_energy_parts(params, config, op))
                 attrs, core, imem, dmem = bundles[key]
-                events.append(StateEvent(t, comp, EVENT_BUNDLE, attrs))
                 core_book((t, core))
                 imem_book((t, imem))
                 if dmem:
                     dmem_book((t, dmem))
-                cycles.append(t)
+                now = (EVENT_BUNDLE, attrs)
+            elif isinstance(op, SyncOp):
+                sync_book((t, params.sync_energy))
+                now = (EVENT_SYNC, ())
+            else:
+                now = None
+            if now != state:    # an op unequal to the one before closes its record
+                if state is not None:
+                    events.append(StateEvent(start, comp, *state, t - start))
+                    runs.append((start, t))
+                start, state = t, now
+            if now is not None:
                 t += 1
             elif isinstance(op, SendOp):
                 _check_transfer(config, op.dst_cpu, op.size_bytes)
-                cycles.append(t)
+                runs.append((t, t + 1))
                 t = _emit_packet(config, params, events, acc, cpu, cluster, op, t)
-            elif isinstance(op, RecvOp):
+            else:
                 _check_transfer(config, op.src_cpu, op.size_bytes)
                 # Receive completion is free; the cycle shows up as idle.
                 t += 1
-            elif isinstance(op, SyncOp):
-                events.append(make_event(t, comp, EVENT_SYNC))
-                acc.book["sync"].append((t, params.sync_energy))
-                cycles.append(t)
-                t += 1
+        if state is not None:
+            events.append(StateEvent(start, comp, *state, t - start))
+            runs.append((start, t))
 
-    # In canonical order the last event is the latest; only crossbar beats
-    # are booked past the events.
-    ordered = sort_events(events)
+    # Only crossbar beats are booked past the events.
     duration = max(program.min_cycles, acc.beat_end,
-                   ordered[-1].cycle + 1 if ordered else 0)
+                   *(e.cycle + e.length for e in events))
 
-    # Idle spans are the gaps between a CPU's busy cycles, which ascend.
-    idle: list[IdleSpan] = []
+    # Idle records are the gaps between a CPU's busy runs, which ascend.
     for comp in sorted(f"cpu{cpu}" for cpu in range(config.n_cpus)):
         start = 0
-        for cycle in busy.get(comp, []) + [duration]:
-            if cycle > start:
-                idle.append(IdleSpan(comp, start, cycle - start))
-            start = cycle + 1
+        for begin, end in busy.get(comp, []) + [(duration, duration)]:
+            if begin > start:
+                events.append(StateEvent(start, comp, EVENT_IDLE, (), begin - start))
+            start = end
 
     if duration > 0:
         acc.book["static"].append((duration - 1, params.static_pj(config, duration)))
 
-    return Trace(events=ordered, idle=tuple(idle)), acc.ledger()
+    return Trace(events=sort_events(events)), acc.ledger()
 
 
 def _emit_packet(config: SystemConfig, params: OracleParams,
@@ -532,20 +544,20 @@ def _emit_packet(config: SystemConfig, params: OracleParams,
         t + 1, f"ni{src_index}", EVENT_NI,
         src=src_label, dst=dst_label, size=op.size_bytes, flits=flits))
     book["ni"].append((t + 1, params.packet_header_energy))
-    # The hop events of a flit injected at cycle 0; every flit repeats them
-    # from its own injection cycle.
-    hops = [make_event(hop, f"router{config.cluster_index(cluster)}", EVENT_FLIT,
-                       src=src_label, dst=dst_label, size=op.size_bytes, hop=hop)
-            for hop, cluster in enumerate(xy_route(src_cluster, dst_cluster))]
     ni_pj = params.ni_in_flit_energy + params.ni_out_flit_energy
-    router_book, link_book = book["router"].append, book["unclassified"].append
-    for flit in range(flits):
-        inject = t + 1 + flit
-        book["ni"].append((inject, ni_pj))
-        for hop, router, kind, attrs in hops:
-            events.append(StateEvent(inject + hop, router, kind, attrs))
-            router_book((inject + hop, params.router_flit_energy))
-            link_book((inject + hop, params.link_flit_energy))
+    book["ni"].extend([(t + 1 + flit, ni_pj) for flit in range(flits)])
+    # Flit f, injected at cycle t + 1 + f, reaches hop h one cycle per hop
+    # later: router h sees the packet's flits on flits consecutive cycles.
+    for hop, cluster in enumerate(xy_route(src_cluster, dst_cluster)):
+        first = t + 1 + hop
+        events.append(make_event(
+            first, f"router{config.cluster_index(cluster)}", EVENT_FLIT,
+            src=src_label, dst=dst_label, size=op.size_bytes, hop=hop)._replace(
+                length=flits))
+        book["router"].extend([(first + flit, params.router_flit_energy)
+                               for flit in range(flits)])
+        book["unclassified"].extend([(first + flit, params.link_flit_energy)
+                                     for flit in range(flits)])
     return t + 1 + flits
 
 

@@ -1,17 +1,16 @@
 """System-state events and the model functions that change their granularity.
 
-A trace is a sequence of state-transition events at the simulator's native
-granularity; idle time is held as per-component spans, in memory and in
-trace files alike.  A model function maps each event (or each
-already-produced model-state key) to the coarser state space a model's
-constants live in; aggregating the mapped keys yields the count vector that
-multiplies those constants.
+A trace is a sequence of records at the simulator's native granularity,
+each a component in one state for a run of cycles; idle time is a run of
+the idle state.  A model function maps each event (or each already-produced
+model-state key) to the coarser state space a model's constants live in;
+aggregating the mapped keys yields the count vector that multiplies those
+constants.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from functools import cached_property
@@ -66,15 +65,17 @@ class AbstractionLevel(IntEnum):
 # ---------------------------------------------------------------------------
 
 class StateEvent(NamedTuple):
-    """One state transition: a component did something at a cycle.
+    """One trace record: a component did one (kind, attrs) for length
+    consecutive cycles from cycle.  An idle record has no attributes.
 
-    The field order is the canonical trace order: events sort as tuples.
+    The field order is the canonical trace order: records sort as tuples.
     """
 
     cycle: int
     component: str
     kind: str
     attrs: tuple[tuple[str, object], ...] = ()
+    length: int = 1
 
 
 def make_event(cycle: int, component: str, kind: str, /, **attrs: object) -> StateEvent:
@@ -83,113 +84,92 @@ def make_event(cycle: int, component: str, kind: str, /, **attrs: object) -> Sta
     return StateEvent(cycle, component, kind, tuple(sorted(attrs.items())))
 
 
-class IdleSpan(NamedTuple):
-    """A component idle for length consecutive cycles from start."""
-
-    component: str
-    start: int
-    length: int
-
-
 @dataclass(frozen=True)
 class Trace:
-    """An immutable trace: the non-idle events in canonical order (see
-    sort_events) and the idle time as maximal per-component spans sorted
-    by (component, start).
+    """An immutable trace: its records in canonical order (see sort_events).
 
-    Build traces from flat event lists with Trace.from_events, which folds
-    bare idle events into spans, so every trace has one canonical form.
+    The idle records of one component neither overlap nor adjoin, so a
+    component's idle time has one spelling; other records may repeat or
+    overlap one another, as when CPUs of one cluster make equal transfers
+    in one cycle, and need not be maximal runs.
     """
 
     events: tuple[StateEvent, ...]
-    idle: tuple[IdleSpan, ...] = ()
-
-    def __post_init__(self) -> None:
-        if any(e.kind == EVENT_IDLE for e in self.events):
-            raise TraceError("idle time belongs in spans; use Trace.from_events")
 
     @classmethod
     def from_events(cls, events) -> "Trace":
-        """Fold bare idle events into spans and sort the rest.
-
-        An idle event with attributes, or a second idle event of one
-        component at one cycle, cannot be a span and is refused.
-        """
-        busy: list[StateEvent] = []
-        idle: dict[str, list[int]] = {}
+        """Fold records into runs: the cycles of each (component, kind,
+        attrs) become records of consecutive cycles, a cycle listed twice
+        going to a second record.  An idle record with attributes, or a
+        second idle record of one component at one cycle, is refused."""
+        cycles: dict[tuple, list[int]] = {}
         for e in events:
-            if e.kind != EVENT_IDLE:
-                busy.append(e)
-            elif e.attrs:
+            if e.kind == EVENT_IDLE and e.attrs:
                 raise TraceError(
                     f"idle event of {e.component} at cycle {e.cycle} has attributes")
-            else:
-                idle.setdefault(e.component, []).append(e.cycle)
-        return cls(events=sort_events(busy), idle=_fold_idle(idle))
+            cycles.setdefault(e[1:4], []).extend(range(e.cycle, e.cycle + e.length))
+        runs: list[StateEvent] = []
+        for (component, kind, attrs), todo in cycles.items():
+            todo.sort()
+            while todo:
+                repeats: list[int] = []
+                start = prev = todo[0]
+                for cycle in todo[1:]:
+                    if cycle == prev:
+                        if kind == EVENT_IDLE:
+                            raise TraceError(f"two idle events of {component} at cycle {cycle}")
+                        repeats.append(cycle)
+                        continue
+                    if cycle != prev + 1:
+                        runs.append(StateEvent(start, component, kind, attrs, prev + 1 - start))
+                        start = cycle
+                    prev = cycle
+                runs.append(StateEvent(start, component, kind, attrs, prev + 1 - start))
+                todo = repeats
+        return cls(events=sort_events(runs))
 
     @property
     def duration(self) -> int:
-        """Last covered cycle + 1: in canonical order the last event is the
-        latest event, and spans end at start + length."""
-        last = self.events[-1].cycle + 1 if self.events else 0
-        return max([last, *(s.start + s.length for s in self.idle)])
+        """Last covered cycle + 1."""
+        return max((e.cycle + e.length for e in self.events), default=0)
 
     def concat(self, other: "Trace") -> "Trace":
-        """Append another trace, shifting its cycles past this trace's end."""
+        """Append another trace, shifting its cycles past this trace's end;
+        an idle record that ends there absorbs its component's idle record
+        at the other trace's cycle 0."""
         offset = self.duration
-        shifted = tuple(e._replace(cycle=e.cycle + offset) for e in other.events)
-        ends = {s.component: i for i, s in enumerate(self.idle)
-                if s.start + s.length == offset}
-        spans = list(self.idle)
-        for s in other.idle:
-            if s.start == 0 and s.component in ends:
-                i = ends[s.component]
-                spans[i] = spans[i]._replace(length=spans[i].length + s.length)
+        ends = {e.component: i for i, e in enumerate(self.events)
+                if e.kind == EVENT_IDLE and e.cycle + e.length == offset}
+        events = list(self.events)
+        for e in other.events:
+            i = ends.get(e.component) if e.kind == EVENT_IDLE and e.cycle == 0 else None
+            if i is None:
+                events.append(e._replace(cycle=e.cycle + offset))
             else:
-                spans.append(s._replace(start=s.start + offset))
-        return Trace(events=self.events + shifted, idle=tuple(sorted(spans)))
+                events[i] = events[i]._replace(length=events[i].length + e.length)
+        return Trace(events=sort_events(events))
 
     def to_lines(self) -> list[str]:
-        """The file lines: each event as 'cycle<TAB>component<TAB>kind<TAB>payload'
-        in canonical order, then each idle span as
-        'start<TAB>component<TAB>idle<TAB>length=N' in (component, start) order.
+        """The file lines: each record as
+        'cycle<TAB>length<TAB>component<TAB>kind<TAB>payload' in canonical
+        order.
 
-        Event tails (all but the cycle) recur, as trace_from_lines notes, so
-        each distinct tail is spelled once."""
+        Record tails (all but the cycle) recur, as trace_from_lines notes,
+        so each distinct tail is spelled once."""
         tails: dict[tuple, str] = {}
         lines = []
-        for cycle, component, kind, attrs in self.events:
-            key = (component, kind, attrs)
-            tail = tails.get(key)
+        for event in self.events:
+            tail = tails.get(event[1:])
             if tail is None:
+                _cycle, component, kind, attrs, length = event
                 payload = " ".join(f"{k}={v}" for k, v in attrs)
-                tail = tails[key] = f"\t{component}\t{kind}\t{payload}"
-            lines.append(f"{cycle}{tail}")
-        lines += [f"{start}\t{component}\t{EVENT_IDLE}\tlength={length}"
-                  for component, start, length in self.idle]
+                tail = tails[event[1:]] = f"\t{length}\t{component}\t{kind}\t{payload}"
+            lines.append(f"{event.cycle}{tail}")
         return lines
 
 
-def _fold_idle(idle: dict[str, Iterable[int]]) -> tuple[IdleSpan, ...]:
-    """Maximal spans, sorted by (component, start), of each component's
-    idle cycles; a cycle listed twice is refused."""
-    spans: list[IdleSpan] = []
-    for component in sorted(idle):
-        cycles = sorted(idle[component])
-        start = prev = cycles[0]
-        for cycle in cycles[1:]:
-            if cycle == prev:
-                raise TraceError(f"two idle events of {component} at cycle {cycle}")
-            if cycle != prev + 1:
-                spans.append(IdleSpan(component, start, prev + 1 - start))
-                start = cycle
-            prev = cycle
-        spans.append(IdleSpan(component, start, prev + 1 - start))
-    return tuple(spans)
-
-
 def sort_events(events: list[StateEvent]) -> tuple[StateEvent, ...]:
-    """Canonical (cycle, component, kind, attrs) order."""
+    """Canonical (cycle, component, kind, attrs, length) order."""
     return tuple(sorted(events))
 
 
@@ -199,12 +179,12 @@ def trace_from_lines(lines) -> Trace:
 
     Everything after a line's cycle (its tail) recurs: a packet sweep
     repeats its flit hops.  So a tail is parsed and checked once, and a line
-    costs its cycle's int() and one lookup of its tail.  Spans of one
-    component must not overlap or touch, so a trace has one spelling; a
+    costs its cycle's int() and one lookup of its tail.  Idle records of one
+    component must not overlap or touch, so idle time has one spelling; a
     clash is reported at the later of its two lines.
     """
     events: list[StateEvent] = []
-    spans: list[tuple[str, int, int, int]] = []     # (component, start, length, line)
+    idle: list[tuple[str, int, int, int]] = []     # (component, start, length, line)
     parsed: dict[str, tuple] = {}
     for lineno, line in enumerate(lines, start=1):
         text, _, tail = line.partition("\t")
@@ -214,37 +194,35 @@ def trace_from_lines(lines) -> Trace:
                 continue
             entry = parsed[tail] = _parse_tail(lineno, text, tail)
         try:
-            cycle = int(text)
+            event = StateEvent(int(text), *entry)
         except ValueError:
             raise TraceError(f"line {lineno}: cycle {text!r} is not an integer") from None
-        component, kind, rest = entry
-        if kind == EVENT_IDLE:
-            spans.append((component, cycle, rest, lineno))
-        else:
-            events.append(StateEvent(cycle, component, kind, rest))
-    spans.sort()
-    for (component, start, length, line), nxt in zip(spans, spans[1:]):
+        events.append(event)
+        if event.kind == EVENT_IDLE:
+            idle.append((event.component, event.cycle, event.length, lineno))
+    idle.sort()
+    for (component, start, length, line), nxt in zip(idle, idle[1:]):
         if nxt[0] == component and start + length >= nxt[1]:
             clash = ("repeats" if nxt[1:3] == (start, length)
                      else "adjoins" if start + length == nxt[1] else "overlaps")
-            raise TraceError(f"line {max(line, nxt[3])}: idle span of {component} "
+            raise TraceError(f"line {max(line, nxt[3])}: idle record of {component} "
                              f"{clash} the one at line {min(line, nxt[3])}")
-    return Trace(events=sort_events(events),
-                 idle=tuple(IdleSpan(*span[:3]) for span in spans))
+    return Trace(events=sort_events(events))
 
 
 def _parse_tail(lineno: int, text: str, tail: str) -> tuple:
     """Check a line whose tail is new, in the order its faults are
-    reported, and return (component, kind, attrs) of an event or
-    (component, EVENT_IDLE, length) of an idle span."""
+    reported, and return its record's (component, kind, attrs, length)."""
     fields = tail.rstrip("\n").split("\t")
-    if len(fields) != 3:
-        raise TraceError(f"line {lineno}: expected 4 tab-separated fields")
+    if len(fields) != 4:
+        raise TraceError(f"line {lineno}: expected 5 tab-separated fields")
     try:
         int(text)
     except ValueError:
         raise TraceError(f"line {lineno}: cycle {text!r} is not an integer") from None
-    component, kind, payload = fields
+    length, component, kind, payload = fields
+    if not _INT_RE.match(length) or int(length) < 1:
+        raise TraceError(f"line {lineno}: length {length!r} is not an integer >= 1")
     attrs: dict[str, object] = {}
     if payload:
         for item in payload.split(" "):
@@ -252,16 +230,11 @@ def _parse_tail(lineno: int, text: str, tail: str) -> tuple:
             if not sep:
                 raise TraceError(f"line {lineno}: attribute {item!r} is not name=value")
             attrs[k] = int(v) if _INT_RE.match(v) else v
-    if kind == EVENT_IDLE:
-        length = attrs.pop("length", None)
-        if attrs:
-            raise TraceError(f"line {lineno}: idle span has attribute {min(attrs)!r}")
-        if not isinstance(length, int) or length < 1:
-            raise TraceError(f"line {lineno}: idle span needs length=N with N >= 1")
-        return component, EVENT_IDLE, length
+    if kind == EVENT_IDLE and attrs:
+        raise TraceError(f"line {lineno}: idle record has attribute {min(attrs)!r}")
     if kind not in EVENT_KINDS:
         raise TraceError(f"line {lineno}: unknown event kind {kind!r}")
-    return component, kind, tuple(sorted(attrs.items()))
+    return component, kind, tuple(sorted(attrs.items())), int(length)
 
 
 def component_class(component: str) -> str:
@@ -451,7 +424,7 @@ class ModelFunction:
             raise ModelFunctionError(
                 "pairwise functions require stream context; use weighted_keys")
         whole, projected = self._keys
-        component, kind, attrs = ident = event[1:]
+        component, kind, attrs = ident = event[1:4]
         key = whole.get(ident, _UNSEEN)
         if key is _UNSEEN:
             fields = self.event_fields
@@ -512,38 +485,43 @@ def compose(f: ModelFunction, g: ModelFunction) -> ModelFunction:
 
 
 def weighted_keys(trace: Trace, fn: ModelFunction):
-    """Yield (component, key-or-None, cycles) under fn: one triple per
-    non-idle event (cycles 1), then one per idle span (its length).
+    """Yield (component, key-or-None, cycles) under fn, one triple per
+    record (cycles its length) in canonical order, and two for a paired
+    record longer than one cycle.
 
-    Unpaired events and idle spans take fn.key_for_event's key; its memo
-    answers a repeat in one lookup.  A paired event's key depends on its
-    component's previous paired value, so it is never memoized; canonical
-    order restricted to one component is that component's stream order.
+    Unpaired records take fn.key_for_event's key; its memo answers a repeat
+    in one lookup.  A paired record's key depends on its component's
+    previous paired value, so it is never memoized: it pairs with that
+    value once and with itself for the rest of its cycles.  Canonical order
+    restricted to one component is that component's stream order, as long
+    as its paired records do not partly overlap.
     """
     if fn.domain != "event":
         raise ModelFunctionError("traces can only be abstracted by event-domain functions")
     memo = fn._keys[0]
     last: dict[str, object] = {}
+
+    def pair(kind: str, prev: object, cur: object) -> str | None:
+        return fn._chain(_fill(fn.pair_template, {"prev": prev, "cur": cur},
+                               f"{kind} event pair"))
+
     for event in trace.events:
-        key = memo.get(event[1:], _UNSEEN)
+        cycles = event.length
+        key = memo.get(event[1:4], _UNSEEN)
         if key is _UNSEEN and event.kind in fn.pair_kinds:
             rec = _EventRecord(event)
             if fn.pair_attr not in rec:
                 raise ModelFunctionError(
                     f"pairwise attribute {fn.pair_attr!r} absent from {event.kind} event")
             cur = rec[fn.pair_attr]
-            prev = last.get(event.component, cur)
+            key = pair(event.kind, last.get(event.component, cur), cur)
             last[event.component] = cur
-            key = fn._chain(_fill(fn.pair_template, {"prev": prev, "cur": cur},
-                                  f"{event.kind} event pair"))
+            if cycles > 1:
+                yield event.component, key, 1
+                key, cycles = pair(event.kind, cur, cur), cycles - 1
         elif key is _UNSEEN:
             key = fn.key_for_event(event)
-        yield event.component, key, 1
-    for component, start, length in trace.idle:
-        key = memo.get((component, EVENT_IDLE, ()), _UNSEEN)
-        if key is _UNSEEN:
-            key = fn.key_for_event(StateEvent(start, component, EVENT_IDLE))
-        yield component, key, length
+        yield event.component, key, cycles
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +547,7 @@ def abstract_trace(trace: Trace, fn: ModelFunction) -> StateCountVector:
     """Aggregate a trace into per-key counts under a model function.
 
     Linear by construction: counts of a concatenation are the per-key sums.
-    An idle span counts one per cycle.  Duration is last covered cycle + 1.
+    A record counts one per cycle.  Duration is last covered cycle + 1.
     """
     counts: dict[str, int] = {}
     for _component, key, cycles in weighted_keys(trace, fn):

@@ -11,20 +11,16 @@ from enermod.statetrace import (
     EVENT_KINDS,
     AbstractionLevel,
     ModelFunction,
-    StateEvent,
     rule,
 )
 from enermod.sysconfig import load_api, load_isa, parse_config
 
 
 def expand(trace):
-    """The per-cycle reference form of a trace: every event in canonical
-    order, each idle span expanded to one bare idle event per cycle."""
-    events = list(trace.events)
-    for span in trace.idle:
-        for cycle in range(span.start, span.start + span.length):
-            events.append(StateEvent(cycle, span.component, EVENT_IDLE))
-    return sorted(events)
+    """The per-cycle reference form of a trace: each record as one record
+    of length 1 per cycle it covers, all in canonical order."""
+    return sorted(event._replace(cycle=cycle, length=1) for event in trace.events
+                  for cycle in range(event.cycle, event.cycle + event.length))
 
 
 @pytest.fixture(scope="session")

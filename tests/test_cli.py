@@ -539,16 +539,17 @@ def _one_packet_trace(out):
 
 def test_estimate_of_idle_time_that_cannot_be_a_span_exits_5(tmp_path, capsys):
     lines = _one_packet_trace(tmp_path)
-    # the last line is an idle CPU's one span, over the whole run
-    start, component, _, length = lines[-1].split("\t")
-    start, end = int(start), int(start) + int(length.removeprefix("length="))
-    span = f"\t{component}\tidle\t"
-    for bad in (lines[-1] + " why=stall",                     # another attribute
-                f"{start}{span}", f"{start}{span}length=x",    # no length; not an integer
-                f"{start}{span}length=0",                      # below 1
-                lines[-1],                                     # a duplicate span
-                f"{start + 1}{span}length=1",                  # an overlapping span
-                f"{end}{span}length=1"):                       # an adjacent span
+    # an idle CPU's one record, over the whole run
+    whole = next(line for line in lines if "\tcpu1\tidle\t" in line)
+    start, length, component, _kind, _payload = whole.split("\t")
+    start, end = int(start), int(start) + int(length)
+    idle = f"\t{component}\tidle\t"
+    for bad in (whole + "why=stall",                      # an attribute
+                f"{start}\t{idle}", f"{start}\tx{idle}",    # no length; not an integer
+                f"{start}\t0{idle}",                        # below 1
+                whole,                                      # a duplicate record
+                f"{start + 1}\t1{idle}",                    # an overlapping record
+                f"{end}\t1{idle}"):                         # an adjacent record
         _estimate_exits_5(tmp_path, capsys, lines + [bad])
 
 
@@ -557,6 +558,22 @@ def test_estimate_of_a_malformed_trace_line_exits_5(tmp_path, capsys):
     for bad in ("x\tcpu0\tsync\t", "0\tcpu0\tsync\tfoo"):  # cycle; payload item
         _estimate_exits_5(tmp_path, capsys, [bad])
         _estimate_exits_5(tmp_path, capsys, lines + [bad])
+
+
+def test_estimate_of_a_trace_that_stops_being_utf8_mid_file_exits_5(tmp_path, capsys):
+    """Lines are parsed as they are read, so the bytes that are not UTF-8
+    text come after 64 KiB of good lines; the error still names the file."""
+    lines = _one_packet_trace(tmp_path)
+    busy = "".join(line + "\n" for line in lines if "\tidle\t" not in line)
+    good = "".join(line + "\n" for line in lines) + busy * (2 ** 16 // len(busy))
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(good.encode() + b"\xff\xfe\x7b\n")
+    capsys.readouterr()
+    rc = main(["estimate", "--model", str(tmp_path / "models" / "noc.json"),
+               "--trace", str(path)])
+    assert rc == EXIT_DATA
+    assert _one_error_line(capsys, EXIT_DATA) == (
+        f"error:{EXIT_DATA}:{path}: not UTF-8 text: invalid start byte")
 
 
 @pytest.fixture(scope="module")
@@ -578,37 +595,37 @@ def _mutate_one_line(lines, how, pick, cycle):
     at = {"idle payload": idle, "idle length": idle, "attribute": busy,
           "repeated tail": repeats}.get(how, range(len(lines)))
     i = at[pick % len(at)]
+    fields = lines[i].split("\t")
     if how == "missing field":
         lines[i] = lines[i].rsplit("\t", 1)[0]
     elif how in ("cycle", "repeated tail"):
         lines[i] = cycle + "\t" + tails[i]
     elif how == "idle payload":
-        lines[i] += " why=stall"
+        lines[i] += "why=stall"
     elif how == "idle length":
-        lines[i] = (lines[i].rsplit("\t", 1)[0] + "\t"
-                    + ["", "length=x", "length=0", "length=-1"][pick % 4])
+        fields[1] = ["", "x", "0", "-1"][pick % 4]
+        lines[i] = "\t".join(fields)
     elif how == "attribute":
         lines[i] += "stall" if lines[i].endswith("\t") else " stall"
     elif how == "unknown kind":
-        fields = lines[i].split("\t")
-        fields[2] = "bogus"
+        fields[3] = "bogus"
         lines[i] = "\t".join(fields)
-    else:   # a span line that repeats, overlaps or adjoins the span of line j
-        spans = {k: lines[k].split("\t") for k in idle}
+    else:   # an idle line that repeats, overlaps or adjoins the record of line j
+        records = {k: lines[k].split("\t") for k in idle}
         if how == "overlapping span":
-            idle = [k for k in idle if spans[k][3] != "length=1"]
-        elif how == "adjacent span":    # the last span of its component
-            idle = [k for k in idle if k + 1 not in spans or spans[k + 1][1] != spans[k][1]]
+            idle = [k for k in idle if records[k][1] != "1"]
+        elif how == "adjacent span":    # the last idle record of its component
+            idle = sorted({records[k][2]: k for k in idle}.values())
         j = idle[pick % len(idle)]
-        start, component, kind, length = spans[j]
-        start, length = int(start), int(length.removeprefix("length="))
+        start, length, component, kind, _payload = records[j]
+        start, length = int(start), int(length)
         if how == "overlapping span":
             start, length = start + 1, length - 1
         elif how == "adjacent span":
             start, length = start + length, 1
         if i == j:
             i = (i + 1) % len(lines)
-        lines[i] = f"{start}\t{component}\t{kind}\tlength={length}"
+        lines[i] = f"{start}\t{length}\t{component}\t{kind}\t"
         i = max(i, j)
     return lines, i + 1
 
@@ -1096,14 +1113,15 @@ def one_size(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("case", ["{", "directory", "missing"])
+@pytest.mark.parametrize("case", ["{", "not utf-8", "directory", "missing"])
 @pytest.mark.parametrize("command,name", _INPUT_PAIRS,
                          ids=[f"{command}-{name}" for command, name in _INPUT_PAIRS])
 def test_every_input_file_error_is_one_line_naming_the_file(one_size, tmp_path,
                                                             command, name, case):
-    """A file holding "{" exits with its format's code, and a directory in
-    its place exits 3, on one line that starts with the file's path; a
-    missing file exits 3 with the missing-file line."""
+    """A file holding "{", or bytes that are not UTF-8 text, exits with its
+    format's code, and a directory in its place exits 3, on one line that
+    starts with the file's path; a missing file exits 3 with the
+    missing-file line."""
     out = tmp_path / "out"
     shutil.copytree(one_size, out)
     path = out / _INPUT_FILES[name][0]
@@ -1118,6 +1136,8 @@ def test_every_input_file_error_is_one_line_naming_the_file(one_size, tmp_path,
     path.unlink()
     if case == "{":
         path.write_text("{")
+    elif case == "not utf-8":
+        path.write_bytes(b"\xff\xfe\x7b")
     elif case == "directory":
         path.mkdir()
     elif name == "report":
@@ -1126,7 +1146,7 @@ def test_every_input_file_error_is_one_line_naming_the_file(one_size, tmp_path,
     if case == "missing":
         assert (rc, error) == (EXIT_MISSING_FILE, f"error:3:missing file: {path}")
     else:
-        code = _INPUT_FILES[name][1] if case == "{" else EXIT_MISSING_FILE
+        code = EXIT_MISSING_FILE if case == "directory" else _INPUT_FILES[name][1]
         assert rc == code and error.startswith(f"error:{code}:{path}: ")
 
 

@@ -148,12 +148,15 @@ def test_estimate_equals_the_per_cycle_sum(config, isa, api, params, name):
                for _name, program in synthetic_applications(config, isa)]
     for trace in traces:
         got = estimate(trace, model).total_pj
-        if name in ("identity", "active-idle", "binary-usage"):
-            # a span adds pj * length where the per-cycle sum adds pj length times
-            assert got == pytest.approx(_per_cycle_estimate(trace, model), rel=1e-12, abs=0)
-        else:
-            # idle is discarded, so the additions and their order are unchanged
+        if all(e.length == 1 for e in trace.events
+               if model.function.key_for_event(e) is not None):
+            # every kept record is one cycle, so the additions and their
+            # order are unchanged
             assert got == _per_cycle_estimate(trace, model)
+        else:
+            # a record adds pj * length where the per-cycle sum adds pj
+            # length times, and in another order
+            assert got == pytest.approx(_per_cycle_estimate(trace, model), rel=1e-12, abs=0)
 
 
 # SHA-256 of the total and the breakdown of each held-out application of

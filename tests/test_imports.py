@@ -47,7 +47,7 @@ _TEST_ONLY_ALLOWED = {
     "compose": "abstract_trace(t, compose(f, g)) equals applying g, then f",
     "rekey_vector": "the two-stage reference behind compose's property",
     "Trace.concat": "abstraction is linear under trace concatenation",
-    "Trace.from_events": "folds a per-cycle event list into the span form",
+    "Trace.from_events": "folds a per-cycle event list into runs of records",
     "structural_diff": "benchmarks of one sweep differ only in what it sweeps",
     "serialize_isa": "ISA documents round-trip",
     "serialize_config": "config documents round-trip",

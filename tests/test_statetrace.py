@@ -24,6 +24,7 @@ from enermod.refsim import (
     SyncOp,
     program_from_json,
     run_program,
+    xy_route,
 )
 from enermod.statetrace import (
     _BUILTINS,
@@ -37,7 +38,6 @@ from enermod.statetrace import (
     EVENT_SYNC,
     ModelFunction,
     ModelFunctionError,
-    IdleSpan,
     StateEvent,
     Trace,
     TraceError,
@@ -61,7 +61,13 @@ from enermod.statetrace import (
     transition_function,
     weighted_keys,
 )
-from enermod.sysconfig import enumerate_instruction_groups, load_isa, manhattan
+from enermod.sysconfig import (
+    enumerate_instruction_groups,
+    format_coord,
+    load_isa,
+    manhattan,
+    n_flits,
+)
 
 from conftest import expand
 
@@ -100,7 +106,7 @@ def _active_idle_per_component():
 
 
 def _one_idle_per_cycle(events):
-    """Drop repeated idle events of one component and cycle: a span
+    """Drop repeated idle events of one component and cycle: an idle record
     covers each cycle once."""
     kept, idle = [], set()
     for e in events:
@@ -317,18 +323,35 @@ def test_idle_cannot_be_a_paired_kind():
 
 
 def _pair_trace(rows):
-    """Several CPUs, repeated bundles, syncs and idle spans; a CPU may issue
-    two bundles in one cycle, which canonical order still ranks by attributes."""
-    return _trace(_one_idle_per_cycle([
-        make_event(cycle, f"cpu{cpu}", what) if what in ("sync", EVENT_IDLE)
-        else _bundle(cycle, cpu=cpu, group=what, pattern=pattern)
-        for cycle, cpu, what, pattern in rows]))
+    """Several CPUs with bundle records of one or more cycles, duplicated
+    records, syncs and idle spans.  A CPU may issue two one-cycle bundles
+    in one cycle, which canonical order still ranks by attributes; a longer
+    bundle record shares no cycle with another bundle record of its CPU
+    but its duplicates, as in the simulator's streams."""
+    records, bundles, idle = [], {}, []
+    for cycle, cpu, what, pattern, length, copies in rows:
+        if what == EVENT_IDLE:
+            idle.append(make_event(cycle, f"cpu{cpu}", EVENT_IDLE))
+            continue
+        event = (StateEvent(cycle, f"cpu{cpu}", EVENT_SYNC) if what == "sync"
+                 else _bundle(cycle, cpu=cpu, group=what, pattern=pattern))._replace(
+                     length=length)
+        if what != "sync":
+            kept = bundles.setdefault(cpu, [])
+            if not all(k == event or k.length == event.length == 1
+                       or k.cycle + k.length <= cycle or cycle + length <= k.cycle
+                       for k in kept):
+                continue
+            kept.append(event)
+        records += [event] * copies
+    idle = Trace.from_events(_one_idle_per_cycle(idle)).events
+    return Trace(events=sort_events([*records, *idle]))
 
 
 _pair_traces = st.lists(
     st.tuples(st.integers(0, 30), st.integers(0, 3),
               st.sampled_from(["a+a", "b+b", "c+c", "sync", EVENT_IDLE]),
-              st.sampled_from(["zeros", "ones"])),
+              st.sampled_from(["zeros", "ones"]), st.integers(1, 4), st.integers(1, 2)),
     max_size=60).map(_pair_trace)
 
 
@@ -352,7 +375,9 @@ def _pairwise_reference(t, fn):
 @settings(max_examples=80, deadline=None)
 @given(t=_pair_traces)
 def test_pairwise_walk_equals_per_cycle_reference(t):
-    # the second function also keys idle spans and syncs
+    """A paired record pairs with its component's previous value once and
+    with itself for the rest of its cycles."""
+    # the second function also keys idle records and syncs
     for fn in (transition_function(),
                replace(transition_function("pattern"),
                        rules=(rule({"kind": EVENT_IDLE}, "{component}/idle"),
@@ -423,12 +448,13 @@ def test_trace_lines_round_trip_any_trace(t):
 
 
 @settings(max_examples=60, deadline=None)
-@given(events=st.lists(_events, max_size=30))
+@given(events=st.lists(st.builds(lambda e, length: e._replace(length=length),
+                                 _events, st.integers(1, 3)), max_size=30))
 def test_sort_events_is_the_explicit_canonical_order(events):
     canonical = tuple(
-        sorted(events, key=lambda e: (e.cycle, e.component, e.kind, e.attrs)))
+        sorted(events, key=lambda e: (e.cycle, e.component, e.kind, e.attrs, e.length)))
     assert sort_events(events) == canonical
-    # events compare as their (cycle, component, kind, attrs) fields
+    # records compare as their (cycle, component, kind, attrs, length) fields
     assert tuple(sorted(events)) == canonical
 
 
@@ -442,8 +468,7 @@ def test_duration_is_last_cycle_plus_one(t):
 @given(first=_traces, second=_traces)
 def test_abstract_counts_add_under_concat(first, second):
     whole = first.concat(second)
-    assert whole.events == sort_events(whole.events)
-    _assert_canonical_spans(whole)
+    _assert_canonical(whole)
     shifted = [e._replace(cycle=e.cycle + first.duration) for e in expand(second)]
     assert expand(whole) == sorted([*expand(first), *shifted])
     for fn in (identity_function(), _active_idle_per_component(),
@@ -455,13 +480,12 @@ def test_abstract_counts_add_under_concat(first, second):
 
 
 def _reference_lines(trace):
-    """Each event in (cycle, component, kind, attrs) order, then each idle
-    span in (component, start) order."""
-    events = sorted(trace.events, key=lambda e: (e.cycle, e.component, e.kind, e.attrs))
-    spans = sorted(trace.idle, key=lambda s: (s.component, s.start))
-    return ([f"{e.cycle}\t{e.component}\t{e.kind}\t"
-             + " ".join(f"{k}={v}" for k, v in sorted(e.attrs)) for e in events]
-            + [f"{s.start}\t{s.component}\tidle\tlength={s.length}" for s in spans])
+    """Each record as 'cycle<TAB>length<TAB>component<TAB>kind<TAB>payload',
+    in (cycle, component, kind, attrs, length) order."""
+    return [f"{e.cycle}\t{e.length}\t{e.component}\t{e.kind}\t"
+            + " ".join(f"{k}={v}" for k, v in sorted(e.attrs))
+            for e in sorted(trace.events,
+                            key=lambda e: (e.cycle, e.component, e.kind, e.attrs, e.length))]
 
 
 def _oracle_files_spell_the_reference(out, isa_path, config, params):
@@ -513,13 +537,17 @@ def _per_cycle_counts(events, fn):
     return counts
 
 
-def _assert_canonical_spans(t):
-    assert list(t.idle) == sorted(t.idle)
-    assert all(span.length > 0 for span in t.idle)
-    for a, b in zip(t.idle, t.idle[1:]):
-        if a.component == b.component:
-            # maximal: a gap of at least one cycle between two spans
-            assert a.start + a.length < b.start
+def _assert_canonical(t):
+    """Records in canonical order, each at least one cycle long; idle
+    records bare and, per component, a gap of at least one cycle apart."""
+    assert t.events == sort_events(t.events)
+    assert all(e.length > 0 for e in t.events)
+    idle = sorted((e.component, e.cycle, e.length, e.attrs)
+                  for e in t.events if e.kind == EVENT_IDLE)
+    assert all(attrs == () for *_rest, attrs in idle)
+    for a, b in zip(idle, idle[1:]):
+        if a[0] == b[0]:
+            assert a[1] + a[2] < b[1]
 
 
 _TOTAL_FUNCTIONS = (identity_function(), active_idle_function(),
@@ -530,7 +558,7 @@ _TOTAL_FUNCTIONS = (identity_function(), active_idle_function(),
 @given(events=_event_lists)
 def test_trace_spells_its_events_cycle_by_cycle(events):
     t = _trace(events)
-    _assert_canonical_spans(t)
+    _assert_canonical(t)
     assert t.to_lines() == _reference_lines(t)
     assert expand(t) == sorted(events)
     for fn in _TOTAL_FUNCTIONS:
@@ -543,33 +571,34 @@ def test_idle_time_that_cannot_be_a_span_is_refused():
     with pytest.raises(TraceError, match="two idle"):
         Trace.from_events([make_event(1, "cpu0", "idle"), make_event(0, "cpu0", "idle"),
                            make_event(1, "cpu0", "idle")])
-    with pytest.raises(TraceError, match="spans"):
-        Trace(events=(make_event(0, "cpu0", "idle"),))
+    with pytest.raises(TraceError, match="two idle events of cpu0 at cycle 2"):
+        Trace.from_events([StateEvent(0, "cpu0", "idle", (), 3), make_event(2, "cpu0", "idle")])
 
 
-_SYNC = "0\tcpu0\tsync\t"
+_SYNC = "0\t1\tcpu0\tsync\t"
 
 
 @pytest.mark.parametrize("lines,error", [
-    ([_SYNC, "0\tcpu0\tidle\t"], "line 2: idle span needs length=N with N >= 1"),
-    (["0\tcpu0\tidle\tlength=x"], "line 1: idle span needs length=N"),
-    (["0\tcpu0\tidle\tlength=1.5"], "line 1: idle span needs length=N"),
-    ([_SYNC, "0\tcpu0\tidle\tlength=0"], "line 2: idle span needs length=N"),
-    (["0\tcpu0\tidle\tlength=-2"], "line 1: idle span needs length=N"),
-    (["0\tcpu0\tidle\tlength=2 why=stall"], "line 1: idle span has attribute 'why'"),
-    (["0\tcpu0\tidle\twhy=stall"], "line 1: idle span has attribute 'why'"),
-    (["0\tcpu0\tidle\tlength=2", "0\tcpu1\tidle\tlength=2", "0\tcpu0\tidle\tlength=2"],
-     "line 3: idle span of cpu0 repeats the one at line 1"),
-    (["3\tcpu0\tidle\tlength=2", "0\tcpu0\tidle\tlength=4"],
-     "line 2: idle span of cpu0 overlaps the one at line 1"),
-    (["0\tcpu0\tidle\tlength=9", _SYNC, "5\tcpu0\tidle\tlength=1"],
-     "line 3: idle span of cpu0 overlaps the one at line 1"),
-    (["2\tcpu0\tidle\tlength=1", "0\tcpu0\tidle\tlength=2"],
-     "line 2: idle span of cpu0 adjoins the one at line 1"),
+    ([_SYNC, "0\t\tcpu0\tidle\t"], "line 2: length '' is not an integer >= 1"),
+    (["0\tx\tcpu0\tidle\t"], "line 1: length 'x' is not an integer >= 1"),
+    (["0\t1.5\tcpu0\tidle\t"], "line 1: length '1.5' is not an integer >= 1"),
+    ([_SYNC, "0\t0\tcpu0\tsync\t"], "line 2: length '0' is not an integer >= 1"),
+    (["0\t-2\tcpu0\tidle\t"], "line 1: length '-2' is not an integer >= 1"),
+    (["0\t2\tcpu0\tidle\twhy=stall"], "line 1: idle record has attribute 'why'"),
+    (["0\t2\tcpu0\tidle\tlength=2"], "line 1: idle record has attribute 'length'"),
+    (["0\t2\tcpu0\tidle\t", "0\t2\tcpu1\tidle\t", "0\t2\tcpu0\tidle\t"],
+     "line 3: idle record of cpu0 repeats the one at line 1"),
+    (["3\t2\tcpu0\tidle\t", "0\t4\tcpu0\tidle\t"],
+     "line 2: idle record of cpu0 overlaps the one at line 1"),
+    (["0\t9\tcpu0\tidle\t", _SYNC, "5\t1\tcpu0\tidle\t"],
+     "line 3: idle record of cpu0 overlaps the one at line 1"),
+    (["2\t1\tcpu0\tidle\t", "0\t2\tcpu0\tidle\t"],
+     "line 2: idle record of cpu0 adjoins the one at line 1"),
 ])
 def test_a_span_line_that_is_not_a_maximal_span_is_refused_at_its_line(lines, error):
-    """Span lines of one component neither overlap nor touch, so each
-    trace has one spelling; a clash is reported at its later line."""
+    """A record's length is an integer of at least 1, and the idle records
+    of one component neither overlap nor touch, so idle time has one
+    spelling; a clash is reported at its later line."""
     with pytest.raises(TraceError, match=f"^{re.escape(error)}"):
         trace_from_lines(lines)
 
@@ -577,7 +606,8 @@ def test_a_span_line_that_is_not_a_maximal_span_is_refused_at_its_line(lines, er
 def test_adjacent_idle_spans_merge_under_concat():
     first = _trace([_bundle(0), make_event(1, "cpu0", "idle"), make_event(1, "cpu1", "idle")])
     second = _trace([make_event(0, "cpu0", "idle"), _bundle(0, cpu=1)])
-    assert first.concat(second).idle == (IdleSpan("cpu0", 1, 2), IdleSpan("cpu1", 1, 1))
+    assert [e for e in first.concat(second).events if e.kind == EVENT_IDLE] == [
+        StateEvent(1, "cpu0", EVENT_IDLE, (), 2), StateEvent(1, "cpu1", EVENT_IDLE, (), 1)]
 
 
 # Any text the line format carries: names hold no space, tab, newline or
@@ -601,22 +631,27 @@ _COMPONENTS = ("cpu0", "cpu1", "cpu{2}", "router0")
 
 @st.composite
 def _file_traces(draw):
-    """Events of every non-idle kind (two sort before idle, two after) with
-    any attributes, plus per-component idle cycles that are a union of
-    overlapping and adjacent runs, so spans of one cycle share it with
-    events of their own component."""
-    events = draw(st.lists(st.builds(
-        lambda cycle, component, kind, attrs: make_event(cycle, component, kind, **attrs),
+    """Records of every non-idle kind (two sort before idle, two after) with
+    any attributes and lengths, some repeated and some overlapping, plus
+    per-component idle cycles that are a union of overlapping and adjacent
+    runs, so idle records share cycles with records of their own
+    component."""
+    records = draw(st.lists(st.builds(
+        lambda cycle, component, kind, attrs, length: make_event(
+            cycle, component, kind, **attrs)._replace(length=length),
         st.integers(0, 30), st.sampled_from(_COMPONENTS),
-        st.sampled_from([k for k in EVENT_KINDS if k != EVENT_IDLE]), _any_attrs),
-        max_size=25))
+        st.sampled_from([k for k in EVENT_KINDS if k != EVENT_IDLE]), _any_attrs,
+        st.integers(1, 4)), max_size=25))
+    if records:
+        records += draw(st.lists(st.sampled_from(records), max_size=3))
+    idle = []
     for component in _COMPONENTS:
         cycles = set()
         for start, length in draw(st.lists(st.tuples(st.integers(0, 30),
                                                      st.integers(1, 6)), max_size=4)):
             cycles.update(range(start, start + length))
-        events += [make_event(cycle, component, EVENT_IDLE) for cycle in cycles]
-    return _trace(events)
+        idle += [make_event(cycle, component, EVENT_IDLE) for cycle in cycles]
+    return Trace(events=sort_events([*records, *Trace.from_events(idle).events]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -624,6 +659,7 @@ def _file_traces(draw):
 def test_trace_files_spell_and_read_back_any_trace(t, data):
     lines = t.to_lines()
     assert lines == _reference_lines(t)
+    _assert_canonical(t)
     shuffled = data.draw(st.permutations(lines))
     for at in data.draw(st.lists(st.integers(0, len(lines)), max_size=3)):
         shuffled.insert(at, "")
@@ -656,7 +692,7 @@ _coords = st.sampled_from(["0,0", "1,0", "0,1", "1,1", "2,1"])
 _cpus = st.builds("cpu{}".format, st.integers(0, 15))
 # The simulator's event kinds with its attributes: bundles at varied
 # addresses on many CPUs, packets with endpoints and sizes, bare syncs and
-# idle events (which fold into spans).
+# idle events (which fold into runs).
 _oracle_events = st.one_of(
     st.builds(lambda cycle, cpu, group, pattern, addr, fmt: make_event(
         cycle, cpu, EVENT_BUNDLE, group=group, pattern=pattern, addr=addr, fmt=fmt),
@@ -703,16 +739,17 @@ def test_projection_memo_yields_the_per_event_keys(events):
     t = _trace(events)
     for fn in (*(builtin_function(name) for name in sorted(_BUILTINS)),
                *_PROJECTION_FUNCTIONS):
-        got = list(weighted_keys(t, fn))
-        assert len(got) == len(t.events) + len(t.idle)
-        for event, (component, key, cycles) in zip(t.events, got):
-            assert (component, cycles) == (event.component, 1)
-            if event.kind not in fn.pair_kinds:
-                assert key == replace(fn).key_for_event(event), event
-        for span, (component, key, cycles) in zip(t.idle, got[len(t.events):]):
-            assert (component, cycles) == (span.component, span.length)
-            assert key == replace(fn).key_for_event(
-                StateEvent(span.start, span.component, EVENT_IDLE)), span
+        got = iter(weighted_keys(t, fn))
+        for event in t.events:
+            if event.kind in fn.pair_kinds:
+                pieces = [next(got) for _ in range(1 if event.length == 1 else 2)]
+                assert [(c, n) for c, _key, n in pieces] == (
+                    [(event.component, 1)] if event.length == 1
+                    else [(event.component, 1), (event.component, event.length - 1)])
+            else:
+                assert next(got) == (event.component, replace(fn).key_for_event(event),
+                                     event.length), event
+        assert next(got, None) is None
 
 
 def test_rules_run_once_per_projection_over_the_function_s_life(monkeypatch):
@@ -761,12 +798,48 @@ def _programs(config, isa):
                      st.integers(0, 40))
 
 
+def _per_cycle_oracle_events(config, program):
+    """The per-cycle events of a program worked out op by op, as the oracle
+    spelled them before it held runs: one event per bundle, sync, transfer
+    and flit hop, and one idle event per CPU cycle without one."""
+    events, end = [], program.min_cycles
+    for cpu, ops in program.ops:
+        t, src = 0, config.cpu_cluster(cpu)
+        for op in ops:
+            if isinstance(op, BundleOp):
+                events.append(make_event(t, f"cpu{cpu}", EVENT_BUNDLE, group=op.group.label,
+                                         pattern=op.pattern, addr=op.addr, fmt=op.group.fmt))
+            elif not isinstance(op, RecvOp):
+                events.append(make_event(t, f"cpu{cpu}", EVENT_SYNC))
+            if isinstance(op, SendOp):
+                dst = config.cpu_cluster(op.dst_cpu)
+                flits = n_flits(op.size_bytes, config.flit_payload_bytes)
+                packet = dict(src=format_coord(src), dst=format_coord(dst), size=op.size_bytes)
+                component = f"{'bus' if src == dst else 'ni'}{config.cluster_index(src)}"
+                events.append(make_event(t + 1, component, EVENT_NI, flits=flits, **packet))
+                end = max(end, t + 1 + flits)       # the last crossbar beat
+                for flit in range(flits if src != dst else 0):
+                    for hop, cluster in enumerate(xy_route(src, dst)):
+                        events.append(make_event(t + 1 + flit + hop,
+                                                 f"router{config.cluster_index(cluster)}",
+                                                 EVENT_FLIT, hop=hop, **packet))
+                t += flits
+            t += 1
+    end = max([end, *(e.cycle + 1 for e in events)])
+    busy = {(e.component, e.cycle) for e in events}
+    events += [make_event(cycle, f"cpu{cpu}", EVENT_IDLE) for cpu in range(config.n_cpus)
+               for cycle in range(end) if (f"cpu{cpu}", cycle) not in busy]
+    return sorted(events)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_oracle_traces_spell_their_per_cycle_expansion(config, isa, params, data):
-    trace, _ = run_program(config, params, data.draw(_programs(config, isa)))
-    _assert_canonical_spans(trace)
+    program = data.draw(_programs(config, isa))
+    trace, _ = run_program(config, params, program)
+    _assert_canonical(trace)
     expanded = expand(trace)
+    assert expanded == _per_cycle_oracle_events(config, program)
     for cpu in range(config.n_cpus):
         cycles = sorted(e.cycle for e in expanded if e.component == f"cpu{cpu}")
         assert cycles == list(range(trace.duration))
