@@ -433,8 +433,8 @@ def run_program(config: SystemConfig, params: OracleParams,
 
     The trace holds runs: an op equal to the op before it extends that
     op's record, a packet's hops at one router are one record of its flits,
-    and each idle gap of a CPU is one record; the ledger still books every
-    cycle.  Each distinct op is checked against the configuration, and its
+    and each idle gap of a CPU is one record; the ledger books every cycle.
+    Each distinct op object is checked against the configuration, and its
     event attributes and energy parts worked out, once per run.  An invalid
     program raises ProgramError at its first invalid op, in program order.
     """
