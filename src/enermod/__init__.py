@@ -25,7 +25,6 @@ from .sysconfig import (
     serialize_config,
 )
 from .statetrace import (
-    AbstractionLevel,
     ModelFunction,
     StateCountVector,
     StateEvent,

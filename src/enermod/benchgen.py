@@ -138,15 +138,22 @@ def gen_instruction_benchmarks(isa: list[InstructionDef], config: SystemConfig,
     return benchmarks
 
 
-def gen_position_benchmarks(config: SystemConfig, group: InstructionGroup,
-                            addr_lo: int, addr_hi: int,
-                            reps: int = DEFAULT_REPS) -> list[Microbenchmark]:
-    """One benchmark per instruction-memory address, same group everywhere."""
+def check_position_range(config: SystemConfig, group: InstructionGroup,
+                         addr_lo: int, addr_hi: int) -> None:
+    """Refuse an address range that is empty or where a bundle of group
+    would not fit in instruction memory."""
     if addr_lo > addr_hi:
         raise ProgramError(f"addr_lo {addr_lo} > addr_hi {addr_hi}")
     if addr_lo < 0 or addr_hi > config.imem_words - group.imem_footprint:
         raise ProgramError(
             f"address range [{addr_lo}, {addr_hi}] outside instruction memory")
+
+
+def gen_position_benchmarks(config: SystemConfig, group: InstructionGroup,
+                            addr_lo: int, addr_hi: int,
+                            reps: int = DEFAULT_REPS) -> list[Microbenchmark]:
+    """One benchmark per instruction-memory address, same group everywhere."""
+    check_position_range(config, group, addr_lo, addr_hi)
     benchmarks = []
     for addr in range(addr_lo, addr_hi + 1):
         ops = _prologue_ops(group) + [

@@ -23,6 +23,7 @@ from .benchgen import (
     all_nop_group,
     benchmark_filename,
     center_window,
+    check_position_range,
     comm_campaign,
     comm_endpoints,
     gen_comm_benchmarks,
@@ -394,6 +395,7 @@ def cmd_sweep_imem(args) -> int:
     full = all_nop_group(isa, config.vliw_slots)
     if full is None:
         raise CliError(EXIT_INVARIANT, "sweep-imem needs a NOP instruction")
+    check_position_range(config, full, args.lo, args.hi)
     single = InstructionGroup(slots=full.slots[:1] + (EMPTY,) * (config.vliw_slots - 1))
     lines = ["address,popcount,compressed_pj,uncompressed_pj"]
     for addr in range(args.lo, args.hi + 1):
@@ -511,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="run a benchmark campaign on the oracle")
     _add_common(p, "isa", "params")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("fit", help="fit model constants from a campaign")
@@ -544,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None,
                    help="model file (default: fit the simplified model)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("sweep-noc", help="packet-size sweep CSV")

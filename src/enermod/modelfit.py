@@ -17,7 +17,6 @@ from functools import cached_property
 import numpy as np
 
 from .statetrace import (
-    AbstractionLevel,
     HOP_FAMILY,
     HOP_KEY,
     ModelFunction,
@@ -78,18 +77,13 @@ class Reducer:
 
 @dataclass
 class EnergyModel:
-    """A state space, a granularity transform, and fitted constants; the
-    model's level is its function's."""
+    """A state space, a granularity transform, and fitted constants."""
 
     function: ModelFunction
     constants: dict[str, float]
     reducers: list[Reducer] = field(default_factory=list)
     static_pj_per_cycle: float = 0.0
     provenance: dict = field(default_factory=dict)
-
-    @property
-    def level(self) -> AbstractionLevel:
-        return self.function.level
 
     def reducer_for(self, key: str) -> Reducer | None:
         for reducer in self.reducers:
@@ -210,7 +204,6 @@ def fit_constants(observations: list[tuple[StateCountVector, float]],
     provenance = {
         "observations": len(observations),
         "solver": "lstsq-min-norm",
-        "function_name": function.name,
         "fitted_at": os.environ.get("ENERMOD_BUILD_DATE"),
         "signed_constants": bool(report.negative_keys),
     }
@@ -362,8 +355,6 @@ def model_to_json(model: EnergyModel) -> dict:
     and is None without it."""
     clock = model.provenance.get("clock_hz")
     doc = {
-        "level": model.level.name,
-        "function_ref": model.function.name,
         "function": function_to_json(model.function),
         "constants": {k: model.constants[k] for k in sorted(model.constants)},
         "reducers": [{
@@ -390,10 +381,6 @@ def _model_from_json(doc) -> EnergyModel:
     if not isinstance(doc, dict):
         raise FieldError(f"a model file must be an object, got {doc!r}")
     function = function_from_json(json_field("", doc, "function", "an object"))
-    level = json_field("", doc, "level", "a string")
-    if level != function.level.name:
-        raise FitError(f"model level {level} is not its function's "
-                       f"level {function.level.name}")
     constants = json_field("", doc, "constants", "an object")
     for key in constants:
         json_field("constants.", constants, key, "a number")

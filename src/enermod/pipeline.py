@@ -137,7 +137,7 @@ def merge_models(instruction_model: EnergyModel,
     constants.update((k, v) for k, v in instruction_model.constants.items()
                      if not is_comm_key(k))
     provenance = dict(instruction_model.provenance)
-    provenance["merged_with"] = comm_model.provenance.get("function_name", "comm")
+    provenance["merged_with"] = comm_model.function.name
     return EnergyModel(function=instruction_model.function,
                        constants=constants,
                        reducers=list(comm_model.reducers),

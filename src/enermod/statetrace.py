@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from enum import IntEnum
 from functools import cached_property
 from string import Formatter
 from typing import NamedTuple
@@ -50,14 +49,6 @@ class TraceError(ValueError):
 
 class ModelFunctionError(ValueError):
     """A model function is not total over its input or is used outside its domain."""
-
-
-class AbstractionLevel(IntEnum):
-    """Granularity of the state description; higher is finer."""
-
-    BINARY_USAGE = 1
-    ACTIVE_IDLE = 2
-    FINE_GRAINED = 3
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +184,7 @@ def trace_from_lines(lines) -> Trace:
             if not line.rstrip("\n"):
                 continue
             entry = parsed[tail] = _parse_tail(lineno, text, tail)
-        try:
-            event = StateEvent(int(text), *entry)
-        except ValueError:
-            raise TraceError(f"line {lineno}: cycle {text!r} is not an integer") from None
+        event = StateEvent(_cycle(lineno, text), *entry)
         events.append(event)
         if event.kind == EVENT_IDLE:
             idle.append((event.component, event.cycle, event.length, lineno))
@@ -210,16 +198,24 @@ def trace_from_lines(lines) -> Trace:
     return Trace(events=sort_events(events))
 
 
+def _cycle(lineno: int, text: str) -> int:
+    """A line's start cycle, checked on every line: an integer >= 0."""
+    try:
+        cycle = int(text)
+    except ValueError:
+        cycle = -1
+    if cycle < 0:
+        raise TraceError(f"line {lineno}: cycle {text!r} is not an integer >= 0")
+    return cycle
+
+
 def _parse_tail(lineno: int, text: str, tail: str) -> tuple:
     """Check a line whose tail is new, in the order its faults are
     reported, and return its record's (component, kind, attrs, length)."""
     fields = tail.rstrip("\n").split("\t")
     if len(fields) != 4:
         raise TraceError(f"line {lineno}: expected 5 tab-separated fields")
-    try:
-        int(text)
-    except ValueError:
-        raise TraceError(f"line {lineno}: cycle {text!r} is not an integer") from None
+    _cycle(lineno, text)
     length, component, kind, payload = fields
     if not _INT_RE.match(length) or int(length) < 1:
         raise TraceError(f"line {lineno}: length {length!r} is not an integer >= 1")
@@ -348,7 +344,6 @@ class ModelFunction:
     no attribute to pair.
     """
 
-    level: AbstractionLevel
     rules: tuple[Rule, ...]
     domain: str = "event"
     name: str = ""
@@ -480,8 +475,7 @@ def compose(f: ModelFunction, g: ModelFunction) -> ModelFunction:
         raise ModelFunctionError(
             "domain mismatch: outer function of a composition must be key-domain")
     then = f if g.then is None else compose(f, g.then)
-    return replace(g, then=then, level=f.level,
-                   name=f"{f.name or 'f'}*{g.name or 'g'}")
+    return replace(g, then=then, name=f"{f.name or 'f'}*{g.name or 'g'}")
 
 
 def weighted_keys(trace: Trace, fn: ModelFunction):
@@ -573,7 +567,6 @@ def rekey_vector(vector: StateCountVector, fn: ModelFunction) -> StateCountVecto
 def identity_function() -> ModelFunction:
     """Fine-grained identity: one key per distinct (kind, component, attributes)."""
     return ModelFunction(
-        level=AbstractionLevel.FINE_GRAINED,
         rules=(rule({}, "{__identity__}"),),
         name="identity",
     )
@@ -582,7 +575,6 @@ def identity_function() -> ModelFunction:
 def _fine_function(name: str, ni_key: str) -> ModelFunction:
     """The one fine-grained rule list; only the NI transfer's key differs."""
     return ModelFunction(
-        level=AbstractionLevel.FINE_GRAINED,
         rules=(
             rule({"kind": EVENT_BUNDLE}, "group:{group}/pat:{pattern}"),
             rule({"kind": EVENT_SYNC}, SYNC_KEY),
@@ -622,7 +614,6 @@ def active_idle_function() -> ModelFunction:
     contribute active keys only.
     """
     return ModelFunction(
-        level=AbstractionLevel.ACTIVE_IDLE,
         rules=(
             rule({"kind": EVENT_IDLE}, "{comp_class}/idle"),
             rule({}, "{comp_class}/active"),
@@ -634,9 +625,9 @@ def active_idle_function() -> ModelFunction:
 def binary_usage_function() -> ModelFunction:
     """Coarsest keys: a component class is merely used, the active/idle
     split is gone.  Strictly coarser than active_idle_function (active and
-    idle keys merge into one), so refining the level can never hurt the fit."""
+    idle keys merge into one), so refining it to active_idle_function can
+    never hurt the fit."""
     return ModelFunction(
-        level=AbstractionLevel.BINARY_USAGE,
         rules=(rule({}, "{comp_class}/used"),),
         name="binary-usage",
     )
@@ -650,7 +641,6 @@ def transition_function(attr: str = "group",
     event pairs with itself.
     """
     return ModelFunction(
-        level=AbstractionLevel.FINE_GRAINED,
         rules=(rule({}, DISCARD),),
         pair_attr=attr,
         pair_template="trans:{prev}>{cur}",
@@ -682,7 +672,6 @@ def builtin_function(name: str) -> ModelFunction:
 
 def function_to_json(fn: ModelFunction) -> dict:
     doc: dict = {
-        "level": fn.level.name,
         "domain": fn.domain,
         "name": fn.name,
         "rules": [{"match": dict(r.match), "emit": r.emit} for r in fn.rules],
@@ -706,14 +695,11 @@ def function_from_json(doc) -> ModelFunction:
 
 def _function_from_json(doc, where: str) -> ModelFunction:
     if isinstance(doc, list):
-        # bare rule list: a fine-grained event-domain function
-        doc = {"level": "FINE_GRAINED", "rules": doc}
+        # bare rule list: an event-domain function
+        doc = {"rules": doc}
     if not isinstance(doc, dict):
         raise FieldError(f"{where.rstrip('.') or 'a rule file'} must be an "
                          f"object or a list of rules, got {doc!r}")
-    level = json_field(where, doc, "level", "a string")
-    if level not in AbstractionLevel.__members__:
-        raise FieldError(f"{where}level {level!r} is not a level")
     rules = []
     for i, r in enumerate(json_field(where, doc, "rules", "a list")):
         at = f"{where}rules[{i}]"
@@ -732,7 +718,6 @@ def _function_from_json(doc, where: str) -> ModelFunction:
             raise FieldError(f"{at}kinds must list strings, got {list(kinds)!r}")
     then = doc.get("then")
     return ModelFunction(
-        level=AbstractionLevel[level],
         domain=json_field(where, doc, "domain", "a string", "event"),
         rules=tuple(rules),
         name=json_field(where, doc, "name", "a string", ""),

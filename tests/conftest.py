@@ -9,7 +9,6 @@ from enermod.statetrace import (
     DISCARD,
     EVENT_IDLE,
     EVENT_KINDS,
-    AbstractionLevel,
     ModelFunction,
     rule,
 )
@@ -86,14 +85,13 @@ _PAIRS = st.one_of(st.none(), st.tuples(
 
 
 def _functions(then):
-    def build(level, domain, rules, name, pair, then):
+    def build(domain, rules, name, pair, then):
         attr, template, kinds = pair or (None, "", ())
-        return ModelFunction(level=level, rules=tuple(rules), domain=domain,
+        return ModelFunction(rules=tuple(rules), domain=domain,
                              name=name, pair_attr=attr, pair_template=template,
                              pair_kinds=kinds, then=then)
-    return st.builds(build, st.sampled_from(AbstractionLevel),
-                     st.sampled_from(["event", "key"]), st.lists(_RULES, max_size=4),
-                     st.text(max_size=8), _PAIRS, then)
+    return st.builds(build, st.sampled_from(["event", "key"]),
+                     st.lists(_RULES, max_size=4), st.text(max_size=8), _PAIRS, then)
 
 
 @pytest.fixture(scope="session")

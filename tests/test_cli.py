@@ -312,7 +312,9 @@ _EXPLORE = ["explore", "--graph", data_path("example_graph.json"), "--model", "m
     (["gen-bench", "--kind", "comm", "--min", "8", "--max", "24", "--step", "8"],
      "--reps"),
     (["gen-bench", "--kind", "instr"], "--reps"),
-    (_EXPLORE, "--steps")])
+    (_EXPLORE, "--steps"),
+    (["oracle"], "--workers"),
+    (["validate"], "--workers")])
 @pytest.mark.parametrize("value", ["0", "-1", "-3"])
 def test_count_below_1_is_a_usage_error(tmp_path, capsys, command, option, value):
     with pytest.raises(SystemExit) as err:
@@ -634,7 +636,8 @@ def _mutate_one_line(lines, how, pick, cycle):
                                  "attribute", "second idle", "overlapping span",
                                  "adjacent span", "repeated tail", "unknown kind"])
 @settings(max_examples=15, deadline=None)
-@given(pick=st.integers(0, 10**6), cycle=st.sampled_from(["x", "", "1.5", "0x1", "1e3"]))
+@given(pick=st.integers(0, 10**6),
+       cycle=st.sampled_from(["x", "", "1.5", "0x1", "1e3", "-5"]))
 def test_estimate_of_a_trace_with_one_malformed_line_exits_5(one_packet, how, pick, cycle):
     out, lines = one_packet
     bad, lineno = _mutate_one_line(lines, how, pick, cycle)
@@ -669,7 +672,7 @@ def test_fit_with_idle_as_a_paired_kind_exits_5(tmp_path, capsys):
                 + _defaults(tmp_path)) == EXIT_OK
     rules = tmp_path / "pair_idle.json"
     rules.write_text(json.dumps({
-        "level": "FINE_GRAINED", "rules": [{"match": {}, "emit": "discard"}],
+        "rules": [{"match": {}, "emit": "discard"}],
         "pair": {"attr": "group", "template": "trans:{prev}>{cur}",
                  "kinds": ["idle"]}}))
     capsys.readouterr()
@@ -687,20 +690,36 @@ def test_sweep_imem_csv(tmp_path):
     assert len(lines) == 17
 
 
-def test_estimate_with_a_model_whose_level_is_not_its_functions_exits_5(
+@pytest.mark.parametrize("lo,hi", [(10, 5), (4094, 4100), (-3, -1)])
+def test_sweep_imem_outside_instruction_memory_exits_4(tmp_path, capsys, lo, hi):
+    rc = main(["sweep-imem", "--lo", str(lo), "--hi", str(hi)]
+              + _defaults(tmp_path, "isa", "params"))
+    assert rc == EXIT_INVARIANT
+    _one_error_line(capsys, EXIT_INVARIANT)
+    assert not (tmp_path / "reports").exists()
+
+
+def test_a_model_file_with_the_old_level_and_name_fields_estimates_the_same(
         one_packet, tmp_path, capsys):
+    """Model files once carried the function's level twice and its name
+    twice more; readers ignore those fields, even a level that is none."""
     out, lines = one_packet
-    doc = json.loads((out / "models" / "noc.json").read_text())
-    assert doc["level"] == doc["function"]["level"] == "FINE_GRAINED"
-    doc["level"] = "ACTIVE_IDLE"
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps(doc))
+    new = out / "models" / "noc.json"
+    doc = json.loads(new.read_text())
+    assert not {"level", "function_ref"} & doc.keys()
+    doc.update(level="FINE_GRAINED", function_ref=doc["function"]["name"])
+    doc["function"]["level"] = "NO_SUCH_LEVEL"
+    doc["provenance"]["function_name"] = doc["function"]["name"]
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
     trace = tmp_path / "trace.tsv"
     trace.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    rc = main(["estimate", "--model", str(model), "--trace", str(trace)])
-    assert rc == EXIT_DATA
-    assert "ACTIVE_IDLE" in _one_error_line(capsys, EXIT_DATA)
+    printed = []
+    for model in (new, old):
+        capsys.readouterr()
+        assert main(["estimate", "--model", str(model), "--trace", str(trace)]) == EXIT_OK
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] != ""
 
 
 def test_sweep_noc_within_a_cluster_takes_the_crossbar(tmp_path):
@@ -842,14 +861,14 @@ def test_explore_of_a_graph_with_one_mutated_field_never_crashes(explore_model, 
                   "--steps", "20", "--chains", "1"], (EXIT_INVARIANT, EXIT_DATA))
 
 
-# every field a rule file can hold: level, domain, name, rules, pair, then
+# every field a rule file can hold: domain, name, rules, pair, then
 _RULE_FILE = {
-    "level": "FINE_GRAINED", "domain": "event", "name": "bundle-pairs",
+    "domain": "event", "name": "bundle-pairs",
     "rules": [{"match": {"kind": ["sync", "ni-transfer"]}, "emit": "{kind}"},
               {"match": {}, "emit": "discard"}],
     "pair": {"attr": "group", "template": "trans:{prev}>{cur}",
              "kinds": ["bundle-issue"]},
-    "then": {"level": "FINE_GRAINED", "domain": "key",
+    "then": {"domain": "key",
              "rules": [{"match": {}, "emit": "{key}"}]},
 }
 

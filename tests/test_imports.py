@@ -1,11 +1,15 @@
 """Source hygiene: no module-level import goes unused, no library code
 serves only the tests, every defaulted parameter is set by some call,
-calibration runs are built in benchgen alone, and float sums that reach
-files fold left to right."""
+calibration runs are built in benchgen alone, float sums that reach files
+fold left to right, and every field a model file holds is read back."""
 
 import ast
 import glob
 import os
+
+from enermod.modelfit import (REDUCER_STAIRCASE, EnergyModel, Reducer, model_from_json,
+                              model_to_json)
+from enermod.statetrace import ModelFunction, compose, rule, transition_function
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -334,3 +338,56 @@ def test_builtin_sum_only_adds_integer_counts():
                         f"builtin sum in {qualname}; use fold_sum for floats")
     stale = sorted(set(_INTEGER_SUMS) - summing)
     assert not offending and not stale, "\n".join(offending + stale)
+
+
+# Fields model_to_json or function_to_json write that their loaders do not
+# read, each kept for a reader of the file.
+_WRITE_ONLY_ALLOWED = {
+    "static_power_pw": "the static term in pW at provenance.clock_hz, for a reader",
+}
+
+
+class _Reads(dict):
+    """A JSON object that notes each field a loader looks up by name."""
+
+    def __init__(self, doc, path, objects):
+        super().__init__((k, _recording(v, f"{path}{k}", objects)) for k, v in doc.items())
+        self.path, self.looked_up = path, set()
+        objects.append(self)
+
+    def get(self, key, default=None):
+        self.looked_up.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.looked_up.add(key)
+        return super().__getitem__(key)
+
+
+def _recording(value, path, objects):
+    if isinstance(value, dict):
+        return _Reads(value, path and path + ".", objects)
+    if isinstance(value, list):
+        return [_recording(item, path + "[]", objects) for item in value]
+    return value
+
+
+def test_every_written_model_field_is_read_back():
+    """An object none of whose fields the loader looks up by name (the
+    provenance, a rule's match) is taken whole, as data."""
+    to_key = ModelFunction(domain="key", rules=(rule({}, "{key}"),), name="keys")
+    model = EnergyModel(
+        function=compose(to_key, transition_function()),
+        constants={"trans:a>b": 1.5},
+        reducers=[Reducer(kind=REDUCER_STAIRCASE, family="noc/hops:1", a=6.0, b=8.6,
+                          flit_payload_bytes=8)],
+        static_pj_per_cycle=0.5, provenance={"clock_hz": 7e8})
+    objects = []
+    loaded = model_from_json(_recording(model_to_json(model), "", objects))
+    assert loaded == model
+    unread = {obj.path + key for obj in objects if obj.looked_up
+              for key in obj if key not in obj.looked_up}
+    stale = set(_WRITE_ONLY_ALLOWED) - unread
+    assert unread == set(_WRITE_ONLY_ALLOWED), (
+        f"written, never read: {sorted(unread - set(_WRITE_ONLY_ALLOWED))}; "
+        f"read or not written, drop from the allowlist: {sorted(stale)}")

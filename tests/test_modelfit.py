@@ -304,7 +304,7 @@ def test_model_json_round_trip(tmp_path, config):
     assert loaded.constants == model.constants
     assert loaded.reducers == model.reducers
     assert loaded.static_pj_per_cycle == model.static_pj_per_cycle
-    assert loaded.level == model.level
+    assert loaded.function == model.function
     doc = model_to_json(model)
     assert doc["static_power_pw"] == pytest.approx(
         model.static_pj_per_cycle * config.clock_hz)

@@ -28,7 +28,6 @@ from enermod.refsim import (
 )
 from enermod.statetrace import (
     _BUILTINS,
-    AbstractionLevel,
     DISCARD,
     EVENT_BUNDLE,
     EVENT_FLIT,
@@ -99,8 +98,7 @@ _events = st.builds(
 
 def _active_idle_per_component():
     """active-idle keyed by component instance, as a rule file can spell it."""
-    return ModelFunction(level=AbstractionLevel.ACTIVE_IDLE,
-                         rules=(rule({"kind": EVENT_IDLE}, "{component}/idle"),
+    return ModelFunction(rules=(rule({"kind": EVENT_IDLE}, "{component}/idle"),
                                 rule({}, "{component}/active")),
                          name="active-idle-per-component")
 
@@ -128,15 +126,6 @@ def _bundle(cycle, cpu=0, group="add+add", pattern="zeros", addr=0):
 
 
 # ---------------------------------------------------------------------------
-# abstraction levels
-# ---------------------------------------------------------------------------
-
-def test_levels_are_totally_ordered():
-    assert (AbstractionLevel.BINARY_USAGE < AbstractionLevel.ACTIVE_IDLE
-            < AbstractionLevel.FINE_GRAINED)
-
-
-# ---------------------------------------------------------------------------
 # abstract_trace
 # ---------------------------------------------------------------------------
 
@@ -161,8 +150,7 @@ def test_active_idle_sixty_forty():
 
 
 def test_missing_rule_is_an_error():
-    fn = ModelFunction(level=AbstractionLevel.FINE_GRAINED,
-                       rules=(rule({"kind": "idle"}, DISCARD),))
+    fn = ModelFunction(rules=(rule({"kind": "idle"}, DISCARD),))
     with pytest.raises(ModelFunctionError, match="no rule"):
         abstract_trace(_trace([_bundle(0)]), fn)
 
@@ -229,7 +217,7 @@ def _random_trace(seed):
 def test_compose_with_key_identity_is_f():
     t = _random_trace(1)
     f = instruction_model_function()
-    key_identity = ModelFunction(level=AbstractionLevel.FINE_GRAINED, domain="key",
+    key_identity = ModelFunction(domain="key",
                                  rules=(rule({}, "{key}"),), name="key-identity")
     composed = compose(key_identity, f)
     assert abstract_trace(t, composed).counts == abstract_trace(t, f).counts
@@ -241,12 +229,11 @@ def test_two_stage_composition_equals_direct(seed):
     # applying the stages separately.
     t = _random_trace(seed)
     ai = active_idle_function()
-    to_bin = ModelFunction(level=AbstractionLevel.BINARY_USAGE, domain="key",
+    to_bin = ModelFunction(domain="key",
                            rules=(rule({"tag": "idle"}, "{component}/used"),
                                   rule({"tag": "active"}, "{component}/used")),
                            name="ai-to-binary")
     composed = compose(to_bin, ai)
-    assert composed.level == AbstractionLevel.BINARY_USAGE
     direct = abstract_trace(t, binary_usage_function())
     via_compose = abstract_trace(t, composed)
     staged = rekey_vector(abstract_trace(t, ai), to_bin)
@@ -256,7 +243,7 @@ def test_two_stage_composition_equals_direct(seed):
 
 def test_compose_with_discard_all_empties():
     t = _random_trace(2)
-    discard_all = ModelFunction(level=AbstractionLevel.BINARY_USAGE, domain="key",
+    discard_all = ModelFunction(domain="key",
                                 rules=(rule({}, DISCARD),), name="discard-all")
     composed = compose(discard_all, instruction_model_function())
     assert abstract_trace(t, composed).counts == {}
@@ -399,12 +386,19 @@ def test_trace_line_round_trip():
 def test_function_json_round_trip():
     for fn in (identity_function(), instruction_model_function(),
                active_idle_function(), transition_function(),
-               compose(ModelFunction(level=AbstractionLevel.BINARY_USAGE,
-                                     domain="key", rules=(rule({}, "{component}/used"),),
+               compose(ModelFunction(domain="key", rules=(rule({}, "{component}/used"),),
                                      name="to-binary"),
                        _active_idle_per_component())):
         doc = function_to_json(fn)
         assert function_from_json(doc) == fn
+
+
+def test_a_rule_file_with_the_old_level_field_loads():
+    fn = compose(ModelFunction(domain="key", rules=(rule({}, "{comp_class}/used"),)),
+                 active_idle_function())
+    doc = function_to_json(fn)
+    doc["level"] = doc["then"]["level"] = "NO_SUCH_LEVEL"
+    assert function_from_json(doc) == fn
 
 
 @settings(max_examples=60, deadline=None)
@@ -430,7 +424,6 @@ def test_bare_rule_list_loads_as_event_function():
            {"match": {}, "emit": "discard"}]
     fn = function_from_json(doc)
     assert fn.domain == "event"
-    assert fn.level == AbstractionLevel.FINE_GRAINED
     t = _trace([_bundle(0), make_event(1, "cpu0", "idle")])
     assert abstract_trace(t, fn).counts == {"group:add+add": 1}
 
@@ -681,10 +674,9 @@ def test_event_fields_widen_derived_fields():
     assert binary_usage_function().event_fields == {"comp_class", "component"}
     assert identity_function().event_fields is None
     # format specs, attribute access and nested fields name what they read
-    fn = ModelFunction(level=AbstractionLevel.FINE_GRAINED,
-                       rules=(rule({"addr": 3}, "{group.upper}/{size:>{width}}"),))
+    fn = ModelFunction(rules=(rule({"addr": 3}, "{group.upper}/{size:>{width}}"),))
     assert fn.event_fields == {"addr", "group", "size", "width"}
-    broken = ModelFunction(level=AbstractionLevel.FINE_GRAINED, rules=(rule({}, "{x"),))
+    broken = ModelFunction(rules=(rule({}, "{x"),))
     assert broken.event_fields is None
 
 
@@ -711,24 +703,23 @@ _oracle_events = st.one_of(
     st.builds(lambda cycle, cpu: make_event(cycle, cpu, EVENT_IDLE),
               st.integers(0, 40), _cpus))
 
-_WHOLE = AbstractionLevel.FINE_GRAINED
 # Functions whose rules read the fields the projection must keep: the
 # component, its class, the derived hop count, the whole event, and the
 # address no shipped rule reads.
 _PROJECTION_FUNCTIONS = (
-    ModelFunction(_WHOLE, (rule({"kind": EVENT_IDLE}, "{component}/idle"),
-                           rule({}, "{kind}/{component}"))),
-    ModelFunction(_WHOLE, (rule({"comp_class": "cpu"}, "{comp_class}/{kind}"),
-                           rule({}, "other"))),
-    ModelFunction(_WHOLE, (rule({"hops": 1}, "one-hop/{size}"),
-                           rule({"kind": [EVENT_NI, EVENT_FLIT]}, "{hops}/{kind}"),
-                           rule({}, DISCARD))),
-    ModelFunction(_WHOLE, (rule({"kind": EVENT_SYNC}, "{__identity__}"),
-                           rule({}, "{kind}"))),
-    ModelFunction(_WHOLE, (rule({"kind": EVENT_BUNDLE, "addr": [0, 1, 2]}, "low/{group}"),
-                           rule({"kind": EVENT_BUNDLE}, "high/{pattern}/{fmt}"),
-                           rule({"kind": EVENT_IDLE}, DISCARD),
-                           rule({}, "{kind}"))),
+    ModelFunction((rule({"kind": EVENT_IDLE}, "{component}/idle"),
+                   rule({}, "{kind}/{component}"))),
+    ModelFunction((rule({"comp_class": "cpu"}, "{comp_class}/{kind}"),
+                   rule({}, "other"))),
+    ModelFunction((rule({"hops": 1}, "one-hop/{size}"),
+                   rule({"kind": [EVENT_NI, EVENT_FLIT]}, "{hops}/{kind}"),
+                   rule({}, DISCARD))),
+    ModelFunction((rule({"kind": EVENT_SYNC}, "{__identity__}"),
+                   rule({}, "{kind}"))),
+    ModelFunction((rule({"kind": EVENT_BUNDLE, "addr": [0, 1, 2]}, "low/{group}"),
+                   rule({"kind": EVENT_BUNDLE}, "high/{pattern}/{fmt}"),
+                   rule({"kind": EVENT_IDLE}, DISCARD),
+                   rule({}, "{kind}"))),
     replace(transition_function(), rules=(rule({}, "{kind}/{comp_class}"),)),
 )
 
