@@ -144,7 +144,7 @@ def check_position_range(config: SystemConfig, group: InstructionGroup,
     would not fit in instruction memory."""
     if addr_lo > addr_hi:
         raise ProgramError(f"addr_lo {addr_lo} > addr_hi {addr_hi}")
-    if addr_lo < 0 or addr_hi > config.imem_words - group.imem_footprint:
+    if addr_lo < 0 or addr_hi > config.last_bundle_addr(group):
         raise ProgramError(
             f"address range [{addr_lo}, {addr_hi}] outside instruction memory")
 

@@ -9,6 +9,7 @@ replace whole key families with fitted functions of a key attribute
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -72,7 +73,15 @@ class Reducer:
         rec = parse_key(key)
         if self.variable not in rec:
             raise FitError(f"key {key!r} lacks reducer variable {self.variable!r}")
-        return self.evaluate_size(float(rec[self.variable]))
+        text = rec[self.variable]
+        try:
+            x = float(text)
+        except ValueError:
+            x = math.nan
+        if not math.isfinite(x):
+            raise FitError(f"key {key!r}: reducer variable {self.variable!r} "
+                           f"{text!r} is not a finite number")
+        return self.evaluate_size(x)
 
 
 @dataclass

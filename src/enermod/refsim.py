@@ -254,7 +254,7 @@ def _check_bundle(config: SystemConfig, op: BundleOp) -> None:
         raise ProgramError(
             f"group {op.group.label} has {len(op.group.slots)} slots, "
             f"config has {config.vliw_slots}")
-    if not 0 <= op.addr <= config.imem_words - op.group.imem_footprint:
+    if not 0 <= op.addr <= config.last_bundle_addr(op.group):
         raise ProgramError(
             f"imem address {op.addr} out of range for "
             f"{'compressed' if op.group.compressed else 'uncompressed'} bundle")

@@ -28,7 +28,7 @@ EVENT_KINDS = (EVENT_BUNDLE, EVENT_FLIT, EVENT_NI, EVENT_SYNC, EVENT_IDLE)
 
 DISCARD = "discard"
 
-_INT_RE = re.compile(r"^-?\d+$")
+_INT_RE = re.compile(r"-?[0-9]+")     # an integer attribute value, in full
 _UNSEEN = object()     # memo default: a memoized key may be None (discarded)
 
 # Model-state keys of a channel synchronization and of a packet by hop count
@@ -48,7 +48,7 @@ class TraceError(ValueError):
 
 
 class ModelFunctionError(ValueError):
-    """A model function is not total over its input or is used outside its domain."""
+    """A model function is not total over its input or cannot be applied to it."""
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ def trace_from_lines(lines) -> Trace:
 
     Everything after a line's cycle (its tail) recurs: a packet sweep
     repeats its flit hops.  So a tail is parsed and checked once, and a line
-    costs its cycle's int() and one lookup of its tail.  Idle records of one
+    costs its cycle's check and int() and one lookup of its tail.  Idle records of one
     component must not overlap or touch, so idle time has one spelling; a
     clash is reported at the later of its two lines.
     """
@@ -198,15 +198,16 @@ def trace_from_lines(lines) -> Trace:
     return Trace(events=sort_events(events))
 
 
+def _is_digits(text: str) -> bool:
+    """Whether text is [0-9]+, the one spelling of a cycle or a length."""
+    return text.isascii() and text.isdigit()
+
+
 def _cycle(lineno: int, text: str) -> int:
     """A line's start cycle, checked on every line: an integer >= 0."""
-    try:
-        cycle = int(text)
-    except ValueError:
-        cycle = -1
-    if cycle < 0:
+    if not _is_digits(text):
         raise TraceError(f"line {lineno}: cycle {text!r} is not an integer >= 0")
-    return cycle
+    return int(text)
 
 
 def _parse_tail(lineno: int, text: str, tail: str) -> tuple:
@@ -217,7 +218,7 @@ def _parse_tail(lineno: int, text: str, tail: str) -> tuple:
         raise TraceError(f"line {lineno}: expected 5 tab-separated fields")
     _cycle(lineno, text)
     length, component, kind, payload = fields
-    if not _INT_RE.match(length) or int(length) < 1:
+    if not _is_digits(length) or int(length) < 1:
         raise TraceError(f"line {lineno}: length {length!r} is not an integer >= 1")
     attrs: dict[str, object] = {}
     if payload:
@@ -225,7 +226,7 @@ def _parse_tail(lineno: int, text: str, tail: str) -> tuple:
             k, sep, v = item.partition("=")
             if not sep:
                 raise TraceError(f"line {lineno}: attribute {item!r} is not name=value")
-            attrs[k] = int(v) if _INT_RE.match(v) else v
+            attrs[k] = int(v) if _INT_RE.fullmatch(v) else v
     if kind == EVENT_IDLE and attrs:
         raise TraceError(f"line {lineno}: idle record has attribute {min(attrs)!r}")
     if kind not in EVENT_KINDS:
@@ -239,40 +240,23 @@ def component_class(component: str) -> str:
     return stripped if stripped else component
 
 
-class _EventRecord(dict):
-    """Flat field view of an event for rule matching and key templates.
-
-    Derived fields are materialized lazily: the component class, the hop
-    count recomputed from endpoint coordinates, and the identity key.
-    """
-
-    def __init__(self, event: StateEvent) -> None:
-        super().__init__(event.attrs)
-        self["kind"] = event.kind
-        self["component"] = event.component
-        self._event = event
-
-    def __missing__(self, name: str):
-        if name == "comp_class":
-            value = component_class(self._event.component)
-        elif name == "hops" and "src" in self and "dst" in self:
-            value = manhattan(parse_coord(str(self["src"])),
-                              parse_coord(str(self["dst"])))
-        elif name == "__identity__":
-            value = _identity_key(self._event)
-        else:
-            raise KeyError(name)
-        self[name] = value
-        return value
-
-    def __contains__(self, name) -> bool:
-        if super().__contains__(name):
-            return True
+def _event_record(event: StateEvent) -> dict[str, object]:
+    """The fields a top-stage rule reads: the event's attributes, its kind
+    and component, and the derived comp_class, __identity__ and, where src
+    and dst both parse as mesh coordinates, hops.  An attribute named like a
+    derived field wins over it."""
+    rec: dict[str, object] = dict(event.attrs)
+    rec["kind"] = event.kind
+    rec["component"] = event.component
+    rec.setdefault("comp_class", component_class(event.component))
+    rec.setdefault("__identity__", _identity_key(event))
+    if "hops" not in rec and "src" in rec and "dst" in rec:
         try:
-            self[name]
-        except KeyError:
-            return False
-        return True
+            rec["hops"] = manhattan(parse_coord(str(rec["src"])),
+                                    parse_coord(str(rec["dst"])))
+        except ValueError:      # not coordinates: the record has no hops
+            pass
+    return rec
 
 
 def _identity_key(event: StateEvent) -> str:
@@ -334,18 +318,18 @@ def rule(match: dict[str, object], emit: str) -> Rule:
 
 @dataclass(frozen=True)
 class ModelFunction:
-    """Granularity transform from events (or keys) to model-state keys.
+    """Granularity transform from events to model-state keys.
 
-    domain "event" functions map raw StateEvents; domain "key" functions
-    rewrite already-produced keys and can be composed onto any function.
-    A pairwise function keys consecutive values of one attribute per
-    component (transition models); the first event of a component counts
-    as a self-transition.  Idle cannot be a paired kind: an idle event has
-    no attribute to pair.
+    The top stage's rules read each event's record (see _event_record); a
+    then stage's rules read the parse_key record of the key the stage before
+    produced, so any function can be composed onto any function.  A pairwise
+    function keys consecutive values of one attribute per component
+    (transition models); the first event of a component counts as a
+    self-transition.  Idle cannot be a paired kind: an idle event has no
+    attribute to pair.
     """
 
     rules: tuple[Rule, ...]
-    domain: str = "event"
     name: str = ""
     pair_attr: str | None = None
     pair_template: str = ""
@@ -353,8 +337,6 @@ class ModelFunction:
     then: "ModelFunction | None" = None
 
     def __post_init__(self) -> None:
-        if self.domain not in ("event", "key"):
-            raise ModelFunctionError(f"unknown domain {self.domain!r}")
         if EVENT_IDLE in self.pair_kinds:
             raise ModelFunctionError("idle cannot be a paired kind: it has no attributes")
 
@@ -413,8 +395,6 @@ class ModelFunction:
         field.  A memo on the whole (component, kind, attrs) answers repeats
         before projecting; a raised ModelFunctionError is not memoized.
         """
-        if self.domain != "event":
-            raise ModelFunctionError("key-domain function applied to an event")
         if event.kind in self.pair_kinds:
             raise ModelFunctionError(
                 "pairwise functions require stream context; use weighted_keys")
@@ -429,15 +409,13 @@ class ModelFunction:
             key = projected.get(proj, _UNSEEN)
             if key is _UNSEEN:
                 key = projected[proj] = self._chain(
-                    self._emit(_EventRecord(event), f"event kind {kind!r}"))
+                    self._emit(_event_record(event), f"event kind {kind!r}"))
             whole[ident] = key
         return key
 
     def rekey(self, key: str) -> str | None:
-        if self.domain != "key":
-            raise ModelFunctionError("event-domain function applied to a key")
-        rec = parse_key(key)
-        return self._chain(self._emit(rec, f"key {key!r}"))
+        """Map a key, as a then stage does, through this function's stages."""
+        return self._chain(self._emit(parse_key(key), f"key {key!r}"))
 
 
 def _template_fields(template: str) -> set[str]:
@@ -466,14 +444,11 @@ def _fill(template: str, rec: dict[str, object], what: str) -> str:
 
 
 def compose(f: ModelFunction, g: ModelFunction) -> ModelFunction:
-    """Composition applying g first, then f to g's output keys.
+    """Composition applying g first, then f's rules to g's output keys.
 
     abstract_trace(t, compose(f, g)) equals applying the two stages
     separately for every trace.
     """
-    if f.domain != "key":
-        raise ModelFunctionError(
-            "domain mismatch: outer function of a composition must be key-domain")
     then = f if g.then is None else compose(f, g.then)
     return replace(g, then=then, name=f"{f.name or 'f'}*{g.name or 'g'}")
 
@@ -490,8 +465,6 @@ def weighted_keys(trace: Trace, fn: ModelFunction):
     restricted to one component is that component's stream order, as long
     as its paired records do not partly overlap.
     """
-    if fn.domain != "event":
-        raise ModelFunctionError("traces can only be abstracted by event-domain functions")
     memo = fn._keys[0]
     last: dict[str, object] = {}
 
@@ -503,7 +476,7 @@ def weighted_keys(trace: Trace, fn: ModelFunction):
         cycles = event.length
         key = memo.get(event[1:4], _UNSEEN)
         if key is _UNSEEN and event.kind in fn.pair_kinds:
-            rec = _EventRecord(event)
+            rec = _event_record(event)
             if fn.pair_attr not in rec:
                 raise ModelFunctionError(
                     f"pairwise attribute {fn.pair_attr!r} absent from {event.kind} event")
@@ -551,7 +524,8 @@ def abstract_trace(trace: Trace, fn: ModelFunction) -> StateCountVector:
 
 
 def rekey_vector(vector: StateCountVector, fn: ModelFunction) -> StateCountVector:
-    """Apply a key-domain function to an already-aggregated vector."""
+    """Apply a function to the keys of an already-aggregated vector, as a
+    then stage."""
     counts: dict[str, int] = {}
     for key, count in vector.counts.items():
         new = fn.rekey(key)
@@ -672,7 +646,6 @@ def builtin_function(name: str) -> ModelFunction:
 
 def function_to_json(fn: ModelFunction) -> dict:
     doc: dict = {
-        "domain": fn.domain,
         "name": fn.name,
         "rules": [{"match": dict(r.match), "emit": r.emit} for r in fn.rules],
     }
@@ -695,7 +668,6 @@ def function_from_json(doc) -> ModelFunction:
 
 def _function_from_json(doc, where: str) -> ModelFunction:
     if isinstance(doc, list):
-        # bare rule list: an event-domain function
         doc = {"rules": doc}
     if not isinstance(doc, dict):
         raise FieldError(f"{where.rstrip('.') or 'a rule file'} must be an "
@@ -718,7 +690,6 @@ def _function_from_json(doc, where: str) -> ModelFunction:
             raise FieldError(f"{at}kinds must list strings, got {list(kinds)!r}")
     then = doc.get("then")
     return ModelFunction(
-        domain=json_field(where, doc, "domain", "a string", "event"),
         rules=tuple(rules),
         name=json_field(where, doc, "name", "a string", ""),
         pair_attr=attr,

@@ -164,6 +164,10 @@ class SystemConfig:
     def imem_words(self) -> int:
         return self.imem_bytes // self.word_bytes
 
+    def last_bundle_addr(self, group: InstructionGroup) -> int:
+        """The highest instruction-memory address a bundle of group fits at."""
+        return self.imem_words - group.imem_footprint
+
     def cluster_index(self, coord: Coord) -> int:
         x, y = coord
         if not (0 <= x < self.mesh_cols and 0 <= y < self.mesh_rows):

@@ -48,7 +48,7 @@ class _AppBuilder:
         self.ops: dict[int, list] = {}
 
     def _addr(self, group: InstructionGroup) -> int:
-        hi = min(_ADDR_RANGE, self.config.imem_words - group.imem_footprint)
+        hi = min(_ADDR_RANGE, self.config.last_bundle_addr(group))
         return self.rng.randrange(0, hi)
 
     def block(self, cpu: int, length: int, pool: str = "compute",

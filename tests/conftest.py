@@ -85,17 +85,16 @@ _PAIRS = st.one_of(st.none(), st.tuples(
 
 
 def _functions(then):
-    def build(domain, rules, name, pair, then):
+    def build(rules, name, pair, then):
         attr, template, kinds = pair or (None, "", ())
-        return ModelFunction(rules=tuple(rules), domain=domain,
-                             name=name, pair_attr=attr, pair_template=template,
-                             pair_kinds=kinds, then=then)
-    return st.builds(build, st.sampled_from(["event", "key"]),
-                     st.lists(_RULES, max_size=4), st.text(max_size=8), _PAIRS, then)
+        return ModelFunction(rules=tuple(rules), name=name, pair_attr=attr,
+                             pair_template=template, pair_kinds=kinds, then=then)
+    return st.builds(build, st.lists(_RULES, max_size=4), st.text(max_size=8), _PAIRS,
+                     then)
 
 
 @pytest.fixture(scope="session")
 def model_functions():
-    """Hypothesis strategy over model functions: every level and domain,
-    list-valued matches, pair settings and then chains."""
+    """Hypothesis strategy over model functions: list-valued matches,
+    pair settings and then chains."""
     return st.recursive(_functions(st.none()), _functions, max_leaves=3)

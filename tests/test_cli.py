@@ -557,7 +557,10 @@ def test_estimate_of_idle_time_that_cannot_be_a_span_exits_5(tmp_path, capsys):
 
 def test_estimate_of_a_malformed_trace_line_exits_5(tmp_path, capsys):
     lines = _one_packet_trace(tmp_path)
-    for bad in ("x\tcpu0\tsync\t", "0\tcpu0\tsync\tfoo"):  # cycle; payload item
+    for bad in ("x\tcpu0\tsync\t", "0\tcpu0\tsync\tfoo",    # cycle; payload item
+                # a cycle is [0-9]+, not any spelling int() reads
+                "1_0\t1\tcpu0\tsync\t", "+3\t1\tcpu0\tsync\t", " 4\t1\tcpu0\tsync\t",
+                "٣\t1\tcpu0\tsync\t"):
         _estimate_exits_5(tmp_path, capsys, [bad])
         _estimate_exits_5(tmp_path, capsys, lines + [bad])
 
@@ -605,7 +608,7 @@ def _mutate_one_line(lines, how, pick, cycle):
     elif how == "idle payload":
         lines[i] += "why=stall"
     elif how == "idle length":
-        fields[1] = ["", "x", "0", "-1"][pick % 4]
+        fields[1] = ["", "x", "0", "-1", "٣"][pick % 5]
         lines[i] = "\t".join(fields)
     elif how == "attribute":
         lines[i] += "stall" if lines[i].endswith("\t") else " stall"
@@ -637,7 +640,8 @@ def _mutate_one_line(lines, how, pick, cycle):
                                  "adjacent span", "repeated tail", "unknown kind"])
 @settings(max_examples=15, deadline=None)
 @given(pick=st.integers(0, 10**6),
-       cycle=st.sampled_from(["x", "", "1.5", "0x1", "1e3", "-5"]))
+       cycle=st.sampled_from(["x", "", "1.5", "0x1", "1e3", "-5",
+                              "1_0", "+3", " 4", "٣"]))
 def test_estimate_of_a_trace_with_one_malformed_line_exits_5(one_packet, how, pick, cycle):
     out, lines = one_packet
     bad, lineno = _mutate_one_line(lines, how, pick, cycle)
@@ -701,14 +705,16 @@ def test_sweep_imem_outside_instruction_memory_exits_4(tmp_path, capsys, lo, hi)
 
 def test_a_model_file_with_the_old_level_and_name_fields_estimates_the_same(
         one_packet, tmp_path, capsys):
-    """Model files once carried the function's level twice and its name
-    twice more; readers ignore those fields, even a level that is none."""
+    """Model files once carried the function's level twice, its name twice
+    more and its domain; readers ignore those fields, even a level or a
+    domain that is none."""
     out, lines = one_packet
     new = out / "models" / "noc.json"
     doc = json.loads(new.read_text())
     assert not {"level", "function_ref"} & doc.keys()
+    assert "domain" not in doc["function"]
     doc.update(level="FINE_GRAINED", function_ref=doc["function"]["name"])
-    doc["function"]["level"] = "NO_SUCH_LEVEL"
+    doc["function"].update(level="NO_SUCH_LEVEL", domain="NO_SUCH_DOMAIN")
     doc["provenance"]["function_name"] = doc["function"]["name"]
     old = tmp_path / "old.json"
     old.write_text(json.dumps(doc))
@@ -861,15 +867,14 @@ def test_explore_of_a_graph_with_one_mutated_field_never_crashes(explore_model, 
                   "--steps", "20", "--chains", "1"], (EXIT_INVARIANT, EXIT_DATA))
 
 
-# every field a rule file can hold: domain, name, rules, pair, then
+# every field a rule file can hold: name, rules, pair, then
 _RULE_FILE = {
-    "domain": "event", "name": "bundle-pairs",
+    "name": "bundle-pairs",
     "rules": [{"match": {"kind": ["sync", "ni-transfer"]}, "emit": "{kind}"},
               {"match": {}, "emit": "discard"}],
     "pair": {"attr": "group", "template": "trans:{prev}>{cur}",
              "kinds": ["bundle-issue"]},
-    "then": {"domain": "key",
-             "rules": [{"match": {}, "emit": "{key}"}]},
+    "then": {"rules": [{"match": {}, "emit": "{key}"}]},
 }
 
 
@@ -936,6 +941,59 @@ def test_estimate_with_one_mutated_model_field_never_crashes(packet_campaign, da
     _run_quietly(["estimate", "--model", str(mutated),
                   "--trace", str(packet_campaign / "traces" / "comm__h2__16.tsv")],
                  (EXIT_DATA,))
+
+
+_HOPS_RULES = {"match": [{"match": {"hops": 2}, "emit": "two"},
+                         {"match": {}, "emit": "discard"}],
+               "template": [{"match": {"kind": "ni-transfer"}, "emit": "hops:{hops}"},
+                            {"match": {}, "emit": "discard"}]}
+
+
+@pytest.mark.parametrize("src", ["x", "1,2,3"])
+def test_a_transfer_whose_source_is_not_a_coordinate_has_no_hops(packet_campaign,
+                                                                  tmp_path, src):
+    """A record has hops only where src and dst both parse as mesh
+    coordinates.  Fitting or estimating a trace with a transfer from src,
+    a rule that matches on hops falls through it, and a template that reads
+    hops exits 5; neither prints a traceback."""
+    out = tmp_path / "campaign"
+    shutil.copytree(packet_campaign, out)
+    for name, rules in _HOPS_RULES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(rules))
+        _run_quietly(["fit", "--function-file", str(tmp_path / f"{name}.json"),
+                      "--name", name] + _defaults(out), ())
+    trace = out / "traces" / "comm__h2__16.tsv"
+    lines = trace.read_text().splitlines()
+    trace.write_text("".join(
+        (line.replace("src=0,0", f"src={src}") if "\tni-transfer\t" in line else line)
+        + "\n" for line in lines))
+    assert f"src={src}" in trace.read_text()
+    for name, code in (("match", EXIT_OK), ("template", EXIT_DATA)):
+        for argv in (["fit", "--function-file", str(tmp_path / f"{name}.json"),
+                      "--name", name + "-again"] + _defaults(out),
+                     ["estimate", "--model", str(out / "models" / f"{name}.json"),
+                      "--trace", str(trace)]):
+            rc, error = _run_quietly(argv, (EXIT_DATA,))
+            assert rc == code, argv
+            assert code == EXIT_OK or "needs field 'hops'" in error
+
+
+@pytest.mark.parametrize("size", ["abc", "nan", "inf"])
+def test_estimate_of_a_reducer_variable_that_is_not_a_finite_number_exits_5(
+        packet_campaign, tmp_path, size):
+    """A linear reducer prices a packet from its key's size; a size that is
+    not a finite number exits 5 naming the key, and prints no NaN."""
+    linear = tmp_path / "linear.json"
+    _run_quietly(["reduce", "--kind", "linear", "--output", str(linear),
+                  "--model", str(packet_campaign / "models" / "noc.json")], ())
+    trace = tmp_path / "trace.tsv"
+    lines = (packet_campaign / "traces" / "comm__h2__16.tsv").read_text().splitlines()
+    trace.write_text("".join(line.replace("size=16", f"size={size}") + "\n"
+                             for line in lines))
+    rc, error = _run_quietly(["estimate", "--model", str(linear), "--trace", str(trace)],
+                             (EXIT_DATA,))
+    assert rc == EXIT_DATA
+    assert f"key 'noc/hops:2/size:{size}'" in error
 
 
 # one program that holds every op kind, a null slot and min_cycles

@@ -375,7 +375,7 @@ def _recording(value, path, objects):
 def test_every_written_model_field_is_read_back():
     """An object none of whose fields the loader looks up by name (the
     provenance, a rule's match) is taken whole, as data."""
-    to_key = ModelFunction(domain="key", rules=(rule({}, "{key}"),), name="keys")
+    to_key = ModelFunction(rules=(rule({}, "{key}"),), name="keys")
     model = EnergyModel(
         function=compose(to_key, transition_function()),
         constants={"trans:a>b": 1.5},

@@ -217,8 +217,7 @@ def _random_trace(seed):
 def test_compose_with_key_identity_is_f():
     t = _random_trace(1)
     f = instruction_model_function()
-    key_identity = ModelFunction(domain="key",
-                                 rules=(rule({}, "{key}"),), name="key-identity")
+    key_identity = ModelFunction(rules=(rule({}, "{key}"),), name="key-identity")
     composed = compose(key_identity, f)
     assert abstract_trace(t, composed).counts == abstract_trace(t, f).counts
 
@@ -229,8 +228,7 @@ def test_two_stage_composition_equals_direct(seed):
     # applying the stages separately.
     t = _random_trace(seed)
     ai = active_idle_function()
-    to_bin = ModelFunction(domain="key",
-                           rules=(rule({"tag": "idle"}, "{component}/used"),
+    to_bin = ModelFunction(rules=(rule({"tag": "idle"}, "{component}/used"),
                                   rule({"tag": "active"}, "{component}/used")),
                            name="ai-to-binary")
     composed = compose(to_bin, ai)
@@ -243,15 +241,9 @@ def test_two_stage_composition_equals_direct(seed):
 
 def test_compose_with_discard_all_empties():
     t = _random_trace(2)
-    discard_all = ModelFunction(domain="key",
-                                rules=(rule({}, DISCARD),), name="discard-all")
+    discard_all = ModelFunction(rules=(rule({}, DISCARD),), name="discard-all")
     composed = compose(discard_all, instruction_model_function())
     assert abstract_trace(t, composed).counts == {}
-
-
-def test_compose_rejects_event_domain_outer():
-    with pytest.raises(ModelFunctionError, match="domain mismatch"):
-        compose(instruction_model_function(), active_idle_function())
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +369,9 @@ def test_pairwise_walk_equals_per_cycle_reference(t):
 # ---------------------------------------------------------------------------
 
 def test_trace_line_round_trip():
+    # an attribute value of non-ASCII digits stays text
     t = _trace([_bundle(0), make_event(1, "ni0", "ni-transfer",
-                                       src="0,0", dst="1,1", size=64, flits=8),
+                                       src="0,0", dst="1,1", size=64, flits=8, tag="٣"),
                 make_event(2, "cpu0", "idle")])
     assert trace_from_lines(t.to_lines()) == t
 
@@ -386,7 +379,7 @@ def test_trace_line_round_trip():
 def test_function_json_round_trip():
     for fn in (identity_function(), instruction_model_function(),
                active_idle_function(), transition_function(),
-               compose(ModelFunction(domain="key", rules=(rule({}, "{component}/used"),),
+               compose(ModelFunction(rules=(rule({}, "{component}/used"),),
                                      name="to-binary"),
                        _active_idle_per_component())):
         doc = function_to_json(fn)
@@ -394,11 +387,22 @@ def test_function_json_round_trip():
 
 
 def test_a_rule_file_with_the_old_level_field_loads():
-    fn = compose(ModelFunction(domain="key", rules=(rule({}, "{comp_class}/used"),)),
+    fn = compose(ModelFunction(rules=(rule({}, "{comp_class}/used"),)),
                  active_idle_function())
     doc = function_to_json(fn)
     doc["level"] = doc["then"]["level"] = "NO_SUCH_LEVEL"
     assert function_from_json(doc) == fn
+
+
+def test_a_rule_file_with_the_old_domain_field_loads():
+    """A stage's place sets what its rules read, so a domain is ignored."""
+    fn = compose(ModelFunction(rules=(rule({}, "{comp_class}/used"),)),
+                 active_idle_function())
+    doc = function_to_json(fn)
+    assert "domain" not in doc
+    for top, then in (("event", "key"), ("key", "event"), ("NO_SUCH", "DOMAIN")):
+        doc["domain"], doc["then"]["domain"] = top, then
+        assert function_from_json(doc) == fn
 
 
 @settings(max_examples=60, deadline=None)
@@ -423,7 +427,6 @@ def test_bare_rule_list_loads_as_event_function():
     doc = [{"match": {"kind": "bundle-issue"}, "emit": "group:{group}"},
            {"match": {}, "emit": "discard"}]
     fn = function_from_json(doc)
-    assert fn.domain == "event"
     t = _trace([_bundle(0), make_event(1, "cpu0", "idle")])
     assert abstract_trace(t, fn).counts == {"group:add+add": 1}
 
@@ -587,6 +590,7 @@ _SYNC = "0\t1\tcpu0\tsync\t"
      "line 3: idle record of cpu0 overlaps the one at line 1"),
     (["2\t1\tcpu0\tidle\t", "0\t2\tcpu0\tidle\t"],
      "line 2: idle record of cpu0 adjoins the one at line 1"),
+    (["0\t٣\tcpu0\tidle\t"], "line 1: length '٣' is not an integer >= 1"),
 ])
 def test_a_span_line_that_is_not_a_maximal_span_is_refused_at_its_line(lines, error):
     """A record's length is an integer of at least 1, and the idle records
@@ -678,6 +682,28 @@ def test_event_fields_widen_derived_fields():
     assert fn.event_fields == {"addr", "group", "size", "width"}
     broken = ModelFunction(rules=(rule({}, "{x"),))
     assert broken.event_fields is None
+
+
+@pytest.mark.parametrize("src", ["x", "1,2,3", 3])
+def test_hops_is_derived_only_between_coordinates(src):
+    """A record has hops only where src and dst both parse as mesh
+    coordinates; otherwise a rule matching on hops falls through and a
+    template reading it names the absent field."""
+    event = make_event(0, "ni0", EVENT_NI, src=src, dst="1,1", size=8)
+    match = ModelFunction(rules=(rule({"hops": 2}, "two"), rule({}, DISCARD)))
+    template = ModelFunction(rules=(rule({}, "hops:{hops}"),))
+    assert match.key_for_event(event) is None
+    with pytest.raises(ModelFunctionError, match="needs field 'hops'"):
+        template.key_for_event(event)
+
+
+def test_an_attribute_wins_over_the_derived_field_of_its_name():
+    event = make_event(0, "ni0", EVENT_NI, src="0,0", dst="1,1", hops=7,
+                       comp_class="link", __identity__="me")
+    fn = ModelFunction(rules=(rule({}, "{hops}/{comp_class}/{__identity__}"),))
+    assert fn.key_for_event(event) == "7/link/me"
+    plain = make_event(0, "ni0", EVENT_NI, src="0,0", dst="1,1")
+    assert fn.key_for_event(plain) == "2/ni/ni-transfer/ni0/dst:1,1/src:0,0"
 
 
 _coords = st.sampled_from(["0,0", "1,0", "0,1", "1,1", "2,1"])
