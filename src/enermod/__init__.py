@@ -22,7 +22,6 @@ from .sysconfig import (
     parse_api,
     parse_config,
     parse_isa,
-    serialize_config,
 )
 from .statetrace import (
     ModelFunction,

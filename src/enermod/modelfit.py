@@ -73,15 +73,20 @@ class Reducer:
         rec = parse_key(key)
         if self.variable not in rec:
             raise FitError(f"key {key!r} lacks reducer variable {self.variable!r}")
-        text = rec[self.variable]
-        try:
-            x = float(text)
-        except ValueError:
-            x = math.nan
-        if not math.isfinite(x):
-            raise FitError(f"key {key!r}: reducer variable {self.variable!r} "
-                           f"{text!r} is not a finite number")
-        return self.evaluate_size(x)
+        return self.evaluate_size(_reducer_variable(key, rec, self.variable))
+
+
+def _reducer_variable(key: str, rec: dict[str, object], name: str) -> float:
+    """The finite number a key's field holds; FitError names the key where
+    it holds none."""
+    try:
+        x = float(rec[name])
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise FitError(f"key {key!r}: reducer variable {name!r} {rec[name]!r} "
+                       "is not a finite number")
+    return x
 
 
 @dataclass
@@ -305,7 +310,10 @@ def reduce_noc_model(full: EnergyModel) -> EnergyModel:
     for key, value in full.constants.items():
         rec = parse_key(key)
         if "src" in rec and "dst" in rec and "size" in rec:
-            hops = manhattan(parse_coord(str(rec["src"])), parse_coord(str(rec["dst"])))
+            try:
+                hops = manhattan(parse_coord(str(rec["src"])), parse_coord(str(rec["dst"])))
+            except ValueError as exc:
+                raise FitError(f"key {key!r}: {exc}") from None
             groups.setdefault(HOP_KEY.format(hops=hops, size=rec["size"]), []).append(value)
         else:
             constants[key] = value
@@ -334,7 +342,7 @@ def fit_packet_reducers(model: EnergyModel, kind: str = REDUCER_STAIRCASE,
         rec = parse_key(key)
         if "hops" in rec and "size" in rec:
             families.setdefault(HOP_FAMILY.format(hops=rec["hops"]), []).append(
-                (float(rec["size"]), value))
+                (_reducer_variable(key, rec, "size"), value))
         else:
             constants[key] = value
     reducers = list(model.reducers)

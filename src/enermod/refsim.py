@@ -32,7 +32,6 @@ from .statetrace import (
     StateEvent,
     Trace,
     make_event,
-    sort_events,
 )
 from .sysconfig import (
     Coord,
@@ -514,7 +513,7 @@ def run_program(config: SystemConfig, params: OracleParams,
     if duration > 0:
         acc.book["static"].append((duration - 1, params.static_pj(config, duration)))
 
-    return Trace(events=sort_events(events)), acc.ledger()
+    return Trace(events=events), acc.ledger()
 
 
 def _emit_packet(config: SystemConfig, params: OracleParams,

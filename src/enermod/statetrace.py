@@ -77,7 +77,7 @@ def make_event(cycle: int, component: str, kind: str, /, **attrs: object) -> Sta
 
 @dataclass(frozen=True)
 class Trace:
-    """An immutable trace: its records in canonical order (see sort_events).
+    """An immutable trace, its records sorted into canonical order.
 
     The idle records of one component neither overlap nor adjoin, so a
     component's idle time has one spelling; other records may repeat or
@@ -87,37 +87,8 @@ class Trace:
 
     events: tuple[StateEvent, ...]
 
-    @classmethod
-    def from_events(cls, events) -> "Trace":
-        """Fold records into runs: the cycles of each (component, kind,
-        attrs) become records of consecutive cycles, a cycle listed twice
-        going to a second record.  An idle record with attributes, or a
-        second idle record of one component at one cycle, is refused."""
-        cycles: dict[tuple, list[int]] = {}
-        for e in events:
-            if e.kind == EVENT_IDLE and e.attrs:
-                raise TraceError(
-                    f"idle event of {e.component} at cycle {e.cycle} has attributes")
-            cycles.setdefault(e[1:4], []).extend(range(e.cycle, e.cycle + e.length))
-        runs: list[StateEvent] = []
-        for (component, kind, attrs), todo in cycles.items():
-            todo.sort()
-            while todo:
-                repeats: list[int] = []
-                start = prev = todo[0]
-                for cycle in todo[1:]:
-                    if cycle == prev:
-                        if kind == EVENT_IDLE:
-                            raise TraceError(f"two idle events of {component} at cycle {cycle}")
-                        repeats.append(cycle)
-                        continue
-                    if cycle != prev + 1:
-                        runs.append(StateEvent(start, component, kind, attrs, prev + 1 - start))
-                        start = cycle
-                    prev = cycle
-                runs.append(StateEvent(start, component, kind, attrs, prev + 1 - start))
-                todo = repeats
-        return cls(events=sort_events(runs))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "events", tuple(sorted(self.events)))
 
     @property
     def duration(self) -> int:
@@ -138,7 +109,7 @@ class Trace:
                 events.append(e._replace(cycle=e.cycle + offset))
             else:
                 events[i] = events[i]._replace(length=events[i].length + e.length)
-        return Trace(events=sort_events(events))
+        return Trace(events=events)
 
     def to_lines(self) -> list[str]:
         """The file lines: each record as
@@ -157,11 +128,6 @@ class Trace:
                 tail = tails[event[1:]] = f"\t{length}\t{component}\t{kind}\t{payload}"
             lines.append(f"{event.cycle}{tail}")
         return lines
-
-
-def sort_events(events: list[StateEvent]) -> tuple[StateEvent, ...]:
-    """Canonical (cycle, component, kind, attrs, length) order."""
-    return tuple(sorted(events))
 
 
 def trace_from_lines(lines) -> Trace:
@@ -195,7 +161,7 @@ def trace_from_lines(lines) -> Trace:
                      else "adjoins" if start + length == nxt[1] else "overlaps")
             raise TraceError(f"line {max(line, nxt[3])}: idle record of {component} "
                              f"{clash} the one at line {min(line, nxt[3])}")
-    return Trace(events=sort_events(events))
+    return Trace(events=events)
 
 
 def _is_digits(text: str) -> bool:

@@ -23,6 +23,7 @@ ICLASSES = ("NOP", "ALU", "SIMD", "MULDIV", "LOAD", "STORE", "BRANCH")
 API_OP_NAMES = ("channel_open", "send", "recv", "sync")
 
 _MNEMONIC_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_.\-]*$")
+_COORD_RE = re.compile(r"([0-9]+),([0-9]+)")
 
 Coord = tuple[int, int]
 
@@ -93,8 +94,11 @@ def format_coord(c: Coord) -> str:
 
 
 def parse_coord(text: str) -> Coord:
-    x, y = text.split(",")
-    return int(x), int(y)
+    """A mesh coordinate from its one spelling, x,y in ASCII digits."""
+    match = _COORD_RE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"coordinate {text!r} is not x,y in digits")
+    return int(match[1]), int(match[2])
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +218,6 @@ def parse_config(text: str) -> SystemConfig:
     if unknown:
         raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
     return SystemConfig(**doc)
-
-
-def serialize_config(config: SystemConfig) -> str:
-    """Serialize so that parse_config(serialize_config(c)) == c."""
-    doc = {f.name: getattr(config, f.name) for f in fields(SystemConfig)}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def load_config(path: str) -> SystemConfig:

@@ -1,3 +1,4 @@
+from itertools import groupby
 from string import Formatter
 
 import pytest
@@ -10,6 +11,7 @@ from enermod.statetrace import (
     EVENT_IDLE,
     EVENT_KINDS,
     ModelFunction,
+    StateEvent,
     rule,
 )
 from enermod.sysconfig import load_api, load_isa, parse_config
@@ -20,6 +22,19 @@ def expand(trace):
     of length 1 per cycle it covers, all in canonical order."""
     return sorted(event._replace(cycle=cycle, length=1) for event in trace.events
                   for cycle in range(event.cycle, event.cycle + event.length))
+
+
+def idle_records(cycles):
+    """The maximal idle records of a component -> idle cycles mapping: each
+    run of consecutive cycles is one record, so no two of a component's
+    records overlap or adjoin."""
+    records = []
+    for component, idle in cycles.items():
+        # the cycles of one run lie a constant distance from their rank
+        for _, run in groupby(enumerate(sorted(idle)), lambda pair: pair[1] - pair[0]):
+            run = [cycle for _rank, cycle in run]
+            records.append(StateEvent(run[0], component, EVENT_IDLE, (), len(run)))
+    return records
 
 
 @pytest.fixture(scope="session")

@@ -26,8 +26,9 @@ from enermod.cli import (
     EXIT_USAGE,
     main,
 )
-from enermod.modelfit import save_model
+from enermod.modelfit import EnergyModel, save_model
 from enermod.pipeline import build_simplified_model
+from enermod.statetrace import noc_hop_function, noc_pair_function
 
 
 _SHIPPED = {"isa": "isa.json", "api": "api.json", "params": "oracle_params.json"}
@@ -662,12 +663,14 @@ def test_estimate_of_a_trace_with_one_malformed_line_exits_5(one_packet, how, pi
     ("gen-bench", "--src"), ("gen-bench", "--dst"),
     ("sweep-noc", "--src"), ("sweep-noc", "--dst")])
 def test_malformed_coordinate_is_a_usage_error(tmp_path, capsys, command, option):
+    """A coordinate has one spelling, x,y in ASCII digits."""
     kind = ["--kind", "comm"] if command == "gen-bench" else []
-    with pytest.raises(SystemExit) as err:
-        main([command, *kind, option, "abc"] + _defaults(tmp_path))
-    assert err.value.code == EXIT_USAGE
-    assert f"argument {option}" in capsys.readouterr().err
-    assert not os.listdir(tmp_path)
+    for value in ("abc", " 1,0", "+1,0", "1_0,0", "1,\u0663"):
+        with pytest.raises(SystemExit) as err:
+            main([command, *kind, option, value] + _defaults(tmp_path))
+        assert err.value.code == EXIT_USAGE, value
+        assert f"argument {option}" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
 
 def test_fit_with_idle_as_a_paired_kind_exits_5(tmp_path, capsys):
@@ -994,6 +997,23 @@ def test_estimate_of_a_reducer_variable_that_is_not_a_finite_number_exits_5(
                              (EXIT_DATA,))
     assert rc == EXIT_DATA
     assert f"key 'noc/hops:2/size:{size}'" in error
+
+
+@pytest.mark.parametrize("kind,key", [
+    ("hops", "noc/src:x/dst:1,1/size:8"), ("hops", "noc/src:+1,0/dst:1,1/size:8"),
+    *((kind, f"noc/hops:1/size:{size}") for kind in ("staircase", "linear")
+      for size in ("abc", "nan", "inf"))])
+def test_reduce_of_a_key_that_does_not_parse_exits_5(tmp_path, kind, key):
+    """A pair key's endpoints must be coordinates, and a packet size a
+    finite number: reduce exits 5 naming the key and writes nothing."""
+    function = noc_pair_function() if kind == "hops" else noc_hop_function()
+    constants = {key: 1.0} if kind == "hops" else {"noc/hops:1/size:16": 1.0, key: 2.0}
+    save_model(EnergyModel(function=function, constants=constants), str(tmp_path / "m.json"))
+    rc, error = _run_quietly(["reduce", "--model", str(tmp_path / "m.json"), "--kind", kind,
+                              "--output", str(tmp_path / "out.json")], (EXIT_DATA,))
+    assert rc == EXIT_DATA
+    assert f"key {key!r}" in error
+    assert not (tmp_path / "out.json").exists()
 
 
 # one program that holds every op kind, a null slot and min_cycles

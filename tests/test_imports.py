@@ -51,10 +51,8 @@ _TEST_ONLY_ALLOWED = {
     "compose": "abstract_trace(t, compose(f, g)) equals applying g, then f",
     "rekey_vector": "the two-stage reference behind compose's property",
     "Trace.concat": "abstraction is linear under trace concatenation",
-    "Trace.from_events": "folds a per-cycle event list into runs of records",
     "structural_diff": "benchmarks of one sweep differ only in what it sweeps",
     "serialize_isa": "ISA documents round-trip",
-    "serialize_config": "config documents round-trip",
     "group_count_formula": "the group count is prod(n_slot + 1) - 1 (README)",
     "gen_transition_benchmarks": "acceptance criterion 5's transition campaign",
     "transition_function": "acceptance criterion 5's pairwise model",

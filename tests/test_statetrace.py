@@ -55,7 +55,6 @@ from enermod.statetrace import (
     parse_key,
     rekey_vector,
     rule,
-    sort_events,
     trace_from_lines,
     transition_function,
     weighted_keys,
@@ -68,11 +67,36 @@ from enermod.sysconfig import (
     n_flits,
 )
 
-from conftest import expand
+from conftest import expand, idle_records
 
 
 def _trace(events):
-    return Trace.from_events(events)
+    """A trace of events whose idle events, which may repeat, overlap or
+    adjoin, merge into maximal idle records."""
+    idle = {}
+    for e in events:
+        if e.kind == EVENT_IDLE:
+            idle.setdefault(e.component, set()).update(range(e.cycle, e.cycle + e.length))
+    return Trace(events=[*(e for e in events if e.kind != EVENT_IDLE), *idle_records(idle)])
+
+
+_NON_IDLE = [k for k in EVENT_KINDS if k != EVENT_IDLE]
+
+
+@st.composite
+def _record_traces(draw, records, components):
+    """Records drawn from records, each 1-4 cycles long, some repeated and
+    some overlapping, plus per-component idle cycles that are a union of
+    overlapping and adjacent runs, as maximal idle records, so idle records
+    share cycles with records of their own component."""
+    drawn = draw(st.lists(st.builds(lambda e, length: e._replace(length=length),
+                                    records, st.integers(1, 4)), max_size=25))
+    if drawn:
+        drawn += draw(st.lists(st.sampled_from(drawn), max_size=3))
+    runs = draw(st.dictionaries(components, st.lists(
+        st.tuples(st.integers(0, 30), st.integers(1, 6)), max_size=4), max_size=4))
+    return _trace([*drawn, *(StateEvent(start, component, EVENT_IDLE, (), length)
+                             for component, spans in runs.items() for start, length in spans)])
 
 
 # Oracle vocabulary: each attribute name has one value type, as in the
@@ -85,15 +109,11 @@ _words = st.text("abcxyz,+-_0123456789", min_size=1, max_size=6).filter(
 _attrs = st.fixed_dictionaries({}, optional={
     **{name: st.integers(-5, 1024) for name in _INT_ATTRS},
     **{name: _words for name in _STR_ATTRS}})
-# Idle events are bare, as the simulator writes them.
-_events = st.builds(
-    lambda cycle, component, kind, attrs: make_event(
-        cycle, component, kind, **({} if kind == EVENT_IDLE else attrs)),
-    st.integers(0, 40),
-    st.builds("{}{}".format, st.sampled_from(["cpu", "router", "ni", "bus"]),
-              st.integers(0, 15)),
-    st.sampled_from(EVENT_KINDS),
-    _attrs)
+_components = st.builds("{}{}".format, st.sampled_from(["cpu", "router", "ni", "bus"]),
+                        st.integers(0, 3))
+_traces = _record_traces(st.builds(
+    lambda cycle, component, kind, attrs: make_event(cycle, component, kind, **attrs),
+    st.integers(0, 40), _components, st.sampled_from(_NON_IDLE), _attrs), _components)
 
 
 def _active_idle_per_component():
@@ -101,23 +121,6 @@ def _active_idle_per_component():
     return ModelFunction(rules=(rule({"kind": EVENT_IDLE}, "{component}/idle"),
                                 rule({}, "{component}/active")),
                          name="active-idle-per-component")
-
-
-def _one_idle_per_cycle(events):
-    """Drop repeated idle events of one component and cycle: an idle record
-    covers each cycle once."""
-    kept, idle = [], set()
-    for e in events:
-        if e.kind == EVENT_IDLE:
-            if (e.cycle, e.component) in idle:
-                continue
-            idle.add((e.cycle, e.component))
-        kept.append(e)
-    return kept
-
-
-_event_lists = st.lists(_events, max_size=30).map(_one_idle_per_cycle)
-_traces = _event_lists.map(_trace)
 
 
 def _bundle(cycle, cpu=0, group="add+add", pattern="zeros", addr=0):
@@ -201,16 +204,21 @@ def test_abstraction_is_linear_under_concat():
 # ---------------------------------------------------------------------------
 
 def _random_trace(seed):
+    """One to three CPUs, each busy with bundle records of 1-4 cycles or idle
+    until its end."""
     rng = random.Random(seed)
     events = []
-    for cycle in range(rng.randint(5, 40)):
-        for cpu in range(rng.randint(1, 3)):
+    for cpu in range(rng.randint(1, 3)):
+        cycle, end = 0, rng.randint(5, 40)
+        while cycle < end:
+            length = min(rng.randint(1, 4), end - cycle)
             if rng.random() < 0.6:
-                events.append(_bundle(cycle, cpu=cpu,
-                                      group=rng.choice(["add+add", "nop+nop"]),
-                                      pattern=rng.choice(["zeros", "ones"])))
+                events.append(_bundle(cycle, cpu=cpu, group=rng.choice(["add+add", "nop+nop"]),
+                                      pattern=rng.choice(["zeros", "ones"]))._replace(
+                                          length=length))
             else:
-                events.append(make_event(cycle, f"cpu{cpu}", "idle"))
+                events.append(StateEvent(cycle, f"cpu{cpu}", EVENT_IDLE, (), length))
+            cycle += length
     return _trace(events)
 
 
@@ -307,10 +315,10 @@ def _pair_trace(rows):
     in one cycle, which canonical order still ranks by attributes; a longer
     bundle record shares no cycle with another bundle record of its CPU
     but its duplicates, as in the simulator's streams."""
-    records, bundles, idle = [], {}, []
+    records, bundles = [], {}
     for cycle, cpu, what, pattern, length, copies in rows:
         if what == EVENT_IDLE:
-            idle.append(make_event(cycle, f"cpu{cpu}", EVENT_IDLE))
+            records.append(StateEvent(cycle, f"cpu{cpu}", EVENT_IDLE, (), length))
             continue
         event = (StateEvent(cycle, f"cpu{cpu}", EVENT_SYNC) if what == "sync"
                  else _bundle(cycle, cpu=cpu, group=what, pattern=pattern))._replace(
@@ -323,8 +331,7 @@ def _pair_trace(rows):
                 continue
             kept.append(event)
         records += [event] * copies
-    idle = Trace.from_events(_one_idle_per_cycle(idle)).events
-    return Trace(events=sort_events([*records, *idle]))
+    return _trace(records)
 
 
 _pair_traces = st.lists(
@@ -444,14 +451,14 @@ def test_trace_lines_round_trip_any_trace(t):
 
 
 @settings(max_examples=60, deadline=None)
-@given(events=st.lists(st.builds(lambda e, length: e._replace(length=length),
-                                 _events, st.integers(1, 3)), max_size=30))
-def test_sort_events_is_the_explicit_canonical_order(events):
+@given(t=_traces, data=st.data())
+def test_a_trace_keeps_its_records_in_the_explicit_canonical_order(t, data):
+    """Whatever order a trace's records come in, as a list or a tuple."""
     canonical = tuple(
-        sorted(events, key=lambda e: (e.cycle, e.component, e.kind, e.attrs, e.length)))
-    assert sort_events(events) == canonical
-    # records compare as their (cycle, component, kind, attrs, length) fields
-    assert tuple(sorted(events)) == canonical
+        sorted(t.events, key=lambda e: (e.cycle, e.component, e.kind, e.attrs, e.length)))
+    p = data.draw(st.permutations(t.events))
+    assert Trace(events=p).events == canonical
+    assert Trace(events=tuple(p)).events == canonical
 
 
 @settings(max_examples=60, deadline=None)
@@ -536,7 +543,7 @@ def _per_cycle_counts(events, fn):
 def _assert_canonical(t):
     """Records in canonical order, each at least one cycle long; idle
     records bare and, per component, a gap of at least one cycle apart."""
-    assert t.events == sort_events(t.events)
+    assert t.events == tuple(sorted(t.events))
     assert all(e.length > 0 for e in t.events)
     idle = sorted((e.component, e.cycle, e.length, e.attrs)
                   for e in t.events if e.kind == EVENT_IDLE)
@@ -551,24 +558,12 @@ _TOTAL_FUNCTIONS = (identity_function(), active_idle_function(),
 
 
 @settings(max_examples=60, deadline=None)
-@given(events=_event_lists)
-def test_trace_spells_its_events_cycle_by_cycle(events):
-    t = _trace(events)
+@given(t=_traces)
+def test_trace_spells_its_events_cycle_by_cycle(t):
     _assert_canonical(t)
     assert t.to_lines() == _reference_lines(t)
-    assert expand(t) == sorted(events)
     for fn in _TOTAL_FUNCTIONS:
-        assert abstract_trace(t, fn).counts == _per_cycle_counts(events, fn)
-
-
-def test_idle_time_that_cannot_be_a_span_is_refused():
-    with pytest.raises(TraceError, match="attributes"):
-        Trace.from_events([make_event(0, "cpu0", "idle", why="stall")])
-    with pytest.raises(TraceError, match="two idle"):
-        Trace.from_events([make_event(1, "cpu0", "idle"), make_event(0, "cpu0", "idle"),
-                           make_event(1, "cpu0", "idle")])
-    with pytest.raises(TraceError, match="two idle events of cpu0 at cycle 2"):
-        Trace.from_events([StateEvent(0, "cpu0", "idle", (), 3), make_event(2, "cpu0", "idle")])
+        assert abstract_trace(t, fn).counts == _per_cycle_counts(expand(t), fn)
 
 
 _SYNC = "0\t1\tcpu0\tsync\t"
@@ -626,33 +621,16 @@ _any_attrs = st.builds(
 _COMPONENTS = ("cpu0", "cpu1", "cpu{2}", "router0")
 
 
-@st.composite
-def _file_traces(draw):
-    """Records of every non-idle kind (two sort before idle, two after) with
-    any attributes and lengths, some repeated and some overlapping, plus
-    per-component idle cycles that are a union of overlapping and adjacent
-    runs, so idle records share cycles with records of their own
-    component."""
-    records = draw(st.lists(st.builds(
-        lambda cycle, component, kind, attrs, length: make_event(
-            cycle, component, kind, **attrs)._replace(length=length),
-        st.integers(0, 30), st.sampled_from(_COMPONENTS),
-        st.sampled_from([k for k in EVENT_KINDS if k != EVENT_IDLE]), _any_attrs,
-        st.integers(1, 4)), max_size=25))
-    if records:
-        records += draw(st.lists(st.sampled_from(records), max_size=3))
-    idle = []
-    for component in _COMPONENTS:
-        cycles = set()
-        for start, length in draw(st.lists(st.tuples(st.integers(0, 30),
-                                                     st.integers(1, 6)), max_size=4)):
-            cycles.update(range(start, start + length))
-        idle += [make_event(cycle, component, EVENT_IDLE) for cycle in cycles]
-    return Trace(events=sort_events([*records, *Trace.from_events(idle).events]))
+# Records of every non-idle kind (two sort before idle, two after) with any
+# attributes.
+_file_traces = _record_traces(st.builds(
+    lambda cycle, component, kind, attrs: make_event(cycle, component, kind, **attrs),
+    st.integers(0, 30), st.sampled_from(_COMPONENTS), st.sampled_from(_NON_IDLE),
+    _any_attrs), st.sampled_from(_COMPONENTS))
 
 
 @settings(max_examples=150, deadline=None)
-@given(t=_file_traces(), data=st.data())
+@given(t=_file_traces, data=st.data())
 def test_trace_files_spell_and_read_back_any_trace(t, data):
     lines = t.to_lines()
     assert lines == _reference_lines(t)
@@ -684,7 +662,7 @@ def test_event_fields_widen_derived_fields():
     assert broken.event_fields is None
 
 
-@pytest.mark.parametrize("src", ["x", "1,2,3", 3])
+@pytest.mark.parametrize("src", ["x", "1,2,3", 3, "+1,0"])
 def test_hops_is_derived_only_between_coordinates(src):
     """A record has hops only where src and dst both parse as mesh
     coordinates; otherwise a rule matching on hops falls through and a
@@ -708,10 +686,10 @@ def test_an_attribute_wins_over_the_derived_field_of_its_name():
 
 _coords = st.sampled_from(["0,0", "1,0", "0,1", "1,1", "2,1"])
 _cpus = st.builds("cpu{}".format, st.integers(0, 15))
-# The simulator's event kinds with its attributes: bundles at varied
-# addresses on many CPUs, packets with endpoints and sizes, bare syncs and
-# idle events (which fold into runs).
-_oracle_events = st.one_of(
+# The simulator's records with its attributes: bundles at varied addresses
+# on many CPUs, packets with endpoints and sizes and bare syncs, with idle
+# records on those CPUs.
+_oracle_traces = _record_traces(st.one_of(
     st.builds(lambda cycle, cpu, group, pattern, addr, fmt: make_event(
         cycle, cpu, EVENT_BUNDLE, group=group, pattern=pattern, addr=addr, fmt=fmt),
         st.integers(0, 40), _cpus, st.sampled_from(["add+add", "ldw+EMPTY", "nop+nop"]),
@@ -725,9 +703,7 @@ _oracle_events = st.one_of(
         st.integers(0, 40), st.integers(0, 3), _coords, _coords,
         st.sampled_from([8, 64, 100]), st.integers(0, 3)),
     st.builds(lambda cycle, cpu: make_event(cycle, cpu, EVENT_SYNC),
-              st.integers(0, 40), _cpus),
-    st.builds(lambda cycle, cpu: make_event(cycle, cpu, EVENT_IDLE),
-              st.integers(0, 40), _cpus))
+              st.integers(0, 40), _cpus)), _cpus)
 
 # Functions whose rules read the fields the projection must keep: the
 # component, its class, the derived hop count, the whole event, and the
@@ -751,9 +727,8 @@ _PROJECTION_FUNCTIONS = (
 
 
 @settings(max_examples=80, deadline=None)
-@given(events=st.lists(_oracle_events, max_size=60).map(_one_idle_per_cycle))
-def test_projection_memo_yields_the_per_event_keys(events):
-    t = _trace(events)
+@given(t=_oracle_traces)
+def test_projection_memo_yields_the_per_event_keys(t):
     for fn in (*(builtin_function(name) for name in sorted(_BUILTINS)),
                *_PROJECTION_FUNCTIONS):
         got = iter(weighted_keys(t, fn))
