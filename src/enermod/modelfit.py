@@ -9,7 +9,6 @@ replace whole key families with fitted functions of a key attribute
 from __future__ import annotations
 
 import json
-import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -23,13 +22,13 @@ from .statetrace import (
     ModelFunction,
     SYNC_KEY,
     StateCountVector,
+    compose,
     function_from_json,
     function_to_json,
-    noc_hop_function,
     parse_key,
+    rule,
 )
-from .sysconfig import (FieldError, fold_sum, json_document, json_field, manhattan,
-                        n_flits, parse_coord)
+from .sysconfig import FieldError, fold_sum, json_document, json_field, n_flits
 
 REDUCER_LINEAR = "LINEAR"
 REDUCER_STAIRCASE = "STAIRCASE"
@@ -70,23 +69,18 @@ class Reducer:
         return self.a + self.b * _size_regressor(self.kind, x, self.flit_payload_bytes)
 
     def evaluate_key(self, key: str) -> float:
-        rec = parse_key(key)
-        if self.variable not in rec:
-            raise FitError(f"key {key!r} lacks reducer variable {self.variable!r}")
-        return self.evaluate_size(_reducer_variable(key, rec, self.variable))
+        return self.evaluate_size(_reducer_variable(key, parse_key(key), self.variable))
 
 
-def _reducer_variable(key: str, rec: dict[str, object], name: str) -> float:
-    """The finite number a key's field holds; FitError names the key where
-    it holds none."""
-    try:
-        x = float(rec[name])
-    except ValueError:
-        x = math.nan
-    if not math.isfinite(x):
+def _reducer_variable(key: str, rec: dict[str, object], name: str) -> int:
+    """The integer a key's field holds, as parse_key reads -?[0-9]+;
+    FitError names the key where it lacks the field or holds anything else."""
+    if name not in rec:
+        raise FitError(f"key {key!r} lacks reducer variable {name!r}")
+    if not isinstance(rec[name], int):
         raise FitError(f"key {key!r}: reducer variable {name!r} {rec[name]!r} "
-                       "is not a finite number")
-    return x
+                       "is not an integer")
+    return rec[name]
 
 
 @dataclass
@@ -292,31 +286,28 @@ def fit_staircase(points: list[tuple[float, float]], flit_payload_bytes: int,
 # NoC model reduction
 # ---------------------------------------------------------------------------
 
+# A hop reduction's then stage: noc keys by hop count and size, others kept.
+_HOP_STAGE = ModelFunction(rules=(rule({"component": "noc"}, HOP_KEY), rule({}, "{key}")),
+                           name="hops")
+
+
 def reduce_noc_model(full: EnergyModel) -> EnergyModel:
     """Re-key (src, dst, size) NoC constants by (hop count, size).
 
     Pairs sharing a hop count must agree within 1e-9 pJ (they do on the
     congestion-free oracle); disagreeing families are averaged with a
     warning.  Model size shrinks from O(pairs * sizes) to O(hops * sizes).
-    The model's function must emit noc/src:<s>/dst:<d>/size:<n> keys, since
-    the reduced model estimates with noc-hop keys in its place.
+    The model's function must emit noc/src:<s>/dst:<d>/size:<n> keys; the
+    reduced model's function is it with the hop stage composed onto it.
     """
     if not any(r.emit.startswith("noc/src:") for r in full.function.rules):
         raise FitError(
             f"model function {full.function.name!r} emits no "
             "noc/src:<s>/dst:<d>/size:<n> keys; a hop reduction needs a noc-pair fit")
     groups: dict[str, list[float]] = {}
-    constants: dict[str, float] = {}
     for key, value in full.constants.items():
-        rec = parse_key(key)
-        if "src" in rec and "dst" in rec and "size" in rec:
-            try:
-                hops = manhattan(parse_coord(str(rec["src"])), parse_coord(str(rec["dst"])))
-            except ValueError as exc:
-                raise FitError(f"key {key!r}: {exc}") from None
-            groups.setdefault(HOP_KEY.format(hops=hops, size=rec["size"]), []).append(value)
-        else:
-            constants[key] = value
+        groups.setdefault(_HOP_STAGE.rekey(key), []).append(value)
+    constants: dict[str, float] = {}
     for key, values in sorted(groups.items()):
         spread = max(values) - min(values)
         if spread > 1e-9:
@@ -324,12 +315,10 @@ def reduce_noc_model(full: EnergyModel) -> EnergyModel:
                 f"constants for {key} disagree by {spread:.3e} pJ; averaging",
                 stacklevel=2)
         constants[key] = fold_sum(values) / len(values)
-    provenance = dict(full.provenance)
-    provenance["reduced"] = "hops"
-    return EnergyModel(function=noc_hop_function(), constants=constants,
+    return EnergyModel(function=compose(_HOP_STAGE, full.function), constants=constants,
                        reducers=list(full.reducers),
                        static_pj_per_cycle=full.static_pj_per_cycle,
-                       provenance=provenance)
+                       provenance=dict(full.provenance, reduced="hops"))
 
 
 def fit_packet_reducers(model: EnergyModel, kind: str = REDUCER_STAIRCASE,
@@ -340,8 +329,10 @@ def fit_packet_reducers(model: EnergyModel, kind: str = REDUCER_STAIRCASE,
     constants: dict[str, float] = {}
     for key, value in model.constants.items():
         rec = parse_key(key)
-        if "hops" in rec and "size" in rec:
-            families.setdefault(HOP_FAMILY.format(hops=rec["hops"]), []).append(
+        family = HOP_FAMILY.format(hops=rec["hops"]) if "hops" in rec else None
+        # only a key that its family's reducer covers: a pair key has hops too
+        if family and "size" in rec and key.startswith(family + "/"):
+            families.setdefault(family, []).append(
                 (_reducer_variable(key, rec, "size"), value))
         else:
             constants[key] = value
@@ -355,12 +346,10 @@ def fit_packet_reducers(model: EnergyModel, kind: str = REDUCER_STAIRCASE,
         reducers.append(Reducer(kind=kind, family=family, a=a, b=b,
                                 variable="size",
                                 flit_payload_bytes=flit_payload_bytes))
-    provenance = dict(model.provenance)
-    provenance["reducers"] = kind
     return EnergyModel(function=model.function, constants=constants,
                        reducers=reducers,
                        static_pj_per_cycle=model.static_pj_per_cycle,
-                       provenance=provenance)
+                       provenance=dict(model.provenance, reducers=kind))
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ def _parse_tail(lineno: int, text: str, tail: str) -> tuple:
             k, sep, v = item.partition("=")
             if not sep:
                 raise TraceError(f"line {lineno}: attribute {item!r} is not name=value")
-            attrs[k] = int(v) if _INT_RE.fullmatch(v) else v
+            attrs[k] = _value(v)
     if kind == EVENT_IDLE and attrs:
         raise TraceError(f"line {lineno}: idle record has attribute {min(attrs)!r}")
     if kind not in EVENT_KINDS:
@@ -206,16 +206,18 @@ def component_class(component: str) -> str:
     return stripped if stripped else component
 
 
-def _event_record(event: StateEvent) -> dict[str, object]:
-    """The fields a top-stage rule reads: the event's attributes, its kind
-    and component, and the derived comp_class, __identity__ and, where src
-    and dst both parse as mesh coordinates, hops.  An attribute named like a
-    derived field wins over it."""
-    rec: dict[str, object] = dict(event.attrs)
-    rec["kind"] = event.kind
-    rec["component"] = event.component
-    rec.setdefault("comp_class", component_class(event.component))
-    rec.setdefault("__identity__", _identity_key(event))
+def _value(text: str) -> object:
+    """A field value as a rule reads it: an int where text is -?[0-9]+ in
+    full, else the text."""
+    return int(text) if _INT_RE.fullmatch(text) else text
+
+
+def _derive(rec: dict[str, object]) -> dict[str, object]:
+    """Add the derived fields to a record: comp_class from component and,
+    where src and dst both parse as mesh coordinates, hops.  A field named
+    like a derived field wins over it."""
+    if "component" in rec:
+        rec.setdefault("comp_class", component_class(str(rec["component"])))
     if "hops" not in rec and "src" in rec and "dst" in rec:
         try:
             rec["hops"] = manhattan(parse_coord(str(rec["src"])),
@@ -223,6 +225,14 @@ def _event_record(event: StateEvent) -> dict[str, object]:
         except ValueError:      # not coordinates: the record has no hops
             pass
     return rec
+
+
+def _event_record(event: StateEvent) -> dict[str, object]:
+    """The fields a top-stage rule reads: the event's attributes, its kind
+    and component, __identity__ and the _derive fields."""
+    rec: dict[str, object] = dict(event.attrs, kind=event.kind, component=event.component)
+    rec.setdefault("__identity__", _identity_key(event))
+    return _derive(rec)
 
 
 def _identity_key(event: StateEvent) -> str:
@@ -234,20 +244,20 @@ def _identity_key(event: StateEvent) -> str:
 def parse_key(key: str) -> dict[str, object]:
     """Parse a model-state key back into fields for key-level rules.
 
-    Segments are '/'-separated; 'name:value' segments become fields, the
-    first bare segment is the component and any later bare segment a tag.
+    Segments are '/'-separated; 'name:value' segments become fields, read
+    by _value as trace attributes are, the first bare segment is the
+    component and any later bare segment a tag; then the _derive fields.
     """
     rec: dict[str, object] = {"key": key}
     for seg in key.split("/"):
-        if ":" in seg:
-            name, value = seg.split(":", 1)
-            rec[name] = value
+        name, sep, value = seg.partition(":")
+        if sep:
+            rec[name] = _value(value)
         elif "component" not in rec:
             rec["component"] = seg
-            rec["comp_class"] = component_class(seg)
         else:
             rec["tag"] = seg
-    return rec
+    return _derive(rec)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,10 @@ from enermod.cli import (
     EXIT_USAGE,
     main,
 )
-from enermod.modelfit import EnergyModel, save_model
+from enermod.estimator import estimate
+from enermod.modelfit import EnergyModel, load_model, save_model
 from enermod.pipeline import build_simplified_model
-from enermod.statetrace import noc_hop_function, noc_pair_function
+from enermod.statetrace import noc_hop_function, noc_pair_function, trace_from_lines
 
 
 _SHIPPED = {"isa": "isa.json", "api": "api.json", "params": "oracle_params.json"}
@@ -981,11 +982,12 @@ def test_a_transfer_whose_source_is_not_a_coordinate_has_no_hops(packet_campaign
             assert code == EXIT_OK or "needs field 'hops'" in error
 
 
-@pytest.mark.parametrize("size", ["abc", "nan", "inf"])
+@pytest.mark.parametrize("size", ["abc", "nan", "inf", "1_6", "+16", "٣"])
 def test_estimate_of_a_reducer_variable_that_is_not_a_finite_number_exits_5(
         packet_campaign, tmp_path, size):
     """A linear reducer prices a packet from its key's size; a size that is
-    not a finite number exits 5 naming the key, and prints no NaN."""
+    not -?[0-9]+, the one spelling of an integer, exits 5 naming the key,
+    and prints no NaN."""
     linear = tmp_path / "linear.json"
     _run_quietly(["reduce", "--kind", "linear", "--output", str(linear),
                   "--model", str(packet_campaign / "models" / "noc.json")], ())
@@ -1002,10 +1004,10 @@ def test_estimate_of_a_reducer_variable_that_is_not_a_finite_number_exits_5(
 @pytest.mark.parametrize("kind,key", [
     ("hops", "noc/src:x/dst:1,1/size:8"), ("hops", "noc/src:+1,0/dst:1,1/size:8"),
     *((kind, f"noc/hops:1/size:{size}") for kind in ("staircase", "linear")
-      for size in ("abc", "nan", "inf"))])
+      for size in ("abc", "nan", "inf", "1_6", "+16", "٣"))])
 def test_reduce_of_a_key_that_does_not_parse_exits_5(tmp_path, kind, key):
-    """A pair key's endpoints must be coordinates, and a packet size a
-    finite number: reduce exits 5 naming the key and writes nothing."""
+    """A pair key's endpoints must be coordinates, and a packet size
+    -?[0-9]+: reduce exits 5 naming the key and writes nothing."""
     function = noc_pair_function() if kind == "hops" else noc_hop_function()
     constants = {key: 1.0} if kind == "hops" else {"noc/hops:1/size:16": 1.0, key: 2.0}
     save_model(EnergyModel(function=function, constants=constants), str(tmp_path / "m.json"))
@@ -1014,6 +1016,87 @@ def test_reduce_of_a_key_that_does_not_parse_exits_5(tmp_path, kind, key):
     assert rc == EXIT_DATA
     assert f"key {key!r}" in error
     assert not (tmp_path / "out.json").exists()
+
+
+# a pair-keyed rule file whose bundle keys no builtin emits
+_BUNDLE_PAIR_RULES = {"name": "bundle-pair", "rules": [
+    {"match": {"kind": "bundle-issue"}, "emit": "bundle/{group}"},
+    {"match": {"kind": "sync"}, "emit": "sync"},
+    {"match": {"kind": "ni-transfer"}, "emit": "noc/src:{src}/dst:{dst}/size:{size}"},
+    {"match": {}, "emit": "discard"}]}
+
+
+@pytest.fixture(scope="module")
+def pair_campaign(tmp_path_factory):
+    """A four-size packet campaign with a noc-pair fit (pair.json) and a fit
+    of _BUNDLE_PAIR_RULES (bundle-pair.json)."""
+    out = tmp_path_factory.mktemp("pair-campaign")
+    rules = out / "bundle-pair-rules.json"
+    rules.write_text(json.dumps(_BUNDLE_PAIR_RULES))
+    for argv in (["gen-bench", "--kind", "comm", "--min", "8", "--max", "32",
+                  "--step", "8"] + _defaults(out),
+                 ["oracle"] + _defaults(out, "isa", "params"),
+                 ["fit", "--function", "noc-pair", "--name", "pair"] + _defaults(out),
+                 ["fit", "--function-file", str(rules), "--name", "bundle-pair"]
+                 + _defaults(out)):
+        _run_quietly(argv, ())
+    return out
+
+
+def _reduce(model, kind, output):
+    _run_quietly(["reduce", "--model", str(model), "--kind", kind,
+                  "--output", str(output)], ())
+    return output
+
+
+def _estimates(out, model):
+    """Each campaign trace's estimate under the model file."""
+    fitted = load_model(str(model))
+    return [estimate(trace_from_lines(path.read_text().splitlines()), fitted)
+            for path in sorted((out / "traces").glob("*.tsv"))]
+
+
+def _assert_priced_alike(out, model, reference):
+    """The model prices every campaign trace as the reference does, within
+    1e-9 relative, and covers every key."""
+    got, want = _estimates(out, model), _estimates(out, reference)
+    assert len(got) == len(want) > 3
+    for g, w in zip(got, want):
+        assert (g.coverage, g.missing_keys) == (1.0, [])
+        assert abs(g.total_pj - w.total_pj) <= 1e-9 * max(1.0, abs(w.total_pj))
+
+
+def test_a_hop_reduction_keeps_the_keys_of_its_model_function(pair_campaign, tmp_path):
+    """--kind hops composes its hop stage onto the fit's own function, so a
+    rule-file model keeps its bundle keys and prices every run as before."""
+    model = pair_campaign / "models" / "bundle-pair.json"
+    reduced = _reduce(model, "hops", tmp_path / "hops.json")
+    _assert_priced_alike(pair_campaign, reduced, model)
+    assert json.loads(reduced.read_text())["function"]["name"] == "hops*bundle-pair"
+    assert any(key.startswith("bundle/") for key in load_model(str(reduced)).constants)
+
+
+@pytest.mark.parametrize("kind", ["staircase", "linear"])
+def test_packet_reducers_leave_the_pair_constants_of_a_pair_model(pair_campaign, tmp_path,
+                                                                  kind):
+    """A pair key has hops too, but is no key of a hop family: a packet
+    reduction of a pair model keeps its constants and its estimates."""
+    pair = pair_campaign / "models" / "pair.json"
+    reduced = _reduce(pair, kind, tmp_path / f"{kind}.json")
+    assert load_model(str(reduced)).reducers == []
+    assert load_model(str(reduced)).constants == load_model(str(pair)).constants
+    assert ([e.total_pj for e in _estimates(pair_campaign, reduced)]
+            == [e.total_pj for e in _estimates(pair_campaign, pair)])
+
+
+def test_pair_then_hops_then_staircase_prices_as_the_pair_model(pair_campaign, tmp_path):
+    """Staircase reducers fitted on a hop-reduced pair model price the
+    reduced model's hop keys, which its then stage emits."""
+    pair = pair_campaign / "models" / "pair.json"
+    hops = _reduce(pair, "hops", tmp_path / "hops.json")
+    stair = _reduce(hops, "staircase", tmp_path / "stair.json")
+    assert load_model(str(stair)).reducers
+    _assert_priced_alike(pair_campaign, stair, pair)
 
 
 # one program that holds every op kind, a null slot and min_cycles

@@ -48,7 +48,6 @@ def test_no_unused_module_level_imports():
 # backs.  Every other function, method or property in src/enermod must be
 # referenced from src/enermod or perfbench.
 _TEST_ONLY_ALLOWED = {
-    "compose": "abstract_trace(t, compose(f, g)) equals applying g, then f",
     "rekey_vector": "the two-stage reference behind compose's property",
     "Trace.concat": "abstraction is linear under trace concatenation",
     "structural_diff": "benchmarks of one sweep differ only in what it sweeps",

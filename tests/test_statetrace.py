@@ -28,6 +28,7 @@ from enermod.refsim import (
 )
 from enermod.statetrace import (
     _BUILTINS,
+    _event_record,
     DISCARD,
     EVENT_BUNDLE,
     EVENT_FLIT,
@@ -52,6 +53,7 @@ from enermod.statetrace import (
     instruction_model_function,
     make_event,
     noc_hop_function,
+    noc_pair_function,
     parse_key,
     rekey_vector,
     rule,
@@ -682,6 +684,25 @@ def test_an_attribute_wins_over_the_derived_field_of_its_name():
     assert fn.key_for_event(event) == "7/link/me"
     plain = make_event(0, "ni0", EVENT_NI, src="0,0", dst="1,1")
     assert fn.key_for_event(plain) == "2/ni/ni-transfer/ni0/dst:1,1/src:0,0"
+
+
+_endpoints = st.one_of(st.builds("{},{}".format, st.integers(0, 9), st.integers(0, 9)),
+                       st.sampled_from(["x", "+1,0", "1,2,3", "1_0,0", "-1", "7"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(src=_endpoints, dst=_endpoints,
+       size=st.one_of(st.integers(-8, 2048).map(str), st.text("0123456789-+_x٣", min_size=1)))
+def test_a_transfer_and_its_pair_key_read_the_same_fields(src, dst, size):
+    """A top stage reads a transfer's trace record, a then stage its pair
+    key: both derive hops only between coordinates and read size as an int
+    only where it is -?[0-9]+, so a rule on hops fires in both or neither."""
+    [event] = trace_from_lines([f"0\t1\tni0\t{EVENT_NI}\tdst={dst} size={size} src={src}"]).events
+    top, key = _event_record(event), parse_key(f"noc/src:{src}/dst:{dst}/size:{size}")
+    assert ("hops" in top, top.get("hops")) == ("hops" in key, key.get("hops"))
+    assert (type(top["size"]), top["size"]) == (type(key["size"]), key["size"])
+    two = ModelFunction(rules=(rule({"hops": 2}, "two"), rule({}, DISCARD)))
+    assert two.key_for_event(event) == compose(two, noc_pair_function()).key_for_event(event)
 
 
 _coords = st.sampled_from(["0,0", "1,0", "0,1", "1,1", "2,1"])
