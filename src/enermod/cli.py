@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -478,6 +479,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    """argparse type of a float option that must be finite; nan, inf and
+    -inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _cooling(text: str) -> float:
     """argparse type of an annealing cooling factor, which must lie in
     (0, 1]; any other value is a usage error."""
@@ -572,10 +582,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chains", type=_positive_int, default=4)
     p.add_argument("--steps", type=_positive_int, default=AnnealSchedule.steps)
-    p.add_argument("--temp", type=float, default=AnnealSchedule.initial_temp)
+    p.add_argument("--temp", type=_finite, default=AnnealSchedule.initial_temp)
     p.add_argument("--cooling", type=_cooling, default=AnnealSchedule.cooling)
-    p.add_argument("--w-energy", type=float, default=1.0)
-    p.add_argument("--w-throughput", type=float, default=0.0)
+    p.add_argument("--w-energy", type=_finite, default=1.0)
+    p.add_argument("--w-throughput", type=_finite, default=0.0)
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("report", help="aggregate summaries in an outdir")

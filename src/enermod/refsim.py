@@ -20,6 +20,8 @@ Fixed conventions (the fit absorbs them, but they must not drift):
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -31,7 +33,9 @@ from .statetrace import (
     EVENT_SYNC,
     StateEvent,
     Trace,
+    is_digits,
     make_event,
+    read_int,
 )
 from .sysconfig import (
     Coord,
@@ -52,6 +56,9 @@ DATA_PATTERNS = ("zeros", "ones", "alt")
 LEDGER_COMPONENTS = ("core", "imem", "dmem", "bus", "router", "ni", "sync",
                      "static", "unclassified")
 
+# A ledger value's spelling, which covers the repr of every finite float.
+_NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
 
 class ParamError(ValueError):
     """Oracle parameters are malformed or violate an invariant."""
@@ -69,124 +76,69 @@ class ProgramError(ValueError):
 # Oracle parameters
 # ---------------------------------------------------------------------------
 
-# Scalar parameter names in the JSON document -> OracleParams fields; the
-# core.<iclass>.<pattern> and dmem.<pattern> tables come on top.
-_SCALAR_PARAMS = {
-    "empty_slot": "empty_slot_energy",
-    "imem_base.compressed": "imem_base_compressed",
-    "imem_base.uncompressed": "imem_base_uncompressed",
-    "imem_spatial_coeff": "imem_spatial_coeff",
-    "bus_beat": "bus_beat_energy",
-    "router_flit": "router_flit_energy",
-    "link_flit": "link_flit_energy",
-    "ni_in_flit": "ni_in_flit_energy",
-    "ni_out_flit": "ni_out_flit_energy",
-    "packet_header": "packet_header_energy",
-    "sync": "sync_energy",
-    "static.cpu": "static_cpu_pw",
-    "static.router": "static_router_pw",
-    "static.ni": "static_ni_pw",
-}
+# Every name an oracle-params document holds: the scalars, then the
+# core.<iclass>.<pattern> and dmem.<pattern> tables.
+_PARAM_NAMES = frozenset((
+    "empty_slot", "imem_base.compressed", "imem_base.uncompressed",
+    "imem_spatial_coeff", "bus_beat", "router_flit", "link_flit", "ni_in_flit",
+    "ni_out_flit", "packet_header", "sync", "static.cpu", "static.router",
+    "static.ni",
+    *(f"core.{iclass}.{pattern}" for iclass in ICLASSES for pattern in DATA_PATTERNS),
+    *(f"dmem.{pattern}" for pattern in DATA_PATTERNS)))
 
 
 @dataclass(frozen=True)
 class OracleParams:
-    """Synthetic per-event energies (pJ) and static powers (pW).
+    """Synthetic per-event energies (pJ) and static powers (pW), read by
+    the names of the oracle-params document: params["router_flit"],
+    params["core.SIMD.ones"].
 
-    core_energy is keyed (iclass, data pattern); dmem_access_energy by the
-    accessed pattern.  Static power is per component instance.  Both tables
-    are also kept as lookup dicts outside the dataclass fields, so they stay
-    out of eq and repr.  The shipped values are data/oracle_params.json,
-    read with load_oracle_params.
+    values holds the document's (name, value) pairs in name order; the
+    lookup dict is kept outside the dataclass fields, so it stays out of eq
+    and repr.  Every error names the document's key.  The shipped values
+    are data/oracle_params.json, read with load_oracle_params.
     """
 
-    core_energy: tuple[tuple[tuple[str, str], float], ...]
-    empty_slot_energy: float
-    imem_base_compressed: float
-    imem_base_uncompressed: float
-    imem_spatial_coeff: float
-    dmem_access_energy: tuple[tuple[str, float], ...]
-    bus_beat_energy: float
-    router_flit_energy: float
-    link_flit_energy: float
-    ni_in_flit_energy: float
-    ni_out_flit_energy: float
-    packet_header_energy: float
-    sync_energy: float
-    static_cpu_pw: float
-    static_router_pw: float
-    static_ni_pw: float
+    values: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "core_energy", tuple(sorted(self.core_energy)))
-        object.__setattr__(self, "dmem_access_energy",
-                           tuple(sorted(self.dmem_access_energy)))
-        for name in _SCALAR_PARAMS.values():
-            if getattr(self, name) < 0:
-                raise ParamError(f"{name} must be >= 0")
-        core = dict(self.core_energy)
-        dmem = dict(self.dmem_access_energy)
+        object.__setattr__(self, "values", tuple(sorted(self.values)))
+        by_name = dict(self.values)
+        missing = sorted(_PARAM_NAMES - by_name.keys())
+        unknown = sorted(by_name.keys() - _PARAM_NAMES)
+        if missing or unknown:
+            raise ParamError("; ".join(
+                f"{what} parameter(s): {', '.join(map(repr, names))}"
+                for what, names in (("missing", missing), ("unknown", unknown))
+                if names))
+        for name, value in self.values:
+            if not value >= 0:      # NaN too
+                raise ParamError(f"parameter {name!r} must be >= 0, got {value!r}")
         for pattern in DATA_PATTERNS:
-            if pattern not in dmem:
-                raise ParamError(f"dmem energy missing pattern {pattern!r}")
-            if dmem[pattern] < 0:
-                raise ParamError(f"dmem energy for {pattern!r} must be >= 0")
-            for iclass in ICLASSES:
-                if (iclass, pattern) not in core:
-                    raise ParamError(f"core energy missing ({iclass}, {pattern})")
-                if core[(iclass, pattern)] < 0:
-                    raise ParamError(f"core energy ({iclass}, {pattern}) must be >= 0")
-            if core[("NOP", pattern)] >= core[("SIMD", pattern)]:
-                raise ParamError(
-                    f"NOP core energy must stay below SIMD for pattern {pattern!r}")
-        object.__setattr__(self, "_core", core)
-        object.__setattr__(self, "_dmem", dmem)
+            if by_name[f"core.NOP.{pattern}"] >= by_name[f"core.SIMD.{pattern}"]:
+                raise ParamError(f"'core.NOP.{pattern}' must stay below "
+                                 f"'core.SIMD.{pattern}'")
+        object.__setattr__(self, "_by_name", by_name)
 
-    def core(self, iclass: str, pattern: str) -> float:
-        return self._core[(iclass, pattern)]
-
-    def dmem(self, pattern: str) -> float:
-        return self._dmem[pattern]
-
-    def imem_base(self, compressed: bool) -> float:
-        return self.imem_base_compressed if compressed else self.imem_base_uncompressed
+    def __getitem__(self, name: str) -> float:
+        return self._by_name[name]
 
     def static_pj(self, config: SystemConfig, cycles: int) -> float:
         """Static energy of a run of the given length: every CPU, router and
         NI leaks for all of its cycles."""
-        return ((self.static_cpu_pw * config.n_cpus
-                 + self.static_router_pw * config.n_clusters
-                 + self.static_ni_pw * config.n_clusters)
+        return ((self["static.cpu"] * config.n_cpus
+                 + self["static.router"] * config.n_clusters
+                 + self["static.ni"] * config.n_clusters)
                 * cycles / config.clock_hz)
 
 
 def params_from_json(doc: dict[str, float]) -> OracleParams:
     if not isinstance(doc, dict):
         raise ParamError(f"an oracle-params document must be an object, got {doc!r}")
-    core = []
-    dmem = []
-    scalars: dict[str, float] = {}
     for key, value in doc.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ParamError(f"parameter {key!r} must be a number")
-        if key.startswith("core."):
-            parts = key.split(".")
-            if len(parts) != 3:
-                raise ParamError(
-                    f"parameter {key!r} must be core.<iclass>.<pattern>")
-            _, iclass, pattern = parts
-            core.append(((iclass, pattern), float(value)))
-        elif key.startswith("dmem."):
-            dmem.append((key.split(".", 1)[1], float(value)))
-        elif key in _SCALAR_PARAMS:
-            scalars[_SCALAR_PARAMS[key]] = float(value)
-        else:
-            raise ParamError(f"unknown parameter {key!r}")
-    missing = sorted(set(_SCALAR_PARAMS.values()) - set(scalars))
-    if missing:
-        raise ParamError(f"missing parameter(s): {', '.join(missing)}")
-    return OracleParams(core_energy=tuple(sorted(core)),
-                        dmem_access_energy=tuple(sorted(dmem)), **scalars)
+    return OracleParams(values=tuple((key, float(value)) for key, value in doc.items()))
 
 
 def load_oracle_params(path: str) -> OracleParams:
@@ -295,14 +247,15 @@ class EnergyLedger:
 
 
 def ledger_from_csv(text: str) -> dict[str, float]:
+    """A ledger's values by name.  A value is a finite number in ASCII
+    (-?digits, an optional .digits and exponent), as to_csv writes it."""
     values: dict[str, float] = {}
     for lineno, line in enumerate(text.rstrip().splitlines()[1:], start=2):
         name, _comma, value = line.partition(",")
-        try:
-            values[name] = float(value)
-        except ValueError:
-            raise CsvError(f"line {lineno}: expected component,energy_pj, "
-                           f"got {line!r}") from None
+        if not (_NUMBER_RE.fullmatch(value) and math.isfinite(float(value))):
+            raise CsvError(f"line {lineno}: expected component,energy_pj with "
+                           f"a finite number, got {line!r}")
+        values[name] = float(value)
     if "total" not in values:
         raise CsvError("no total row")
     return values
@@ -377,7 +330,7 @@ def fetch_position_energy(params: OracleParams, config: SystemConfig,
                           address: int, compressed: bool) -> float:
     """Position term of one fetch: coeff x row_popcount, a deterministic
     proxy for address-decoder-tree switching."""
-    return params.imem_spatial_coeff * row_popcount(config, address, compressed)
+    return params["imem_spatial_coeff"] * row_popcount(config, address, compressed)
 
 
 def bundle_energy_parts(params: OracleParams, config: SystemConfig,
@@ -386,10 +339,12 @@ def bundle_energy_parts(params: OracleParams, config: SystemConfig,
     parts; dmem is 0.0 for a bundle without a memory access."""
     core = 0.0
     for ins in op.group.slots:
-        core += params.empty_slot_energy if ins is None else params.core(ins.iclass, op.pattern)
-    imem = params.imem_base(op.group.compressed) + fetch_position_energy(
-        params, config, op.addr, op.group.compressed)
-    dmem = params.dmem(op.pattern) if op.group.accesses_dmem else 0.0
+        core += params["empty_slot" if ins is None
+                       else f"core.{ins.iclass}.{op.pattern}"]
+    compressed = op.group.compressed
+    imem = params["imem_base.compressed" if compressed else "imem_base.uncompressed"
+                  ] + fetch_position_energy(params, config, op.addr, compressed)
+    dmem = params[f"dmem.{op.pattern}"] if op.group.accesses_dmem else 0.0
     return core, imem, dmem
 
 
@@ -408,11 +363,11 @@ def packet_energy(params: OracleParams, config: SystemConfig,
     """
     flits = n_flits(size_bytes, config.flit_payload_bytes)
     if src == dst:
-        return params.sync_energy + flits * params.bus_beat_energy
+        return params["sync"] + flits * params["bus_beat"]
     hops = manhattan(src, dst)
-    per_flit = (params.ni_in_flit_energy + params.ni_out_flit_energy
-                + (hops + 1) * (params.router_flit_energy + params.link_flit_energy))
-    return params.sync_energy + params.packet_header_energy + flits * per_flit
+    per_flit = (params["ni_in_flit"] + params["ni_out_flit"]
+                + (hops + 1) * (params["router_flit"] + params["link_flit"]))
+    return params["sync"] + params["packet_header"] + flits * per_flit
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +404,7 @@ def run_program(config: SystemConfig, params: OracleParams,
     imem_book = acc.book["imem"].append
     dmem_book = acc.book["dmem"].append
     sync_book = acc.book["sync"].append
+    sync_pj = params["sync"]
     bundles: dict[int, tuple] = {}    # id(op) -> (attrs, core, imem, dmem)
 
     for cpu, ops in program.ops:
@@ -475,7 +431,7 @@ def run_program(config: SystemConfig, params: OracleParams,
                     dmem_book((t, dmem))
                 now = (EVENT_BUNDLE, attrs)
             elif isinstance(op, SyncOp):
-                sync_book((t, params.sync_energy))
+                sync_book((t, sync_pj))
                 now = (EVENT_SYNC, ())
             else:
                 now = None
@@ -525,7 +481,7 @@ def _emit_packet(config: SystemConfig, params: OracleParams,
 
     book = acc.book
     events.append(make_event(t, comp, EVENT_SYNC))
-    book["sync"].append((t, params.sync_energy))
+    book["sync"].append((t, params["sync"]))
 
     src_label = format_coord(src_cluster)
     dst_label = format_coord(dst_cluster)
@@ -536,14 +492,15 @@ def _emit_packet(config: SystemConfig, params: OracleParams,
         events.append(make_event(
             t + 1, f"bus{src_index}", EVENT_NI,
             src=src_label, dst=dst_label, size=op.size_bytes, flits=flits))
-        acc.add_beats(t + 1, flits, params.bus_beat_energy)
+        acc.add_beats(t + 1, flits, params["bus_beat"])
         return t + 1 + flits
 
     events.append(make_event(
         t + 1, f"ni{src_index}", EVENT_NI,
         src=src_label, dst=dst_label, size=op.size_bytes, flits=flits))
-    book["ni"].append((t + 1, params.packet_header_energy))
-    ni_pj = params.ni_in_flit_energy + params.ni_out_flit_energy
+    book["ni"].append((t + 1, params["packet_header"]))
+    ni_pj = params["ni_in_flit"] + params["ni_out_flit"]
+    router_pj, link_pj = params["router_flit"], params["link_flit"]
     book["ni"].extend([(t + 1 + flit, ni_pj) for flit in range(flits)])
     # Flit f, injected at cycle t + 1 + f, reaches hop h one cycle per hop
     # later: router h sees the packet's flits on flits consecutive cycles.
@@ -553,10 +510,8 @@ def _emit_packet(config: SystemConfig, params: OracleParams,
             first, f"router{config.cluster_index(cluster)}", EVENT_FLIT,
             src=src_label, dst=dst_label, size=op.size_bytes, hop=hop)._replace(
                 length=flits))
-        book["router"].extend([(first + flit, params.router_flit_energy)
-                               for flit in range(flits)])
-        book["unclassified"].extend([(first + flit, params.link_flit_energy)
-                                     for flit in range(flits)])
+        book["router"].extend([(first + flit, router_pj) for flit in range(flits)])
+        book["unclassified"].extend([(first + flit, link_pj) for flit in range(flits)])
     return t + 1 + flits
 
 
@@ -612,10 +567,9 @@ def _program_from_json(doc, by_name: dict) -> Program:
     ops: dict[int, list[ProgramOp]] = {}
     cpus = json_field("", doc, "cpus", "an object", {})
     for cpu_str in cpus:
-        try:
-            cpu = int(cpu_str)
-        except ValueError:
-            raise ProgramError(f"cpu key {cpu_str!r} is not an integer") from None
+        if not is_digits(cpu_str):
+            raise ProgramError(f"cpu key {cpu_str!r} is not an integer >= 0")
+        cpu = read_int(cpu_str, f"cpu key {cpu_str!r}", ProgramError)
         lst: list[ProgramOp] = []
         for i, entry in enumerate(json_field("cpus.", cpus, cpu_str, "a list")):
             at = f"cpus.{cpu_str}[{i}]."

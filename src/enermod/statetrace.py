@@ -164,16 +164,28 @@ def trace_from_lines(lines) -> Trace:
     return Trace(events=events)
 
 
-def _is_digits(text: str) -> bool:
-    """Whether text is [0-9]+, the one spelling of a cycle or a length."""
+def is_digits(text: str) -> bool:
+    """Whether text is [0-9]+, the one spelling of a cycle, a length and a
+    program's cpu id."""
     return text.isascii() and text.isdigit()
+
+
+def read_int(text: str, where: str, error: type[ValueError] = TraceError) -> int:
+    """int() of a text that is -?[0-9]+ in full.  A text of more digits
+    than int() converts (sys.get_int_max_str_digits, a process-wide limit
+    left as it is) raises error, naming where."""
+    try:
+        return int(text)
+    except ValueError:
+        raise error(f"{where}: {len(text)} digits are more than an integer "
+                    "may have") from None
 
 
 def _cycle(lineno: int, text: str) -> int:
     """A line's start cycle, checked on every line: an integer >= 0."""
-    if not _is_digits(text):
+    if not is_digits(text):
         raise TraceError(f"line {lineno}: cycle {text!r} is not an integer >= 0")
-    return int(text)
+    return read_int(text, f"line {lineno}: cycle")
 
 
 def _parse_tail(lineno: int, text: str, tail: str) -> tuple:
@@ -184,7 +196,7 @@ def _parse_tail(lineno: int, text: str, tail: str) -> tuple:
         raise TraceError(f"line {lineno}: expected 5 tab-separated fields")
     _cycle(lineno, text)
     length, component, kind, payload = fields
-    if not _is_digits(length) or int(length) < 1:
+    if not is_digits(length) or read_int(length, f"line {lineno}: length") < 1:
         raise TraceError(f"line {lineno}: length {length!r} is not an integer >= 1")
     attrs: dict[str, object] = {}
     if payload:
@@ -192,7 +204,7 @@ def _parse_tail(lineno: int, text: str, tail: str) -> tuple:
             k, sep, v = item.partition("=")
             if not sep:
                 raise TraceError(f"line {lineno}: attribute {item!r} is not name=value")
-            attrs[k] = _value(v)
+            attrs[k] = _value(v, f"line {lineno}: {k}")
     if kind == EVENT_IDLE and attrs:
         raise TraceError(f"line {lineno}: idle record has attribute {min(attrs)!r}")
     if kind not in EVENT_KINDS:
@@ -206,10 +218,10 @@ def component_class(component: str) -> str:
     return stripped if stripped else component
 
 
-def _value(text: str) -> object:
+def _value(text: str, where: str, error: type[ValueError] = TraceError) -> object:
     """A field value as a rule reads it: an int where text is -?[0-9]+ in
-    full, else the text."""
-    return int(text) if _INT_RE.fullmatch(text) else text
+    full (see read_int), else the text."""
+    return read_int(text, where, error) if _INT_RE.fullmatch(text) else text
 
 
 def _derive(rec: dict[str, object]) -> dict[str, object]:
@@ -249,10 +261,11 @@ def parse_key(key: str) -> dict[str, object]:
     component and any later bare segment a tag; then the _derive fields.
     """
     rec: dict[str, object] = {"key": key}
+    where = f"key {key!r}"
     for seg in key.split("/"):
         name, sep, value = seg.partition(":")
         if sep:
-            rec[name] = _value(value)
+            rec[name] = _value(value, where, ModelFunctionError)
         elif "component" not in rec:
             rec["component"] = seg
         else:

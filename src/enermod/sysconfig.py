@@ -81,9 +81,20 @@ def json_field(where: str, doc: dict, name: str, kind: str, default=_REQUIRED):
 
 def json_document(text: str, error: type[ValueError]):
     """The JSON document text holds; a syntax error raises the format's own
-    error class, naming its line and column."""
+    error class, naming its line and column, and so does a number that is
+    not finite: NaN, Infinity, -Infinity, or one past a float's range
+    (1e999)."""
+    def refuse(spelling: str):
+        raise error(f"number {spelling} is not finite")
+
+    def finite(spelling: str) -> float:
+        value = float(spelling)
+        if not math.isfinite(value):
+            refuse(spelling)
+        return value
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=finite, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise error(f"syntax error at line {exc.lineno} column {exc.colno}: "
                     f"{exc.msg}") from None

@@ -176,7 +176,7 @@ def test_comm_sweep_energy_is_prologue_plus_packets(params, mesh, data):
                 [config.cpu_id(src, 0), dst_cpu])
             trace, ledger = run_program(config, params, bench.program)
             dynamic = ledger.total_pj - params.static_pj(config, trace.duration)
-            expected = (PROLOGUE_LEN * params.sync_energy
+            expected = (PROLOGUE_LEN * params["sync"]
                         + reps * packet_energy(params, config, src, dst, size))
             assert dynamic == pytest.approx(expected, rel=1e-12)
 

@@ -5,8 +5,10 @@ import ast
 import contextlib
 import copy
 import filecmp
+import functools
 import io
 import json
+import operator
 import os
 import shutil
 import subprocess
@@ -158,17 +160,19 @@ def test_oracle_stops_at_the_first_invalid_program(tmp_path, capsys, workers):
 
 
 def test_oracle_non_integer_cpu_key_exits_4(tmp_path, capsys):
+    # a cpu key is [0-9]+, the one spelling of a trace cycle
     rc = main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "16",
                "--step", "8", "--api", data_path("api.json")]
               + _defaults(tmp_path))
     assert rc == EXIT_OK
     program = sorted((tmp_path / "benchmarks").glob("*.json"))[0]
-    program.write_text(json.dumps({"cpus": {"x": []}}))
-    capsys.readouterr()
-    rc = main(["oracle"] + _defaults(tmp_path, "isa", "params"))
-    assert rc == EXIT_INVARIANT
-    assert "'x'" in _one_error_line(capsys, EXIT_INVARIANT)
-    assert not (tmp_path / "traces").exists()
+    for key in ("x", " 0", "+0", "0_0", "٣", "-0", "0 ", "9" * 5000):
+        program.write_text(json.dumps({"cpus": {key: []}}))
+        capsys.readouterr()
+        rc = main(["oracle"] + _defaults(tmp_path, "isa", "params"))
+        assert rc == EXIT_INVARIANT
+        assert f"cpu key {key!r}" in _one_error_line(capsys, EXIT_INVARIANT)
+        assert not (tmp_path / "traces").exists()
 
 
 def test_sweep_noc_core_key_without_three_parts_exits_4(tmp_path, capsys):
@@ -326,6 +330,23 @@ def test_count_below_1_is_a_usage_error(tmp_path, capsys, command, option, value
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("option", ["--temp", "--w-energy", "--w-throughput"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_explore_float_option_that_is_not_finite_is_a_usage_error(tmp_path, capsys,
+                                                                   option, value):
+    with pytest.raises(SystemExit) as err:
+        main(_EXPLORE + [f"{option}={value}"] + _defaults(tmp_path))
+    assert err.value.code == EXIT_USAGE
+    assert f"argument {option}: must be finite" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_explore_temperature_of_0_or_below_is_allowed():
+    # a temperature at or below 0 means greedy descent
+    for value in ("0", "-1.5"):
+        assert cli.build_parser().parse_args(_EXPLORE + ["--temp", value]).temp == float(value)
+
+
 @pytest.mark.parametrize("value", ["0", "-0.5", "1.5", "nan", "x"])
 def test_cooling_outside_0_1_is_a_usage_error(tmp_path, capsys, value):
     with pytest.raises(SystemExit) as err:
@@ -464,6 +485,13 @@ def test_ledger_energy_that_is_not_a_number_exits_5(tmp_path, capsys):
     assert "comm__h2__16.csv: line 11:" in error
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "1_000", " 3", "3 ",
+                                   "٣", "+3"])
+def test_ledger_energy_that_is_not_a_finite_ascii_number_exits_5(tmp_path, capsys, value):
+    error = _fit_with_ledger_line(tmp_path, capsys, f"total,{value}")
+    assert "comm__h2__16.csv: line 11:" in error
+
+
 def test_ledger_line_without_a_comma_exits_5(tmp_path, capsys):
     error = _fit_with_ledger_line(tmp_path, capsys, "core")
     assert "comm__h2__16.csv: line 11:" in error
@@ -559,10 +587,15 @@ def test_estimate_of_idle_time_that_cannot_be_a_span_exits_5(tmp_path, capsys):
 
 def test_estimate_of_a_malformed_trace_line_exits_5(tmp_path, capsys):
     lines = _one_packet_trace(tmp_path)
+    digits = "9" * 5000     # more than int() reads
+    transfer = next(line for line in lines if "\tni-transfer\t" in line)
     for bad in ("x\tcpu0\tsync\t", "0\tcpu0\tsync\tfoo",    # cycle; payload item
                 # a cycle is [0-9]+, not any spelling int() reads
                 "1_0\t1\tcpu0\tsync\t", "+3\t1\tcpu0\tsync\t", " 4\t1\tcpu0\tsync\t",
-                "٣\t1\tcpu0\tsync\t"):
+                "٣\t1\tcpu0\tsync\t",
+                f"{digits}\t1\tcpu0\tsync\t", f"0\t{digits}\tcpu0\tsync\t",
+                transfer.replace("size=8", f"size={digits}"),
+                transfer.replace("size=8", f"size=-{digits}")):
         _estimate_exits_5(tmp_path, capsys, [bad])
         _estimate_exits_5(tmp_path, capsys, lines + [bad])
 
@@ -1004,10 +1037,13 @@ def test_estimate_of_a_reducer_variable_that_is_not_a_finite_number_exits_5(
 @pytest.mark.parametrize("kind,key", [
     ("hops", "noc/src:x/dst:1,1/size:8"), ("hops", "noc/src:+1,0/dst:1,1/size:8"),
     *((kind, f"noc/hops:1/size:{size}") for kind in ("staircase", "linear")
-      for size in ("abc", "nan", "inf", "1_6", "+16", "٣"))])
+      for size in ("abc", "nan", "inf", "1_6", "+16", "٣")),
+    *(pytest.param(kind, f"noc/hops:1/size:{'9' * 5000}", id=f"{kind}-5000-digits")
+      for kind in ("staircase", "linear"))])
 def test_reduce_of_a_key_that_does_not_parse_exits_5(tmp_path, kind, key):
     """A pair key's endpoints must be coordinates, and a packet size
-    -?[0-9]+: reduce exits 5 naming the key and writes nothing."""
+    -?[0-9]+ of no more digits than int() reads: reduce exits 5 naming the
+    key and writes nothing."""
     function = noc_pair_function() if kind == "hops" else noc_hop_function()
     constants = {key: 1.0} if kind == "hops" else {"noc/hops:1/size:16": 1.0, key: 2.0}
     save_model(EnergyModel(function=function, constants=constants), str(tmp_path / "m.json"))
@@ -1293,6 +1329,22 @@ def one_size(tmp_path_factory):
     return out
 
 
+def _run_on_one_size(one_size, tmp_path, command):
+    """A copy of the one_size outdir, and the argv of a small run of
+    command on it that reads every input file from there."""
+    out = tmp_path / "out"
+    shutil.copytree(one_size, out)
+    argv = [command] + _SMALL_RUN.get(command, [])
+    for action in _subparsers()[command]._actions:
+        if action.dest in _INPUT_FILES:
+            argv += [action.option_strings[0], str(out / _INPUT_FILES[action.dest][0])]
+        elif action.dest == "out":
+            argv += ["--out", str(out)]
+        elif action.dest == "output" and action.required:
+            argv += ["--output", str(out / "reduced.json")]
+    return out, argv
+
+
 @pytest.mark.parametrize("case", ["{", "not utf-8", "directory", "missing"])
 @pytest.mark.parametrize("command,name", _INPUT_PAIRS,
                          ids=[f"{command}-{name}" for command, name in _INPUT_PAIRS])
@@ -1302,17 +1354,8 @@ def test_every_input_file_error_is_one_line_naming_the_file(one_size, tmp_path,
     format's code, and a directory in its place exits 3, on one line that
     starts with the file's path; a missing file exits 3 with the
     missing-file line."""
-    out = tmp_path / "out"
-    shutil.copytree(one_size, out)
+    out, argv = _run_on_one_size(one_size, tmp_path, command)
     path = out / _INPUT_FILES[name][0]
-    argv = [command] + _SMALL_RUN.get(command, [])
-    for action in _subparsers()[command]._actions:
-        if action.dest in _INPUT_FILES:
-            argv += [action.option_strings[0], str(out / _INPUT_FILES[action.dest][0])]
-        elif action.dest == "out":
-            argv += ["--out", str(out)]
-        elif action.dest == "output" and action.required:
-            argv += ["--output", str(out / "reduced.json")]
     path.unlink()
     if case == "{":
         path.write_text("{")
@@ -1328,6 +1371,31 @@ def test_every_input_file_error_is_one_line_naming_the_file(one_size, tmp_path,
     else:
         code = EXIT_MISSING_FILE if case == "directory" else _INPUT_FILES[name][1]
         assert rc == code and error.startswith(f"error:{code}:{path}: ")
+
+
+_JSON_PAIRS = [(command, name) for command, name in _INPUT_PAIRS
+               if _INPUT_FILES[name][0].endswith(".json")]
+
+
+@pytest.mark.parametrize("command,name", _JSON_PAIRS,
+                         ids=[f"{command}-{name}" for command, name in _JSON_PAIRS])
+def test_a_json_input_holding_a_non_finite_number_exits_with_its_format_code(
+        one_size, tmp_path, command, name):
+    """NaN, Infinity, -Infinity or 1e999 in place of a JSON file's first
+    number (the rule file, which has none, gains a match on it) exits with
+    the format's code, on one line that names the file and the number."""
+    out, argv = _run_on_one_size(one_size, tmp_path, command)
+    path = out / _INPUT_FILES[name][0]
+    doc = json.loads(path.read_text())
+    at = next((p for p in _json_fields(doc)
+               if type(functools.reduce(operator.getitem, p, doc)) in (int, float)),
+              (0, "match", "size"))
+    for number in ("NaN", "Infinity", "-Infinity", "1e999"):
+        path.write_text(json.dumps(_mutated(doc, at, "@")).replace('"@"', number))
+        rc, error = _run_quietly(argv, (EXIT_INVARIANT, EXIT_DATA))
+        code = _INPUT_FILES[name][1]
+        assert rc == code
+        assert error == f"error:{code}:{path}: number {number} is not finite"
 
 
 def test_report_aggregates(tmp_path):

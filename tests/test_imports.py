@@ -1,7 +1,8 @@
 """Source hygiene: no module-level import goes unused, no library code
 serves only the tests, every defaulted parameter is set by some call,
-calibration runs are built in benchgen alone, float sums that reach files
-fold left to right, and every field a model file holds is read back."""
+calibration runs are built in benchgen alone, JSON is parsed in one place,
+float sums that reach files fold left to right, and every field a model file
+holds is read back."""
 
 import ast
 import glob
@@ -297,6 +298,26 @@ def test_calibration_runs_are_built_in_benchgen_alone():
                     else node.attr if isinstance(node, ast.Attribute) else None)
             if name in _CALIBRATION_BUILDERS:
                 outside.append(f"{os.path.relpath(path, ROOT)}:{node.lineno}: {name}")
+    assert not outside, "\n".join(outside)
+
+
+def test_json_is_parsed_in_json_document_alone():
+    """Every JSON document is read through sysconfig.json_document, which
+    refuses non-finite numbers with the format's error class: src/enermod
+    calls json.loads and json.load nowhere else."""
+    outside = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "enermod", "*.py"))):
+        tree = _parse(path)
+        allowed = {id(node) for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef) and func.name == "json_document"
+                   for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                outside.append(f"{os.path.relpath(path, ROOT)}:{node.lineno}: from json")
+            elif (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                  and isinstance(node.value, ast.Name) and node.value.id == "json"
+                  and id(node) not in allowed):
+                outside.append(f"{os.path.relpath(path, ROOT)}:{node.lineno}: json.{node.attr}")
     assert not outside, "\n".join(outside)
 
 

@@ -350,11 +350,11 @@ def test_staircase_coefficients_match_oracle_closed_form(config, params):
     assert report.max_abs_error_pj < 1e-9
     hops = 2  # (0,0) -> (1,1)
     static = params.static_pj(config, 1)
-    per_flit = (params.ni_in_flit_energy + params.ni_out_flit_energy
-                + (hops + 1) * (params.router_flit_energy
-                                + params.link_flit_energy))
+    per_flit = (params["ni_in_flit"] + params["ni_out_flit"]
+                + (hops + 1) * (params["router_flit"]
+                                + params["link_flit"]))
     assert b == pytest.approx(per_flit + static, rel=1e-9)
     # duration of a single send is flits + hops + 1 cycles, so the fixed
     # part of the staircase carries 1 + hops cycles of static power
-    assert a == pytest.approx(params.sync_energy + params.packet_header_energy
+    assert a == pytest.approx(params["sync"] + params["packet_header"]
                               + static * (1 + hops), rel=1e-9)

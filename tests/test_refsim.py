@@ -1,9 +1,9 @@
 """Reference oracle: accounting formulas, determinism, conservation."""
 
 import copy
-import dataclasses
 import hashlib
 import json
+import math
 import pickle
 import re
 
@@ -23,6 +23,7 @@ from enermod.refsim import (
     DATA_PATTERNS,
     LEDGER_COMPONENTS,
     BundleOp,
+    EnergyLedger,
     ParamError,
     Program,
     ProgramError,
@@ -73,24 +74,20 @@ def params_doc():
 
 
 def test_params_round_trip(params, params_doc):
-    # key order is irrelevant, and each number of the document lands in
-    # exactly one field
+    # key order is irrelevant, and the params hold the document, name for name
     assert params_from_json(dict(reversed(params_doc.items()))) == params
-    values = [v for _k, v in params.core_energy + params.dmem_access_energy]
-    values += [getattr(params, f.name) for f in dataclasses.fields(params)
-               if f.name not in ("core_energy", "dmem_access_energy")]
-    assert sorted(values) == sorted(params_doc.values())
+    assert dict(params.values) == params_doc
 
 
 def test_params_lookup_tables_stay_out_of_eq_repr_and_json(params, params_doc):
-    assert "_core" not in repr(params) and "_dmem" not in repr(params)
+    assert "_by_name" not in repr(params)
     copy = pickle.loads(pickle.dumps(params))
     assert copy == params and hash(copy) == hash(params)
-    assert copy.core("SIMD", "ones") == params_doc["core.SIMD.ones"]
-    assert copy.dmem("alt") == params_doc["dmem.alt"]
+    assert copy["core.SIMD.ones"] == params_doc["core.SIMD.ones"]
+    assert copy["dmem.alt"] == params_doc["dmem.alt"]
     params_doc["dmem.alt"] += 1.0
     changed = params_from_json(params_doc)
-    assert changed != params and changed.dmem("alt") == params.dmem("alt") + 1.0
+    assert changed != params and changed["dmem.alt"] == params["dmem.alt"] + 1.0
 
 
 def test_params_reject_nop_above_simd(params_doc):
@@ -111,6 +108,50 @@ def test_params_reject_unknown_key(params_doc):
         params_from_json(params_doc)
 
 
+# The names the scalar parameters had in code beside their file names
+# (imem_spatial_coeff had one name).
+_OLD_FIELD_NAMES = {
+    "empty_slot": "empty_slot_energy",
+    "imem_base.compressed": "imem_base_compressed",
+    "imem_base.uncompressed": "imem_base_uncompressed",
+    "bus_beat": "bus_beat_energy", "router_flit": "router_flit_energy",
+    "link_flit": "link_flit_energy", "ni_in_flit": "ni_in_flit_energy",
+    "ni_out_flit": "ni_out_flit_energy", "packet_header": "packet_header_energy",
+    "sync": "sync_energy", "static.cpu": "static_cpu_pw",
+    "static.router": "static_router_pw", "static.ni": "static_ni_pw",
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(edit=st.sampled_from(["drop", "negate", "nan", "rename", "add"]),
+       data=st.data())
+def test_an_edit_to_one_parameter_is_refused_naming_its_document_key(edit, data):
+    # the shipped document loads name for name; dropping, negating or
+    # NaN-ing one key, renaming a scalar to its old field name, or adding an
+    # unknown core.* or dmem.* key is refused, naming the key as the
+    # document spells it
+    with open(data_path("oracle_params.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    params = params_from_json(doc)
+    assert all(params[name] == float(value) for name, value in doc.items())
+    if edit == "rename":
+        key = data.draw(st.sampled_from(sorted(_OLD_FIELD_NAMES)))
+        doc[_OLD_FIELD_NAMES[key]] = doc.pop(key)
+    elif edit == "add":
+        key = data.draw(st.from_regex(r"(core|dmem)(\.[A-Za-z_]{0,8}){0,3}",
+                                      fullmatch=True).filter(lambda k: k not in doc))
+        doc[key] = 1.0
+    elif edit == "drop":
+        key = data.draw(st.sampled_from(sorted(doc)))
+        del doc[key]
+    else:
+        key = data.draw(st.sampled_from(sorted(doc)))
+        doc[key] = -doc[key] if edit == "negate" else math.nan
+    with pytest.raises(ParamError) as err:
+        params_from_json(doc)
+    assert repr(key) in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # single-bundle accounting
 # ---------------------------------------------------------------------------
@@ -122,13 +163,13 @@ def test_single_nop_bundle_accounting(tiny_config, isa, params):
     trace, ledger = run_program(tiny_config, params, program)
     bundles = [e for e in trace.events if e.kind == "bundle-issue"]
     assert len(bundles) == 1
-    expected = (2 * params.core("NOP", "zeros")
-                + params.imem_base(False)
+    expected = (2 * params["core.NOP.zeros"]
+                + params["imem_base.uncompressed"]
                 + fetch_position_energy(params, tiny_config, 0, False)
                 + params.static_pj(tiny_config, 1))
     assert ledger.total_pj == pytest.approx(expected, rel=1e-12)
     b = ledger.breakdown_dict()
-    assert b["core"] == pytest.approx(2 * params.core("NOP", "zeros"))
+    assert b["core"] == pytest.approx(2 * params["core.NOP.zeros"])
     assert b["dmem"] == 0.0
 
 
@@ -139,7 +180,7 @@ def test_load_books_dmem_without_an_event_of_its_own(tiny_config, isa, params,
     program = Program.from_dict(
         {0: [BundleOp(group=group, addr=0, pattern=pattern)]}, min_cycles=3)
     trace, ledger = run_program(tiny_config, params, program)
-    assert ledger.breakdown_dict()["dmem"] == params.dmem(pattern)
+    assert ledger.breakdown_dict()["dmem"] == params[f"dmem.{pattern}"]
     assert [e.kind for e in expand(trace)] == ["bundle-issue", "idle", "idle"]
 
 
@@ -174,8 +215,8 @@ def test_compressed_fetch_cheaper(tiny_config, isa, params):
     # single slot costs one core NOP + one empty slot and a compressed fetch
     diff = (bundle_energy(params, tiny_config, full)
             - bundle_energy(params, tiny_config, single))
-    expected = (params.core("NOP", "zeros") - params.empty_slot_energy
-                + params.imem_base(False) - params.imem_base(True))
+    expected = (params["core.NOP.zeros"] - params["empty_slot"]
+                + params["imem_base.uncompressed"] - params["imem_base.compressed"])
     assert diff == pytest.approx(expected)
 
 
@@ -186,7 +227,7 @@ def test_compressed_fetch_cheaper(tiny_config, isa, params):
 def test_imem_spatial_examples(tiny_config, isa, params):
     assert fetch_position_energy(params, tiny_config, 0, True) == 0.0
     assert fetch_position_energy(params, tiny_config, 7, True) == pytest.approx(
-        3 * params.imem_spatial_coeff)
+        3 * params["imem_spatial_coeff"])
     op = BundleOp(group=_group(isa, "nop+EMPTY"), addr=tiny_config.imem_words,
                   pattern="zeros")
     with pytest.raises(ProgramError):
@@ -199,7 +240,7 @@ def test_imem_spatial_spread_over_first_800(tiny_config, params):
                 for a in range(800)]
     max_pop = max(_popcount(a % tiny_config.bank_words) for a in range(800))
     assert max(energies) - min(energies) == pytest.approx(
-        params.imem_spatial_coeff * max_pop)
+        params["imem_spatial_coeff"] * max_pop)
 
 
 def test_single_slot_range_at_least_two_slot(tiny_config, isa, params):
@@ -288,11 +329,11 @@ def test_path_additivity_all_pairs(mesh3_config, params):
             trace, ledger = _send_total(mesh3_config, params, src, dst, size)
             dynamic = ledger.total_pj - params.static_pj(mesh3_config, trace.duration)
             hops = manhattan(src, dst)
-            expected = (params.sync_energy + params.packet_header_energy
-                        + flits * (params.ni_in_flit_energy
-                                   + params.ni_out_flit_energy
-                                   + (hops + 1) * (params.router_flit_energy
-                                                   + params.link_flit_energy)))
+            expected = (params["sync"] + params["packet_header"]
+                        + flits * (params["ni_in_flit"]
+                                   + params["ni_out_flit"]
+                                   + (hops + 1) * (params["router_flit"]
+                                                   + params["link_flit"])))
             assert dynamic == pytest.approx(expected, rel=1e-12)
             assert dynamic == pytest.approx(
                 packet_energy(params, mesh3_config, src, dst, size), rel=1e-12)
@@ -305,8 +346,8 @@ def test_local_transfer_uses_bus(config, params):
     trace, ledger = _send_total(config, params, (0, 0), (0, 0), 64)
     b = ledger.breakdown_dict()
     assert b["router"] == 0.0 and b["ni"] == 0.0
-    assert b["bus"] == pytest.approx(8 * params.bus_beat_energy)
-    assert b["sync"] == pytest.approx(params.sync_energy)
+    assert b["bus"] == pytest.approx(8 * params["bus_beat"])
+    assert b["sync"] == pytest.approx(params["sync"])
     assert any(e.component.startswith("bus") for e in trace.events)
 
 
@@ -317,11 +358,11 @@ def test_a_run_lasts_until_its_last_crossbar_beat(config, params):
     trace, ledger = _send_total(config, params, (0, 0), (0, 0), 100)
     assert trace.events[-1].cycle == 1
     assert trace.duration == 1 + flits
-    free = dataclasses.replace(params, bus_beat_energy=0.0)
+    free = params_from_json({**dict(params.values), "bus_beat": 0.0})
     trace, free_ledger = _send_total(config, free, (0, 0), (0, 0), 100)
     assert trace.duration == 2
     assert ledger.total_pj - free_ledger.total_pj == pytest.approx(
-        flits * params.bus_beat_energy + params.static_pj(config, flits - 1))
+        flits * params["bus_beat"] + params.static_pj(config, flits - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +666,17 @@ def test_program_json_round_trip(config, isa):
     program = _mixed_program(config, isa)
     doc = program_to_json(program)
     assert program_from_json(doc, isa) == program
+
+
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=len(LEDGER_COMPONENTS) + 1,
+                       max_size=len(LEDGER_COMPONENTS) + 1))
+def test_ledger_csv_returns_every_finite_value_bit_for_bit(values):
+    ledger = EnergyLedger(total_pj=values[-1],
+                          breakdown=tuple(zip(LEDGER_COMPONENTS, values)))
+    read = ledger_from_csv(ledger.to_csv())
+    assert [read[name].hex() for name in (*LEDGER_COMPONENTS, "total")] == [
+        value.hex() for value in values]
 
 
 def test_ledger_csv_round_trip(config, isa, params):
