@@ -79,7 +79,9 @@ from .statetrace import (
     ModelFunctionError,
     TraceError,
     builtin_function,
+    is_digits,
     load_function,
+    read_int,
     trace_from_lines,
 )
 from .sysconfig import (
@@ -190,6 +192,18 @@ def _sizes(lo: int, hi: int, step: int) -> list[int]:
 def _manifest_rows(bench_dir: str) -> list[tuple[str, str]]:
     return _read(os.path.join(bench_dir, "manifest.csv"),
                  lambda path: parse_manifest_csv(_text(path)), EXIT_DATA)
+
+
+def _check_finite(model_path: str, doc: dict, where: str = "") -> None:
+    """Exit 5, naming the model file, where a number in doc is not finite:
+    JSON cannot spell it, and finite constants can add up past a float's
+    range.  A subcommand checks what it will write before writing any."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            _check_finite(model_path, value, f"{where}{key}.")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise CliError(EXIT_DATA, f"{model_path}: {where}{key} {value!r} "
+                                      "is not a finite number")
 
 
 def _write(path: str, text: str) -> None:
@@ -338,6 +352,7 @@ def cmd_estimate(args) -> int:
         "contributions": {k: {"count": c, "energy_pj": e}
                           for k, (c, e) in sorted(result.contributions.items())},
     }
+    _check_finite(args.model, doc)
     if args.output:
         _write_json(args.output, doc)
     print(json.dumps({"total_pj": result.total_pj, "coverage": result.coverage}))
@@ -349,18 +364,22 @@ def cmd_validate(args) -> int:
     api = _read(args.api, load_api, EXIT_INVARIANT)
     params = _read(args.params, load_oracle_params, EXIT_INVARIANT)
     out = _outdir(args)
+    model_path = args.model or os.path.join(out, "models", "simplified.json")
     if args.model:
-        model = _read(args.model, load_model, EXIT_DATA)
+        model = _read(model_path, load_model, EXIT_DATA)
     else:
         model, _reports = build_simplified_model(config, isa, api, params,
                                                  workers=args.workers)
-        save_model(model, os.path.join(_subdir(out, "models"), "simplified.json"))
+        _subdir(out, "models")
+        save_model(model, model_path)
     report = validate_applications(model, config, isa, params, seed=args.seed)
+    summary = report.summary()
+    # a row's estimate or error that is not finite makes the mean so
+    _check_finite(model_path, summary)
     report_dir = _subdir(out, "reports")
     _write(os.path.join(report_dir, "validation.csv"), report.to_csv())
-    _write_json(os.path.join(report_dir, "validation_summary.json"),
-                report.summary())
-    print(json.dumps(report.summary()))
+    _write_json(os.path.join(report_dir, "validation_summary.json"), summary)
+    print(json.dumps(summary))
     return EXIT_OK
 
 
@@ -422,14 +441,15 @@ def cmd_explore(args) -> int:
     result = anneal_restarts(graph, config, model, schedules,
                              w_energy=args.w_energy,
                              w_throughput=args.w_throughput)
-    _write_json(os.path.join(_subdir(out, "models"), "partition.json"),
-                partition_to_json(result.best_partition, result.best_score))
+    summary = {"best_cost": result.best_score.cost(args.w_energy, args.w_throughput),
+               "energy_pj": result.best_score.energy_pj,
+               "feasible": result.best_score.feasible}
+    partition = partition_to_json(result.best_partition, result.best_score)
+    _check_finite(args.model, {**summary, **partition})
+    _write_json(os.path.join(_subdir(out, "models"), "partition.json"), partition)
     _write(os.path.join(_subdir(out, "reports"), "explore_history.csv"),
            result.history_csv())
-    print(json.dumps({"best_cost": result.best_score.cost(args.w_energy,
-                                                          args.w_throughput),
-                      "energy_pj": result.best_score.energy_pj,
-                      "feasible": result.best_score.feasible}))
+    print(json.dumps(summary))
     return EXIT_OK
 
 
@@ -470,10 +490,19 @@ def _add_common(parser: argparse.ArgumentParser, *inputs: str) -> None:
                         help="output directory (default $ENERMOD_OUTDIR)")
 
 
+def _int(text: str) -> int:
+    """argparse type of an integer option, read in its one spelling,
+    -?[0-9]+ in ASCII digits, as a trace's integers are; ` 8`, `+8`, `1_6`
+    and other digits than ASCII are usage errors."""
+    if not is_digits(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in ASCII digits")
+    return read_int(text, "integer", argparse.ArgumentTypeError)
+
+
 def _positive_int(text: str) -> int:
     """argparse type of a count or step that must be at least 1; a value
     below 1 is a usage error."""
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
     return value
@@ -509,10 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["instr", "imem", "comm"], default="instr")
     p.add_argument("--reps", type=_positive_int, default=DEFAULT_REPS)
     p.add_argument("--group", default="nop+nop", help="imem sweep group label")
-    p.add_argument("--lo", type=int, default=0)
-    p.add_argument("--hi", type=int, default=799)
-    p.add_argument("--min", type=int, default=None, help="comm size minimum")
-    p.add_argument("--max", type=int, default=None, help="comm size maximum")
+    p.add_argument("--lo", type=_int, default=0)
+    p.add_argument("--hi", type=_int, default=799)
+    p.add_argument("--min", type=_int, default=None, help="comm size minimum")
+    p.add_argument("--max", type=_int, default=None, help="comm size maximum")
     p.add_argument("--step", type=_positive_int, default=None,
                    help="comm size step")
     p.add_argument("--src", type=parse_coord, default="0,0")
@@ -555,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "isa", "api", "params")
     p.add_argument("--model", default=None,
                    help="model file (default: fit the simplified model)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_validate)
 
@@ -563,15 +592,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "params")
     p.add_argument("--src", type=parse_coord, default="0,0")
     p.add_argument("--dst", type=parse_coord, default="1,1")
-    p.add_argument("--min", type=int, default=4)
-    p.add_argument("--max", type=int, default=1024)
+    p.add_argument("--min", type=_int, default=4)
+    p.add_argument("--max", type=_int, default=1024)
     p.add_argument("--step", type=_positive_int, default=4)
     p.set_defaults(func=cmd_sweep_noc)
 
     p = sub.add_parser("sweep-imem", help="instruction-position sweep CSV")
     _add_common(p, "isa", "params")
-    p.add_argument("--lo", type=int, default=0)
-    p.add_argument("--hi", type=int, default=799)
+    p.add_argument("--lo", type=_int, default=0)
+    p.add_argument("--hi", type=_int, default=799)
     p.set_defaults(func=cmd_sweep_imem)
 
     p = sub.add_parser("explore", help="annealing-based task mapping")
@@ -579,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--config", default=data_path("default_config.json"))
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--chains", type=_positive_int, default=4)
     p.add_argument("--steps", type=_positive_int, default=AnnealSchedule.steps)
     p.add_argument("--temp", type=_finite, default=AnnealSchedule.initial_temp)

@@ -152,17 +152,16 @@ class _Scorer:
     The terms no partition changes are computed once: the actor work energy
     (summed from 0.0 in actor order, as the score's first additions), each
     actor's work cycles and state, and the channel endpoints.  Hop counts
-    come from the config's CPU table and packet costs from the model's key
-    table.  Every score adds its floats in the same order.
+    come from the config's CPU table and packet costs from the model's
+    packet_pj.  Every score adds its floats in the same order.
     """
 
     def __init__(self, graph: DataflowGraph, config: SystemConfig,
                  model: EnergyModel) -> None:
-        table = model.table
         work_pj = 0.0
         for actor in graph.actors:
             for key, count in actor.work:
-                work_pj += (table.pj(key) or 0.0) * count
+                work_pj += (model.energy_of_key(key) or 0.0) * count
         self.work_pj = work_pj
         self.actors = [(a.id, a.work_cycles, a.state_bytes) for a in graph.actors]
         self.channels = [(ch.src, ch.dst, ch.bytes_per_iter)
@@ -171,7 +170,7 @@ class _Scorer:
         self.hops = config.cpu_hops
         self.flit_payload_bytes = config.flit_payload_bytes
         self.dmem_bytes = config.dmem_bytes
-        self.packet_pj = table.packet_pj
+        self.packet_pj = model.packet_pj
         self.static_pj_per_cycle = model.static_pj_per_cycle
 
     def score(self, partition: Partition) -> PartitionScore:

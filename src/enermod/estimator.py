@@ -69,7 +69,7 @@ def estimate(trace: Trace, model: EnergyModel) -> EnergyEstimate:
     missing: dict[str, None] = {}
     mapped = 0
     covered = 0
-    pj_of = model.table.pj
+    pj_of = model.energy_of_key
     for component, key, cycles in weighted_keys(trace, model.function):
         if key is None:
             continue

@@ -12,7 +12,6 @@ import json
 import os
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -62,14 +61,9 @@ class Reducer:
         if self.kind == REDUCER_STAIRCASE and not self.flit_payload_bytes:
             raise FitError("staircase reducer needs flit_payload_bytes")
 
-    def covers(self, key: str) -> bool:
-        return key == self.family or key.startswith(self.family + "/")
-
-    def evaluate_size(self, x: float) -> float:
-        return self.a + self.b * _size_regressor(self.kind, x, self.flit_payload_bytes)
-
     def evaluate_key(self, key: str) -> float:
-        return self.evaluate_size(_reducer_variable(key, parse_key(key), self.variable))
+        x = _reducer_variable(key, parse_key(key), self.variable)
+        return self.a + self.b * _size_regressor(self.kind, x, self.flit_payload_bytes)
 
 
 def _reducer_variable(key: str, rec: dict[str, object], name: str) -> int:
@@ -92,58 +86,39 @@ class EnergyModel:
     reducers: list[Reducer] = field(default_factory=list)
     static_pj_per_cycle: float = 0.0
     provenance: dict = field(default_factory=dict)
+    _pj: dict[str, float | None] = field(default_factory=dict, init=False,
+                                         repr=False, compare=False)
+    _packet: dict[tuple[int, int], float | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def reducer_for(self, key: str) -> Reducer | None:
-        for reducer in self.reducers:
-            if reducer.covers(key):
-                return reducer
-        return None
+        """The first reducer whose family is the key or its leading
+        "/"-separated segments."""
+        return next((r for r in self.reducers
+                     if key == r.family or key.startswith(r.family + "/")), None)
 
     def energy_of_key(self, key: str) -> float | None:
-        """pJ per occurrence of a key, or None when the model has no entry."""
-        reducer = self.reducer_for(key)
-        if reducer is not None:
-            return reducer.evaluate_key(key)
-        return self.constants.get(key)
-
-    @cached_property
-    def table(self) -> KeyTable:
-        """The compiled key lookup, built on first use; the model's
-        constants and reducers must not change after that."""
-        return KeyTable(self)
-
-
-class KeyTable:
-    """An EnergyModel's key lookup compiled into memo tables.
-
-    `pj` maps a key to energy_of_key's answer, including None for a key the
-    model has no entry for, and `packet_pj` maps (hops, size) to the pJ of
-    one channel-synchronized packet.  Each key is resolved once, through
-    energy_of_key, so every answer equals its answer exactly.
-    """
-
-    def __init__(self, model: EnergyModel) -> None:
-        self._model = model
-        self._pj: dict[str, float | None] = {}
-        self._packet: dict[tuple[int, int], float | None] = {}
-
-    def pj(self, key: str) -> float | None:
+        """pJ per occurrence of a key, or None when the model has no entry.
+        Each answer is kept from its first call on, so the constants and
+        reducers must not change after that."""
         try:
             return self._pj[key]
         except KeyError:
-            pj = self._pj[key] = self._model.energy_of_key(key)
+            reducer = self.reducer_for(key)
+            pj = self._pj[key] = (self.constants.get(key) if reducer is None
+                                  else reducer.evaluate_key(key))
             return pj
 
     def packet_pj(self, hops: int, size_bytes: int) -> float | None:
-        """The sync constant plus the HOP_KEY of (hops, size_bytes), or None
-        when that key has no entry."""
+        """pJ of one channel-synchronized packet: the sync constant plus the
+        HOP_KEY of (hops, size_bytes), or None when that key has no entry.
+        Kept per (hops, size_bytes) like energy_of_key's answers."""
         try:
             return self._packet[hops, size_bytes]
         except KeyError:
-            pj = self.pj(HOP_KEY.format(hops=hops, size=size_bytes))
-            if pj is not None:
-                pj = self._model.constants.get(SYNC_KEY, 0.0) + pj
-            self._packet[hops, size_bytes] = pj
+            pj = self.energy_of_key(HOP_KEY.format(hops=hops, size=size_bytes))
+            pj = self._packet[hops, size_bytes] = (
+                None if pj is None else self.constants.get(SYNC_KEY, 0.0) + pj)
             return pj
 
 
@@ -215,21 +190,8 @@ def fit_constants(observations: list[tuple[StateCountVector, float]],
         "fitted_at": os.environ.get("ENERMOD_BUILD_DATE"),
         "signed_constants": bool(report.negative_keys),
     }
-    means = per_group_pattern_means(constants)
-    if means:
-        provenance["group_means"] = means
     return EnergyModel(function=function, constants=constants, reducers=[],
                        static_pj_per_cycle=static, provenance=provenance), report
-
-
-def per_group_pattern_means(constants: dict[str, float]) -> dict[str, float]:
-    """Per-group means over data patterns for keys group:<g>/pat:<p>."""
-    sums: dict[str, list[float]] = {}
-    for key, value in constants.items():
-        rec = parse_key(key)
-        if "group" in rec and "pat" in rec:
-            sums.setdefault(str(rec["group"]), []).append(value)
-    return {g: fold_sum(vs) / len(vs) for g, vs in sorted(sums.items())}
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -138,6 +139,8 @@ def params_from_json(doc: dict[str, float]) -> OracleParams:
     for key, value in doc.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ParamError(f"parameter {key!r} must be a number")
+        if abs(value) > sys.float_info.max:     # an integer float() cannot hold
+            raise ParamError(f"parameter {key!r} is past a float's range")
     return OracleParams(values=tuple((key, float(value)) for key, value in doc.items()))
 
 

@@ -170,7 +170,7 @@ def is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def read_int(text: str, where: str, error: type[ValueError] = TraceError) -> int:
+def read_int(text: str, where: str, error: type[Exception] = TraceError) -> int:
     """int() of a text that is -?[0-9]+ in full.  A text of more digits
     than int() converts (sys.get_int_max_str_digits, a process-wide limit
     left as it is) raises error, naming where."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from functools import cached_property, reduce
@@ -83,7 +84,7 @@ def json_document(text: str, error: type[ValueError]):
     """The JSON document text holds; a syntax error raises the format's own
     error class, naming its line and column, and so does a number that is
     not finite: NaN, Infinity, -Infinity, or one past a float's range
-    (1e999)."""
+    (1e999), and an integer of more digits than int() reads."""
     def refuse(spelling: str):
         raise error(f"number {spelling} is not finite")
 
@@ -98,6 +99,10 @@ def json_document(text: str, error: type[ValueError]):
     except json.JSONDecodeError as exc:
         raise error(f"syntax error at line {exc.lineno} column {exc.colno}: "
                     f"{exc.msg}") from None
+    except error:
+        raise
+    except ValueError:      # from int(), on a literal of too many digits
+        raise error("an integer has more digits than an integer may have") from None
 
 
 def format_coord(c: Coord) -> str:
@@ -150,9 +155,9 @@ class SystemConfig:
         if self.cpus_per_cluster > 32:
             raise ConfigError(
                 f"cpus_per_cluster must be <= 32, got {self.cpus_per_cluster}")
-        clock = self.clock_hz
+        clock = self.clock_hz   # a float must hold it: static energy divides by it
         if (isinstance(clock, bool) or not isinstance(clock, (int, float))
-                or not 0 < clock < math.inf):
+                or not 0 < clock <= sys.float_info.max):
             raise ConfigError(f"clock_hz must be a positive number, got {clock!r}")
         bank_bytes = self.bank_words * self.word_bytes
         if self.imem_bytes % bank_bytes != 0:

@@ -707,6 +707,61 @@ def test_malformed_coordinate_is_a_usage_error(tmp_path, capsys, command, option
         assert not os.listdir(tmp_path)
 
 
+def _integer_options():
+    """(subcommand, option) of every option whose type reads 8 as the
+    integer 8."""
+    found = []
+    for command, parser in sorted(_subparsers().items()):
+        for action in parser._actions:
+            if action.type is None:
+                continue
+            try:
+                value = action.type("8")
+            except (ValueError, argparse.ArgumentTypeError):
+                continue
+            if type(value) is int:
+                found.append((command, action.option_strings[0]))
+    return found
+
+
+@pytest.mark.parametrize("command,option", _integer_options())
+def test_every_integer_option_takes_one_spelling(capsys, command, option):
+    """An integer option is -?[0-9]+ in ASCII digits, the one spelling of a
+    trace's integers; other spellings int() reads are usage errors, and so
+    is one of more digits than int() reads."""
+    required = [arg for action in _subparsers()[command]._actions if action.required
+                for arg in (action.option_strings[0], "x")]
+    argv = [command, *required, option]
+    args = cli.build_parser().parse_args(argv + ["8"])
+    assert getattr(args, option[2:].replace("-", "_")) == 8
+    for value in ("\u0663", "1_6", " 8", "+8", "9" * 5000):
+        with pytest.raises(SystemExit) as err:
+            cli.build_parser().parse_args(argv + [value])
+        assert err.value.code == EXIT_USAGE, value[:8]
+        assert f"argument {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,field,number,named", [
+    ("config", "mesh_cols", "9" * 5000, "more digits than an integer may have"),
+    ("params", "sync", "1" + "0" * 400, "parameter 'sync' is past a float's range"),
+    ("config", "clock_hz", "1" + "0" * 400, "clock_hz must be a positive number"),
+], ids=["mesh_cols-of-5000-digits", "sync-of-1e400", "clock_hz-of-1e400"])
+def test_a_json_number_its_reader_cannot_hold_exits_4(tmp_path, name, field, number,
+                                                      named):
+    """An integer of more digits than int() reads, and an oracle parameter
+    or a clock past a float's range, exit 4 on one line that names the
+    file, and write nothing."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_mutated(_shipped(name), (field,), "@"))
+                    .replace('"@"', number))
+    out = tmp_path / "out"
+    rc, error = _run_quietly(["sweep-noc", "--min", "8", "--max", "8", "--out", str(out),
+                              f"--{name}", str(path)], (EXIT_INVARIANT,))
+    assert rc == EXIT_INVARIANT
+    assert error.startswith(f"error:4:{path}: ") and named in error
+    assert not out.exists()
+
+
 def test_fit_with_idle_as_a_paired_kind_exits_5(tmp_path, capsys):
     assert main(["gen-bench", "--kind", "comm", "--min", "8", "--max", "8",
                  "--step", "8", "--api", data_path("api.json")]
@@ -1396,6 +1451,28 @@ def test_a_json_input_holding_a_non_finite_number_exits_with_its_format_code(
         code = _INPUT_FILES[name][1]
         assert rc == code
         assert error == f"error:{code}:{path}: number {number} is not finite"
+
+
+@pytest.mark.parametrize("command", ["estimate", "validate", "explore"])
+def test_a_result_that_is_not_finite_exits_5_and_writes_nothing(
+        one_size, explore_model, tmp_path, command):
+    """Finite constants of 1e308 add up past a float's range.  JSON has no
+    spelling for the result, so the subcommand exits 5 on one line naming
+    the model, before it writes any file."""
+    out, argv = _run_on_one_size(one_size, tmp_path, command)
+    path = out / "models" / "noc.json"
+    doc = json.loads(explore_model.read_text())
+    doc["constants"] = dict.fromkeys(doc["constants"], 1e308)
+    doc["static_pj_per_cycle"], doc["static_power_pw"] = 1e308, None
+    path.write_text(json.dumps(doc))
+    if command == "estimate":
+        argv += ["--output", str(out / "estimate.json")]
+    before = {rel: open(p, "rb").read() for rel, p in _tree_files(out).items()}
+    rc, error = _run_quietly(argv, (EXIT_DATA,))
+    assert rc == EXIT_DATA
+    assert error.startswith(f"error:5:{path}: ")
+    assert error.endswith(" is not a finite number")
+    assert {rel: open(p, "rb").read() for rel, p in _tree_files(out).items()} == before
 
 
 def test_report_aggregates(tmp_path):

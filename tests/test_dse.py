@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -103,8 +104,7 @@ def test_same_cpu_has_no_comm_energy(config, model):
     s_together = evaluate_partition(graph, together, config, model)
     s_cross = evaluate_partition(graph, cross, config, model)
     # crossing clusters (0,0)->(1,1) adds sync plus the 2-hop staircase cost
-    reducer = model.reducer_for("noc/hops:2/size:256")
-    packet = model.constants["sync"] + reducer.evaluate_size(256)
+    packet = model.constants["sync"] + model.energy_of_key("noc/hops:2/size:256")
     work = s_together.energy_pj - model.static_pj_per_cycle * s_together.throughput_cycles
     cross_work = s_cross.energy_pj - model.static_pj_per_cycle * s_cross.throughput_cycles
     assert cross_work == pytest.approx(work + packet)
@@ -130,7 +130,7 @@ def test_missing_hop_family_is_a_graph_error(config):
     two_hops = Partition(assignment=(("a0", 0), ("a1", config.n_cpus - 1)),
                          clones=clones)
     assert evaluate_partition(graph, one_hop, config, model).feasible
-    for _ in range(2):  # the second lookup is answered from the key table
+    for _ in range(2):  # the second lookup is answered from packet_pj's memo
         with pytest.raises(GraphError, match="hop count 2"):
             evaluate_partition(graph, two_hops, config, model)
 
@@ -461,29 +461,31 @@ _noc_keys = st.builds(lambda hops, size: f"noc/hops:{hops}/size:{size}",
 
 @settings(max_examples=200, deadline=None)
 @given(key=_noc_keys | st.sampled_from(_WORK_KEYS) | st.text(max_size=20))
-def test_key_table_equals_energy_of_key(model, key):
+def test_energy_of_key_memo_equals_a_fresh_model(model, key):
     for m in (model, _synthetic_model()):
-        assert m.table.pj(key) == m.energy_of_key(key)
-        assert m.table.pj(key) == m.energy_of_key(key)  # a memo hit
+        want = replace(m).energy_of_key(key)
+        assert m.energy_of_key(key) == want
+        assert m.energy_of_key(key) == want  # a memo hit
 
 
-def test_key_table_holds_every_model_key(model):
-    for key in model.constants:
-        assert model.table.pj(key) == model.energy_of_key(key)
-    assert model.table.pj("no/such:key") is None
+def test_energy_of_key_holds_every_model_key(model):
+    for key, value in model.constants.items():
+        assert model.energy_of_key(key) == value
+    assert model.energy_of_key("no/such:key") is None
 
 
 @settings(max_examples=100, deadline=None)
 @given(hops=st.integers(0, 4), size=st.integers(1, 5000))
 def test_packet_pj_is_sync_plus_the_hop_key(model, hops, size):
     for m in (model, _synthetic_model()):
-        pj = m.energy_of_key(f"noc/hops:{hops}/size:{size}")
+        pj = replace(m).energy_of_key(f"noc/hops:{hops}/size:{size}")
         want = None if pj is None else m.constants.get("sync", 0.0) + pj
-        assert m.table.packet_pj(hops, size) == want
+        assert m.packet_pj(hops, size) == want
+        assert m.packet_pj(hops, size) == want  # a memo hit
 
 
 def test_anneal_is_bit_identical_to_the_recorded_run(config):
-    # Recorded before the key table and the precomputed scoring terms
+    # Recorded before the key memo and the precomputed scoring terms
     # existed; any change to the order of float additions, to the Metropolis
     # draws or to the mutation sequence changes the digest.
     model = _synthetic_model()

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import json
 import time
 from dataclasses import replace
 
@@ -14,6 +15,8 @@ from enermod.modelfit import (
     REDUCER_STAIRCASE,
     EnergyModel,
     fit_packet_reducers,
+    load_model,
+    save_model,
 )
 from enermod.pipeline import (
     build_simplified_model,
@@ -174,6 +177,28 @@ def test_heldout_estimates_are_pinned(config, isa, api, params):
             est = estimate(run_program(config, params, program)[0], model)
             digest.update(repr((name, est.total_pj, est.breakdown)).encode())
     assert digest.hexdigest() == _HELDOUT_ESTIMATES_SHA256
+
+
+def test_a_model_file_holding_group_means_estimates_bit_equal(
+        fine_model, config, isa, params, tmp_path):
+    """Model files once carried provenance.group_means, per-group averages
+    of their own constants.  A fit no longer writes them, and the loader
+    takes the provenance whole, so a file that holds them still loads and
+    estimates bit for bit as the file without them."""
+    path = tmp_path / "model.json"
+    save_model(fine_model, str(path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert "group_means" not in doc["provenance"]
+    doc["provenance"]["group_means"] = {"add+add": 1.5, "nop+nop": 0.25}
+    legacy_path = tmp_path / "legacy.json"
+    legacy_path.write_text(json.dumps(doc), encoding="utf-8")
+    model, legacy = load_model(str(path)), load_model(str(legacy_path))
+    assert legacy.provenance["group_means"] == {"add+add": 1.5, "nop+nop": 0.25}
+    for _name, program in synthetic_applications(config, isa, seed=1000):
+        trace = run_program(config, params, program)[0]
+        got, want = estimate(trace, legacy), estimate(trace, model)
+        assert repr((got.total_pj, got.breakdown, got.contributions)) == repr(
+            (want.total_pj, want.breakdown, want.contributions))
 
 
 def test_staircase_model_closed_form(config, isa, api, params):

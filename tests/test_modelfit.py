@@ -21,7 +21,6 @@ from enermod.modelfit import (
     load_model,
     model_from_json,
     model_to_json,
-    per_group_pattern_means,
     reduce_noc_model,
     save_model,
 )
@@ -129,12 +128,6 @@ def test_comprehensive_transition_model_full_rank(config, isa, params):
     assert report.rank == 17  # 16 transitions + static
     assert len(model.constants) == 16
     assert report.max_abs_error_pj < 1e-8
-
-
-def test_group_means_summarized():
-    constants = {"group:a+a/pat:zeros": 2.0, "group:a+a/pat:ones": 4.0,
-                 "sync": 9.0}
-    assert per_group_pattern_means(constants) == {"a+a": 3.0}
 
 
 # ---------------------------------------------------------------------------
