@@ -48,8 +48,7 @@ from .modelfit import (
     EnergyModel,
     FitReport,
     fit_constants,
-    fit_linear,
-    fit_staircase,
+    fit_reducer,
     reduce_noc_model,
 )
 from .estimator import EnergyEstimate, ErrorReport, estimate, validate

@@ -49,6 +49,7 @@ from .modelfit import (
     fit_constants,
     fit_packet_reducers,
     load_model,
+    model_to_json,
     reduce_noc_model,
     save_model,
 )
@@ -194,16 +195,19 @@ def _manifest_rows(bench_dir: str) -> list[tuple[str, str]]:
                  lambda path: parse_manifest_csv(_text(path)), EXIT_DATA)
 
 
-def _check_finite(model_path: str, doc: dict, where: str = "") -> None:
-    """Exit 5, naming the model file, where a number in doc is not finite:
-    JSON cannot spell it, and finite constants can add up past a float's
-    range.  A subcommand checks what it will write before writing any."""
-    for key, value in doc.items():
-        if isinstance(value, dict):
-            _check_finite(model_path, value, f"{where}{key}.")
-        elif isinstance(value, float) and not math.isfinite(value):
-            raise CliError(EXIT_DATA, f"{model_path}: {where}{key} {value!r} "
-                                      "is not a finite number")
+def _check_finite(model_path: str, doc, where: str = "") -> None:
+    """Exit 5, naming the model file and the field (reducers[0].a), where a
+    number in doc is not finite: JSON cannot spell it, and finite constants
+    can add up past a float's range.  A subcommand checks every document it
+    will write before writing any."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            _check_finite(model_path, value, f"{where}.{key}" if where else key)
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            _check_finite(model_path, value, f"{where}[{i}]")
+    elif isinstance(doc, float) and not math.isfinite(doc):
+        raise CliError(EXIT_DATA, f"{model_path}: {where} {doc!r} is not a finite number")
 
 
 def _write(path: str, text: str) -> None:
@@ -313,13 +317,18 @@ def cmd_fit(args) -> int:
     model, report = fit_constants(
         observations(_measured_from_files(out, rows), function), function)
     model.provenance["clock_hz"] = config.clock_hz
+    model_path = os.path.join(out, "models", args.name + ".json")
+    doc, summary = model_to_json(model), report.summary()
+    _check_finite(model_path, doc)
+    _check_finite(model_path, dict(summary, residuals=report.residuals))
+    _subdir(out, "models")
+    _write_json(model_path, doc)
     report_dir = _subdir(out, "reports")
-    save_model(model, os.path.join(_subdir(out, "models"), args.name + ".json"))
     residuals = ["observation,residual_pj"]
     residuals.extend(f"{rows[i][0]},{r!r}" for i, r in enumerate(report.residuals))
     _write(os.path.join(report_dir, f"fit_{args.name}_residuals.csv"),
            "\n".join(residuals) + "\n")
-    _write_json(os.path.join(report_dir, f"fit_{args.name}.json"), report.summary())
+    _write_json(os.path.join(report_dir, f"fit_{args.name}.json"), summary)
     print(f"fitted {len(model.constants)} constants "
           f"(rank {report.rank}/{report.n_unknowns}) -> {args.name}.json")
     return EXIT_OK
@@ -336,7 +345,9 @@ def cmd_reduce(args) -> int:
     else:
         model = fit_packet_reducers(model, REDUCER_LINEAR)
     model.provenance["clock_hz"] = config.clock_hz
-    save_model(model, args.output)
+    doc = model_to_json(model)
+    _check_finite(args.model, doc)
+    _write_json(args.output, doc)
     print(f"reduced model written to {args.output}")
     return EXIT_OK
 

@@ -58,8 +58,10 @@ class Reducer:
     def __post_init__(self) -> None:
         if self.kind not in (REDUCER_LINEAR, REDUCER_STAIRCASE):
             raise FitError(f"unknown reducer kind {self.kind!r}")
-        if self.kind == REDUCER_STAIRCASE and not self.flit_payload_bytes:
-            raise FitError("staircase reducer needs flit_payload_bytes")
+        if self.kind == REDUCER_STAIRCASE and (self.flit_payload_bytes is None
+                                               or self.flit_payload_bytes < 1):
+            raise FitError("staircase reducer needs flit_payload_bytes of 1 or more, "
+                           f"got {self.flit_payload_bytes!r}")
 
     def evaluate_key(self, key: str) -> float:
         x = _reducer_variable(key, parse_key(key), self.variable)
@@ -146,18 +148,6 @@ class FitReport:
         }
 
 
-def _report(predicted: np.ndarray, measured: np.ndarray, rank: int,
-            n_unknowns: int, constants: dict[str, float]) -> FitReport:
-    residuals = (predicted - measured).tolist()
-    max_abs = max((abs(r) for r in residuals), default=0.0)
-    rels = [abs(r) / abs(m) for r, m in zip(residuals, measured) if m != 0.0]
-    mean_rel = fold_sum(rels) / len(rels) if rels else 0.0
-    negative = sorted(k for k, v in constants.items() if v < -NEGATIVE_TOL)
-    return FitReport(residuals=residuals, max_abs_error_pj=max_abs,
-                     mean_rel_error=mean_rel, rank=rank, n_unknowns=n_unknowns,
-                     rank_deficient=rank < n_unknowns, negative_keys=negative)
-
-
 def fit_constants(observations: list[tuple[StateCountVector, float]],
                   function: ModelFunction) -> tuple[EnergyModel, FitReport]:
     """Least-squares fit of per-key constants and a static pJ/cycle term.
@@ -182,8 +172,13 @@ def fit_constants(observations: list[tuple[StateCountVector, float]],
         b[row] = measured
     coef, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     constants = {k: float(coef[index[k]]) for k in keys}
-    static = float(coef[-1])
-    report = _report(a @ coef, b, int(rank), n_cols, constants)
+    residuals = (a @ coef - b).tolist()
+    rels = [abs(r) / abs(m) for r, m in zip(residuals, b) if m != 0.0]
+    report = FitReport(
+        residuals=residuals, max_abs_error_pj=max(map(abs, residuals), default=0.0),
+        mean_rel_error=fold_sum(rels) / len(rels) if rels else 0.0,
+        rank=int(rank), n_unknowns=n_cols, rank_deficient=int(rank) < n_cols,
+        negative_keys=sorted(k for k, v in constants.items() if v < -NEGATIVE_TOL))
     provenance = {
         "observations": len(observations),
         "solver": "lstsq-min-norm",
@@ -191,7 +186,7 @@ def fit_constants(observations: list[tuple[StateCountVector, float]],
         "signed_constants": bool(report.negative_keys),
     }
     return EnergyModel(function=function, constants=constants, reducers=[],
-                       static_pj_per_cycle=static, provenance=provenance), report
+                       static_pj_per_cycle=float(coef[-1]), provenance=provenance), report
 
 
 # ---------------------------------------------------------------------------
@@ -203,45 +198,18 @@ def _size_regressor(kind: str, size: float, flit_payload_bytes: int | None) -> f
     return n_flits(size, flit_payload_bytes) if kind == REDUCER_STAIRCASE else size
 
 
-def _fit_size_regression(kind: str, points: list[tuple[float, float]],
-                         window: list[tuple[float, float]] | None,
-                         flit_payload_bytes: int | None = None
-                         ) -> tuple[float, float, FitReport]:
-    """Least squares for E(s) = a + b*x(s), x the _size_regressor of kind.
-
-    The fit may use a subset (window) of the points; the report always
-    evaluates residuals over every provided point.
-    """
-    if len(points) < 2:
-        raise FitError("need at least two points")
-
-    def columns(pts: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
-        return (np.array([_size_regressor(kind, s, flit_payload_bytes) for s, _ in pts],
-                         dtype=float), np.array([e for _, e in pts], dtype=float))
-
-    xs, ys = columns(window if window is not None else points)
-    if len(set(xs.tolist())) < 2:
-        raise FitError("underdetermined: single flit count in fit window"
+def fit_reducer(kind: str, family: str, points: list[tuple[float, float]],
+                flit_payload_bytes: int | None) -> Reducer:
+    """The reducer of a key family: least squares for E(s) = a + b*x(s) over
+    its (size, pJ) points, x the _size_regressor of kind."""
+    xs = [_size_regressor(kind, s, flit_payload_bytes) for s, _ in points]
+    if len(set(xs)) < 2:
+        raise FitError("underdetermined: single flit count"
                        if kind == REDUCER_STAIRCASE else "underdetermined: all sizes equal")
-    coef, _, rank, _ = np.linalg.lstsq(np.column_stack([np.ones_like(xs), xs]), ys,
-                                       rcond=None)
-    a, b = float(coef[0]), float(coef[1])
-    all_x, all_y = columns(points)
-    return a, b, _report(a + b * all_x, all_y, int(rank), 2, {})
-
-
-def fit_linear(points: list[tuple[float, float]],
-               window: list[tuple[float, float]] | None = None
-               ) -> tuple[float, float, FitReport]:
-    """Ordinary least squares for E(s) = a + b*s."""
-    return _fit_size_regression(REDUCER_LINEAR, points, window)
-
-
-def fit_staircase(points: list[tuple[float, float]], flit_payload_bytes: int,
-                  window: list[tuple[float, float]] | None = None
-                  ) -> tuple[float, float, FitReport]:
-    """Least squares for E(s) = a + b*ceil(s / flit_payload_bytes)."""
-    return _fit_size_regression(REDUCER_STAIRCASE, points, window, flit_payload_bytes)
+    coef, *_ = np.linalg.lstsq(np.column_stack([np.ones(len(xs)), xs]),
+                               np.array([e for _, e in points], dtype=float), rcond=None)
+    return Reducer(kind=kind, family=family, a=float(coef[0]), b=float(coef[1]),
+                   variable="size", flit_payload_bytes=flit_payload_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +268,7 @@ def fit_packet_reducers(model: EnergyModel, kind: str = REDUCER_STAIRCASE,
             constants[key] = value
     reducers = list(model.reducers)
     for family, points in sorted(families.items()):
-        points.sort()
-        if kind == REDUCER_STAIRCASE:
-            a, b, _ = fit_staircase(points, flit_payload_bytes)
-        else:
-            a, b, _ = fit_linear(points)
-        reducers.append(Reducer(kind=kind, family=family, a=a, b=b,
-                                variable="size",
-                                flit_payload_bytes=flit_payload_bytes))
+        reducers.append(fit_reducer(kind, family, sorted(points), flit_payload_bytes))
     return EnergyModel(function=model.function, constants=constants,
                        reducers=reducers,
                        static_pj_per_cycle=model.static_pj_per_cycle,

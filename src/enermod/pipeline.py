@@ -38,6 +38,7 @@ from .statetrace import (
     noc_hop_function,
 )
 from .sysconfig import ApiDescription, Coord, SystemConfig, manhattan
+from .workloads import synthetic_applications
 
 DEFAULT_COMM_SIZES = [8, 16, 32, 64, 128, 256, 512, 1024]
 
@@ -99,30 +100,20 @@ def fit_campaign(runs: list[CampaignRun],
                                        for run in runs), function), function)
 
 
-def cluster_at_distance(config: SystemConfig, hops: int) -> Coord | None:
-    """First cluster (in index order) at a given hop distance from (0, 0)."""
-    for cluster in config.all_clusters():
-        if manhattan((0, 0), cluster) == hops:
-            return cluster
-    return None
-
-
-def max_hops(config: SystemConfig) -> int:
-    return (config.mesh_cols - 1) + (config.mesh_rows - 1)
-
-
 def comm_benchmarks_per_hop(api: ApiDescription, config: SystemConfig,
                             isa) -> list[Microbenchmark]:
-    """The comm_campaign of DEFAULT_COMM_SIZES packet sweeps covering every
-    hop distance the mesh offers, plus the cluster-local bus route."""
-    sweeps: list[Microbenchmark] = []
+    """The comm_campaign of DEFAULT_COMM_SIZES packet sweeps from (0, 0) to
+    the first cluster, in index order, at each hop distance the mesh offers,
+    the cluster-local bus route included."""
+    dsts: dict[int, Coord] = {}
+    for cluster in config.all_clusters():
+        dsts.setdefault(manhattan((0, 0), cluster), cluster)
     # hop count 0 is the crossbar route, which needs two CPUs per cluster
-    first_hops = 0 if config.cpus_per_cluster >= 2 else 1
-    for hops in range(first_hops, max_hops(config) + 1):
-        dst = cluster_at_distance(config, hops)
-        if dst is not None:
-            sweeps.extend(gen_comm_benchmarks(config, (0, 0), dst, DEFAULT_COMM_SIZES))
-    return comm_campaign(isa, config, sweeps)
+    if config.cpus_per_cluster < 2:
+        del dsts[0]
+    return comm_campaign(isa, config, [
+        bench for _hops, dst in sorted(dsts.items())
+        for bench in gen_comm_benchmarks(config, (0, 0), dst, DEFAULT_COMM_SIZES)])
 
 
 def merge_models(instruction_model: EnergyModel,
@@ -173,7 +164,5 @@ def build_simplified_model(config: SystemConfig, isa, api: ApiDescription,
 def validate_applications(model: EnergyModel, config: SystemConfig, isa,
                           params: OracleParams, seed: int = 0) -> ErrorReport:
     """Held-out validation of a model on the five synthetic applications."""
-    from .workloads import synthetic_applications
-
     apps = synthetic_applications(config, isa, seed=seed)
     return validate(model, apps, config, params)

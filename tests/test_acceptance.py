@@ -34,10 +34,10 @@ from enermod.dse import (
 )
 from enermod.estimator import estimate
 from enermod.modelfit import (
+    REDUCER_LINEAR,
     REDUCER_STAIRCASE,
-    fit_linear,
     fit_packet_reducers,
-    fit_staircase,
+    fit_reducer,
     reduce_noc_model,
 )
 from enermod.pipeline import (
@@ -185,9 +185,14 @@ def test_criterion_3_staircase_dominance(config, params):
         points.append((size, ledger.total_pj))
     lo = (len(points) - 16) // 2
     window = points[lo:lo + 16]
-    _a_l, _b_l, linear = fit_linear(points, window=window)
-    _a_s, _b_s, stair = fit_staircase(points, config.flit_payload_bytes,
-                                      window=window)
+
+    def max_abs_error(reducer):
+        """Over all 256 sizes, at the price the model runs."""
+        return max(abs(reducer.evaluate_key(f"noc/hops:2/size:{s}") - e) for s, e in points)
+
+    linear = max_abs_error(fit_reducer(REDUCER_LINEAR, "noc/hops:2", window, None))
+    stair = max_abs_error(fit_reducer(REDUCER_STAIRCASE, "noc/hops:2", window,
+                                      config.flit_payload_bytes))
     # steps sit exactly at flit boundaries: energy changes iff ceil changes
     shape_ok = True
     for (s1, e1), (s2, e2) in zip(points, points[1:]):
@@ -196,10 +201,8 @@ def test_criterion_3_staircase_dominance(config, params):
         if changed:
             shape_ok &= s1 % 8 == 0
     _report("3 staircase-dominance",
-            stair.max_abs_error_pj <= linear.max_abs_error_pj
-            and stair.max_abs_error_pj <= 1e-9 and shape_ok,
-            f"staircase {stair.max_abs_error_pj:.2e} pJ <= "
-            f"linear {linear.max_abs_error_pj:.2f} pJ, steps at 8-byte bounds")
+            stair <= linear and stair <= 1e-9 and shape_ok,
+            f"staircase {stair:.2e} pJ <= linear {linear:.2f} pJ, steps at 8-byte bounds")
 
 
 def test_criterion_4_hop_reduction(isa, params):

@@ -1453,26 +1453,75 @@ def test_a_json_input_holding_a_non_finite_number_exits_with_its_format_code(
         assert error == f"error:{code}:{path}: number {number} is not finite"
 
 
-@pytest.mark.parametrize("command", ["estimate", "validate", "explore"])
-def test_a_result_that_is_not_finite_exits_5_and_writes_nothing(
-        one_size, explore_model, tmp_path, command):
-    """Finite constants of 1e308 add up past a float's range.  JSON has no
-    spelling for the result, so the subcommand exits 5 on one line naming
-    the model, before it writes any file."""
-    out, argv = _run_on_one_size(one_size, tmp_path, command)
+def _write_results_that_are_not_finite(out, explore_model, case):
+    """Rewrite the inputs of a one_size outdir so that case's result is not
+    finite, though every input number is."""
     path = out / "models" / "noc.json"
-    doc = json.loads(explore_model.read_text())
-    doc["constants"] = dict.fromkeys(doc["constants"], 1e308)
-    doc["static_pj_per_cycle"], doc["static_power_pw"] = 1e308, None
-    path.write_text(json.dumps(doc))
+    if case == "reduce-hops":
+        # two pairs of one hop count whose mean overflows
+        save_model(EnergyModel(function=noc_pair_function(), constants=dict.fromkeys(
+            ["noc/src:0,0/dst:1,0/size:8", "noc/src:1,0/dst:0,0/size:8"], 1.7e308)),
+            str(path))
+    elif case.startswith("reduce-"):
+        # a size sweep that falls by 3.4e308 pJ past 512 bytes
+        save_model(EnergyModel(function=noc_hop_function(), constants={
+            f"noc/hops:2/size:{size}": 1.7e308 if size <= 512 else -1.7e308
+            for size in range(8, 1025, 8)}), str(path))
+    elif case == "fit":
+        for i, ledger in enumerate(sorted((out / "ledgers").glob("*.csv"))):
+            lines = ledger.read_text().splitlines()
+            lines[-1] = f"total,{(-1) ** i * 1.7e308!r}"
+            ledger.write_text("\n".join(lines) + "\n")
+    else:
+        doc = json.loads(explore_model.read_text())
+        doc["constants"] = dict.fromkeys(doc["constants"], 1e308)
+        doc["static_pj_per_cycle"], doc["static_power_pw"] = 1e308, None
+        path.write_text(json.dumps(doc))
+
+
+# the first field that is not finite, where the check walks a model file
+_NOT_FINITE_FIELD = {"fit": "static_power_pw", "reduce-hops": "constants.noc/hops:1/size:8",
+                     "reduce-staircase": "reducers[0].a", "reduce-linear": "reducers[0].a"}
+
+
+@pytest.mark.parametrize("case", ["estimate", "validate", "explore", "fit", "reduce-hops",
+                                  "reduce-staircase", "reduce-linear"])
+def test_a_result_that_is_not_finite_exits_5_and_writes_nothing(
+        one_size, explore_model, tmp_path, case):
+    """Finite constants of 1e308 add up past a float's range, and so can a
+    fit of finite energies.  JSON has no spelling for the result, so the
+    subcommand exits 5 on one line naming the model it read or would write,
+    before it writes any file."""
+    command, _, kind = case.partition("-")
+    out, argv = _run_on_one_size(one_size, tmp_path, command)
+    _write_results_that_are_not_finite(out, explore_model, case)
     if command == "estimate":
         argv += ["--output", str(out / "estimate.json")]
+    elif command == "fit":
+        argv += ["--function", "noc-hop", "--name", "noc"]
+    elif command == "reduce":
+        argv += ["--kind", kind]
     before = {rel: open(p, "rb").read() for rel, p in _tree_files(out).items()}
     rc, error = _run_quietly(argv, (EXIT_DATA,))
     assert rc == EXIT_DATA
-    assert error.startswith(f"error:5:{path}: ")
+    assert error.startswith(f"error:5:{out / 'models' / 'noc.json'}: ")
     assert error.endswith(" is not a finite number")
+    assert f": {_NOT_FINITE_FIELD.get(case, '')}" in error
     assert {rel: open(p, "rb").read() for rel, p in _tree_files(out).items()} == before
+
+
+def test_a_staircase_reducer_with_a_flit_payload_below_1_exits_5(one_size, explore_model,
+                                                                  tmp_path):
+    """A staircase reducer prices ceil(size / flit_payload_bytes) flits: a
+    model file whose payload is below 1 byte is refused, not priced."""
+    out, argv = _run_on_one_size(one_size, tmp_path, "estimate")
+    path = out / "models" / "noc.json"
+    doc = json.loads(explore_model.read_text())
+    for reducer in doc["reducers"]:
+        reducer["flit_payload_bytes"] = -8
+    path.write_text(json.dumps(doc))
+    assert _run_quietly(argv, (EXIT_DATA,)) == (EXIT_DATA, (
+        f"error:5:{path}: staircase reducer needs flit_payload_bytes of 1 or more, got -8"))
 
 
 def test_report_aggregates(tmp_path):

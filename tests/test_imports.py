@@ -199,10 +199,6 @@ _UNSET_ALLOWED = {
         "criterion 8's brute force covers granularities up to 4 only",
     "dse.anneal_restarts(clone_max)":
         "criterion 8's brute force covers partitions without clones only",
-    "modelfit.fit_linear(window)":
-        "criterion 3 fits the 16 center sizes and scores all 256",
-    "modelfit.fit_staircase(window)":
-        "criterion 3 fits the 16 center sizes and scores all 256",
 }
 
 

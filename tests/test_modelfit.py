@@ -5,7 +5,7 @@ import warnings
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from enermod.modelfit import (
@@ -15,9 +15,8 @@ from enermod.modelfit import (
     REDUCER_STAIRCASE,
     Reducer,
     fit_constants,
-    fit_linear,
     fit_packet_reducers,
-    fit_staircase,
+    fit_reducer,
     load_model,
     model_from_json,
     model_to_json,
@@ -33,7 +32,7 @@ from enermod.statetrace import (
     noc_pair_function,
     transition_function,
 )
-from enermod.sysconfig import enumerate_instruction_groups
+from enermod.sysconfig import enumerate_instruction_groups, n_flits
 
 
 def _vec(counts, duration=0):
@@ -131,40 +130,61 @@ def test_comprehensive_transition_model_full_rank(config, isa, params):
 
 
 # ---------------------------------------------------------------------------
-# fit_linear / fit_staircase
+# fit_reducer
 # ---------------------------------------------------------------------------
 
-def test_linear_exact_line():
-    a, b, report = fit_linear([(0, 1), (8, 3), (16, 5)])
-    assert a == pytest.approx(1.0)
-    assert b == pytest.approx(0.25)
-    assert report.max_abs_error_pj == pytest.approx(0.0, abs=1e-12)
+_FAMILY = "noc/hops:2"
+
+
+def _max_abs_error(reducer, points):
+    """The largest |price - measured| over (size, pJ) points, each priced as
+    a model prices its key."""
+    return max(abs(reducer.evaluate_key(f"{reducer.family}/size:{s}") - e)
+               for s, e in points)
+
+
+@pytest.mark.parametrize("kind", [REDUCER_LINEAR, REDUCER_STAIRCASE])
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(-1e3, 1e3), b=st.floats(-1e3, 1e3),
+       sizes=st.lists(st.integers(0, 4096), min_size=2, max_size=12, unique=True),
+       flit_payload_bytes=st.integers(1, 64))
+def test_fit_reducer_recovers_a_drawn_reducer(kind, a, b, sizes, flit_payload_bytes):
+    """Points on a + b*x(s), x the size or its flit count, fit back to a
+    reducer that prices every point within 1e-9 of the line's scale."""
+    fpb = flit_payload_bytes if kind == REDUCER_STAIRCASE else None
+    xs = {s: n_flits(s, fpb) if fpb else s for s in sizes}
+    assume(len(set(xs.values())) >= 2)
+    points = [(s, a + b * xs[s]) for s in sorted(sizes)]
+    reducer = fit_reducer(kind, _FAMILY, points, fpb)
+    assert (reducer.kind, reducer.family, reducer.flit_payload_bytes) == (kind, _FAMILY, fpb)
+    scale = max(1.0, abs(a) + abs(b) * max(xs.values()))
+    assert _max_abs_error(reducer, points) <= 1e-9 * scale
 
 
 def test_linear_underdetermined():
     with pytest.raises(FitError, match="all sizes equal"):
-        fit_linear([(8, 3), (8, 5)])
-
-
-def test_staircase_two_step_exact():
-    a, b, report = fit_staircase([(4, 10), (8, 10), (12, 14)], 8)
-    assert a == pytest.approx(6.0)
-    assert b == pytest.approx(4.0)
-    assert report.max_abs_error_pj == pytest.approx(0.0, abs=1e-12)
+        fit_reducer(REDUCER_LINEAR, _FAMILY, [(8, 3), (8, 5)], None)
 
 
 def test_staircase_single_flit_count_underdetermined():
     with pytest.raises(FitError, match="single flit count"):
-        fit_staircase([(4, 10), (6, 10)], 8)
+        fit_reducer(REDUCER_STAIRCASE, _FAMILY, [(4, 10), (6, 10)], 8)
+
+
+@pytest.mark.parametrize("flit_payload_bytes", [None, 0, -8])
+def test_a_staircase_reducer_needs_a_flit_payload_of_1_or_more(flit_payload_bytes):
+    with pytest.raises(FitError, match="flit_payload_bytes of 1 or more"):
+        Reducer(kind=REDUCER_STAIRCASE, family=_FAMILY, a=1.0, b=2.0,
+                flit_payload_bytes=flit_payload_bytes)
 
 
 def test_window_fit_reports_over_all_points():
     points = [(s, 2.0 + 0.5 * s) for s in range(0, 100, 4)]
     points.append((200, 300.0))  # far outlier outside the window
-    a, b, report = fit_linear(points, window=points[:10])
-    assert a == pytest.approx(2.0)
-    assert b == pytest.approx(0.5)
-    assert report.max_abs_error_pj == pytest.approx(300.0 - (2.0 + 0.5 * 200))
+    reducer = fit_reducer(REDUCER_LINEAR, _FAMILY, points[:10], None)
+    assert reducer.a == pytest.approx(2.0)
+    assert reducer.b == pytest.approx(0.5)
+    assert _max_abs_error(reducer, points) == pytest.approx(300.0 - (2.0 + 0.5 * 200))
 
 
 def _oracle_sweep(config, params, sizes):
@@ -185,14 +205,12 @@ def test_staircase_dominates_linear_on_oracle_sweep(config, params):
     points = _oracle_sweep(config, params, range(4, 1025, 4))
     lo = (len(points) - 16) // 2
     window = points[lo:lo + 16]
-    a_l, b_l, rep_l = fit_linear(points, window=window)
-    a_s, b_s, rep_s = fit_staircase(points, config.flit_payload_bytes,
-                                    window=window)
-    assert rep_s.max_abs_error_pj <= rep_l.max_abs_error_pj
-    assert rep_s.max_abs_error_pj < 1e-9
-    assert rep_l.max_abs_error_pj > 0
+    linear = _max_abs_error(fit_reducer(REDUCER_LINEAR, _FAMILY, window, None), points)
+    stair = fit_reducer(REDUCER_STAIRCASE, _FAMILY, window, config.flit_payload_bytes)
+    assert _max_abs_error(stair, points) <= linear
+    assert _max_abs_error(stair, points) < 1e-9 < linear
     # the linear fit errs by less than one staircase step amplitude
-    assert rep_l.max_abs_error_pj <= b_s
+    assert linear <= stair.b
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +357,9 @@ def test_staircase_coefficients_match_oracle_closed_form(config, params):
     # static power form the step height; sync + header + the fixed tail
     # cycles form the intercept
     points = _oracle_sweep(config, params, range(4, 257, 4))
-    a, b, report = fit_staircase(points, config.flit_payload_bytes)
-    assert report.max_abs_error_pj < 1e-9
+    reducer = fit_reducer(REDUCER_STAIRCASE, _FAMILY, points, config.flit_payload_bytes)
+    assert _max_abs_error(reducer, points) < 1e-9
+    a, b = reducer.a, reducer.b
     hops = 2  # (0,0) -> (1,1)
     static = params.static_pj(config, 1)
     per_flit = (params["ni_in_flit"] + params["ni_out_flit"]
