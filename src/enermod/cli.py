@@ -51,7 +51,6 @@ from .modelfit import (
     load_model,
     model_to_json,
     reduce_noc_model,
-    save_model,
 )
 from .pipeline import (
     build_simplified_model,
@@ -343,7 +342,7 @@ def cmd_reduce(args) -> int:
         model = fit_packet_reducers(model, REDUCER_STAIRCASE,
                                     config.flit_payload_bytes)
     else:
-        model = fit_packet_reducers(model, REDUCER_LINEAR)
+        model = fit_packet_reducers(model, REDUCER_LINEAR, None)
     model.provenance["clock_hz"] = config.clock_hz
     doc = model_to_json(model)
     _check_finite(args.model, doc)
@@ -381,12 +380,15 @@ def cmd_validate(args) -> int:
     else:
         model, _reports = build_simplified_model(config, isa, api, params,
                                                  workers=args.workers)
-        _subdir(out, "models")
-        save_model(model, model_path)
+        doc = model_to_json(model)
+        _check_finite(model_path, doc)
     report = validate_applications(model, config, isa, params, seed=args.seed)
     summary = report.summary()
     # a row's estimate or error that is not finite makes the mean so
     _check_finite(model_path, summary)
+    if not args.model:
+        _subdir(out, "models")
+        _write_json(model_path, doc)
     report_dir = _subdir(out, "reports")
     _write(os.path.join(report_dir, "validation.csv"), report.to_csv())
     _write_json(os.path.join(report_dir, "validation_summary.json"), summary)

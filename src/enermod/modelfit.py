@@ -8,7 +8,6 @@ replace whole key families with fitted functions of a key attribute
 
 from __future__ import annotations
 
-import json
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from .statetrace import (
     parse_key,
     rule,
 )
-from .sysconfig import FieldError, fold_sum, json_document, json_field, n_flits
+from .sysconfig import fold_sum, json_document, json_field, n_flits
 
 REDUCER_LINEAR = "LINEAR"
 REDUCER_STAIRCASE = "STAIRCASE"
@@ -172,7 +171,9 @@ def fit_constants(observations: list[tuple[StateCountVector, float]],
         b[row] = measured
     coef, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     constants = {k: float(coef[index[k]]) for k in keys}
-    residuals = (a @ coef - b).tolist()
+    # the CLI names a residual that is not finite; numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = (a @ coef - b).tolist()
     rels = [abs(r) / abs(m) for r, m in zip(residuals, b) if m != 0.0]
     report = FitReport(
         residuals=residuals, max_abs_error_pj=max(map(abs, residuals), default=0.0),
@@ -251,8 +252,8 @@ def reduce_noc_model(full: EnergyModel) -> EnergyModel:
                        provenance=dict(full.provenance, reduced="hops"))
 
 
-def fit_packet_reducers(model: EnergyModel, kind: str = REDUCER_STAIRCASE,
-                        flit_payload_bytes: int | None = None) -> EnergyModel:
+def fit_packet_reducers(model: EnergyModel, kind: str,
+                        flit_payload_bytes: int | None) -> EnergyModel:
     """Replace per-(hops, size) constants with one fitted function per hop
     family, shrinking the model to two coefficients per hop count."""
     families: dict[str, list[tuple[float, float]]] = {}
@@ -297,48 +298,41 @@ def model_to_json(model: EnergyModel) -> dict:
     return doc
 
 
-def model_from_json(doc: dict) -> EnergyModel:
+def model_from_json(doc) -> EnergyModel:
     """A model from its file's document.  A field of the wrong type raises
-    FitError naming the field, or ModelFunctionError inside the function."""
-    try:
-        return _model_from_json(doc)
-    except FieldError as exc:
-        raise FitError(str(exc)) from None
-
-
-def _model_from_json(doc) -> EnergyModel:
+    FitError naming the field, or ModelFunctionError inside the function;
+    a reducer that Reducer refuses is named by its index."""
     if not isinstance(doc, dict):
-        raise FieldError(f"a model file must be an object, got {doc!r}")
-    function = function_from_json(json_field("", doc, "function", "an object"))
-    constants = json_field("", doc, "constants", "an object")
+        raise FitError(f"a model file must be an object, got {doc!r}")
+    function = function_from_json(json_field(FitError, "", doc, "function", "an object"))
+    constants = json_field(FitError, "", doc, "constants", "an object")
     for key in constants:
-        json_field("constants.", constants, key, "a number")
+        json_field(FitError, "constants.", constants, key, "a number")
     reducers = []
-    for i, r in enumerate(json_field("", doc, "reducers", "a list", [])):
+    for i, r in enumerate(json_field(FitError, "", doc, "reducers", "a list", [])):
         at = f"reducers[{i}]."
         if not isinstance(r, dict):
-            raise FieldError(f"{at[:-1]} must be an object, got {r!r}")
-        reducers.append(Reducer(
-            kind=json_field(at, r, "kind", "a string"),
-            family=json_field(at, r, "family", "a string"),
-            a=json_field(at, r, "a", "a number"),
-            b=json_field(at, r, "b", "a number"),
-            variable=json_field(at, r, "variable", "a string", "size"),
-            flit_payload_bytes=json_field(at, r, "flit_payload_bytes", "an integer",
-                                          None)))
+            raise FitError(f"{at[:-1]} must be an object, got {r!r}")
+        fields = dict(
+            kind=json_field(FitError, at, r, "kind", "a string"),
+            family=json_field(FitError, at, r, "family", "a string"),
+            a=json_field(FitError, at, r, "a", "a number"),
+            b=json_field(FitError, at, r, "b", "a number"),
+            variable=json_field(FitError, at, r, "variable", "a string", "size"),
+            flit_payload_bytes=json_field(FitError, at, r, "flit_payload_bytes",
+                                          "an integer", None))
+        try:
+            reducers.append(Reducer(**fields))
+        except FitError as exc:
+            raise FitError(f"{at[:-1]}: {exc}") from None
     return EnergyModel(
         function=function,
         constants=dict(constants),
         reducers=reducers,
-        static_pj_per_cycle=json_field("", doc, "static_pj_per_cycle", "a number", 0.0),
-        provenance=json_field("", doc, "provenance", "an object", {}),
+        static_pj_per_cycle=json_field(FitError, "", doc, "static_pj_per_cycle", "a number",
+                                       0.0),
+        provenance=json_field(FitError, "", doc, "provenance", "an object", {}),
     )
-
-
-def save_model(model: EnergyModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_model(path: str) -> EnergyModel:

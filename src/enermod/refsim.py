@@ -40,7 +40,6 @@ from .statetrace import (
 )
 from .sysconfig import (
     Coord,
-    FieldError,
     ICLASSES,
     InstructionGroup,
     SystemConfig,
@@ -286,12 +285,17 @@ class _Accumulator:
 
     def ledger(self) -> EnergyLedger:
         """Each category sums its bookings in (cycle, pj) order; the total
-        folds the categories left to right in LEDGER_COMPONENTS order."""
+        folds the categories left to right in LEDGER_COMPONENTS order.  A
+        sum that is not finite, as parameters past a float's range make
+        it, raises ParamError naming its category or the total."""
         breakdown = tuple(
             (name, fold_sum(map(itemgetter(1), sorted(self.book[name]))))
             for name in LEDGER_COMPONENTS)
-        return EnergyLedger(total_pj=fold_sum(pj for _name, pj in breakdown),
-                            breakdown=breakdown)
+        total = fold_sum(pj for _name, pj in breakdown)
+        for name, pj in (*breakdown, ("total", total)):
+            if not math.isfinite(pj):
+                raise ParamError(f"ledger {name} energy {pj!r} pJ is not finite")
+        return EnergyLedger(total_pj=total, breakdown=breakdown)
 
 
 # ---------------------------------------------------------------------------
@@ -556,43 +560,37 @@ def program_from_json(doc, isa: list) -> Program:
     per-bundle memo and checks, keyed by op identity, hold across
     repetitions.  A field of the wrong type raises ProgramError naming the
     field."""
-    try:
-        return _program_from_json(doc, {i.mnemonic: i for i in isa})
-    except FieldError as exc:
-        raise ProgramError(str(exc)) from None
-
-
-def _program_from_json(doc, by_name: dict) -> Program:
     if not isinstance(doc, dict):
-        raise FieldError(f"a program must be an object, got {doc!r}")
+        raise ProgramError(f"a program must be an object, got {doc!r}")
+    by_name = {i.mnemonic: i for i in isa}
     groups: dict[tuple, InstructionGroup] = {}
     bundles: dict[tuple, BundleOp] = {}
     ops: dict[int, list[ProgramOp]] = {}
-    cpus = json_field("", doc, "cpus", "an object", {})
+    cpus = json_field(ProgramError, "", doc, "cpus", "an object", {})
     for cpu_str in cpus:
         if not is_digits(cpu_str):
             raise ProgramError(f"cpu key {cpu_str!r} is not an integer >= 0")
         cpu = read_int(cpu_str, f"cpu key {cpu_str!r}", ProgramError)
         lst: list[ProgramOp] = []
-        for i, entry in enumerate(json_field("cpus.", cpus, cpu_str, "a list")):
+        for i, entry in enumerate(json_field(ProgramError, "cpus.", cpus, cpu_str, "a list")):
             at = f"cpus.{cpu_str}[{i}]."
             if not isinstance(entry, dict):
-                raise FieldError(f"{at[:-1]} must be an object, got {entry!r}")
+                raise ProgramError(f"{at[:-1]} must be an object, got {entry!r}")
             if "bundle" in entry:
-                b = json_field(at, entry, "bundle", "an object")
+                b = json_field(ProgramError, at, entry, "bundle", "an object")
                 unknown = sorted(set(b) - {"slots", "addr", "pattern"})
                 if unknown:
                     raise ProgramError(f"unknown bundle field(s) {', '.join(unknown)}")
                 at += "bundle."
-                names = tuple(json_field(at, b, "slots", "a list"))
+                names = tuple(json_field(ProgramError, at, b, "slots", "a list"))
                 if not all(n is None or isinstance(n, str) for n in names):
-                    raise FieldError(f"{at}slots must list mnemonics or nulls, "
-                                     f"got {list(names)!r}")
+                    raise ProgramError(f"{at}slots must list mnemonics or nulls, "
+                                       f"got {list(names)!r}")
                 if names not in groups:
                     groups[names] = InstructionGroup(
                         slots=tuple(_slot_instruction(by_name, n) for n in names))
-                addr = json_field(at, b, "addr", "an integer")
-                pattern = json_field(at, b, "pattern", "a string")
+                addr = json_field(ProgramError, at, b, "addr", "an integer")
+                pattern = json_field(ProgramError, at, b, "pattern", "a string")
                 key = (names, addr, pattern)
                 if key not in bundles:
                     bundles[key] = BundleOp(group=groups[names], addr=addr,
@@ -603,17 +601,17 @@ def _program_from_json(doc, by_name: dict) -> Program:
             elif "recv" in entry:
                 lst.append(RecvOp(*_transfer(at, entry, "recv", "src")))
             elif "sync" in entry:
-                json_field(at, entry, "sync", "an object")
+                json_field(ProgramError, at, entry, "sync", "an object")
                 lst.append(SyncOp())
             else:
                 raise ProgramError(f"unknown op entry {sorted(entry)}")
         ops[cpu] = lst
-    return Program.from_dict(ops, min_cycles=json_field("", doc, "min_cycles",
-                                                        "an integer", 0))
+    min_cycles = json_field(ProgramError, "", doc, "min_cycles", "an integer", 0)
+    return Program.from_dict(ops, min_cycles=min_cycles)
 
 
 def _transfer(at: str, entry: dict, op: str, peer: str) -> tuple[int, int]:
     """(peer cpu, size) of a send or recv entry."""
-    doc = json_field(at, entry, op, "an object")
-    return (json_field(f"{at}{op}.", doc, peer, "an integer"),
-            json_field(f"{at}{op}.", doc, "size", "an integer"))
+    doc = json_field(ProgramError, at, entry, op, "an object")
+    return (json_field(ProgramError, f"{at}{op}.", doc, peer, "an integer"),
+            json_field(ProgramError, f"{at}{op}.", doc, "size", "an integer"))

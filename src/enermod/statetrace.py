@@ -16,7 +16,7 @@ from functools import cached_property
 from string import Formatter
 from typing import NamedTuple
 
-from .sysconfig import FieldError, json_document, json_field, manhattan, parse_coord
+from .sysconfig import json_document, json_field, manhattan, parse_coord
 
 EVENT_BUNDLE = "bundle-issue"
 EVENT_FLIT = "flit-hop"
@@ -646,55 +646,50 @@ def function_to_json(fn: ModelFunction) -> dict:
     return doc
 
 
-def function_from_json(doc) -> ModelFunction:
-    """A model function from its rule-file document.  A field of the wrong
-    type raises ModelFunctionError naming the field."""
-    try:
-        return _function_from_json(doc, "")
-    except FieldError as exc:
-        raise ModelFunctionError(str(exc)) from None
-
-
-def _function_from_json(doc, where: str) -> ModelFunction:
+def function_from_json(doc, where: str = "") -> ModelFunction:
+    """A model function from its rule-file document, or from the field
+    where names inside one.  A field of the wrong type raises
+    ModelFunctionError naming the field."""
     if isinstance(doc, list):
         doc = {"rules": doc}
     if not isinstance(doc, dict):
-        raise FieldError(f"{where.rstrip('.') or 'a rule file'} must be an "
-                         f"object or a list of rules, got {doc!r}")
+        raise ModelFunctionError(f"{where.rstrip('.') or 'a rule file'} must be an "
+                                 f"object or a list of rules, got {doc!r}")
     rules = []
-    for i, r in enumerate(json_field(where, doc, "rules", "a list")):
+    for i, r in enumerate(json_field(ModelFunctionError, where, doc, "rules", "a list")):
         at = f"{where}rules[{i}]"
         if not isinstance(r, dict):
-            raise FieldError(f"{at} must be an object, got {r!r}")
-        rules.append(rule(json_field(at + ".", r, "match", "an object"),
+            raise ModelFunctionError(f"{at} must be an object, got {r!r}")
+        rules.append(rule(json_field(ModelFunctionError, at + ".", r, "match", "an object"),
                           _template_field(at + ".", r, "emit")))
-    pair = json_field(where, doc, "pair", "an object", None)
+    pair = json_field(ModelFunctionError, where, doc, "pair", "an object", None)
     attr, template, kinds = None, "", ()
     if pair is not None:
         at = where + "pair."
-        attr = json_field(at, pair, "attr", "a string")
+        attr = json_field(ModelFunctionError, at, pair, "attr", "a string")
         template = _template_field(at, pair, "template")
-        kinds = tuple(json_field(at, pair, "kinds", "a list"))
+        kinds = tuple(json_field(ModelFunctionError, at, pair, "kinds", "a list"))
         if not all(isinstance(kind, str) for kind in kinds):
-            raise FieldError(f"{at}kinds must list strings, got {list(kinds)!r}")
+            raise ModelFunctionError(f"{at}kinds must list strings, got {list(kinds)!r}")
     then = doc.get("then")
     return ModelFunction(
         rules=tuple(rules),
-        name=json_field(where, doc, "name", "a string", ""),
+        name=json_field(ModelFunctionError, where, doc, "name", "a string", ""),
         pair_attr=attr,
         pair_template=template,
         pair_kinds=kinds,
-        then=None if then is None else _function_from_json(then, where + "then."),
+        then=None if then is None else function_from_json(then, where + "then."),
     )
 
 
 def _template_field(where: str, doc: dict, name: str) -> str:
     """A string field that str.format can parse as a key template."""
-    template = json_field(where, doc, name, "a string")
+    template = json_field(ModelFunctionError, where, doc, name, "a string")
     try:
         _template_fields(template)
     except ValueError as exc:
-        raise FieldError(f"{where}{name} {template!r} is not a key template: {exc}") from None
+        raise ModelFunctionError(
+            f"{where}{name} {template!r} is not a key template: {exc}") from None
     return template
 
 

@@ -56,27 +56,24 @@ def fold_sum(values: Iterable[float]) -> float:
     return reduce(add, values, 0.0)
 
 
-class FieldError(ValueError):
-    """A field of a JSON document is missing or of the wrong type; each
-    reader turns it into its own format's error."""
-
-
 _REQUIRED = object()
 _JSON_KINDS = {"a string": str, "a number": (int, float), "an integer": int,
                "a boolean": bool, "a list": list, "an object": dict}
 
 
-def json_field(where: str, doc: dict, name: str, kind: str, default=_REQUIRED):
+def json_field(error: type[ValueError], where: str, doc: dict, name: str, kind: str,
+               default=_REQUIRED):
     """doc[name] when it is of the named JSON kind (a key of _JSON_KINDS;
     true and false are booleans only, not numbers or integers), or default
     when the field is absent (or null, where the default is None).  Anything
-    else raises FieldError, naming the field as where + name."""
+    else raises the reading format's error class, naming the field as
+    where + name."""
     value = doc.get(name, default)
     if value is _REQUIRED:
-        raise FieldError(f"{where}{name} is missing")
+        raise error(f"{where}{name} is missing")
     if value is not default and (isinstance(value, bool) != (kind == "a boolean")
                                  or not isinstance(value, _JSON_KINDS[kind])):
-        raise FieldError(f"{where}{name} must be {kind}, got {value!r}")
+        raise error(f"{where}{name} must be {kind}, got {value!r}")
     return value
 
 
@@ -390,28 +387,25 @@ def parse_isa(text: str) -> list[InstructionDef]:
     doc = json_document(text, IsaError)
     if not isinstance(doc, list):
         raise IsaError("ISA document must be a JSON list")
-    try:
-        return [_instruction_from_json(f"isa[{i}].", entry) for i, entry in enumerate(doc)]
-    except FieldError as exc:
-        raise IsaError(str(exc)) from None
+    return [_instruction_from_json(f"isa[{i}].", entry) for i, entry in enumerate(doc)]
 
 
 def _instruction_from_json(at: str, entry) -> InstructionDef:
     if not isinstance(entry, dict):
-        raise FieldError(f"{at[:-1]} must be an object, got {entry!r}")
+        raise IsaError(f"{at[:-1]} must be an object, got {entry!r}")
     extra = set(entry) - {"mnemonic", "iclass", "allowed_slots",
                           "reads_dmem", "writes_dmem"}
     if extra:
         raise IsaError(f"unknown ISA field(s): {sorted(extra)}")
-    slots = json_field(at, entry, "allowed_slots", "a list")
+    slots = json_field(IsaError, at, entry, "allowed_slots", "a list")
     if not all(isinstance(s, int) and not isinstance(s, bool) for s in slots):
-        raise FieldError(f"{at}allowed_slots must list integers, got {slots!r}")
+        raise IsaError(f"{at}allowed_slots must list integers, got {slots!r}")
     return InstructionDef(
-        mnemonic=json_field(at, entry, "mnemonic", "a string"),
-        iclass=json_field(at, entry, "iclass", "a string"),
+        mnemonic=json_field(IsaError, at, entry, "mnemonic", "a string"),
+        iclass=json_field(IsaError, at, entry, "iclass", "a string"),
         allowed_slots=frozenset(slots),
-        reads_dmem=json_field(at, entry, "reads_dmem", "a boolean", False),
-        writes_dmem=json_field(at, entry, "writes_dmem", "a boolean", False),
+        reads_dmem=json_field(IsaError, at, entry, "reads_dmem", "a boolean", False),
+        writes_dmem=json_field(IsaError, at, entry, "writes_dmem", "a boolean", False),
     )
 
 
@@ -470,22 +464,20 @@ def parse_api(text: str) -> ApiDescription:
     doc = json_document(text, IsaError)
     if not isinstance(doc, list):
         raise IsaError("API document must be a JSON list")
-    try:
-        return ApiDescription(operations=tuple(
-            _operation_from_json(f"api[{i}].", entry) for i, entry in enumerate(doc)))
-    except FieldError as exc:
-        raise IsaError(str(exc)) from None
+    return ApiDescription(operations=tuple(
+        _operation_from_json(f"api[{i}].", entry) for i, entry in enumerate(doc)))
 
 
 def _operation_from_json(at: str, entry) -> ApiOperation:
     if not isinstance(entry, dict):
-        raise FieldError(f"{at[:-1]} must be an object, got {entry!r}")
-    name = json_field(at, entry, "name", "a string")
-    params = json_field(at, entry, "params", "an object")
-    return ApiOperation(name=name,
-                        size_min=json_field(at + "params.", params, "min", "an integer"),
-                        size_max=json_field(at + "params.", params, "max", "an integer"),
-                        size_step=json_field(at + "params.", params, "step", "an integer"))
+        raise IsaError(f"{at[:-1]} must be an object, got {entry!r}")
+    name = json_field(IsaError, at, entry, "name", "a string")
+    params = json_field(IsaError, at, entry, "params", "an object")
+    return ApiOperation(
+        name=name,
+        size_min=json_field(IsaError, at + "params.", params, "min", "an integer"),
+        size_max=json_field(IsaError, at + "params.", params, "max", "an integer"),
+        size_step=json_field(IsaError, at + "params.", params, "step", "an integer"))
 
 
 def load_api(path: str) -> ApiDescription:

@@ -29,7 +29,7 @@ from enermod.cli import (
     main,
 )
 from enermod.estimator import estimate
-from enermod.modelfit import EnergyModel, load_model, save_model
+from enermod.modelfit import EnergyModel, load_model, model_to_json
 from enermod.pipeline import build_simplified_model
 from enermod.statetrace import noc_hop_function, noc_pair_function, trace_from_lines
 
@@ -891,7 +891,7 @@ def test_explore_runs(tmp_path):
 def explore_model(tmp_path_factory, config, isa, api, params):
     model, _reports = build_simplified_model(config, isa, api, params, reps=8)
     path = tmp_path_factory.mktemp("explore") / "model.json"
-    save_model(model, str(path))
+    path.write_text(json.dumps(model_to_json(model)), encoding="utf-8")
     return path
 
 
@@ -1101,7 +1101,8 @@ def test_reduce_of_a_key_that_does_not_parse_exits_5(tmp_path, kind, key):
     key and writes nothing."""
     function = noc_pair_function() if kind == "hops" else noc_hop_function()
     constants = {key: 1.0} if kind == "hops" else {"noc/hops:1/size:16": 1.0, key: 2.0}
-    save_model(EnergyModel(function=function, constants=constants), str(tmp_path / "m.json"))
+    (tmp_path / "m.json").write_text(json.dumps(model_to_json(
+        EnergyModel(function=function, constants=constants))), encoding="utf-8")
     rc, error = _run_quietly(["reduce", "--model", str(tmp_path / "m.json"), "--kind", kind,
                               "--output", str(tmp_path / "out.json")], (EXIT_DATA,))
     assert rc == EXIT_DATA
@@ -1306,6 +1307,7 @@ def _run_with_input(out, name, doc):
     ("config", ("clock_hz",), None, "clock_hz must be a positive number, got None"),
     ("config", ("clock_hz",), True, "clock_hz must be a positive number, got True"),
     ("params", (), [1], "an oracle-params document must be an object, got [1]"),
+    ("isa", (1, "latency"), 1, "unknown ISA field(s): ['latency']"),
 ])
 def test_a_wrong_typed_input_field_exits_4(tmp_path, name, path, value, named):
     rc, error = _run_with_input(tmp_path, name, _mutated(_shipped(name), path, value))
@@ -1319,6 +1321,43 @@ def test_a_wrong_typed_input_field_exits_4(tmp_path, name, path, value, named):
 def test_a_missing_input_field_exits_4(tmp_path, name, path, named):
     rc, error = _run_with_input(tmp_path, name, _delete(_shipped(name), path))
     assert rc == EXIT_INVARIANT and named in error
+
+
+@pytest.mark.parametrize("path,value,named", [
+    ((1, "mnemonic"), "nop", "duplicate mnemonic 'nop'"),
+    ((11, "allowed_slots"), [1, 2], "mul: slot index beyond 2 slots"),
+])
+def test_gen_bench_of_an_isa_that_breaks_an_invariant_exits_4(tmp_path, path, value, named):
+    isa = tmp_path / "isa.json"
+    isa.write_text(json.dumps(_mutated(_shipped("isa"), path, value)))
+    assert _run_quietly(["gen-bench", "--kind", "instr", "--isa", str(isa)]
+                        + _defaults(tmp_path), (EXIT_INVARIANT,)) == (
+        EXIT_INVARIANT, f"error:4:{named}")
+    assert not (tmp_path / "benchmarks").exists()
+
+
+@pytest.mark.parametrize("group,named", [
+    ("add", "label 'add' does not match 2 slots"),
+    ("add+bogus", "unknown mnemonic 'bogus' in label 'add+bogus'"),
+])
+def test_gen_bench_of_a_group_label_that_does_not_parse_exits_4(tmp_path, group, named):
+    assert _run_quietly(["gen-bench", "--kind", "imem", "--group", group]
+                        + _defaults(tmp_path, "isa"), (EXIT_INVARIANT,)) == (
+        EXIT_INVARIANT, f"error:4:{named}")
+    assert not (tmp_path / "benchmarks").exists()
+
+
+@pytest.mark.parametrize("path,value,named", [
+    (("actors", 1, "id"), "source", "duplicate actor ids"),
+    (("channels", 0, "bytes"), 0, "channel payload must be >= 1 byte"),
+])
+def test_explore_of_a_graph_that_breaks_an_invariant_exits_4(explore_model, tmp_path, path,
+                                                             value, named):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(_mutated(_GRAPH, path, value)))
+    assert _run_quietly(["explore", "--graph", str(graph), "--model", str(explore_model),
+                         "--steps", "1", "--chains", "1"] + _defaults(tmp_path),
+                        (EXIT_INVARIANT,)) == (EXIT_INVARIANT, f"error:4:{graph}: {named}")
 
 
 @pytest.fixture(scope="module")
@@ -1459,14 +1498,15 @@ def _write_results_that_are_not_finite(out, explore_model, case):
     path = out / "models" / "noc.json"
     if case == "reduce-hops":
         # two pairs of one hop count whose mean overflows
-        save_model(EnergyModel(function=noc_pair_function(), constants=dict.fromkeys(
-            ["noc/src:0,0/dst:1,0/size:8", "noc/src:1,0/dst:0,0/size:8"], 1.7e308)),
-            str(path))
+        model = EnergyModel(function=noc_pair_function(), constants=dict.fromkeys(
+            ["noc/src:0,0/dst:1,0/size:8", "noc/src:1,0/dst:0,0/size:8"], 1.7e308))
+        path.write_text(json.dumps(model_to_json(model)), encoding="utf-8")
     elif case.startswith("reduce-"):
         # a size sweep that falls by 3.4e308 pJ past 512 bytes
-        save_model(EnergyModel(function=noc_hop_function(), constants={
+        model = EnergyModel(function=noc_hop_function(), constants={
             f"noc/hops:2/size:{size}": 1.7e308 if size <= 512 else -1.7e308
-            for size in range(8, 1025, 8)}), str(path))
+            for size in range(8, 1025, 8)})
+        path.write_text(json.dumps(model_to_json(model)), encoding="utf-8")
     elif case == "fit":
         for i, ledger in enumerate(sorted((out / "ledgers").glob("*.csv"))):
             lines = ledger.read_text().splitlines()
@@ -1484,6 +1524,7 @@ _NOT_FINITE_FIELD = {"fit": "static_power_pw", "reduce-hops": "constants.noc/hop
                      "reduce-staircase": "reducers[0].a", "reduce-linear": "reducers[0].a"}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", ["estimate", "validate", "explore", "fit", "reduce-hops",
                                   "reduce-staircase", "reduce-linear"])
 def test_a_result_that_is_not_finite_exits_5_and_writes_nothing(
@@ -1510,6 +1551,47 @@ def test_a_result_that_is_not_finite_exits_5_and_writes_nothing(
     assert {rel: open(p, "rb").read() for rel, p in _tree_files(out).items()} == before
 
 
+# finite parameters whose ledger sums pass a float's range, with the
+# category that each subcommand's first run overflows
+_OVERFLOWING_PARAMS = {
+    "oracle": ({"sync": 1e307}, "sync"),
+    "validate": (dict.fromkeys(["core.SIMD.zeros", "core.SIMD.ones", "core.SIMD.alt"], 1e306),
+                 "core"),
+    "sweep-noc": ({"router_flit": 1e308}, "router"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OVERFLOWING_PARAMS))
+def test_params_whose_ledger_sums_overflow_exit_4_and_write_nothing(one_size, tmp_path,
+                                                                    command):
+    """No ledger, result or model file can hold inf: the oracle refuses a
+    ledger sum that is not finite, so the subcommand exits 4 on one line
+    naming the category, and leaves the outdir as it was.  validate runs
+    without --model, building the model it would write."""
+    out, argv = _run_on_one_size(one_size, tmp_path, command)
+    values, category = _OVERFLOWING_PARAMS[command]
+    params = out / "params.json"
+    params.write_text(json.dumps(dict(json.loads(params.read_text()), **values)))
+    if command == "validate":
+        at = argv.index("--model")
+        del argv[at:at + 2]
+    before = {rel: open(p, "rb").read() for rel, p in _tree_files(out).items()}
+    assert _run_quietly(argv, (EXIT_INVARIANT,)) == (
+        EXIT_INVARIANT, f"error:4:ledger {category} energy inf pJ is not finite")
+    assert {rel: open(p, "rb").read() for rel, p in _tree_files(out).items()} == before
+
+
+def test_fit_of_an_unknown_builtin_function_exits_5(one_size, tmp_path):
+    out, argv = _run_on_one_size(one_size, tmp_path, "fit")
+    at = argv.index("--function-file")
+    del argv[at:at + 2]
+    before = {rel: open(p, "rb").read() for rel, p in _tree_files(out).items()}
+    rc, error = _run_quietly(argv + ["--function", "bogus"], (EXIT_DATA,))
+    assert rc == EXIT_DATA
+    assert error.startswith("error:5:unknown function 'bogus'; available: [")
+    assert {rel: open(p, "rb").read() for rel, p in _tree_files(out).items()} == before
+
+
 def test_a_staircase_reducer_with_a_flit_payload_below_1_exits_5(one_size, explore_model,
                                                                   tmp_path):
     """A staircase reducer prices ceil(size / flit_payload_bytes) flits: a
@@ -1521,7 +1603,8 @@ def test_a_staircase_reducer_with_a_flit_payload_below_1_exits_5(one_size, explo
         reducer["flit_payload_bytes"] = -8
     path.write_text(json.dumps(doc))
     assert _run_quietly(argv, (EXIT_DATA,)) == (EXIT_DATA, (
-        f"error:5:{path}: staircase reducer needs flit_payload_bytes of 1 or more, got -8"))
+        f"error:5:{path}: reducers[0]: staircase reducer needs flit_payload_bytes of 1 or "
+        "more, got -8"))
 
 
 def test_report_aggregates(tmp_path):

@@ -81,6 +81,21 @@ def test_unmapped_actor_rejected(config, model):
         evaluate_partition(graph, bad, config, model)
 
 
+@pytest.mark.parametrize("stateless,mapped,clone,granularity,message", [
+    (True, -1, 1, 1, "actor 'a1' mapped off the platform"),
+    (True, 0, 0, 1, "actor 'a1' has clone factor < 1"),
+    (False, 0, 2, 1, "stateful actor 'a1' cannot be cloned"),
+    (True, 0, 1, 0, "granularity must be >= 1"),
+])
+def test_partition_that_breaks_an_invariant_rejected(config, stateless, mapped, clone,
+                                                     granularity, message):
+    graph = _graph(2, stateless=stateless)
+    bad = Partition(assignment=(("a0", 0), ("a1", mapped)),
+                    clones=(("a0", 1), ("a1", clone)), granularity=granularity)
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        validate_partition(graph, bad, config)
+
+
 # ---------------------------------------------------------------------------
 # evaluate_partition
 # ---------------------------------------------------------------------------

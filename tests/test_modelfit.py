@@ -21,7 +21,6 @@ from enermod.modelfit import (
     model_from_json,
     model_to_json,
     reduce_noc_model,
-    save_model,
 )
 from enermod.pipeline import fit_campaign, run_campaign
 from enermod.refsim import BundleOp, Program, bundle_energy, run_program
@@ -310,7 +309,7 @@ def test_model_json_round_trip(tmp_path, config):
                                              flit_payload_bytes=8)])
     model.provenance["clock_hz"] = config.clock_hz
     path = tmp_path / "model.json"
-    save_model(model, str(path))
+    path.write_text(json.dumps(model_to_json(model)), encoding="utf-8")
     loaded = load_model(str(path))
     assert loaded.constants == model.constants
     assert loaded.reducers == model.reducers
@@ -350,6 +349,23 @@ def test_model_json_round_trip_any_model(model_functions, data):
             st.just({}), st.fixed_dictionaries({"clock_hz": st.floats(1.0, 1e10)}))))
     doc = json.loads(json.dumps(model_to_json(model)))
     assert _bits(model_from_json(doc)) == _bits(model)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("kind", "BOGUS", "reducers[1]: unknown reducer kind 'BOGUS'"),
+    ("flit_payload_bytes", 0,
+     "reducers[1]: staircase reducer needs flit_payload_bytes of 1 or more, got 0"),
+    ("a", "6", "reducers[1].a must be a number, got '6'"),
+])
+def test_a_reducer_error_in_a_model_file_names_the_reducer(field, value, message):
+    reducer = Reducer(kind=REDUCER_STAIRCASE, family=_FAMILY, a=6.0, b=8.6,
+                      flit_payload_bytes=8)
+    doc = model_to_json(EnergyModel(function=noc_pair_function(), constants={},
+                                    reducers=[reducer, reducer]))
+    doc["reducers"][1][field] = value
+    with pytest.raises(FitError) as err:
+        model_from_json(doc)
+    assert str(err.value) == message
 
 
 def test_staircase_coefficients_match_oracle_closed_form(config, params):

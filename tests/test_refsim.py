@@ -516,6 +516,22 @@ def test_ledger_sums_like_one_sorted_list_of_bookings(bookings):
     assert ledger.total_pj.hex() == total.hex()
 
 
+@pytest.mark.parametrize("bookings,name", [
+    ({"sync": [1e308, 1e308]}, "sync"),
+    ({"core": [-1e308, -1e308], "sync": [1e308, 1e308]}, "core"),
+    ({"core": [1e308], "imem": [1e308]}, "total"),
+])
+def test_a_ledger_sum_that_is_not_finite_is_refused(bookings, name):
+    """Finite bookings can sum past a float's range, which no ledger file
+    can hold: the ledger names the first category, or the total, that
+    overflows."""
+    acc = _Accumulator()
+    for component, values in bookings.items():
+        acc.book[component].extend(enumerate(values))
+    with pytest.raises(ParamError, match=rf"^ledger {name} energy -?inf pJ is not finite$"):
+        acc.ledger()
+
+
 def test_min_cycles_pads_with_idle(tiny_config, params):
     program = Program.from_dict({}, min_cycles=32)
     trace, ledger = run_program(tiny_config, params, program)

@@ -53,8 +53,9 @@ def test_parse_empty_document_gives_defaults():
 
 
 def test_parse_rejects_non_bank_multiple():
-    with pytest.raises(ConfigError, match="imem_bytes not bank multiple"):
-        parse_config('{"imem_bytes": 1000}')
+    for name in ("imem_bytes", "dmem_bytes"):
+        with pytest.raises(ConfigError, match=f"{name} not bank multiple"):
+            parse_config(f'{{"{name}": 1000}}')
 
 
 def test_parse_rejects_unknown_keys():
